@@ -3,8 +3,9 @@
 Runs are reproducible: the full configuration is embedded in every output
 artifact and a fixed seed yields byte-identical files. CSV carries the
 per-run fidelity records and plot series; JSON carries fits and verdicts.
-Worker parallelism inside the engines is capped by the CORB_THREADS
-environment variable.
+The CORB_THREADS environment variable sets how many threads the sampled
+engine modes use for their (length, repetition) tasks; it pays off only
+with BLAS pinned to one thread, and the records do not depend on it.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
 (condition violated, fit divergence, engine error).
@@ -22,7 +23,9 @@ import numpy as np
 
 from . import io as cio
 from .engine import (
+    MODES,
     DimensionError,
+    FidelityRecord,
     RbRunConfig,
     run,
     run_coherent_with_control_noise,
@@ -119,12 +122,7 @@ def set_spec_dims(spec: str) -> tuple[int, int]:
     """(d, n) of a set spec without constructing the whole family."""
     family, _, body = spec.strip().partition(":")
     family = family.strip().lower()
-    kv = {}
-    if family not in ("custom",):
-        for chunk in body.split(","):
-            if chunk and "=" in chunk:
-                key, _, value = chunk.partition("=")
-                kv[key.strip()] = value.strip()
+    kv = {} if family == "custom" else cio.parse_kv(body)
     if family in ("pauli", "clifford", "dressed"):
         return int(kv["d"]), int(kv["n"])
     if family == "controlled":
@@ -198,7 +196,7 @@ def cmd_run(args) -> int:
 
 
 def _fit_payload(records: list[dict], dim: int | None) -> dict:
-    fit = fit_records([_Rec(**r) for r in records])
+    fit = fit_records([FidelityRecord(**r) for r in records])
     payload = {
         "A": fit.A,
         "chi00": fit.chi00,
@@ -214,16 +212,6 @@ def _fit_payload(records: list[dict], dim: int | None) -> dict:
     return payload
 
 
-@dataclass(frozen=True)
-class _Rec:
-    mode: str
-    m: int
-    repetition: int
-    fidelity: float
-    k: int
-    seed_stream: str
-
-
 def _dim_for_records(config: dict | None, args) -> int | None:
     if args.dim is not None:
         return args.dim
@@ -237,8 +225,8 @@ def cmd_fit(args) -> int:
     if args.irb:
         ref_records, ref_cfg = cio.read_records(args.irb[0])
         int_records, _ = cio.read_records(args.irb[1])
-        fit_ref = fit_records([_Rec(**r) for r in ref_records])
-        fit_int = fit_records([_Rec(**r) for r in int_records])
+        fit_ref = fit_records([FidelityRecord(**r) for r in ref_records])
+        fit_int = fit_records([FidelityRecord(**r) for r in int_records])
         estimate = irb_extract(fit_ref, fit_int)
         payload = {
             "chi00_ref": estimate.chi00_ref,
@@ -289,7 +277,8 @@ def _deviation_csv(path: str, summary, mode: str) -> None:
 
 
 def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
-                   seed: int, outdir: str) -> dict:
+                   seed: int, outdir: str):
+    """Run one deviation study; returns its verdict and its summary."""
     gate_set = parse_set_spec(set_spec)
     channel = parse_channel_spec(f"infidelity-dephasing:r={infidelity}",
                                  gate_set.dim)
@@ -321,36 +310,31 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
             summary.max_deviation["coherent"] <= summary.max_deviation["standard"]
         ),
     }
-    return verdict
+    return verdict, summary
 
 
 def _experiment_fig5a(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5a", "clifford:d=2,n=1", 1e-4, 80, seed, outdir)
+    return _fig5_scenario("fig5a", "clifford:d=2,n=1", 1e-4, 80, seed, outdir)[0]
 
 
 def _experiment_fig5b(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5b", "pauli:d=2,n=1", 1e-4, 80, seed, outdir)
+    return _fig5_scenario("fig5b", "pauli:d=2,n=1", 1e-4, 80, seed, outdir)[0]
 
 
 def _experiment_fig5c(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5c", "clifford:d=2,n=1", 1e-4, 25, seed, outdir)
+    return _fig5_scenario("fig5c", "clifford:d=2,n=1", 1e-4, 25, seed, outdir)[0]
 
 
 def _experiment_fig5d(outdir: str, seed: int) -> dict:
-    verdict = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5, 15, seed, outdir)
+    verdict, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5, 15,
+                                      seed, outdir)
     # Reference-curve comparison: does mixing in the classical average
     # track the finite-k coherent data better than the pure decay law?
     gate_set_dim = 2
-    chi00 = verdict["chi00"]
-    amplitude = verdict["amplitude"]
-    k = verdict["k"]
-    records_path = os.path.join(outdir, "fig5d_coherent.csv")
-    with open(records_path, "r", encoding="utf-8") as fh:
-        rows = fh.read().splitlines()[1:]
-    per_m: dict[int, list[float]] = {}
-    for row in rows:
-        m_str, _, f_str, *_ = row.split(",")
-        per_m.setdefault(int(m_str), []).append(float(f_str))
+    chi00 = summary.chi00
+    amplitude = summary.amplitude
+    k = summary.k
+    per_m = summary.fidelities["coherent"]
     rms_pure = rms_combined = 0.0
     series = ["m,mean_fidelity,pure_curve,combined_curve"]
     for m, values in sorted(per_m.items()):
@@ -507,9 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--shots", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="coherent",
-                   choices=["standard", "coherent", "coherent-full",
-                            "interleaved", "coherent-control-noise"])
+    p.add_argument("--mode", default="coherent", choices=MODES)
     p.add_argument("--gate", default=None,
                    help="matrix file with the interleaved gate")
     p.add_argument("--gate-channel", default=None,

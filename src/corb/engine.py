@@ -1,12 +1,14 @@
 """Randomized-benchmarking engines over exact density matrices.
 
-Three protocol variants share one core: standard RB (independent random
-sequences, no control register), coherent RB (k random sequences applied
-in superposition, entangled with a k-level control), and interleaved
-coherent RB (a fixed gate inserted after every random gate in all
-branches). The coherent state is kept in blocked form (k, D, k, D) so a
-controlled gate is a per-branch-pair contraction rather than a full
-(kD)^2 matrix product.
+Every mode runs one protocol (random sequences, their exact inverse, the
+return probability) and differs only in how one draw is evaluated:
+standard RB (k independent sequences, no control register), coherent RB
+(k sequences in superposition, entangled with a k-level control that may
+depolarize), interleaved coherent RB (a fixed gate after every random
+gate in all branches), and the full |G|^m superposition. `run` dispatches
+through one mode table. The coherent state is kept in blocked form
+(k, D, k, D) so a controlled gate is a per-branch-pair contraction rather
+than a full (kD)^2 matrix product.
 
 Conventions:
   * sequence gates are drawn iid uniformly per branch and position;
@@ -30,14 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from .gatesets import GateSet
-from .linalg import basis_state, plus_state, projector
+from .linalg import assert_unitary, basis_state, plus_state, projector
 from .noise import NoiseModel
 
-MODES = ("standard", "coherent", "coherent-full", "interleaved",
-         "coherent-control-noise")
-
-DEFAULT_DIM_CAP = 4096
-DEFAULT_ENUM_CAP = 4096
+# Largest joint control-target dimension k * D simulated densely; for the
+# full superposition k = |G|^m.
+DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,6 @@ class RbRunConfig:
     seed: int = 0
     shots: int = 0
     mode: str = "coherent"
-    dim_cap: int = DEFAULT_DIM_CAP
-    enum_cap: int = DEFAULT_ENUM_CAP
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
@@ -71,6 +69,9 @@ class RbRunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        dim = self.gate_set.dim
+        _check_shape("gate channel", self.noise.gate_channel[0], dim)
+        _check_shape("final channel", self.noise.final_channel[0], dim)
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,13 @@ class FidelityRecord:
 
 
 class DimensionError(ValueError):
-    """Joint space would exceed the configured dense-simulation cap."""
+    """Joint space would exceed the dense-simulation cap DIM_CAP."""
+
+
+def _check_shape(what: str, op, dim: int) -> None:
+    if np.shape(op) != (dim, dim):
+        raise ValueError(f"{what} has shape {np.shape(op)}; "
+                         f"the gate set needs ({dim}, {dim})")
 
 
 # ---------------------------------------------------------------------------
@@ -316,44 +323,71 @@ def simulate_standard(gate_set: GateSet, noise: NoiseModel,
 # Engines
 # ---------------------------------------------------------------------------
 
-def _check_dim(cfg: RbRunConfig, joint_dim: int) -> None:
-    if joint_dim > cfg.dim_cap:
-        raise DimensionError(
-            f"joint dimension {joint_dim} exceeds the cap of {cfg.dim_cap}"
-        )
+def _check_dim(joint_dim: int) -> None:
+    if joint_dim > DIM_CAP:
+        raise DimensionError(f"joint dimension {joint_dim} exceeds the cap of {DIM_CAP}")
 
 
-def _sampled_run(cfg: RbRunConfig, mode: str, *,
-                 control_q: float = 1.0,
-                 interleaved_gate: np.ndarray | None = None,
-                 interleaved_noise: Sequence[np.ndarray] | None = None
-                 ) -> list[FidelityRecord]:
-    _check_dim(cfg, cfg.k * cfg.gate_set.dim)
-    tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
+def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
+    if cfg.mode != mode:
+        raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
 
+
+def _sampled_run(cfg: RbRunConfig, estimate) -> list[FidelityRecord]:
+    """The (length, repetition) task loop of every sampled mode: `estimate`
+    maps one (k, m) draw of sequence indices to its expected fidelity."""
     def one(task):
         m, rep = task
         rng = child_rng(cfg.seed, m, rep, 0)
         sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
-        fidelity = simulate_coherent(
-            cfg.gate_set, cfg.noise, sequences,
-            control_q=control_q,
-            interleaved_gate=interleaved_gate,
-            interleaved_noise=interleaved_noise,
-        )
+        fidelity = estimate(sequences)
         if cfg.shots > 0:
             shots_rng = child_rng(cfg.seed, m, rep, 1)
             fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
-        return FidelityRecord(mode, m, rep, fidelity, cfg.k, f"{m}/{rep}")
+        return FidelityRecord(cfg.mode, m, rep, fidelity, cfg.k, f"{m}/{rep}")
 
+    tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
     return _map_tasks(one, tasks)
+
+
+def _coherent_estimate(cfg: RbRunConfig, **kwargs):
+    """Estimator of the sampled coherent modes, after the dimension check."""
+    _check_dim(cfg.k * cfg.gate_set.dim)
+    return lambda sequences: simulate_coherent(cfg.gate_set, cfg.noise,
+                                               sequences, **kwargs)
+
+
+def _full_run(cfg: RbRunConfig, **kwargs) -> list[FidelityRecord]:
+    """Every length once over all |G|^m sequences; repetitions repeat it."""
+    records = []
+    size = len(cfg.gate_set)
+    for m in cfg.lengths:
+        k = size ** m
+        _check_dim(k * cfg.gate_set.dim)
+        fidelity = simulate_coherent(cfg.gate_set, cfg.noise,
+                                     _all_sequences(size, m), **kwargs)
+        for rep in range(cfg.repetitions):
+            records.append(FidelityRecord(cfg.mode, m, rep, fidelity, k, f"{m}/full"))
+    return records
+
+
+def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
+    """Standard RB: each record averages k independent sequence survivals."""
+    _expect_mode(cfg, "standard")
+    return _sampled_run(cfg, lambda sequences: float(np.mean(
+        simulate_standard(cfg.gate_set, cfg.noise, sequences))))
 
 
 def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Coherent RB with k iid-sampled sequences in superposition."""
-    if cfg.mode != "coherent":
-        raise ValueError(f"expected mode 'coherent', got {cfg.mode!r}")
-    return _sampled_run(cfg, "coherent")
+    _expect_mode(cfg, "coherent")
+    return _sampled_run(cfg, _coherent_estimate(cfg))
+
+
+def run_coherent_full(cfg: RbRunConfig) -> list[FidelityRecord]:
+    """Deterministic coherent RB over all |G|^m sequences per length."""
+    _expect_mode(cfg, "coherent-full")
+    return _full_run(cfg)
 
 
 def run_coherent_with_control_noise(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -364,10 +398,8 @@ def run_coherent_with_control_noise(cfg: RbRunConfig) -> list[FidelityRecord]:
     approximate decay law (q chi00)^m + (1 - q^m)/k f_G counts one control
     error opportunity per sequence position.
     """
-    if cfg.mode != "coherent-control-noise":
-        raise ValueError(f"expected mode 'coherent-control-noise', got {cfg.mode!r}")
-    return _sampled_run(cfg, "coherent-control-noise",
-                        control_q=cfg.noise.control_q)
+    _expect_mode(cfg, "coherent-control-noise")
+    return _sampled_run(cfg, _coherent_estimate(cfg, control_q=cfg.noise.control_q))
 
 
 def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
@@ -377,81 +409,35 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
     """Interleaved coherent RB: `gate` (with its own channel) after every
     random gate in all branches; the closing inverse, which includes the
     interleaved gate, is noiseless."""
-    if cfg.mode != "interleaved":
-        raise ValueError(f"expected mode 'interleaved', got {cfg.mode!r}")
-    from .linalg import assert_unitary
-    gate = assert_unitary(gate, what="interleaved gate")
+    _expect_mode(cfg, "interleaved")
+    dim = cfg.gate_set.dim
+    _check_shape("interleaved gate", gate, dim)
+    for op in () if gate_noise is None else gate_noise:
+        _check_shape("interleaved gate channel", op, dim)
+    kwargs = dict(interleaved_gate=assert_unitary(gate, what="interleaved gate"),
+                  interleaved_noise=gate_noise)
     if full_superposition:
-        return _full_run(cfg, "interleaved", interleaved_gate=gate,
-                         interleaved_noise=gate_noise)
-    return _sampled_run(cfg, "interleaved", interleaved_gate=gate,
-                        interleaved_noise=gate_noise)
+        return _full_run(cfg, **kwargs)
+    return _sampled_run(cfg, _coherent_estimate(cfg, **kwargs))
 
 
-def _full_run(cfg: RbRunConfig, mode: str, *,
-              interleaved_gate: np.ndarray | None = None,
-              interleaved_noise: Sequence[np.ndarray] | None = None
-              ) -> list[FidelityRecord]:
-    records = []
-    size = len(cfg.gate_set)
-    for m in cfg.lengths:
-        k = size ** m
-        if k > cfg.enum_cap:
-            raise DimensionError(
-                f"|G|^m = {k} branches exceed the enumeration cap of {cfg.enum_cap}"
-            )
-        _check_dim(cfg, k * cfg.gate_set.dim)
-        fidelity = simulate_coherent(
-            cfg.gate_set, cfg.noise, _all_sequences(size, m),
-            interleaved_gate=interleaved_gate,
-            interleaved_noise=interleaved_noise,
-        )
-        for rep in range(cfg.repetitions):
-            records.append(FidelityRecord(mode, m, rep, fidelity, k, f"{m}/full"))
-    return records
-
-
-def run_coherent_full(cfg: RbRunConfig) -> list[FidelityRecord]:
-    """Deterministic coherent RB over all |G|^m sequences per length."""
-    if cfg.mode != "coherent-full":
-        raise ValueError(f"expected mode 'coherent-full', got {cfg.mode!r}")
-    return _full_run(cfg, "coherent-full")
-
-
-def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
-    """Standard RB: each record averages k independent sequence survivals."""
-    if cfg.mode != "standard":
-        raise ValueError(f"expected mode 'standard', got {cfg.mode!r}")
-    tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
-
-    def one(task):
-        m, rep = task
-        rng = child_rng(cfg.seed, m, rep, 0)
-        sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
-        fidelity = float(np.mean(simulate_standard(cfg.gate_set, cfg.noise,
-                                                   sequences)))
-        if cfg.shots > 0:
-            shots_rng = child_rng(cfg.seed, m, rep, 1)
-            fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
-        return FidelityRecord("standard", m, rep, fidelity, cfg.k, f"{m}/{rep}")
-
-    return _map_tasks(one, tasks)
+# The mode table, called as runner(cfg, gate, gate_noise). Each entry looks
+# its runner up at call time, so a wrapped module attribute also sees the
+# calls made through `run`.
+_RUNNERS = {
+    "standard": lambda cfg, *_: run_standard_rb(cfg),
+    "coherent": lambda cfg, *_: run_coherent_rb(cfg),
+    "coherent-full": lambda cfg, *_: run_coherent_full(cfg),
+    "interleaved": lambda cfg, *gate: run_interleaved_coherent(cfg, *gate),
+    "coherent-control-noise": lambda cfg, *_: run_coherent_with_control_noise(cfg),
+}
+MODES = tuple(_RUNNERS)
 
 
 def run(cfg: RbRunConfig, *, interleaved_gate: np.ndarray | None = None,
         interleaved_noise: Sequence[np.ndarray] | None = None
         ) -> list[FidelityRecord]:
-    """Dispatch on cfg.mode."""
-    if cfg.mode == "standard":
-        return run_standard_rb(cfg)
-    if cfg.mode == "coherent":
-        return run_coherent_rb(cfg)
-    if cfg.mode == "coherent-full":
-        return run_coherent_full(cfg)
-    if cfg.mode == "coherent-control-noise":
-        return run_coherent_with_control_noise(cfg)
-    if cfg.mode == "interleaved":
-        if interleaved_gate is None:
-            raise ValueError("interleaved mode needs an interleaved gate")
-        return run_interleaved_coherent(cfg, interleaved_gate, interleaved_noise)
-    raise ValueError(f"unknown mode {cfg.mode!r}")
+    """Run cfg.mode through the mode table; interleaved mode needs the gate."""
+    if cfg.mode == "interleaved" and interleaved_gate is None:
+        raise ValueError("interleaved mode needs an interleaved gate")
+    return _RUNNERS[cfg.mode](cfg, interleaved_gate, interleaved_noise)

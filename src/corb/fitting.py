@@ -57,7 +57,8 @@ def fit_decay(points: Sequence[tuple[float, float]],
     (nonpositive fidelities excluded there only); stage 2 runs
     Gauss-Newton on the unweighted (or caller-weighted) squared residuals
     in linear space. Divergent refinements fall back to the stage-1
-    estimate with converged=False.
+    estimate with converged=False; a refinement that reaches GN_MAX_ITER
+    iterations keeps its last estimate, also with converged=False.
     """
     ms = np.asarray([p[0] for p in points], dtype=float)
     fs = np.asarray([p[1] for p in points], dtype=float)
@@ -95,8 +96,6 @@ def fit_decay(points: Sequence[tuple[float, float]],
         if float(np.linalg.norm(step)) < GN_STEP_TOL:
             converged = True
             break
-    else:
-        converged = True  # iteration cap reached with finite parameters
 
     chi = min(max(chi, 0.0), 1.0)
     a = max(a, 0.0)

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .io import parse_kv, read_matrices
 from .linalg import TOL, as_matrix, assert_unitary, dagger, tensor
 from .paulis import (
     DEFAULT_LABEL_CAP,
@@ -238,8 +239,7 @@ def build_clifford_set(d: int, n: int) -> GateSet:
     return GateSet(d, n, "clifford", tuple(elements))
 
 
-def _controlled_element(control_paulis: list[np.ndarray],
-                        branch_mats: Sequence[np.ndarray],
+def _controlled_element(branch_mats: Sequence[np.ndarray],
                         dressing: np.ndarray,
                         target_dim: int) -> np.ndarray:
     k = len(branch_mats)
@@ -265,7 +265,7 @@ def build_controlled_set(d: int, cap: int = DEFAULT_LABEL_CAP) -> GateSet:
     for pi in control:
         for pr in target:
             for ps in target:
-                elements.append(_controlled_element(control, (pr, ps), pi, d))
+                elements.append(_controlled_element((pr, ps), pi, d))
     if d == 2:
         dd, nn = 2, 2
     else:
@@ -288,7 +288,7 @@ def build_two_control_set() -> GateSet:
                 for pp in target:
                     for pq in target:
                         elements.append(
-                            _controlled_element(control, (ps, pr, pp, pq), pc, 2)
+                            _controlled_element((ps, pr, pp, pq), pc, 2)
                         )
     return GateSet(2, 3, "two-control", tuple(elements))
 
@@ -303,7 +303,6 @@ def ms_gate(n: int, theta: float) -> np.ndarray:
     eye = np.eye(dim)
     for s in range(n - 1):
         for r in range(s + 1, n):
-            x = (0,) * n
             xs = tuple(1 if q in (s, r) else 0 for q in range(n))
             xx = pauli_matrix(PauliLabel(2, n, xs, (0,) * n))
             u = (np.cos(theta) * eye + 1j * np.sin(theta) * xx) @ u
@@ -349,16 +348,6 @@ def build_custom_set(mats: Sequence[np.ndarray], d: int | None = None,
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
 
-def _parse_kv(body: str) -> dict[str, str]:
-    out = {}
-    for chunk in body.split(","):
-        if not chunk:
-            continue
-        key, _, value = chunk.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
 def parse_set_spec(spec: str,
                    matrix_loader: Callable[[str], list[np.ndarray]] | None = None
                    ) -> GateSet:
@@ -370,27 +359,22 @@ def parse_set_spec(spec: str,
     format (see corb.io).
     """
     if matrix_loader is None:
-        from .io import read_matrices
         matrix_loader = read_matrices
     family, _, body = spec.strip().partition(":")
     family = family.strip().lower()
+    kv = {} if family == "custom" else parse_kv(body)
     try:
         if family == "pauli":
-            kv = _parse_kv(body)
             return build_pauli_set(int(kv["d"]), int(kv["n"]))
         if family == "clifford":
-            kv = _parse_kv(body)
             return build_clifford_set(int(kv["d"]), int(kv["n"]))
         if family == "controlled":
-            kv = _parse_kv(body)
             return build_controlled_set(int(kv["d"]))
         if family == "two-control":
             return build_two_control_set()
         if family == "ms":
-            kv = _parse_kv(body)
             return build_ms_dressed_set(int(kv["n"]), float(kv["theta"]))
         if family == "dressed":
-            kv = _parse_kv(body)
             mats = matrix_loader(kv["u"])
             if len(mats) != 1:
                 raise ValueError("dressed spec expects exactly one matrix in the file")

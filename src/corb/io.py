@@ -1,4 +1,5 @@
-"""Text formats: complex numbers, matrix files, fidelity-record files.
+"""Text formats: complex numbers, matrix files, spec bodies, fidelity-record
+files.
 
 Complex entries are written `a+bi` with e-notation reals (`-1.5e-03+2i`);
 the parser is tolerant of surrounding whitespace and of bare reals. A
@@ -82,6 +83,16 @@ def read_matrix(path: str) -> np.ndarray:
     if len(mats) != 1:
         raise ValueError(f"{path}: expected a single matrix, found {len(mats)}")
     return mats[0]
+
+
+def parse_kv(body: str) -> dict[str, str]:
+    """Body of a `name:key=value,key=value` spec as a dict of strings."""
+    out = {}
+    for chunk in body.split(","):
+        if chunk:
+            key, _, value = chunk.partition("=")
+            out[key.strip()] = value.strip()
+    return out
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .io import parse_kv, read_matrices
 from .linalg import TOL, as_matrix, check_kraus, dagger
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
 
@@ -56,13 +57,6 @@ def chi_to_kraus(chi: np.ndarray, d: int, n: int,
         if val > tol:
             kraus.append(np.sqrt(val) * np.einsum("l,lij->ij", vec, basis))
     return kraus
-
-
-def apply_chi(chi: np.ndarray, rho: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Direct action sum_ij chi_ij P_i rho P_j†."""
-    basis = pauli_basis(d, n)
-    return np.einsum("ij,iab,bc,jdc->ad", chi, basis, as_matrix(rho),
-                     basis.conj(), optimize=True)
 
 
 def chi00_of(kraus: Sequence[np.ndarray]) -> float:
@@ -249,12 +243,7 @@ def parse_channel_spec(spec: str, dim: int) -> list[np.ndarray]:
     `depolarizing:p=0.01`, `infidelity-dephasing:r=1e-4`, `kraus:<file>`."""
     name, _, body = spec.strip().partition(":")
     name = name.strip().lower()
-    kv = {}
-    if name != "kraus":
-        for chunk in body.split(","):
-            if chunk:
-                key, _, value = chunk.partition("=")
-                kv[key.strip()] = value.strip()
+    kv = {} if name == "kraus" else parse_kv(body)
     if name == "identity":
         return identity_kraus(dim)
     if name == "dephasing":
@@ -264,6 +253,5 @@ def parse_channel_spec(spec: str, dim: int) -> list[np.ndarray]:
     if name == "infidelity-dephasing":
         return infidelity_to_dephasing(float(kv["r"]), dim)
     if name == "kraus":
-        from .io import read_matrices
         return check_kraus(read_matrices(body.strip()))
     raise ValueError(f"unknown channel spec {spec!r}")

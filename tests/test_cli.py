@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from corb import fitting
 from corb.cli import ExperimentConfig, main, run_from_config, set_spec_dims
+from corb.engine import MODES, FidelityRecord, RbRunConfig, run
+from corb.gatesets import build_pauli_set
 from corb.io import (
     format_complex,
     parse_complex,
@@ -18,6 +21,9 @@ from corb.io import (
     write_records_json,
 )
 from corb.linalg import haar_unitary
+from corb.noise import NoiseModel, dephasing_kraus
+
+H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 class TestComplexFormat:
@@ -184,6 +190,54 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_through_run_and_cli(self, mode, tmp_path, capsys):
+        """Each mode of the table gives the same records from `run` and
+        from `corb run --mode`."""
+        gate_path = str(tmp_path / "h.mat")
+        write_matrices(gate_path, [H])
+        out = str(tmp_path / "r.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
+                     "dephasing:p=0.01", "--q", "0.95", "--mode", mode,
+                     "--gate", gate_path, "--k", "3", "--lengths", "1,2,3",
+                     "--reps", "2", "--seed", "5", "--out", out])
+        capsys.readouterr()
+        assert code == 0
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
+                           control_q=0.95)
+        cfg = RbRunConfig(gate_set=build_pauli_set(2, 1), noise=noise,
+                          lengths=(1, 2, 3), k=3, repetitions=2, seed=5,
+                          mode=mode)
+        records = run(cfg, interleaved_gate=H)
+        assert len(records) == 6 and {r.mode for r in records} == {mode}
+        rows, _ = read_records(out)
+        assert [FidelityRecord(**r) for r in rows] == records
+
+    @pytest.mark.parametrize("flag,matrices,message", [
+        ("--channel", [np.eye(3)], "gate channel has shape (3, 3)"),
+        ("--gate", [np.eye(4)], "interleaved gate has shape (4, 4)"),
+        ("--gate-channel", dephasing_kraus(0.1, 3),
+         "interleaved gate channel has shape (3, 3)"),
+    ], ids=["channel", "gate", "gate-channel"])
+    def test_dimension_mismatch_exit_one(self, flag, matrices, message,
+                                         tmp_path, capsys):
+        """A matrix that does not fit the set's D x D is rejected before
+        simulating, with both shapes in the message."""
+        path = str(tmp_path / "m.mat")
+        write_matrices(path, matrices)
+        h_path = str(tmp_path / "h.mat")
+        write_matrices(h_path, [H])
+        args = {"--channel": "identity", "--gate": h_path}
+        args[flag] = path if flag == "--gate" else f"kraus:{path}"
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--mode", "interleaved",
+                     "--k", "2", "--out", out]
+                    + [x for item in args.items() for x in item])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and "(2, 2)" in err
+        assert not os.path.exists(out)
+
     def test_interleaved_with_gate_file(self, tmp_path, capsys):
         gate_path = str(tmp_path / "h.mat")
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -231,6 +285,16 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["chi00_gate"] == pytest.approx(0.99, abs=2e-3)
         assert payload["bound_E"] == pytest.approx(6.3e-3, abs=5e-4)
+
+    def test_iteration_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "shots.csv")
+        main(["run", "--set", "pauli:d=2,n=1", "--channel", "dephasing:p=0.05",
+              "--k", "4", "--lengths", "1,2,4,8", "--reps", "3",
+              "--shots", "1000", "--seed", "4", "--out", out])
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", 1)
+        assert main(["fit", out]) == 2
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["converged"] is False
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["fit", "/nonexistent/records.csv"]) == 1

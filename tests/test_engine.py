@@ -256,13 +256,14 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
-        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(2, 4, 8),
-                          k=8, repetitions=3, seed=7, mode="coherent")
-        monkeypatch.setenv("CORB_THREADS", "1")
-        serial = run_coherent_rb(cfg)
-        monkeypatch.setenv("CORB_THREADS", "4")
-        threaded = run_coherent_rb(cfg)
-        assert serial == threaded
+        for mode in ("coherent", "standard"):
+            cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(2, 4, 8),
+                              k=8, repetitions=3, seed=7, mode=mode)
+            monkeypatch.setenv("CORB_THREADS", "1")
+            serial = run(cfg)
+            monkeypatch.setenv("CORB_THREADS", "4")
+            threaded = run(cfg)
+            assert serial == threaded
 
     def test_child_streams_are_order_free(self):
         a = child_rng(42, 8, 3).integers(0, 1000, 5)
@@ -330,6 +331,14 @@ class TestConfigValidation:
                           mode="coherent-full")
         with pytest.raises(DimensionError):
             run_coherent_full(cfg)
+
+    def test_channel_dimension_mismatch_rejected(self):
+        wrong = tuple(identity_kraus(3))
+        for noise in (NoiseModel(gate_channel=wrong),
+                      NoiseModel(gate_channel=tuple(identity_kraus(2)),
+                                 final_gate_channel=wrong)):
+            with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
+                RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
 
     def test_dispatcher_requires_gate_for_interleaved(self):
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),

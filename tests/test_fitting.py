@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from corb import fitting
 from corb.engine import RbRunConfig, run_standard_rb, simulate_standard
 from corb.fitting import (
     DeviationScenario,
@@ -83,6 +84,15 @@ class TestFitDecay:
         noisy = [(m, f + rng.normal(0, 1e-3)) for m, f in base]
         fit = fit_decay(noisy)
         assert 1e-6 < fit.stderr_chi00 < 1e-2
+
+    def test_iteration_cap_is_not_convergence(self, monkeypatch):
+        """A refinement stopped by GN_MAX_ITER reports converged=False."""
+        rng = np.random.default_rng(73)
+        base = synth(1.0, 0.98, (1, 2, 4, 8, 16, 32))
+        noisy = [(m, f + rng.normal(0, 1e-3)) for m, f in base]
+        assert fit_decay(noisy).converged
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", 1)
+        assert not fit_decay(noisy).converged
 
 
 class TestCombinedDecay:
