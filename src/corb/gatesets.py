@@ -12,7 +12,7 @@ Pauli sets, dressed sets P_i @ U) and checks the condition numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,22 +43,25 @@ class GateSet:
     family: str
     elements: tuple[np.ndarray, ...]
     labels: tuple | None = None
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
             raise ValueError("gate set must contain at least one element")
         dim = self.d ** self.n
-        frozen = []
+        checked = []
         for i, u in enumerate(self.elements):
             u = assert_unitary(u, what=f"{self.family} element {i}")
             if u.shape != (dim, dim):
                 raise ValueError(
                     f"element {i} has shape {u.shape}, expected ({dim}, {dim})"
                 )
-            u = u.copy()
-            u.flags.writeable = False
-            frozen.append(u)
-        object.__setattr__(self, "elements", tuple(frozen))
+            checked.append(u)
+        # The elements are views of one read-only stack, so `stacked()` is free.
+        stack = np.stack(checked)
+        stack.flags.writeable = False
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -68,7 +71,8 @@ class GateSet:
         return self.d ** self.n
 
     def stacked(self) -> np.ndarray:
-        return np.stack(self.elements)
+        """The (|G|, D, D) read-only stack of the elements, built once."""
+        return self._stack
 
 
 @dataclass(frozen=True)

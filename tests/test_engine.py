@@ -1,4 +1,7 @@
-"""Protocol engines: decay laws, mode cross-checks, determinism, caps."""
+"""Protocol engines: decay laws, mode cross-checks, exact and statistical
+oracles, determinism, caps."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from corb.engine import (
     DimensionError,
     RbRunConfig,
-    _all_sequences,
+    _prep_target,
+    _superop,
     child_rng,
     diagonal_block_survival,
     run,
@@ -21,12 +25,13 @@ from corb.engine import (
 from corb.fitting import decay_amplitude
 from corb.gatesets import (
     build_clifford_set,
+    build_controlled_set,
     build_custom_set,
     build_dressed_set,
     build_ms_dressed_set,
     build_pauli_set,
 )
-from corb.linalg import basis_state, projector
+from corb.linalg import basis_state, haar_unitary, projector
 from corb.noise import (
     NoiseModel,
     chi00_of,
@@ -35,6 +40,7 @@ from corb.noise import (
     dephasing_kraus,
     identity_kraus,
     kraus_to_chi,
+    parse_channel_spec,
     random_channel,
     random_phase_channel,
 )
@@ -54,6 +60,55 @@ def ideal(dim=2):
 def kraus_compose(second, first):
     """Kraus list of the composition second . first."""
     return [a @ b for a in second for b in first]
+
+
+# Largest joint dimension |G|^m * D the enumeration oracle builds; at
+# 16384 one copy of the enumerated state alone takes 4 GiB.
+ORACLE_DIM = 4096
+
+
+def all_sequences(size, m):
+    """All size^m index sequences, one row per superposition branch."""
+    idx = np.arange(size ** m)
+    return np.stack([(idx // size ** position) % size
+                     for position in range(m)], axis=1)
+
+
+def enumerated_full(gate_set, noise, m, **kwargs):
+    """The full superposition built explicitly: the oracle for the exact
+    evaluator behind `coherent-full`."""
+    assert len(gate_set) ** m * gate_set.dim <= ORACLE_DIM
+    return simulate_coherent(gate_set, noise, all_sequences(len(gate_set), m),
+                             **kwargs)
+
+
+def joint_moment(gate_set, same_sequence):
+    """M[(cdef),(abgh)] = E[conj(u_ca) v_db u_eg conj(v_fh)] with v = u
+    (standard RB, one sequence per run) or v independent of u (a pair of
+    branches of the full superposition)."""
+    u = gate_set.stacked()
+    d = gate_set.dim
+    if same_sequence:
+        m = np.einsum("uca,udb,ueg,ufh->cdefabgh", u.conj(), u, u, u.conj())
+        return m.reshape(d ** 4, d ** 4) / len(gate_set)
+    a = np.einsum("uca,ueg->ceag", u.conj(), u) / len(gate_set)
+    return np.einsum("ceag,dfbh->cdefabgh", a, a.conj()).reshape(d ** 4, d ** 4)
+
+
+def moment_survival(gate_set, noise, moment, lengths):
+    """Exact mean survival over random sequences: vec(Y_m) = R_m vec(rho_prep)
+    with R_t = M^T acting on vec(R_{t-1} S), read out through the final
+    channel and the lossy detector."""
+    d2 = gate_set.dim ** 2
+    step = _superop(noise.gate_channel)
+    readout = (1.0 - noise.meas_error) * _superop(noise.final_channel)[0]
+    prep = _prep_target(gate_set.dim, noise.prep_error).reshape(d2)
+    transfer = np.eye(d2, dtype=complex)
+    out = {}
+    for m in range(1, max(lengths) + 1):
+        transfer = (moment.T @ (transfer @ step).reshape(d2 * d2)).reshape(d2, d2)
+        out[m] = float((readout @ transfer @ prep).real)
+    return np.array([out[m] for m in lengths])
 
 
 class TestNoiselessInvariance:
@@ -104,20 +159,33 @@ class TestExactDecayLaw:
         """F(m) = A chi00^m for benchmarkable sets under 5 random channels."""
         rng = np.random.default_rng(61)
         dim = gate_set.dim
-        lengths = (1, 2) if len(gate_set) > 8 else (1, 2, 3)
         for _ in range(5):
             kraus = random_channel(dim, 2, rng)
             noise = NoiseModel(gate_channel=tuple(kraus))
             chi00 = chi00_of(kraus)
-            cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=lengths,
-                              mode="coherent-full")
-            records = run_coherent_full(cfg)
-            amplitude = decay_amplitude(noise, dim, records[0].k)
-            for record in records:
-                # amplitude is k-dependent through the measurement mixing
-                a = decay_amplitude(noise, dim, record.k)
-                assert record.fidelity == pytest.approx(a * chi00 ** record.m,
-                                                        abs=1e-9)
+            cfg = RbRunConfig(gate_set=gate_set, noise=noise,
+                              lengths=(1, 2, 3, 10), mode="coherent-full")
+            amplitude = decay_amplitude(noise, dim, 1)
+            for record in run_coherent_full(cfg):
+                assert record.fidelity == pytest.approx(
+                    amplitude * chi00 ** record.m, abs=1e-9)
+
+    @pytest.mark.parametrize("channel", ["dephasing:p=0.005", "depolarizing:p=0.005"])
+    @pytest.mark.parametrize("gate_set", [
+        build_dressed_set(H, 2, 1),
+        build_ms_dressed_set(2, np.pi / 7),
+    ])
+    def test_long_sequences_follow_decay_law(self, gate_set, channel):
+        """At m = 200, far beyond any enumeration, F(m) = A chi00^m."""
+        kraus = parse_channel_spec(channel, gate_set.dim)
+        noise = NoiseModel(gate_channel=tuple(kraus), prep_error=0.03,
+                           meas_error=0.02)
+        cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=(200,),
+                          mode="coherent-full")
+        record = run_coherent_full(cfg)[0]
+        law = decay_amplitude(noise, gate_set.dim, 1) * chi00_of(kraus) ** 200
+        assert law > 0.2
+        assert record.fidelity == pytest.approx(law, abs=1e-9)
 
     def test_spam_enters_only_the_amplitude(self):
         """Preparation and measurement errors rescale, never bend, the decay."""
@@ -156,6 +224,102 @@ class TestExactDecayLaw:
         assert abs(record.fidelity - 0.99 ** 2) > 1e-3
 
 
+class TestEnumerationOracle:
+    """The exact evaluator equals the explicitly enumerated superposition."""
+
+    @pytest.mark.parametrize("gate_set,max_m", [
+        (PAULI_2, 4),
+        (build_pauli_set(3, 1), 2),
+        (CLIFFORD_2, 2),
+        (build_controlled_set(2), 1),
+        (build_ms_dressed_set(2, 0.3), 2),
+        (build_dressed_set(np.kron(H, H), 2, 2), 2),
+        # Not benchmarkable: its first moment is complex, unlike the rest.
+        (build_custom_set([haar_unitary(2, np.random.default_rng(s))
+                           for s in range(3)]), 4),
+    ], ids=["pauli2", "pauli3", "clifford2", "controlled2", "ms", "hh",
+            "haar3"])
+    def test_full_superposition_matches_enumeration(self, gate_set, max_m):
+        rng = np.random.default_rng(64)
+        dim = gate_set.dim
+        noise = NoiseModel(gate_channel=tuple(random_channel(dim, 2, rng)),
+                           final_gate_channel=tuple(random_channel(dim, 2, rng)),
+                           prep_error=0.07, meas_error=0.03)
+        gate = random_channel(dim, 1, rng)[0]
+        gate_noise = random_channel(dim, 2, rng)
+        cfg = RbRunConfig(gate_set=gate_set, noise=noise,
+                          lengths=tuple(range(1, max_m + 1)), repetitions=2,
+                          mode="coherent-full")
+        interleaved = dict(interleaved_gate=gate, interleaved_noise=gate_noise)
+        runs = [(run_coherent_full(cfg), {}),
+                (run_interleaved_coherent(replace(cfg, mode="interleaved"), gate,
+                                          gate_noise, full_superposition=True),
+                 interleaved)]
+        for records, kwargs in runs:
+            assert [(r.m, r.repetition) for r in records] == [
+                (m, rep) for m in cfg.lengths for rep in range(2)]
+            for record in records:
+                want = enumerated_full(gate_set, noise, record.m, **kwargs)
+                assert abs(record.fidelity - want) <= 1e-12
+                assert record.k == len(gate_set) ** record.m
+                assert record.seed_stream == f"{record.m}/full"
+
+
+class TestSampledMeans:
+    """Sampled means against exact expectations.
+
+    A coherent record averages f(s_i, s_j) over the k^2 branch pairs of k
+    iid sequences, so E[F_k] = (1 - 1/k) F_full + F_std / k exactly, where
+    F_full pairs independent sequences and F_std pairs a sequence with
+    itself (the standard-RB survival). Both come from one moment
+    recursion, with the joint moment of (u, v) independent or v = u.
+    """
+
+    NOISE = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)),
+                       prep_error=0.04, meas_error=0.02)
+    LENGTHS = (2, 8)
+
+    def test_oracle_matches_enumeration(self):
+        """The recursion reproduces both exact means it predicts."""
+        f_std = moment_survival(CLIFFORD_2, self.NOISE,
+                                joint_moment(CLIFFORD_2, True), (2,))
+        f_full = moment_survival(CLIFFORD_2, self.NOISE,
+                                 joint_moment(CLIFFORD_2, False), (1, 2))
+        survivals = simulate_standard(CLIFFORD_2, self.NOISE,
+                                      all_sequences(len(CLIFFORD_2), 2))
+        assert abs(f_std[0] - np.mean(survivals)) <= 1e-12
+        for m, f in zip((1, 2), f_full):
+            assert abs(f - enumerated_full(CLIFFORD_2, self.NOISE, m)) <= 1e-12
+
+    def test_sampled_means_within_four_sigma(self):
+        """Clifford(2,1), k = 4, 1000 repetitions at m = 2 and 8.
+
+        Each of the four comparisons uses the sample standard error; with
+        1000 repetitions the mean is normal to good accuracy, so a correct
+        engine fails one comparison with probability about 6e-5 and the
+        test with probability below 3e-4 at an arbitrary seed.
+        """
+        k, reps = 4, 1000
+        f_std = moment_survival(CLIFFORD_2, self.NOISE,
+                                joint_moment(CLIFFORD_2, True), self.LENGTHS)
+        f_full = moment_survival(CLIFFORD_2, self.NOISE,
+                                 joint_moment(CLIFFORD_2, False), self.LENGTHS)
+        expected = {"standard": f_std,
+                    "coherent": (1 - 1 / k) * f_full + f_std / k}
+        for mode, want in expected.items():
+            cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE,
+                              lengths=self.LENGTHS, k=k, repetitions=reps,
+                              seed=20261018, mode=mode)
+            records = run(cfg)
+            for m, mean in zip(self.LENGTHS, want):
+                values = np.array([r.fidelity for r in records if r.m == m])
+                sigma = values.std(ddof=1) / np.sqrt(reps)
+                assert abs(values.mean() - mean) <= 4 * sigma, (mode, m)
+                if mode == "coherent":
+                    # The 1/k term is resolvable, so dropping it would fail.
+                    assert abs(f_full[self.LENGTHS.index(m)] - mean) > 8 * sigma
+
+
 class TestStandardCoherentIdentity:
     def test_diagonal_blocks_reproduce_classical_average(self):
         """Coherent diagonal control blocks == standard average, same list."""
@@ -171,7 +335,7 @@ class TestStandardCoherentIdentity:
 
     def test_all_sequences_at_m_two(self):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
-        sequences = _all_sequences(len(PAULI_2), 2)
+        sequences = all_sequences(len(PAULI_2), 2)
         _, rho = simulate_coherent(PAULI_2, noise, sequences, return_state=True)
         survivals = simulate_standard(PAULI_2, noise, sequences)
         diag = diagonal_block_survival(rho, projector(basis_state(2)))
@@ -198,7 +362,7 @@ class TestInterleaved:
                              kraus_to_chi(conjugate_channel(gate_noise, H), 2, 1))
         cfg = RbRunConfig(gate_set=PAULI_2,
                           noise=NoiseModel(gate_channel=tuple(ref)),
-                          lengths=(1, 2, 3), mode="interleaved")
+                          lengths=(1, 2, 3, 100), mode="interleaved")
         for record in run_interleaved_coherent(cfg, H, gate_noise,
                                                full_superposition=True):
             assert record.fidelity == pytest.approx(law ** record.m, abs=1e-8)
@@ -326,11 +490,15 @@ class TestConfigValidation:
         with pytest.raises(DimensionError):
             run_coherent_rb(cfg)
 
-    def test_enumeration_cap(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(7,),
+    def test_full_mode_is_not_capped(self):
+        """4^7 * 2 exceeds DIM_CAP; the exact evaluator never builds that state."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
+                           final_gate_channel=tuple(identity_kraus(2)))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(7,),
                           mode="coherent-full")
-        with pytest.raises(DimensionError):
-            run_coherent_full(cfg)
+        record = run_coherent_full(cfg)[0]
+        assert record.k == 4 ** 7
+        assert record.fidelity == pytest.approx(0.99 ** 7, abs=1e-12)
 
     def test_channel_dimension_mismatch_rejected(self):
         wrong = tuple(identity_kraus(3))
