@@ -6,14 +6,7 @@ density matrices under configurable noise, and fits the fidelity decay
 to recover chi00 and average gate fidelities.
 """
 
-from .linalg import (
-    TOL,
-    Tolerances,
-    apply_channel,
-    materialize_controlled,
-    povm_expectation,
-    tensor,
-)
+from .linalg import TOL, Tolerances, tensor
 from .paulis import (
     PauliLabel,
     character_sum,

@@ -10,6 +10,18 @@ through one mode table. The sampled coherent state is kept in blocked
 form (k, D, k, D) so a controlled gate is a per-branch-pair contraction
 rather than a full (kD)^2 matrix product.
 
+The sampled coherent kernel updates that state in place. Because the state
+is Hermitian, U rho U^dag = U (U rho)^dag: two batched matmuls around one
+conjugated transposed copy per position. A position channel whose
+superoperator is diagonal (every Kraus operator diagonal, as for all phase
+channels) is one elementwise multiply by a state-sized mask built once per
+run; any other channel is a (D^2, D^2) product between two transposed
+copies; the identity channel is skipped. Each (length, repetition) task
+owns exactly three (kD)^2 complex128 arrays (the state, a work buffer, and
+the mask or transpose scratch), 48 (kD)^2 bytes, and allocates nothing
+state-sized per position; runs needing more than STATE_BUDGET_BYTES are
+refused before allocating.
+
 The full superposition is evaluated exactly, without building its state.
 Block (i, j) evolves under two independent uniform sequences, so the
 fidelity is (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep)
@@ -26,7 +38,9 @@ Conventions:
     derived via numpy SeedSequence spawn keys, so results are identical
     regardless of worker parallelism,
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
-    sample of the expectation.
+    sample of the expectation,
+  * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
+    farther out raises FidelityRangeError.
 """
 
 from __future__ import annotations
@@ -40,12 +54,17 @@ from typing import Sequence
 import numpy as np
 
 from .gatesets import GateSet
-from .linalg import assert_unitary, basis_state, plus_state, projector
+from .linalg import assert_unitary, basis_state, projector
 from .noise import NoiseModel
 
-# Largest joint control-target dimension k * D of a sampled coherent run;
-# the full superposition never builds its state and is not capped.
-DIM_CAP = 4096
+# Bytes one sampled coherent task may hold: its kernel keeps three
+# (kD)^2 complex128 arrays, so this admits k * D <= 4096. The full
+# superposition never builds its state and is not capped.
+STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
+
+# Rounding leaves an exact fidelity within this distance outside [0, 1];
+# anything farther is a fault to report, never a value to clamp.
+FIDELITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,7 +114,11 @@ class FidelityRecord:
 
 
 class DimensionError(ValueError):
-    """Joint space of a sampled coherent run would exceed DIM_CAP."""
+    """A sampled coherent run would need more than STATE_BUDGET_BYTES."""
+
+
+class FidelityRangeError(RuntimeError):
+    """An engine fidelity lies outside [0, 1] by more than FIDELITY_TOL."""
 
 
 def _check_shape(what: str, op, dim: int) -> None:
@@ -135,16 +158,25 @@ def _map_tasks(fn, tasks):
 
 
 # ---------------------------------------------------------------------------
-# Blocked-state primitives (state shape (k, D, k, D))
+# Blocked-state kernel (state shape (k, D, k, D), C-contiguous)
+#
+# Every step maps (state, free) -> (state, free) between two buffers that
+# the calling task owns, so nothing state-sized is allocated per position.
 # ---------------------------------------------------------------------------
 
-def _apply_branch_unitaries(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """rho[i,:,j,:] -> U_i rho[i,:,j,:] U_j† via two batched matmuls."""
-    k, d = rho.shape[0], rho.shape[1]
-    t = np.matmul(stack, rho.reshape(k, d, k * d))           # (i, a, jc)
-    t = t.reshape(k, d, k, d).transpose(2, 0, 1, 3).reshape(k, k * d, d)
-    out = np.matmul(t, stack.conj().transpose(0, 2, 1))      # (j, ia, d)
-    return out.reshape(k, k, d, d).transpose(1, 2, 0, 3)
+def _conjugate_branches(state: np.ndarray, free: np.ndarray,
+                        gates: np.ndarray):
+    """state[i,:,j,:] -> U_i state[i,:,j,:] U_j^dag for a Hermitian state.
+
+    U rho U^dag = U (U rho)^dag: two batched matmuls around one conjugated
+    transposed copy, the only transpose of the step.
+    """
+    k, d = state.shape[0], state.shape[1]
+    rows, free_rows = state.reshape(k, d, k * d), free.reshape(k, d, k * d)
+    np.matmul(gates, rows, out=free_rows)                       # U rho
+    np.conjugate(free.transpose(2, 3, 0, 1), out=state)         # rho U^dag
+    np.matmul(gates, rows, out=free_rows)                       # U rho U^dag
+    return free, state
 
 
 def _superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
@@ -158,27 +190,53 @@ def _is_identity_sop(sop: np.ndarray) -> bool:
     return np.array_equal(sop, np.eye(sop.shape[0]))
 
 
-def _apply_superop(rho: np.ndarray, sop: np.ndarray) -> np.ndarray:
-    """Uniform (branch-independent) channel on the target factor."""
+def _channel_step(sop: np.ndarray, aux: np.ndarray):
+    """A uniform (branch-independent) channel on the target factor, as a
+    step between two state buffers. The identity is a no-op; a diagonal
+    superoperator (all Kraus operators diagonal, as for every phase
+    channel) is an elementwise mask held in `aux`; any other uses `aux` as
+    the scratch of its (D^2, k^2) layout."""
     if _is_identity_sop(sop):
-        return rho
-    k, d = rho.shape[0], rho.shape[1]
-    t = rho.transpose(1, 3, 0, 2).reshape(d * d, k * k)
-    return (sop @ t).reshape(d, d, k, k).transpose(2, 0, 3, 1)
+        return lambda state, free: (state, free)
+    if not np.any(sop - np.diag(np.diagonal(sop))):
+        return _mask_step(np.diagonal(sop), aux)
+    return _superop_step(sop, aux)
 
 
-def _apply_target_channel(rho: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    return _apply_superop(rho, _superop(kraus))
+def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
+    """Multiply entry [i,a,j,b] by diagonal[a*D + b]. The mask is filled
+    once at full state size: a broadcast (1,D,1,D) operand makes the inner
+    loop D long, about five times slower at k = 80, D = 2."""
+    d = mask.shape[1]
+    np.copyto(mask, diagonal.reshape(1, d, 1, d))
+
+    def step(state, free):
+        np.multiply(state, mask, out=free)
+        return free, state
+    return step
+
+
+def _superop_step(sop: np.ndarray, scratch: np.ndarray):
+    """One (D^2, D^2) x (D^2, k^2) product between two transposed copies."""
+    k, d = scratch.shape[0], scratch.shape[1]
+    pairs = scratch.reshape(d * d, k * k)
+
+    def step(state, free):
+        np.copyto(pairs.reshape(d, d, k, k), state.transpose(1, 3, 0, 2))
+        # The state now lives in `pairs`, so its buffer takes the product.
+        np.matmul(sop, pairs, out=state.reshape(d * d, k * k))
+        np.copyto(free, state.reshape(d, d, k, k).transpose(2, 0, 3, 1))
+        return free, state
+    return step
 
 
 def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
-    """Blocked form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho)."""
+    """Blocked form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho), in place."""
     k = rho.shape[0]
     target = np.einsum("iaib->ab", rho)
-    out = q * rho
-    idx = np.arange(k)
-    out[idx, :, idx, :] += (1.0 - q) / k * target
-    return out
+    rho *= q
+    np.einsum("iaib->iab", rho)[...] += (1.0 - q) / k * target
+    return rho
 
 
 def _prep_target(dim: int, prep_error: float) -> np.ndarray:
@@ -188,23 +246,11 @@ def _prep_target(dim: int, prep_error: float) -> np.ndarray:
 
 
 def _coherent_initial(k: int, target_rho: np.ndarray) -> np.ndarray:
+    """|+><+|_c (x) target_rho in blocked form, C-contiguous."""
     dim = target_rho.shape[0]
-    block = (target_rho / k)[None, :, None, :]
-    return np.broadcast_to(block, (k, dim, k, dim)).astype(np.complex128)
-
-
-def _coherent_effect(k: int, dim: int, meas_error: float) -> np.ndarray:
-    """Return effect (1 - eps_m) |psi><psi|: a detector of efficiency
-    1 - eps_m, so measurement error rescales the decay amplitude without
-    adding a constant offset."""
-    psi = np.kron(plus_state(k), basis_state(dim))
-    effect = (1.0 - meas_error) * projector(psi)
-    return effect.reshape(k, dim, k, dim)
-
-
-def _expectation(rho: np.ndarray, effect: np.ndarray) -> float:
-    value = np.einsum("iajb,jbia->", effect, rho)
-    return float(value.real)
+    rho = np.empty((k, dim, k, dim), dtype=np.complex128)
+    rho[...] = (target_rho / k)[None, :, None, :]
+    return rho
 
 
 def diagonal_block_survival(rho: np.ndarray, target_effect: np.ndarray) -> float:
@@ -268,32 +314,44 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
     k, m = sequences.shape
     dim = gate_set.dim
     stack = gate_set.stacked()
-    position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
 
-    rho = _coherent_initial(k, _prep_target(dim, noise.prep_error))
-    branch_products = np.broadcast_to(
+    # The task's whole footprint: three state-sized arrays (see
+    # _check_budget) and a few (k, D, D) ones.
+    state = _coherent_initial(k, _prep_target(dim, noise.prep_error))
+    free = np.empty_like(state)
+    aux = np.empty_like(state)
+    channel = _channel_step(
+        _position_sop(noise, interleaved_gate, interleaved_noise), aux)
+    gates = np.empty((k, dim, dim), dtype=np.complex128)
+    products = np.broadcast_to(
         np.eye(dim, dtype=np.complex128), (k, dim, dim)
     ).copy()
+    spare = np.empty_like(products)
 
     for position in range(m):
-        gates = stack[sequences[:, position]]
-        rho = _apply_branch_unitaries(rho, gates)
-        rho = _apply_superop(rho, position_sop)
-        branch_products = np.matmul(gates, branch_products)
-        if interleaved_gate is not None:
-            branch_products = np.matmul(interleaved_gate, branch_products)
+        np.take(stack, sequences[:, position], axis=0, out=gates)
+        state, free = _conjugate_branches(state, free, gates)
+        state, free = channel(state, free)
+        np.matmul(gates, products, out=spare)
+        if interleaved_gate is None:
+            products, spare = spare, products
+        else:
+            np.matmul(interleaved_gate, spare, out=products)
         if control_q < 1.0:
-            rho = _apply_control_depolarize(rho, control_q)
+            _apply_control_depolarize(state, control_q)
 
-    inverses = branch_products.conj().transpose(0, 2, 1)
-    rho = _apply_branch_unitaries(rho, inverses)
+    np.conjugate(products.transpose(0, 2, 1), out=gates)
+    state, free = _conjugate_branches(state, free, gates)
     if interleaved_gate is None:
-        rho = _apply_superop(rho, _superop(noise.final_channel))
+        state, free = _channel_step(_superop(noise.final_channel), aux)(state, free)
 
-    fidelity = _expectation(rho, _coherent_effect(k, dim, noise.meas_error))
-    fidelity = min(max(fidelity, 0.0), 1.0)
+    # Return effect (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>: a
+    # detector of efficiency 1 - eps_m, so measurement error rescales the
+    # decay amplitude without adding a constant offset.
+    overlap = float(state[:, 0, :, 0].sum().real) / k
+    fidelity = _clamp_fidelity((1.0 - noise.meas_error) * overlap)
     if return_state:
-        return fidelity, rho
+        return fidelity, state
     return fidelity
 
 
@@ -334,6 +392,9 @@ def simulate_standard(gate_set: GateSet, noise: NoiseModel,
 
     effect = (1.0 - noise.meas_error) * projector(basis_state(dim))
     survivals = np.einsum("ab,iba->i", effect, rho).real
+    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
+    if not inside.all():
+        raise _out_of_range(survivals[~inside][0])
     return np.clip(survivals, 0.0, 1.0)
 
 
@@ -341,9 +402,29 @@ def simulate_standard(gate_set: GateSet, noise: NoiseModel,
 # Engines
 # ---------------------------------------------------------------------------
 
-def _check_dim(joint_dim: int) -> None:
-    if joint_dim > DIM_CAP:
-        raise DimensionError(f"joint dimension {joint_dim} exceeds the cap of {DIM_CAP}")
+def _check_budget(joint_dim: int) -> None:
+    """Refuse, before allocating, a task whose three state-sized complex128
+    arrays would exceed STATE_BUDGET_BYTES."""
+    needed = 3 * 16 * joint_dim ** 2
+    if needed > STATE_BUDGET_BYTES:
+        raise DimensionError(
+            f"joint dimension k * D = {joint_dim} needs {needed} bytes per task "
+            f"(three {joint_dim}x{joint_dim} complex128 arrays); the budget is "
+            f"{STATE_BUDGET_BYTES} bytes")
+
+
+def _out_of_range(value) -> FidelityRangeError:
+    return FidelityRangeError(f"fidelity {float(value)!r} lies outside [0, 1] "
+                              f"by more than {FIDELITY_TOL}")
+
+
+def _clamp_fidelity(value) -> float:
+    """Clamp a fidelity into [0, 1] when within FIDELITY_TOL of it; raise
+    FidelityRangeError, naming the value, when farther out or NaN."""
+    value = float(value)
+    if not -FIDELITY_TOL <= value <= 1.0 + FIDELITY_TOL:
+        raise _out_of_range(value)
+    return min(max(value, 0.0), 1.0)
 
 
 def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
@@ -370,7 +451,7 @@ def _sampled_run(cfg: RbRunConfig, estimate) -> list[FidelityRecord]:
 
 def _coherent_estimate(cfg: RbRunConfig, **kwargs):
     """Estimator of the sampled coherent modes, after the dimension check."""
-    _check_dim(cfg.k * cfg.gate_set.dim)
+    _check_budget(cfg.k * cfg.gate_set.dim)
     return lambda sequences: simulate_coherent(cfg.gate_set, cfg.noise,
                                                sequences, **kwargs)
 
@@ -402,7 +483,7 @@ def _full_run(cfg: RbRunConfig,
         transfer = _realign(left @ _realign(transfer @ step_sop) @ right)
         if m in cfg.lengths:
             value = (1.0 - noise.meas_error) * (readout @ transfer @ prep).real
-            fidelities[m] = min(max(float(value), 0.0), 1.0)
+            fidelities[m] = _clamp_fidelity(value)
 
     size = len(cfg.gate_set)
     return [FidelityRecord(cfg.mode, m, rep, fidelities[m], size ** m, f"{m}/full")

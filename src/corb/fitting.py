@@ -192,19 +192,22 @@ class DeviationSummary:
     max_deviation: dict
 
 
-def decay_amplitude(noise: NoiseModel, dim: int, k: int) -> float:
-    """Exact SPAM constant: return-effect overlap of the noisy initial state."""
-    from .engine import (_apply_target_channel, _coherent_effect,
-                         _coherent_initial, _expectation, _prep_target)
-    rho = _coherent_initial(k, _prep_target(dim, noise.prep_error))
-    rho = _apply_target_channel(rho, noise.final_channel)
-    return _expectation(rho, _coherent_effect(k, dim, noise.meas_error))
+def decay_amplitude(noise: NoiseModel, dim: int) -> float:
+    """Exact SPAM constant A = (1 - eps_m) <0|E_final(rho_prep)|0>.
+
+    It is the same for every superposition size k, so it comes from the
+    D x D preparation alone: the control state |+> returns unchanged.
+    """
+    prep = np.eye(dim, dtype=np.complex128) * (noise.prep_error / dim)
+    prep[0, 0] += 1.0 - noise.prep_error
+    returned = sum(op[0] @ prep @ op[0].conj() for op in noise.final_channel)
+    return (1.0 - noise.meas_error) * float(returned.real)
 
 
 def deviation_experiment(scenario: DeviationScenario) -> DeviationSummary:
     """Run coherent and standard modes, report deviations from A * chi00^m."""
     chi00 = chi00_of(scenario.noise.gate_channel)
-    amplitude = decay_amplitude(scenario.noise, scenario.gate_set.dim, scenario.k)
+    amplitude = decay_amplitude(scenario.noise, scenario.gate_set.dim)
 
     base = RbRunConfig(
         gate_set=scenario.gate_set,

@@ -1,9 +1,8 @@
 """Dense complex linear algebra for states, unitaries and channels.
 
 Everything is a plain ``numpy`` ``complex128`` array; the helpers here
-validate structural invariants (unitarity, density-matrix conditions,
-Kraus completeness) at centralized tolerances and build the controlled
-operations acting on the joint control-times-target space.
+validate structural invariants (unitarity, Kraus completeness) at
+centralized tolerances and build states and random unitaries.
 
 Matrices stay dense throughout: the largest space the engines touch is a
 few thousand dimensions, where dense exact arithmetic is both simplest
@@ -67,26 +66,6 @@ def assert_unitary(u: np.ndarray, tol: float = TOL.structural, what: str = "matr
     return u
 
 
-def materialize_controlled(branches: Sequence[np.ndarray]) -> np.ndarray:
-    """Block-diagonal controlled operation sum_i |i><i| (x) U_i.
-
-    The control register dimension equals the number of branches; all
-    branch unitaries must share one target dimension.
-    """
-    if len(branches) < 1:
-        raise ValueError("need at least one branch unitary")
-    mats = [as_matrix(b) for b in branches]
-    dim = mats[0].shape[0]
-    for i, m in enumerate(mats):
-        if m.shape != (dim, dim):
-            raise ValueError(f"branch {i} has shape {m.shape}, expected ({dim}, {dim})")
-    k = len(mats)
-    out = np.zeros((k * dim, k * dim), dtype=np.complex128)
-    for i, m in enumerate(mats):
-        out[i * dim:(i + 1) * dim, i * dim:(i + 1) * dim] = m
-    return assert_unitary(out, what="controlled operation")
-
-
 def check_kraus(kraus: Sequence[np.ndarray], tol: float = TOL.channel) -> list[np.ndarray]:
     """Validate sum_s K_s†K_s = I within `tol` and return the list."""
     if len(kraus) == 0:
@@ -104,79 +83,15 @@ def check_kraus(kraus: Sequence[np.ndarray], tol: float = TOL.channel) -> list[n
     return mats
 
 
-def apply_channel(rho: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply sum_s K_s rho K_s† for a validated Kraus list."""
-    mats = check_kraus(kraus)
-    rho = as_matrix(rho)
-    out = np.zeros_like(rho)
-    for m in mats:
-        out += m @ rho @ dagger(m)
-    return out
-
-
-def check_density_matrix(rho: np.ndarray, tol: float = TOL.structural) -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity (to -1e-9)."""
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    if np.max(np.abs(rho - dagger(rho))) > tol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"density matrix trace {np.trace(rho):.12f} != 1")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -1e-9:
-        raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-    return rho
-
-
-def check_effect(effect: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate 0 <= E <= I as a POVM effect."""
-    effect = as_matrix(effect)
-    if np.max(np.abs(effect - dagger(effect))) > TOL.structural:
-        raise ValueError("POVM effect must be Hermitian")
-    eigs = np.linalg.eigvalsh(effect)
-    if eigs.min() < -tol or eigs.max() > 1.0 + tol:
-        raise ValueError(f"POVM effect eigenvalues outside [0, 1]: [{eigs.min():.3e}, {eigs.max():.3e}]")
-    return effect
-
-
-def povm_expectation(rho: np.ndarray, effect: np.ndarray, tol: float = 1e-9) -> float:
-    """tr(E rho), clamped into [0, 1] only when within `tol` of the boundary."""
-    effect = check_effect(effect, tol)
-    value = np.trace(effect @ as_matrix(rho))
-    if abs(value.imag) > 1e-9:
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-    p = float(value.real)
-    if p < -tol or p > 1.0 + tol:
-        raise ValueError(f"expectation {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def basis_state(dim: int, index: int = 0) -> np.ndarray:
     vec = np.zeros(dim, dtype=np.complex128)
     vec[index] = 1.0
     return vec
 
 
-def plus_state(dim: int) -> np.ndarray:
-    """Equal-weight superposition over all basis states."""
-    return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-
-
 def projector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.complex128).ravel()
     return np.outer(vec, vec.conj())
-
-
-def partial_trace_control(rho: np.ndarray, k: int) -> np.ndarray:
-    """Trace out a k-dimensional control factor from a state on control (x) target."""
-    rho = as_matrix(rho)
-    total = rho.shape[0]
-    if total % k != 0:
-        raise ValueError(f"dimension {total} not divisible by control dimension {k}")
-    d = total // k
-    blocks = rho.reshape(k, d, k, d)
-    return np.einsum("iaib->ab", blocks)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -254,6 +254,33 @@ class TestRunCommand:
         assert {r["mode"] for r in records} == {"interleaved"}
 
 
+    def test_byte_budget_exit_two(self, tmp_path, capsys):
+        """k * D = 6000 is refused before any allocation, in bytes."""
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--k", "3000", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "needs 1728000000 bytes" in err and "805306368 bytes" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys):
+        """A channel that gains trace within the Kraus-check tolerance
+        pushes the fidelity past 1; the run fails, naming the value."""
+        path = str(tmp_path / "gain.mat")
+        write_matrices(path, [np.sqrt(1.0 + 9e-9) * np.eye(2)])
+        gate_path = str(tmp_path / "h.mat")
+        write_matrices(gate_path, [H])
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
+                     f"kraus:{path}", "--mode", mode, "--gate", gate_path,
+                     "--k", "2", "--lengths", "2000", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "fidelity 1.0000" in err and "outside [0, 1]" in err
+        assert not os.path.exists(out)
+
 class TestFitCommand:
     def test_fit_exact_decay(self, tmp_path, capsys):
         out = str(tmp_path / "full.csv")

@@ -1,16 +1,23 @@
 """Protocol engines: decay laws, mode cross-checks, exact and statistical
-oracles, determinism, caps."""
+oracles, the dense oracle of the kernel, determinism, caps."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corb.engine import (
+    MODES,
+    STATE_BUDGET_BYTES,
     DimensionError,
+    FidelityRangeError,
     RbRunConfig,
+    _check_budget,
+    _mask_step,
     _prep_target,
     _superop,
+    _superop_step,
     child_rng,
     diagonal_block_survival,
     run,
@@ -45,6 +52,7 @@ from corb.noise import (
     random_phase_channel,
 )
 from corb.paulis import PauliLabel, pauli_matrix
+from dense_oracle import dense_coherent
 
 PAULI_2 = build_pauli_set(2, 1)
 CLIFFORD_2 = build_clifford_set(2, 1)
@@ -165,7 +173,7 @@ class TestExactDecayLaw:
             chi00 = chi00_of(kraus)
             cfg = RbRunConfig(gate_set=gate_set, noise=noise,
                               lengths=(1, 2, 3, 10), mode="coherent-full")
-            amplitude = decay_amplitude(noise, dim, 1)
+            amplitude = decay_amplitude(noise, dim)
             for record in run_coherent_full(cfg):
                 assert record.fidelity == pytest.approx(
                     amplitude * chi00 ** record.m, abs=1e-9)
@@ -183,7 +191,7 @@ class TestExactDecayLaw:
         cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=(200,),
                           mode="coherent-full")
         record = run_coherent_full(cfg)[0]
-        law = decay_amplitude(noise, gate_set.dim, 1) * chi00_of(kraus) ** 200
+        law = decay_amplitude(noise, gate_set.dim) * chi00_of(kraus) ** 200
         assert law > 0.2
         assert record.fidelity == pytest.approx(law, abs=1e-9)
 
@@ -194,7 +202,7 @@ class TestExactDecayLaw:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2, 3),
                           mode="coherent-full")
         for record in run_coherent_full(cfg):
-            a = decay_amplitude(noise, 2, record.k)
+            a = decay_amplitude(noise, 2)
             assert record.fidelity == pytest.approx(a * 0.95 ** record.m,
                                                     abs=1e-9)
 
@@ -263,6 +271,63 @@ class TestEnumerationOracle:
                 assert abs(record.fidelity - want) <= 1e-12
                 assert record.k == len(gate_set) ** record.m
                 assert record.seed_stream == f"{record.m}/full"
+
+
+class TestDenseOracle:
+    """The blocked in-place kernel against the flat (kD)^2 evolution."""
+
+    @staticmethod
+    def _channel(kind, dim, rng):
+        if kind == "identity":
+            return identity_kraus(dim)
+        if kind == "phase":
+            return random_phase_channel(dim, 2, rng)
+        return random_channel(dim, 2, rng)
+
+    # Derandomized, so the examples (and tier-1) are the same on every run.
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(dim=st.sampled_from([2, 3, 4]), k=st.integers(1, 6),
+           m=st.integers(1, 5),
+           kind=st.sampled_from(["identity", "phase", "general"]),
+           interleave=st.booleans(), control=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernel_matches_dense_evolution(self, dim, k, m, kind, interleave,
+                                            control, seed):
+        """Random sets, CPTP channels (identity, diagonal, general), SPAM,
+        an interleaved gate with its own channel (diagonal with a phase
+        channel, so the mask path covers interleaving) and control_q < 1."""
+        rng = np.random.default_rng(seed)
+        gate_set = build_custom_set([haar_unitary(dim, rng) for _ in range(3)])
+        noise = NoiseModel(
+            gate_channel=tuple(self._channel(kind, dim, rng)),
+            final_gate_channel=tuple(self._channel(kind, dim, rng)),
+            prep_error=rng.uniform(0.0, 0.1), meas_error=rng.uniform(0.0, 0.1))
+        kwargs = {}
+        if control:
+            kwargs["control_q"] = rng.uniform(0.5, 1.0)
+        if interleave:
+            gate = (np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
+                    if kind == "phase" else haar_unitary(dim, rng))
+            kwargs.update(interleaved_gate=gate,
+                          interleaved_noise=self._channel(kind, dim, rng))
+        sequences = rng.integers(0, len(gate_set), size=(k, m))
+        got = simulate_coherent(gate_set, noise, sequences, **kwargs)
+        want = dense_coherent(gate_set, noise, sequences, **kwargs)
+        assert abs(got - want) <= 1e-12
+
+    def test_mask_and_superop_paths_agree_on_a_phase_channel(self):
+        rng = np.random.default_rng(66)
+        k, d = 5, 3
+        vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
+        state = np.outer(vec, vec.conj()).reshape(k, d, k, d)
+        sop = _superop(random_phase_channel(d, 3, rng))
+        assert not np.any(sop - np.diag(np.diagonal(sop)))
+        masked, _ = _mask_step(np.diagonal(sop), np.empty_like(state))(
+            state.copy(), np.empty_like(state))
+        general, _ = _superop_step(sop, np.empty_like(state))(
+            state.copy(), np.empty_like(state))
+        assert not np.allclose(masked, state)
+        np.testing.assert_allclose(masked, general, rtol=0, atol=1e-15)
 
 
 class TestSampledMeans:
@@ -487,11 +552,19 @@ class TestConfigValidation:
     def test_dimension_cap(self):
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
                           k=3000, mode="coherent")
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError,
+                           match=rf"needs 1728000000 bytes.* {STATE_BUDGET_BYTES} bytes"):
             run_coherent_rb(cfg)
 
+    def test_byte_budget_admits_the_old_dimension_cap(self):
+        """Three (kD)^2 complex128 arrays: k * D = 4096 fits, 4097 does not."""
+        _check_budget(4096)
+        with pytest.raises(DimensionError):
+            _check_budget(4097)
+
     def test_full_mode_is_not_capped(self):
-        """4^7 * 2 exceeds DIM_CAP; the exact evaluator never builds that state."""
+        """k * D = 4^7 * 2 is far past the sampled modes' byte budget; the exact
+        evaluator never builds that state."""
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
                            final_gate_channel=tuple(identity_kraus(2)))
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(7,),
@@ -521,6 +594,31 @@ class TestConfigValidation:
             run_coherent_rb(cfg)
 
 
+class TestFidelityRange:
+    """Fidelities are clamped only within rounding of [0, 1]; a channel that
+    gains trace within the Kraus-check tolerance drives them past it."""
+
+    @staticmethod
+    def _gaining(excess):
+        return NoiseModel(gate_channel=(np.sqrt(1.0 + excess) * np.eye(2),))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_range_fidelity_raises(self, mode):
+        noise = self._gaining(9e-9)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2000,), k=2,
+                          mode=mode)
+        with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
+            run(cfg, interleaved_gate=H)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rounding_excess_is_clamped(self, mode):
+        noise = self._gaining(1e-13)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(10,), k=2,
+                          mode=mode)
+        records = run(cfg, interleaved_gate=H)
+        assert [r.fidelity for r in records] == [1.0]
+
+
 class TestBlockedPrimitives:
     def test_blocked_control_depolarize_matches_flat(self):
         """Engine fast path agrees with the flat-matrix channel."""
@@ -543,13 +641,20 @@ class TestAmplitude:
         noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
                            prep_error=0.1, meas_error=0.05)
         expected = 0.95 * 0.95
-        assert decay_amplitude(noise, 2, 2) == pytest.approx(expected, abs=1e-12)
+        assert decay_amplitude(noise, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_amplitude_is_k_independent(self):
-        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.2, 2)),
+        """With noiseless sequence gates the coherent run returns exactly
+        the amplitude, at every superposition size k."""
+        noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
+                           final_gate_channel=tuple(dephasing_kraus(0.2, 2)),
                            prep_error=0.07, meas_error=0.03)
-        values = {decay_amplitude(noise, 2, k) for k in (1, 4, 64)}
-        assert max(values) - min(values) < 1e-12
+        amplitude = decay_amplitude(noise, 2)
+        rng = np.random.default_rng(65)
+        for k in (1, 4, 64):
+            sequences = rng.integers(0, len(CLIFFORD_2), size=(k, 3))
+            fidelity = simulate_coherent(CLIFFORD_2, noise, sequences)
+            assert abs(fidelity - amplitude) < 1e-12
 
     def test_ideal_amplitude_is_one(self):
-        assert decay_amplitude(ideal(), 2, 7) == pytest.approx(1.0, abs=1e-12)
+        assert decay_amplitude(ideal(), 2) == pytest.approx(1.0, abs=1e-12)

@@ -1,19 +1,17 @@
-"""Tensor products, controlled operations, channels, POVM expectations."""
+"""Tensor products, and the dense oracles of the tests: controlled
+operations, channels, POVM expectations, state checks."""
 
 import numpy as np
 import pytest
 
-from corb.linalg import (
+from corb.linalg import haar_state, haar_unitary, projector, tensor
+from dense_oracle import (
     apply_channel,
     check_density_matrix,
-    haar_state,
-    haar_unitary,
     materialize_controlled,
     partial_trace_control,
     plus_state,
     povm_expectation,
-    projector,
-    tensor,
 )
 
 I2 = np.eye(2, dtype=complex)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from corb.gatesets import build_clifford_set, build_custom_set, build_pauli_set
-from corb.linalg import haar_state, plus_state, projector, tensor
+from corb.linalg import haar_state, projector, tensor
 from corb.noise import (
     NoiseModel,
     avg_gate_fidelity,
@@ -25,6 +25,7 @@ from corb.noise import (
 )
 from corb.io import write_matrices
 from corb.paulis import enumerate_paulis, pauli_basis
+from dense_oracle import plus_state
 
 I2 = np.eye(2, dtype=complex)
 
