@@ -47,6 +47,7 @@ from .engine import (
     FidelityRecord,
     RbRunConfig,
     run,
+    run_coherent_and_standard,
     run_coherent_full,
     run_coherent_rb,
     run_coherent_with_control_noise,

@@ -3,9 +3,10 @@
 Runs are reproducible: the full configuration is embedded in every output
 artifact and a fixed seed yields byte-identical files. CSV carries the
 per-run fidelity records and plot series; JSON carries fits and verdicts.
-The CORB_THREADS environment variable sets how many threads the sampled
-engine modes use for their (length, repetition) tasks; it pays off only
-with BLAS pinned to one thread, and the records do not depend on it.
+The CORB_THREADS environment variable (an integer >= 1, default 1) sets
+how many threads the sampled engine modes use for their (length,
+repetition) tasks; it pays off only with BLAS pinned to one thread, and
+the records do not depend on it. Any other value is a usage error.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
 (condition violated, fit divergence, engine error).

@@ -8,19 +8,21 @@ depolarize), interleaved coherent RB (a fixed gate after every random
 gate in all branches), and the full |G|^m superposition. `run` dispatches
 through one mode table. The sampled coherent state is kept in blocked
 form (k, D, k, D) so a controlled gate is a per-branch-pair contraction
-rather than a full (kD)^2 matrix product.
+rather than a full (kD)^2 matrix product. Its diagonal control blocks are
+the standard-RB runs of its k sequences, so one coherent pass also yields
+the standard record over the same draw (`run_coherent_and_standard`).
 
 The sampled coherent kernel updates that state in place. Because the state
 is Hermitian, U rho U^dag = U (U rho)^dag: two batched matmuls around one
 conjugated transposed copy per position. A position channel whose
 superoperator is diagonal (every Kraus operator diagonal, as for all phase
 channels) is one elementwise multiply by a state-sized mask built once per
-run; any other channel is a (D^2, D^2) product between two transposed
-copies; the identity channel is skipped. Each (length, repetition) task
-owns exactly three (kD)^2 complex128 arrays (the state, a work buffer, and
-the mask or transpose scratch), 48 (kD)^2 bytes, and allocates nothing
-state-sized per position; runs needing more than STATE_BUDGET_BYTES are
-refused before allocating.
+task (per `simulate_coherent` call); any other channel is a (D^2, D^2)
+product between two transposed copies; the identity channel is skipped.
+Each (length, repetition) task owns exactly three (kD)^2 complex128 arrays
+(the state, a work buffer, and the mask or transpose scratch),
+48 (kD)^2 bytes, and allocates nothing state-sized per position; runs
+needing more than STATE_BUDGET_BYTES are refused before allocating.
 
 The full superposition is evaluated exactly, without building its state.
 Block (i, j) evolves under two independent uniform sequences, so the
@@ -142,11 +144,16 @@ def child_rng(seed: int, m: int, repetition: int, tag: int = 0) -> np.random.Gen
 
 
 def _worker_count() -> int:
+    """Threads for the (length, repetition) tasks: CORB_THREADS, an integer
+    >= 1, default 1."""
     raw = os.environ.get("CORB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CORB_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _map_tasks(fn, tasks):
@@ -256,12 +263,14 @@ def _coherent_initial(k: int, target_rho: np.ndarray) -> np.ndarray:
 def diagonal_block_survival(rho: np.ndarray, target_effect: np.ndarray) -> float:
     """Average survival of the diagonal control blocks of a blocked state.
 
-    Equals the classical (standard RB) average over the same explicit
-    sequence list: branch i carries weight 1/k, so the per-branch survivals
-    k*tr(E rho[i,i]) average to sum_i tr(E rho[i,i]).
+    Block (i, i) of a coherent state evolves exactly as a standard-RB run
+    of sequence i, with weight 1/k, so the per-branch survivals
+    k tr(E rho[i,:,i,:]) are the standard survivals of the same sequences;
+    they are range-checked and averaged as standard RB does.
     """
     diag = np.einsum("iaib->iab", rho)
-    return float(np.einsum("ab,iba->", target_effect, diag).real)
+    survivals = rho.shape[0] * np.einsum("ab,iba->i", target_effect, diag).real
+    return float(np.mean(_checked_survivals(survivals)))
 
 
 def _position_sop(noise: NoiseModel,
@@ -300,7 +309,7 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
                       control_q: float = 1.0,
                       interleaved_gate: np.ndarray | None = None,
                       interleaved_noise: Sequence[np.ndarray] | None = None,
-                      return_state: bool = False):
+                      with_standard: bool = False):
     """One coherent run over an explicit (k, m) sequence-index array.
 
     Protocol: prepare |+>_c (x) prep(|0>); apply m controlled gates, each
@@ -309,6 +318,11 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
     depolarization); apply the controlled inverse of each branch; measure
     the return effect. The inverse gate is followed by the final channel
     except in the interleaved variant, whose closing gate is noiseless.
+
+    With `with_standard`, returns (fidelity, standard) where `standard` is
+    the standard-RB mean survival of the same k sequences, read from the
+    diagonal control blocks of the final state before its buffers are
+    released; with control_q < 1 those blocks mix and are no such mean.
     """
     sequences = np.asarray(sequences)
     k, m = sequences.shape
@@ -350,8 +364,8 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
     # decay amplitude without adding a constant offset.
     overlap = float(state[:, 0, :, 0].sum().real) / k
     fidelity = _clamp_fidelity((1.0 - noise.meas_error) * overlap)
-    if return_state:
-        return fidelity, state
+    if with_standard:
+        return fidelity, diagonal_block_survival(state, _return_effect(noise, dim))
     return fidelity
 
 
@@ -390,12 +404,13 @@ def simulate_standard(gate_set: GateSet, noise: NoiseModel,
     rho = np.matmul(np.matmul(inverses, rho), inverses.conj().transpose(0, 2, 1))
     rho = channel(rho, _superop(noise.final_channel))
 
-    effect = (1.0 - noise.meas_error) * projector(basis_state(dim))
-    survivals = np.einsum("ab,iba->i", effect, rho).real
-    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
-    if not inside.all():
-        raise _out_of_range(survivals[~inside][0])
-    return np.clip(survivals, 0.0, 1.0)
+    survivals = np.einsum("ab,iba->i", _return_effect(noise, dim), rho).real
+    return _checked_survivals(survivals)
+
+
+def _return_effect(noise: NoiseModel, dim: int) -> np.ndarray:
+    """(1 - eps_m)|0><0|: a detector of efficiency 1 - eps_m."""
+    return (1.0 - noise.meas_error) * projector(basis_state(dim))
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +433,16 @@ def _out_of_range(value) -> FidelityRangeError:
                               f"by more than {FIDELITY_TOL}")
 
 
+def _checked_survivals(survivals: np.ndarray) -> np.ndarray:
+    """Per-sequence survivals clipped into [0, 1] when all lie within
+    FIDELITY_TOL of it; FidelityRangeError, naming the first value farther
+    out, otherwise."""
+    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
+    if not inside.all():
+        raise _out_of_range(survivals[~inside][0])
+    return np.clip(survivals, 0.0, 1.0)
+
+
 def _clamp_fidelity(value) -> float:
     """Clamp a fidelity into [0, 1] when within FIDELITY_TOL of it; raise
     FidelityRangeError, naming the value, when farther out or NaN."""
@@ -432,28 +457,37 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
 
 
-def _sampled_run(cfg: RbRunConfig, estimate) -> list[FidelityRecord]:
+def _sampled_run(cfg: RbRunConfig, estimate,
+                 modes: tuple[str, ...] | None = None
+                 ) -> tuple[list[FidelityRecord], ...]:
     """The (length, repetition) task loop of every sampled mode: `estimate`
-    maps one (k, m) draw of sequence indices to its expected fidelity."""
+    maps one (k, m) draw of sequence indices to one expected fidelity per
+    mode in `modes` (default: cfg.mode alone), and the records come back
+    as one list per mode. Each mode draws its shots from a fresh tag-1
+    stream, so its records equal those of a run of that mode alone."""
+    modes = (cfg.mode,) if modes is None else modes
+
     def one(task):
         m, rep = task
         rng = child_rng(cfg.seed, m, rep, 0)
         sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
-        fidelity = estimate(sequences)
-        if cfg.shots > 0:
-            shots_rng = child_rng(cfg.seed, m, rep, 1)
-            fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
-        return FidelityRecord(cfg.mode, m, rep, fidelity, cfg.k, f"{m}/{rep}")
+        records = []
+        for mode, fidelity in zip(modes, estimate(sequences), strict=True):
+            if cfg.shots > 0:
+                shots_rng = child_rng(cfg.seed, m, rep, 1)
+                fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
+            records.append(FidelityRecord(mode, m, rep, fidelity, cfg.k, f"{m}/{rep}"))
+        return records
 
     tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
-    return _map_tasks(one, tasks)
+    return tuple(map(list, zip(*_map_tasks(one, tasks))))
 
 
 def _coherent_estimate(cfg: RbRunConfig, **kwargs):
     """Estimator of the sampled coherent modes, after the dimension check."""
     _check_budget(cfg.k * cfg.gate_set.dim)
-    return lambda sequences: simulate_coherent(cfg.gate_set, cfg.noise,
-                                               sequences, **kwargs)
+    return lambda sequences: (simulate_coherent(cfg.gate_set, cfg.noise,
+                                                sequences, **kwargs),)
 
 
 def _full_run(cfg: RbRunConfig,
@@ -493,14 +527,34 @@ def _full_run(cfg: RbRunConfig,
 def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Standard RB: each record averages k independent sequence survivals."""
     _expect_mode(cfg, "standard")
-    return _sampled_run(cfg, lambda sequences: float(np.mean(
-        simulate_standard(cfg.gate_set, cfg.noise, sequences))))
+    return _sampled_run(cfg, lambda sequences: (float(np.mean(
+        simulate_standard(cfg.gate_set, cfg.noise, sequences))),))[0]
 
 
 def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Coherent RB with k iid-sampled sequences in superposition."""
     _expect_mode(cfg, "coherent")
-    return _sampled_run(cfg, _coherent_estimate(cfg))
+    return _sampled_run(cfg, _coherent_estimate(cfg))[0]
+
+
+def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord]]:
+    """Coherent RB and standard RB over the same draws, from one coherent
+    pass: the standard record of each draw is read from the diagonal
+    control blocks of its final coherent state (`diagonal_block_survival`).
+
+    The coherent records equal `run_coherent_rb(cfg)`; the standard ones
+    equal `run_standard_rb` in mode "standard" up to rounding, since that
+    run draws the same sequences from the same child streams. Standard RB
+    alone stays on `simulate_standard`, which costs k, not k^2, per
+    position.
+    """
+    _expect_mode(cfg, "coherent")
+    _check_budget(cfg.k * cfg.gate_set.dim)
+    coherent, standard = _sampled_run(
+        cfg, lambda sequences: simulate_coherent(cfg.gate_set, cfg.noise, sequences,
+                                                 with_standard=True),
+        ("coherent", "standard"))
+    return {"coherent": coherent, "standard": standard}
 
 
 def run_coherent_full(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -519,7 +573,7 @@ def run_coherent_with_control_noise(cfg: RbRunConfig) -> list[FidelityRecord]:
     error opportunity per sequence position.
     """
     _expect_mode(cfg, "coherent-control-noise")
-    return _sampled_run(cfg, _coherent_estimate(cfg, control_q=cfg.noise.control_q))
+    return _sampled_run(cfg, _coherent_estimate(cfg, control_q=cfg.noise.control_q))[0]
 
 
 def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
@@ -538,7 +592,7 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
                   interleaved_noise=gate_noise)
     if full_superposition:
         return _full_run(cfg, **kwargs)
-    return _sampled_run(cfg, _coherent_estimate(cfg, **kwargs))
+    return _sampled_run(cfg, _coherent_estimate(cfg, **kwargs))[0]
 
 
 # The mode table, called as runner(cfg, gate, gate_noise). Each entry looks

@@ -264,6 +264,19 @@ class TestRunCommand:
         assert "needs 1728000000 bytes" in err and "805306368 bytes" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_bad_worker_count_exit_one(self, value, tmp_path, capsys, monkeypatch):
+        """A CORB_THREADS that is not an integer >= 1 is a usage error
+        naming the value; nothing is written."""
+        monkeypatch.setenv("CORB_THREADS", value)
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--k", "2", "--lengths", "1,2", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "CORB_THREADS" in err and f"'{value}'" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("mode", MODES)
     def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys):
         """A channel that gains trace within the Kraus-check tolerance

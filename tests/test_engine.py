@@ -21,6 +21,7 @@ from corb.engine import (
     child_rng,
     diagonal_block_survival,
     run,
+    run_coherent_and_standard,
     run_coherent_full,
     run_coherent_rb,
     run_coherent_with_control_noise,
@@ -45,6 +46,7 @@ from corb.noise import (
     composed_chi00,
     conjugate_channel,
     dephasing_kraus,
+    depolarizing_kraus,
     identity_kraus,
     kraus_to_chi,
     parse_channel_spec,
@@ -90,11 +92,12 @@ def enumerated_full(gate_set, noise, m, **kwargs):
                              **kwargs)
 
 
-def joint_moment(gate_set, same_sequence):
+def joint_moment(gate_set, same_sequence, gate=None):
     """M[(cdef),(abgh)] = E[conj(u_ca) v_db u_eg conj(v_fh)] with v = u
     (standard RB, one sequence per run) or v independent of u (a pair of
-    branches of the full superposition)."""
-    u = gate_set.stacked()
+    branches of the full superposition). With an interleaved `gate` g the
+    random gates are g u, whose product the closing inverse undoes."""
+    u = gate_set.stacked() if gate is None else gate @ gate_set.stacked()
     d = gate_set.dim
     if same_sequence:
         m = np.einsum("uca,udb,ueg,ufh->cdefabgh", u.conj(), u, u, u.conj())
@@ -103,13 +106,23 @@ def joint_moment(gate_set, same_sequence):
     return np.einsum("ceag,dfbh->cdefabgh", a, a.conj()).reshape(d ** 4, d ** 4)
 
 
-def moment_survival(gate_set, noise, moment, lengths):
+def moment_survival(gate_set, noise, moment, lengths, gate=None, gate_noise=None):
     """Exact mean survival over random sequences: vec(Y_m) = R_m vec(rho_prep)
     with R_t = M^T acting on vec(R_{t-1} S), read out through the final
-    channel and the lossy detector."""
+    channel and the lossy detector.
+
+    With an interleaved `gate` g (and its channel), `moment` is that of the
+    gates g u (`joint_moment(..., gate=g)`); after g u comes
+    S = S(N_g) S(g) S(N) S(g^dag), since u, N, g, N_g equals g u followed
+    by that map, and the noiseless closing gate has no final channel."""
     d2 = gate_set.dim ** 2
     step = _superop(noise.gate_channel)
     readout = (1.0 - noise.meas_error) * _superop(noise.final_channel)[0]
+    if gate is not None:
+        step = _superop([gate]) @ step @ _superop([gate.conj().T])
+        if gate_noise is not None:
+            step = _superop(gate_noise) @ step
+        readout = (1.0 - noise.meas_error) * np.eye(d2)[0]
     prep = _prep_target(gate_set.dim, noise.prep_error).reshape(d2)
     transfer = np.eye(d2, dtype=complex)
     out = {}
@@ -384,6 +397,51 @@ class TestSampledMeans:
                     # The 1/k term is resolvable, so dropping it would fail.
                     assert abs(f_full[self.LENGTHS.index(m)] - mean) > 8 * sigma
 
+    # The interleaved gate and its own channel (non-diagonal).
+    GATE_NOISE = tuple(depolarizing_kraus(0.03, 2))
+
+    def _interleaved_moment_survival(self, same_sequence, lengths):
+        return moment_survival(CLIFFORD_2, self.NOISE,
+                               joint_moment(CLIFFORD_2, same_sequence, H),
+                               lengths, H, self.GATE_NOISE)
+
+    def test_interleaved_oracle_matches_enumeration(self):
+        """With the interleaved gate, the recursion reproduces the
+        enumerated full superposition and, from its diagonal control blocks,
+        the standard-RB mean over all sequences."""
+        f_std = self._interleaved_moment_survival(True, (1, 2))
+        f_full = self._interleaved_moment_survival(False, (1, 2))
+        for m, std, full in zip((1, 2), f_std, f_full):
+            fidelity, diagonal = enumerated_full(
+                CLIFFORD_2, self.NOISE, m, interleaved_gate=H,
+                interleaved_noise=self.GATE_NOISE, with_standard=True)
+            assert abs(full - fidelity) <= 1e-12
+            assert abs(std - diagonal) <= 1e-12
+            assert abs(std - full) > 1e-3
+
+    def test_interleaved_sampled_mean_within_four_sigma(self):
+        """Clifford(2,1) interleaved with H, k = 4, 1000 repetitions at
+        m = 2 and 8: the mean is (1 - 1/k) F_full + F_std / k, with F_full
+        from the exact full-superposition run. Two 4-sigma comparisons on a
+        near-normal mean fail a correct engine with probability below
+        1.3e-4 at an arbitrary seed."""
+        k, reps = 4, 1000
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE,
+                          lengths=self.LENGTHS, k=k, repetitions=reps,
+                          seed=20261018, mode="interleaved")
+        f_full = np.array([r.fidelity for r in run_interleaved_coherent(
+            replace(cfg, repetitions=1), H, self.GATE_NOISE,
+            full_superposition=True)])
+        f_std = self._interleaved_moment_survival(True, self.LENGTHS)
+        want = (1 - 1 / k) * f_full + f_std / k
+        records = run_interleaved_coherent(cfg, H, self.GATE_NOISE)
+        for m, mean, full in zip(self.LENGTHS, want, f_full):
+            values = np.array([r.fidelity for r in records if r.m == m])
+            sigma = values.std(ddof=1) / np.sqrt(reps)
+            assert abs(values.mean() - mean) <= 4 * sigma, m
+            # The 1/k term is resolvable, so dropping it would fail.
+            assert abs(full - mean) > 8 * sigma, m
+
 
 class TestStandardCoherentIdentity:
     def test_diagonal_blocks_reproduce_classical_average(self):
@@ -392,19 +450,64 @@ class TestStandardCoherentIdentity:
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.03, 2)))
         for gate_set in (PAULI_2, CLIFFORD_2):
             sequences = rng.integers(0, len(gate_set), size=(8, 3))
-            _, rho = simulate_coherent(gate_set, noise, sequences,
-                                       return_state=True)
+            _, diag = simulate_coherent(gate_set, noise, sequences,
+                                        with_standard=True)
             survivals = simulate_standard(gate_set, noise, sequences)
-            diag = diagonal_block_survival(rho, projector(basis_state(2)))
             assert abs(np.mean(survivals) - diag) <= 1e-10
 
     def test_all_sequences_at_m_two(self):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
         sequences = all_sequences(len(PAULI_2), 2)
-        _, rho = simulate_coherent(PAULI_2, noise, sequences, return_state=True)
+        _, diag = simulate_coherent(PAULI_2, noise, sequences, with_standard=True)
         survivals = simulate_standard(PAULI_2, noise, sequences)
-        diag = diagonal_block_survival(rho, projector(basis_state(2)))
         assert abs(np.mean(survivals) - diag) <= 1e-10
+
+
+class TestCoherentAndStandard:
+    """One coherent pass gives both modes' records: the coherent ones equal
+    `run_coherent_rb`, the standard ones `run_standard_rb` up to rounding."""
+
+    @pytest.mark.parametrize("gate_set,gate_channel,k,shots", [
+        (PAULI_2, "depolarizing:p=0.02", 5, 0),
+        (CLIFFORD_2, None, 8, 0),
+        (build_ms_dressed_set(2, 0.61), None, 3, 0),
+        (CLIFFORD_2, "dephasing:p=0.01", 1, 0),
+        (PAULI_2, None, 4, 500),
+    ], ids=["pauli2-depolarizing", "clifford2-random", "ms-random",
+            "clifford2-k1", "pauli2-shots"])
+    def test_matches_separate_runs(self, gate_set, gate_channel, k, shots):
+        """SPAM, a general gate channel and a distinct final channel."""
+        rng = np.random.default_rng(67)
+        dim = gate_set.dim
+        noise = NoiseModel(
+            gate_channel=tuple(parse_channel_spec(gate_channel, dim) if gate_channel
+                               else random_channel(dim, 2, rng)),
+            final_gate_channel=tuple(random_channel(dim, 2, rng)),
+            prep_error=0.05, meas_error=0.03)
+        cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=(1, 3, 6), k=k,
+                          repetitions=3, seed=31, shots=shots, mode="coherent")
+        both = run_coherent_and_standard(cfg)
+        assert both["coherent"] == run_coherent_rb(cfg)
+        standard = run_standard_rb(replace(cfg, mode="standard"))
+        assert len(both["standard"]) == len(standard) == 9
+        for got, want in zip(both["standard"], standard):
+            assert replace(got, fidelity=0.0) == replace(want, fidelity=0.0)
+            assert abs(got.fidelity - want.fidelity) <= 1e-12
+
+    def test_diagonal_blocks_are_range_checked(self):
+        """Per-branch survivals are clipped within rounding of [0, 1] and
+        raise FidelityRangeError farther out, as in standard RB."""
+        k = 4
+        effect = projector(basis_state(2))
+        for excess, outcome in ((1e-13, 1.0), (1e-6, None)):
+            rho = np.zeros((k, 2, k, 2), dtype=complex)
+            for i in range(k):
+                rho[i, 0, i, 0] = (1.0 + (excess if i == 2 else 0.0)) / k
+            if outcome is None:
+                with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
+                    diagonal_block_survival(rho, effect)
+            else:
+                assert diagonal_block_survival(rho, effect) == outcome
 
 
 class TestInterleaved:
@@ -485,14 +588,25 @@ class TestDeterminism:
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
-        for mode in ("coherent", "standard"):
-            cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(2, 4, 8),
-                              k=8, repetitions=3, seed=7, mode=mode)
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(2, 4, 8),
+                          k=8, repetitions=3, seed=7)
+        for runner in (run, lambda c: run(replace(c, mode="standard")),
+                       run_coherent_and_standard):
             monkeypatch.setenv("CORB_THREADS", "1")
-            serial = run(cfg)
+            serial = runner(cfg)
             monkeypatch.setenv("CORB_THREADS", "4")
-            threaded = run(cfg)
+            threaded = runner(cfg)
             assert serial == threaded
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        """CORB_THREADS must be an integer >= 1; anything else is named in
+        the error, never replaced by one worker."""
+        monkeypatch.setenv("CORB_THREADS", value)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2),
+                          k=2, repetitions=2, mode="standard")
+        with pytest.raises(ValueError, match=f"CORB_THREADS.*'{value}'"):
+            run(cfg)
 
     def test_child_streams_are_order_free(self):
         a = child_rng(42, 8, 3).integers(0, 1000, 5)

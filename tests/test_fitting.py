@@ -1,12 +1,19 @@
 """Decay fits, interleaved extraction, combined curves, deviation runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from corb import fitting
-from corb.engine import RbRunConfig, run_standard_rb, simulate_standard
+from corb.engine import (
+    FidelityRangeError,
+    RbRunConfig,
+    run_coherent_rb,
+    run_standard_rb,
+    simulate_standard,
+)
 from corb.fitting import (
     DeviationScenario,
     combined_decay,
@@ -218,6 +225,34 @@ class TestDeviationExperiment:
         a = deviation_experiment(self.small_scenario(seed=91))
         b = deviation_experiment(self.small_scenario(seed=92))
         assert a.fidelities != b.fidelities
+
+    def test_one_pass_matches_separate_runs(self):
+        """Both modes come from one coherent pass: the coherent fidelities
+        are those of `run_coherent_rb`, the standard ones those of
+        `run_standard_rb` on the same draws, up to rounding."""
+        scenario = self.small_scenario()
+        summary = deviation_experiment(scenario)
+        base = RbRunConfig(gate_set=scenario.gate_set, noise=scenario.noise,
+                           lengths=scenario.lengths, k=scenario.k,
+                           repetitions=scenario.repetitions, seed=scenario.seed)
+        runs = {"coherent": run_coherent_rb(base),
+                "standard": run_standard_rb(replace(base, mode="standard"))}
+        for mode, records in runs.items():
+            for r in records:
+                got = summary.fidelities[mode][r.m][r.repetition]
+                if mode == "coherent":
+                    assert got == r.fidelity
+                else:
+                    assert abs(got - r.fidelity) <= 1e-12
+
+    def test_out_of_range_fidelity_raises(self):
+        """A channel that gains trace within the Kraus-check tolerance stops
+        the study, as it stops a single run."""
+        scenario = replace(
+            self.small_scenario(), lengths=(2000,), k=2, repetitions=1,
+            noise=NoiseModel(gate_channel=(np.sqrt(1.0 + 9e-9) * np.eye(2),)))
+        with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
+            deviation_experiment(scenario)
 
     def test_reference_curve_matches_full_superposition(self):
         """The analytic reference (1-p)^m equals the exhaustive-run value
