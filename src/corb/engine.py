@@ -17,12 +17,20 @@ is Hermitian, U rho U^dag = U (U rho)^dag: two batched matmuls around one
 conjugated transposed copy per position. A position channel whose
 superoperator is diagonal (every Kraus operator diagonal, as for all phase
 channels) is one elementwise multiply by a state-sized mask built once per
-task (per `simulate_coherent` call); any other channel is a (D^2, D^2)
-product between two transposed copies; the identity channel is skipped.
+task (per `simulate_coherent` call, and reused by an equal final channel);
+any other channel is one (D^2, D^2) x (D^2, k) product per branch row
+between two transposed copies; the identity channel is skipped.
 Each (length, repetition) task owns exactly three (kD)^2 complex128 arrays
 (the state, a work buffer, and the mask or transpose scratch),
 48 (kD)^2 bytes, and allocates nothing state-sized per position; runs
 needing more than STATE_BUDGET_BYTES are refused before allocating.
+
+The (length, repetition) tasks of a sampled run go to forked worker
+processes, by default one per CPU this process may run on; CORB_THREADS (an
+integer >= 1) sets their number. Each busy worker holds one task's
+48 (kD)^2 bytes. Small runs (POOL_MIN_SIZE), single workers, platforms
+without fork and processes running other threads stay serial. Records do
+not depend on the worker count.
 
 The full superposition is evaluated exactly, without building its state.
 Block (i, j) evolves under two independent uniform sequences, so the
@@ -47,9 +55,10 @@ Conventions:
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,9 +153,14 @@ def child_rng(seed: int, m: int, repetition: int, tag: int = 0) -> np.random.Gen
 
 
 def _worker_count() -> int:
-    """Threads for the (length, repetition) tasks: CORB_THREADS, an integer
-    >= 1, default 1."""
-    raw = os.environ.get("CORB_THREADS", "1")
+    """Worker processes for the (length, repetition) tasks: CORB_THREADS, an
+    integer >= 1, default the number of CPUs this process may run on."""
+    raw = os.environ.get("CORB_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
     try:
         workers = int(raw)
     except ValueError:
@@ -156,12 +170,70 @@ def _worker_count() -> int:
     return workers
 
 
-def _map_tasks(fn, tasks):
-    workers = _worker_count()
-    if workers <= 1 or len(tasks) <= 1:
+# Runs smaller than this, in branch-positions (k times the summed lengths of
+# all tasks), stay serial. Starting and joining a pool of forked workers
+# costs 10-30 ms; standard RB, the cheapest mode per branch-position,
+# takes about 100 ms at this size, where two workers surely break even.
+POOL_MIN_SIZE = 50000
+
+# The task function, set in each forked worker by _init_worker.
+_worker_task = None
+
+# prctl option that sends the caller a signal when its parent dies (Linux).
+_PR_SET_PDEATHSIG = 1
+
+
+def _init_worker(fn, parent: int) -> None:
+    """Keep the task function, and die with the parent: a parent killed
+    mid-run leaves the pool's queues open, and an orphaned worker would
+    wait on them forever."""
+    global _worker_task
+    _worker_task = fn
+    import signal  # only workers need it
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except AttributeError:  # not Linux: no parent-death signal
+        return
+    prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+    prctl.restype = ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)  # best effort
+    if os.getppid() != parent:  # the parent died before the signal was set
+        os._exit(1)
+
+
+def _run_chunk(chunk):
+    return [_worker_task(task) for task in chunk]
+
+
+def _map_tasks(fn, tasks, size: int):
+    """[fn(t) for t in tasks], in order, spread over forked worker processes.
+
+    Under fork the workers inherit `fn` (and the gate set and closures it
+    holds) instead of unpickling it; only the task tuples and the results
+    cross the pipe. Worker w runs the strided chunk tasks[w::W], so every
+    worker gets the same mix of lengths. A run stays serial with one worker,
+    fewer than two tasks, a `size` below POOL_MIN_SIZE, no fork start
+    method, or other Python threads running. An exception raised in a
+    worker is re-raised here.
+    """
+    workers = min(_worker_count(), len(tasks))
+    if workers <= 1 or size < POOL_MIN_SIZE:
         return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    # Imported here: the pool machinery would add about 20 ms to `import corb`.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # Fork copies only the calling thread, so a lock that another thread
+    # holds would stay held in every worker.
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(fn, os.getpid())) as pool:
+        chunks = pool.map(_run_chunk, [tasks[w::workers] for w in range(workers)])
+        results = [None] * len(tasks)
+        for w, chunk in enumerate(chunks):
+            results[w::workers] = chunk
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +296,19 @@ def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
 
 
 def _superop_step(sop: np.ndarray, scratch: np.ndarray):
-    """One (D^2, D^2) x (D^2, k^2) product between two transposed copies."""
+    """One (D^2, D^2) x (D^2, k) product per branch row, between two copies
+    with the last two axes swapped. One (D^2, D^2) x (D^2, k^2) product
+    would be threaded by OpenBLAS once D^4 k^2 > 262144 and oversubscribe
+    the CPUs of the forked workers; the per-row products stay under that
+    size for every k the state budget admits at D <= 4."""
     k, d = scratch.shape[0], scratch.shape[1]
-    pairs = scratch.reshape(d * d, k * k)
+    rows = scratch.reshape(k, d * d, k)
 
     def step(state, free):
-        np.copyto(pairs.reshape(d, d, k, k), state.transpose(1, 3, 0, 2))
-        # The state now lives in `pairs`, so its buffer takes the product.
-        np.matmul(sop, pairs, out=state.reshape(d * d, k * k))
-        np.copyto(free, state.reshape(d, d, k, k).transpose(2, 0, 3, 1))
+        np.copyto(rows.reshape(k, d, d, k), state.transpose(0, 1, 3, 2))
+        # The state now lives in `rows`, so its buffer takes the product.
+        np.matmul(sop, rows, out=state.reshape(k, d * d, k))
+        np.copyto(free, state.reshape(k, d, d, k).transpose(0, 1, 3, 2))
         return free, state
     return step
 
@@ -334,8 +410,8 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
     state = _coherent_initial(k, _prep_target(dim, noise.prep_error))
     free = np.empty_like(state)
     aux = np.empty_like(state)
-    channel = _channel_step(
-        _position_sop(noise, interleaved_gate, interleaved_noise), aux)
+    position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
+    channel = _channel_step(position_sop, aux)
     gates = np.empty((k, dim, dim), dtype=np.complex128)
     products = np.broadcast_to(
         np.eye(dim, dtype=np.complex128), (k, dim, dim)
@@ -357,7 +433,12 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
     np.conjugate(products.transpose(0, 2, 1), out=gates)
     state, free = _conjugate_branches(state, free, gates)
     if interleaved_gate is None:
-        state, free = _channel_step(_superop(noise.final_channel), aux)(state, free)
+        # The final channel is most often the gate channel: reuse its step
+        # (and mask) rather than filling `aux` again.
+        final_sop = _superop(noise.final_channel)
+        if not np.array_equal(final_sop, position_sop):
+            channel = _channel_step(final_sop, aux)
+        state, free = channel(state, free)
 
     # Return effect (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>: a
     # detector of efficiency 1 - eps_m, so measurement error rescales the
@@ -480,7 +561,8 @@ def _sampled_run(cfg: RbRunConfig, estimate,
         return records
 
     tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
-    return tuple(map(list, zip(*_map_tasks(one, tasks))))
+    size = cfg.k * cfg.repetitions * sum(cfg.lengths)
+    return tuple(map(list, zip(*_map_tasks(one, tasks, size))))
 
 
 def _coherent_estimate(cfg: RbRunConfig, **kwargs):

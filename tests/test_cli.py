@@ -2,13 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import corb
 from corb import fitting
 from corb.cli import ExperimentConfig, main, run_from_config, set_spec_dims
-from corb.engine import MODES, FidelityRecord, RbRunConfig, run
+from corb.engine import MODES, FidelityRangeError, FidelityRecord, RbRunConfig, run
 from corb.gatesets import build_pauli_set
 from corb.io import (
     format_complex,
@@ -148,6 +151,20 @@ class TestCheckSetCommand:
         assert report["elements"] == 16
 
 
+class TestModuleEntryPoint:
+    def test_python_m_corb_runs_the_cli(self):
+        """`python -m corb` is the command line, with its exit codes."""
+        src = os.path.dirname(os.path.dirname(corb.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        ok = subprocess.run([sys.executable, "-m", "corb", "check-set", "pauli:d=2,n=1"],
+                            env=env, capture_output=True, text=True, timeout=60)
+        assert ok.returncode == 0 and ok.stdout.startswith("PASS")
+        bad = subprocess.run([sys.executable, "-m", "corb", "check-set", "wibble:d=2"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert bad.returncode == 1
+
+
 class TestRunCommand:
     def test_noiseless_run_all_ones(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
@@ -275,6 +292,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "CORB_THREADS" in err and f"'{value}'" in err
+        assert not os.path.exists(out)
+
+    def test_worker_error_reaches_caller(self, tmp_path, capsys, monkeypatch,
+                                         pool_starts):
+        """A FidelityRangeError raised inside a worker process comes back to
+        the caller with its type and message, and `corb run` exits 2."""
+        monkeypatch.setenv("CORB_THREADS", "2")
+        gain = [np.sqrt(1.0 + 9e-9) * np.eye(2)]
+        cfg = RbRunConfig(gate_set=build_pauli_set(2, 1),
+                          noise=NoiseModel(gate_channel=tuple(gain)),
+                          lengths=(1000, 2000), k=2, repetitions=2)
+        with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000.*outside \[0, 1\]"):
+            run(cfg)
+        path = str(tmp_path / "gain.mat")
+        write_matrices(path, gain)
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", f"kraus:{path}",
+                     "--k", "2", "--lengths", "1000,2000", "--reps", "2", "--out", out])
+        err = capsys.readouterr().err
+        assert len(pool_starts) == 2
+        assert code == 2
+        assert "fidelity 1.0000" in err and "outside [0, 1]" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("mode", MODES)

@@ -1,12 +1,19 @@
 """Protocol engines: decay laws, mode cross-checks, exact and statistical
 oracles, the dense oracle of the kernel, determinism, caps."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corb
 from corb.engine import (
     MODES,
     STATE_BUDGET_BYTES,
@@ -586,17 +593,55 @@ class TestDeterminism:
                           k=8, repetitions=4, seed=99, mode="coherent")
         assert run_coherent_rb(cfg) == run_coherent_rb(cfg)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
-        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(2, 4, 8),
+    def test_worker_count_does_not_change_results(self, monkeypatch, pool_starts):
+        """Every sampled mode, with a phase channel (the mask step) and a
+        depolarizing one (the superoperator step), gives the same records
+        with CORB_THREADS unset, 1 and 2; 2 goes through the process pool."""
+        dephasing = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)),
+                               control_q=0.9)
+        depolarizing = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2, 1)))
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=dephasing, lengths=(2, 4, 8),
                           k=8, repetitions=3, seed=7)
-        for runner in (run, lambda c: run(replace(c, mode="standard")),
-                       run_coherent_and_standard):
+        runners = (
+            run,
+            lambda c: run(replace(c, mode="standard")),
+            run_coherent_and_standard,
+            lambda c: run(replace(c, mode="interleaved"), interleaved_gate=H),
+            lambda c: run(replace(c, mode="coherent-control-noise")),
+            lambda c: run(replace(c, noise=depolarizing)),
+            lambda c: run(replace(c, noise=depolarizing, mode="interleaved"),
+                          interleaved_gate=H),
+        )
+        for runner in runners:
+            monkeypatch.delenv("CORB_THREADS", raising=False)
+            default = runner(cfg)
             monkeypatch.setenv("CORB_THREADS", "1")
             serial = runner(cfg)
-            monkeypatch.setenv("CORB_THREADS", "4")
-            threaded = runner(cfg)
-            assert serial == threaded
+            started = len(pool_starts)
+            monkeypatch.setenv("CORB_THREADS", "2")
+            pooled = runner(cfg)
+            assert len(pool_starts) == started + 1
+            assert default == serial == pooled
+
+    def test_no_fork_while_other_threads_run(self, monkeypatch, pool_starts):
+        """Fork would copy a lock another thread holds, held forever in the
+        workers: with a second thread alive the run stays serial."""
+        monkeypatch.setenv("CORB_THREADS", "2")
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2),
+                          k=2, repetitions=2)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        other.start()
+        try:
+            records = run(cfg)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pool_starts == []
+        assert [r.fidelity for r in records] == [1.0] * 4
+        run(cfg)
+        assert len(pool_starts) == 1
 
     @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
     def test_bad_worker_count_rejected(self, monkeypatch, value):
@@ -614,6 +659,63 @@ class TestDeterminism:
         c = child_rng(42, 8, 4).integers(0, 1000, 5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def _process_gone(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux-only")
+class TestWorkerProcesses:
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        """A parent killed mid-run takes its forked workers with it, instead
+        of leaving them blocked on the pool's queues."""
+        script = f"""
+import os
+import corb.engine as engine
+from corb.engine import RbRunConfig, run
+from corb.gatesets import build_pauli_set
+from corb.noise import NoiseModel, identity_kraus
+
+def init(*args):
+    real(*args)
+    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+
+real, engine._init_worker = engine._init_worker, init
+engine.POOL_MIN_SIZE = 0
+run(RbRunConfig(gate_set=build_pauli_set(2, 1),
+                noise=NoiseModel(gate_channel=tuple(identity_kraus(2))),
+                lengths=(10 ** 7,), k=2, repetitions=2))
+"""
+        src = os.path.dirname(os.path.dirname(corb.__file__))
+        env = dict(os.environ, CORB_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(name) for name in os.listdir(tmp_path)]
+            assert len(workers) == 2, "the workers never started"
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while not all(map(_process_gone, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(_process_gone, workers))
+        finally:
+            parent.kill()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestShots:
