@@ -9,11 +9,9 @@ to recover chi00 and average gate fidelities.
 from .linalg import TOL, Tolerances, tensor
 from .paulis import (
     PauliLabel,
-    character_sum,
     enumerate_paulis,
     pauli_basis,
     pauli_matrix,
-    symplectic_product,
 )
 from .gatesets import (
     ConditionReport,
@@ -27,20 +25,14 @@ from .gatesets import (
     build_two_control_set,
     check_condition,
     parse_set_spec,
-    sequence_inverse,
 )
 from .noise import (
     NoiseModel,
     avg_gate_fidelity,
-    avg_state_fidelity,
     chi00_of,
-    chi_to_kraus,
-    composed_chi00,
-    control_depolarize,
     dephasing_kraus,
     depolarizing_kraus,
     infidelity_to_dephasing,
-    kraus_to_chi,
     parse_channel_spec,
 )
 from .engine import (

@@ -41,7 +41,7 @@ from .fitting import (
     irb_extract,
     standard_rb_curve,
 )
-from .gatesets import check_condition, parse_set_spec
+from .gatesets import check_condition, parse_set_spec, set_spec_dims
 from .noise import NoiseModel, avg_gate_fidelity, chi00_of, parse_channel_spec
 from .paulis import format_label
 
@@ -120,28 +120,16 @@ def run_from_config(config: ExperimentConfig):
     return records, gate_set
 
 
-def set_spec_dims(spec: str) -> tuple[int, int]:
-    """(d, n) of a set spec without constructing the whole family."""
-    family, _, body = spec.strip().partition(":")
-    family = family.strip().lower()
-    kv = {} if family == "custom" else cio.parse_kv(body)
-    if family in ("pauli", "clifford", "dressed"):
-        return int(kv["d"]), int(kv["n"])
-    if family == "controlled":
-        d = int(kv["d"])
-        return (2, 2) if d == 2 else (2 * d, 1)
-    if family == "two-control":
-        return 2, 3
-    if family == "ms":
-        return 2, int(kv["n"])
-    if family == "custom":
-        return cio.read_matrices(body.strip())[0].shape[0], 1
-    raise ValueError(f"unknown gate-set family {family!r}")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+def _emit_json(payload: dict, path: str | None) -> None:
+    """Print the payload as one JSON line; also write it to `path` if given."""
+    print(json.dumps(payload, sort_keys=True))
+    if path:
+        cio.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
 
 def cmd_check_set(args) -> int:
     gate_set = parse_set_spec(args.set_spec)
@@ -158,9 +146,7 @@ def cmd_check_set(args) -> int:
     print(f"{status} {args.set_spec}: |G|={len(gate_set)} "
           f"worst label {payload['worst_label']} "
           f"residual {report.worst_residual:.3e} (tol {report.tolerance:.3e})")
-    print(json.dumps(payload, sort_keys=True))
-    if args.json:
-        cio.atomic_write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit_json(payload, args.json)
     return 0 if report.passed else SEMANTIC_ERROR
 
 
@@ -241,10 +227,7 @@ def cmd_fit(args) -> int:
             payload["gate_avg_fidelity"] = avg_gate_fidelity(estimate.chi00_gate, dim)
         print(f"gate chi00 = {estimate.chi00_gate:.6f} +- {estimate.bound_E:.3e} "
               f"(reference {estimate.chi00_ref:.6f})")
-        print(json.dumps(payload, sort_keys=True))
-        if args.json:
-            cio.atomic_write(args.json,
-                             json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit_json(payload, args.json)
         return 0
 
     records, config = cio.read_records(args.records)
@@ -254,9 +237,7 @@ def cmd_fit(args) -> int:
     if "avg_gate_fidelity" in payload:
         line += f"  avg gate fidelity = {payload['avg_gate_fidelity']:.8f}"
     print(line)
-    print(json.dumps(payload, sort_keys=True))
-    if args.json:
-        cio.atomic_write(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit_json(payload, args.json)
     return 0 if payload["converged"] else SEMANTIC_ERROR
 
 
@@ -531,15 +512,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
-        if isinstance(exc, DimensionError):
-            print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (DimensionError, RuntimeError)):
             return SEMANTIC_ERROR
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SEMANTIC_ERROR
 
 
 if __name__ == "__main__":

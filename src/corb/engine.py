@@ -37,7 +37,9 @@ Block (i, j) evolves under two independent uniform sequences, so the
 fidelity is (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep)
 and R_t = E_{u,v}[(u^dag (x) v^T) R_{t-1} S (u (x) conj v)], R_0 = I: a
 D^2 x D^2 recursion driven by the first moment A = E_u[conj u (x) u] of
-the set, at cost O(|G| D^4 + m D^6) for every length up to m.
+the set, at cost O(|G| D^4 + m D^6) for every length up to m. A is
+`gatesets._first_moment`, the same matrix the twirl check of
+`gatesets.check_condition` is computed from.
 
 Conventions:
   * sequence gates are drawn iid uniformly per branch and position;
@@ -56,7 +58,6 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
-import math
 import os
 import threading
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gatesets import GateSet
+from .gatesets import GateSet, _first_moment, _realign
 from .linalg import assert_unitary, basis_state, projector
 from .noise import NoiseModel
 
@@ -361,19 +362,6 @@ def _position_sop(noise: NoiseModel,
         if interleaved_noise is not None:
             sop = _superop(interleaved_noise) @ sop
     return sop
-
-
-def _realign(x: np.ndarray) -> np.ndarray:
-    """Swap the middle two indices of a (D^2, D^2) matrix: [(ab),(cd)] -> [(ac),(bd)]."""
-    d = math.isqrt(x.shape[0])
-    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def _first_moment(stack: np.ndarray) -> np.ndarray:
-    """A = E_u[conj(u) (x) u] over a (|G|, D, D) stack, row-major (D^2, D^2)."""
-    n, d, _ = stack.shape
-    flat = stack.reshape(n, d * d)
-    return _realign(flat.conj().T @ flat / n)
 
 
 # ---------------------------------------------------------------------------

@@ -7,18 +7,20 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
-Pauli sets, dressed sets P_i @ U) and checks the condition numerically.
+Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
+from the set's first moment E[conj(u) (x) u].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .io import parse_kv, read_matrices
-from .linalg import TOL, as_matrix, assert_unitary, dagger, tensor
+from .linalg import TOL, as_matrix, assert_unitary, tensor
 from .paulis import (
     DEFAULT_LABEL_CAP,
     PauliLabel,
@@ -85,68 +87,44 @@ class ConditionReport:
     tolerance: float
 
 
+def _realign(x: np.ndarray) -> np.ndarray:
+    """Swap the middle two indices of a (D^2, D^2) matrix: [(ab),(cd)] -> [(ac),(bd)]."""
+    d = math.isqrt(x.shape[0])
+    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _first_moment(stack: np.ndarray) -> np.ndarray:
+    """A = E_u[conj(u) (x) u] over a (|G|, D, D) stack, row-major (D^2, D^2)."""
+    n, d, _ = stack.shape
+    flat = stack.reshape(n, d * d)
+    return _realign(flat.conj().T @ flat / n)
+
+
 def check_condition(gate_set: GateSet, tolerance: float | None = None,
                     cap: int = DEFAULT_LABEL_CAP) -> ConditionReport:
-    """Verify sum_i U_i† P_j U_i = |G| I (j = o) / 0 (j != o) over all labels."""
+    """Verify sum_i U_i† P_j U_i = |G| I (j = o) / 0 (j != o) over all labels.
+
+    With A = E_u[conj(u) (x) u] the first moment of the set, row-major,
+    the twirl of P is |G| vec(P) A, so one (L, D^2) x (D^2, D^2) product
+    gives the twirls of all L = D^2 labels as rows. A label's residual is
+    the max-norm of its twirl minus the target. A and the twirl rows take
+    16 D^4 bytes each. The label cap (`cap`, and DEFAULT_LABEL_CAP = 4096
+    inside `pauli_basis`) refuses D > 64 before either is allocated, so
+    each stays within 268 MB. A passing set's residuals are all rounding
+    noise, so its reported worst label carries no meaning.
+    """
     if tolerance is None:
         tolerance = TOL.channel * len(gate_set)
     labels = enumerate_paulis(gate_set.d, gate_set.n, cap=cap)
-    basis = pauli_basis(gate_set.d, gate_set.n)
-    stack = gate_set.stacked()
-    conj = stack.conj()
-    eye = np.eye(gate_set.dim)
-    worst = -1.0
-    worst_label = labels[0]
-    for label, pmat in zip(labels, basis):
-        twirl = np.einsum("gba,bc,gcd->ad", conj, pmat, stack, optimize=True)
-        if label.is_identity:
-            residual = float(np.max(np.abs(twirl - len(gate_set) * eye)))
-        else:
-            residual = float(np.max(np.abs(twirl)))
-        if residual > worst:
-            worst = residual
-            worst_label = label
-    return ConditionReport(worst <= tolerance, worst_label, worst, tolerance)
-
-
-def normalizer_residual(gate_set: GateSet, cap: int = DEFAULT_LABEL_CAP) -> float:
-    """Worst deviation of C P C† from the nearest phase-scaled Pauli word.
-
-    Zero (to rounding) exactly when every element normalizes the Pauli
-    group, i.e. is a Clifford operation.
-    """
-    basis = pauli_basis(gate_set.d, gate_set.n)
-    if basis.shape[0] > cap:
-        raise ValueError(f"{basis.shape[0]} labels exceed the cap of {cap}")
-    stack = gate_set.stacked()
     dim = gate_set.dim
-    rows = np.arange(len(stack))
-    worst = 0.0
-    for pmat in basis:
-        conjugated = np.matmul(np.matmul(stack, pmat),
-                               stack.conj().transpose(0, 2, 1))
-        coeffs = np.einsum("xij,gij->gx", basis.conj(), conjugated) / dim
-        best = np.argmax(np.abs(coeffs), axis=1)
-        nearest = coeffs[rows, best][:, None, None] * basis[best]
-        worst = max(worst, float(np.max(np.abs(conjugated - nearest))))
-    return worst
-
-
-def sequence_inverse(sequence: Sequence[int], gate_set: GateSet) -> np.ndarray:
-    """Exact inverse (U^(m) ... U^(1))† of an ordered index sequence.
-
-    Computed as a matrix, not looked up in the set: dressed families are
-    not closed under products.
-    """
-    if len(sequence) == 0:
-        raise ValueError("empty sequence")
-    dim = gate_set.dim
-    product = np.eye(dim, dtype=np.complex128)
-    for idx in sequence:
-        if not 0 <= idx < len(gate_set):
-            raise IndexError(f"element index {idx} out of range")
-        product = gate_set.elements[idx] @ product
-    return dagger(product)
+    basis = pauli_basis(gate_set.d, gate_set.n).reshape(len(labels), dim * dim)
+    twirls = basis @ _first_moment(gate_set.stacked())
+    twirls *= len(gate_set)
+    twirls[0] -= len(gate_set) * np.eye(dim).ravel()
+    residuals = np.max(np.abs(twirls), axis=1)
+    worst = int(np.argmax(residuals))
+    residual = float(residuals[worst])
+    return ConditionReport(residual <= tolerance, labels[worst], residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +248,13 @@ def build_controlled_set(d: int, cap: int = DEFAULT_LABEL_CAP) -> GateSet:
         for pr in target:
             for ps in target:
                 elements.append(_controlled_element((pr, ps), pi, d))
-    if d == 2:
-        dd, nn = 2, 2
-    else:
-        dd, nn = 2 * d, 1
-    return GateSet(dd, nn, "controlled", tuple(elements))
+    return GateSet(*_controlled_dims(d), "controlled", tuple(elements))
+
+
+def _controlled_dims(d: int) -> tuple[int, int]:
+    """(d, n) of the controlled set: two qubits for a qubit target, one
+    qudit of dimension 2d otherwise."""
+    return (2, 2) if d == 2 else (2 * d, 1)
 
 
 def build_two_control_set() -> GateSet:
@@ -352,6 +332,13 @@ def build_custom_set(mats: Sequence[np.ndarray], d: int | None = None,
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
 
+def _split_set_spec(spec: str) -> tuple[str, str, dict[str, str]]:
+    """(family, body, key=value dict) of a spec; a custom body is a path."""
+    family, _, body = spec.strip().partition(":")
+    family = family.strip().lower()
+    return family, body, {} if family == "custom" else parse_kv(body)
+
+
 def parse_set_spec(spec: str,
                    matrix_loader: Callable[[str], list[np.ndarray]] | None = None
                    ) -> GateSet:
@@ -364,9 +351,7 @@ def parse_set_spec(spec: str,
     """
     if matrix_loader is None:
         matrix_loader = read_matrices
-    family, _, body = spec.strip().partition(":")
-    family = family.strip().lower()
-    kv = {} if family == "custom" else parse_kv(body)
+    family, body, kv = _split_set_spec(spec)
     try:
         if family == "pauli":
             return build_pauli_set(int(kv["d"]), int(kv["n"]))
@@ -387,4 +372,20 @@ def parse_set_spec(spec: str,
             return build_custom_set(matrix_loader(body.strip()))
     except KeyError as exc:
         raise ValueError(f"set spec {spec!r} is missing key {exc}") from exc
+    raise ValueError(f"unknown gate-set family {family!r}")
+
+
+def set_spec_dims(spec: str) -> tuple[int, int]:
+    """(d, n) of a set spec without constructing the whole family."""
+    family, body, kv = _split_set_spec(spec)
+    if family in ("pauli", "clifford", "dressed"):
+        return int(kv["d"]), int(kv["n"])
+    if family == "controlled":
+        return _controlled_dims(int(kv["d"]))
+    if family == "two-control":
+        return 2, 3
+    if family == "ms":
+        return 2, int(kv["n"])
+    if family == "custom":
+        return read_matrices(body.strip())[0].shape[0], 1
     raise ValueError(f"unknown gate-set family {family!r}")

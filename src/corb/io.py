@@ -15,13 +15,8 @@ import io as _io
 import json
 import os
 import tempfile
-from typing import Sequence
 
 import numpy as np
-
-
-def format_complex(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}i"
 
 
 def parse_complex(token: str) -> complex:
@@ -32,22 +27,6 @@ def parse_complex(token: str) -> complex:
         return complex(token.replace("i", "j"))
     except ValueError as exc:
         raise ValueError(f"bad complex token {token!r}") from exc
-
-
-def format_matrix(m: np.ndarray) -> str:
-    m = np.asarray(m, dtype=np.complex128)
-    lines = [f"dim {m.shape[0]} {m.shape[1]}"]
-    for row in m:
-        lines.append(" ".join(format_complex(z) for z in row))
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix(path: str, m: np.ndarray) -> None:
-    atomic_write(path, format_matrix(m))
-
-
-def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
-    atomic_write(path, "".join(format_matrix(m) for m in mats))
 
 
 def read_matrices(path: str) -> list[np.ndarray]:

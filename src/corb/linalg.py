@@ -2,7 +2,7 @@
 
 Everything is a plain ``numpy`` ``complex128`` array; the helpers here
 validate structural invariants (unitarity, Kraus completeness) at
-centralized tolerances and build states and random unitaries.
+centralized tolerances and build basis states and projectors.
 
 Matrices stay dense throughout: the largest space the engines touch is a
 few thousand dimensions, where dense exact arithmetic is both simplest
@@ -22,7 +22,6 @@ class Tolerances:
     """Global numerical tolerances, one knob per check category."""
 
     structural: float = 1e-10  # unitarity, hermiticity, trace checks
-    identity: float = 1e-12    # exact algebraic identities
     channel: float = 1e-8      # Kraus completeness / trace preservation
 
 
@@ -52,10 +51,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     if u.shape[0] != u.shape[1]:
         return np.inf
     return float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
-
-
-def is_unitary(u: np.ndarray, tol: float = TOL.structural) -> bool:
-    return unitarity_defect(u) <= tol
 
 
 def assert_unitary(u: np.ndarray, tol: float = TOL.structural, what: str = "matrix") -> np.ndarray:
@@ -93,16 +88,3 @@ def projector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=np.complex128).ravel()
     return np.outer(vec, vec.conj())
 
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
-
-
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)

@@ -46,10 +46,6 @@ class PauliLabel:
         return not any(self.x) and not any(self.z)
 
 
-def zero_label(d: int, n: int) -> PauliLabel:
-    return PauliLabel(d, n, (0,) * n, (0,) * n)
-
-
 @functools.lru_cache(maxsize=None)
 def omega(d: int) -> complex:
     """Primitive d-th root of unity, computed once per dimension."""
@@ -74,21 +70,6 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     return out
 
 
-def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
-    """(a, b)_Sp = a_x . b_z - a_z . b_x mod d.
-
-    Governs commutation: with the X-after-Z word convention used here the
-    exact identity is P_a P_b = w^{(b,a)_Sp} P_b P_a. The two argument
-    orders agree mod 2, so the distinction only shows for d > 2.
-    """
-    if a.d != b.d or a.n != b.n:
-        raise ValueError("labels live on different systems")
-    acc = 0
-    for ax, az, bx, bz in zip(a.x, a.z, b.x, b.z):
-        acc += ax * bz - az * bx
-    return acc % a.d
-
-
 def enumerate_paulis(d: int, n: int, cap: int = DEFAULT_LABEL_CAP) -> list[PauliLabel]:
     """All d^{2n} labels in lexicographic order, identity first."""
     count = d ** (2 * n)
@@ -111,15 +92,6 @@ def pauli_basis(d: int, n: int) -> np.ndarray:
     return mats
 
 
-def character_sum(q: PauliLabel) -> complex:
-    """sum_x w^{(q, x)_Sp} over all labels x: d^{2n} at the identity, 0 elsewhere."""
-    w = omega(q.d)
-    total = 0.0 + 0.0j
-    for x in enumerate_paulis(q.d, q.n):
-        total += w ** symplectic_product(q, x)
-    return total
-
-
 def format_label(label: PauliLabel) -> str:
     """Text form `x:<exponents>;z:<exponents>` used by the CLI and config files."""
     return "x:{};z:{}".format(
@@ -127,13 +99,3 @@ def format_label(label: PauliLabel) -> str:
         ",".join(str(v) for v in label.z),
     )
 
-
-def parse_label(text: str, d: int, n: int) -> PauliLabel:
-    parts = dict(
-        chunk.split(":", 1) for chunk in text.strip().split(";") if chunk
-    )
-    if set(parts) != {"x", "z"}:
-        raise ValueError(f"bad Pauli label {text!r}; expected `x:...;z:...`")
-    x = tuple(int(v) for v in parts["x"].split(","))
-    z = tuple(int(v) for v in parts["z"].split(","))
-    return PauliLabel(d, n, x, z)

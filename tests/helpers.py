@@ -1,0 +1,275 @@
+"""Test-side helpers that the library itself never calls: random states,
+unitaries and channels, the chi-matrix conversions, the Pauli-label algebra,
+matrix-file writers, and dense reference versions of library checks.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from corb.gatesets import ConditionReport, GateSet
+from corb.io import atomic_write
+from corb.linalg import TOL, as_matrix, check_kraus, dagger
+from corb.paulis import (
+    DEFAULT_LABEL_CAP,
+    PauliLabel,
+    enumerate_paulis,
+    omega,
+    pauli_basis,
+)
+
+
+# ---------------------------------------------------------------------------
+# Random inputs
+# ---------------------------------------------------------------------------
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases
+
+
+def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random pure state vector."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_channel(dim: int, n_kraus: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random CPTP channel: Ginibre Kraus operators normalized to completeness."""
+    raw = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+           for _ in range(n_kraus)]
+    gram = sum(dagger(g) @ g for g in raw)
+    vals, vecs = np.linalg.eigh(gram)
+    inv_sqrt = vecs @ np.diag(vals ** -0.5) @ dagger(vecs)
+    return [g @ inv_sqrt for g in raw]
+
+
+def random_phase_channel(d: int, n_kraus: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Random CPTP channel with diagonal Kraus operators (Z-word span).
+
+    The chi matrix is supported on the Z-type labels only, including
+    complex off-diagonal entries; survival of computational basis states
+    is unaffected but coherences decay.
+    """
+    raw = [np.diag(rng.normal(size=d) + 1j * rng.normal(size=d))
+           for _ in range(n_kraus)]
+    gram = sum(dagger(g) @ g for g in raw)  # diagonal, positive
+    inv_sqrt = np.diag(np.diagonal(gram).real ** -0.5)
+    return [g @ inv_sqrt for g in raw]
+
+
+# ---------------------------------------------------------------------------
+# Channels: Kraus <-> chi, composition, fidelities
+# ---------------------------------------------------------------------------
+
+def _pauli_coefficients(kraus: Sequence[np.ndarray], d: int, n: int) -> np.ndarray:
+    """c[s, i] = tr(P_i† K_s) / d^n for each Kraus operator."""
+    basis = pauli_basis(d, n)
+    stack = np.stack([as_matrix(k) for k in kraus])
+    return np.einsum("lij,sij->sl", basis.conj(), stack) / (d ** n)
+
+
+def kraus_to_chi(kraus: Sequence[np.ndarray], d: int, n: int) -> np.ndarray:
+    """Channel matrix chi_ij = sum_s c_si conj(c_sj) in the Pauli basis."""
+    kraus = check_kraus(kraus)
+    dim = d ** n
+    if kraus[0].shape[0] != dim:
+        raise ValueError(f"Kraus dimension {kraus[0].shape[0]} != d^n = {dim}")
+    c = _pauli_coefficients(kraus, d, n)
+    return np.einsum("si,sj->ij", c, c.conj())
+
+
+def chi_to_kraus(chi: np.ndarray, d: int, n: int,
+                 tol: float = 1e-12) -> list[np.ndarray]:
+    """Kraus operators from a chi matrix via its eigendecomposition."""
+    chi = as_matrix(chi)
+    basis = pauli_basis(d, n)
+    if chi.shape[0] != basis.shape[0]:
+        raise ValueError("chi dimension does not match the Pauli basis size")
+    if np.max(np.abs(chi - dagger(chi))) > TOL.structural:
+        raise ValueError("chi matrix must be Hermitian")
+    vals, vecs = np.linalg.eigh(chi)
+    if vals.min() < -1e-9:
+        raise ValueError(f"chi matrix has negative eigenvalue {vals.min():.3e}")
+    kraus = []
+    for val, vec in zip(vals, vecs.T):
+        if val > tol:
+            kraus.append(np.sqrt(val) * np.einsum("l,lij->ij", vec, basis))
+    return kraus
+
+
+def composed_chi00(chi_a: np.ndarray, chi_b: np.ndarray) -> float:
+    """Decay parameter of the twirl-composed pair: sum_ij A_ij B_ij."""
+    value = np.sum(np.asarray(chi_a) * np.asarray(chi_b))
+    return float(value.real)
+
+
+def conjugate_channel(kraus: Sequence[np.ndarray], u: np.ndarray) -> list[np.ndarray]:
+    """Kraus list of U† . xi . U (each operator mapped K -> U† K U)."""
+    u = as_matrix(u)
+    return [dagger(u) @ as_matrix(k) @ u for k in kraus]
+
+
+def avg_state_fidelity(gate_set, phi: np.ndarray) -> float:
+    """Mean of |<phi|U|phi>|^2 over the set elements, phi pure."""
+    phi = np.asarray(phi, dtype=np.complex128)
+    if phi.ndim == 2:
+        vals, vecs = np.linalg.eigh(phi)
+        if vals.max() < 1.0 - 1e-9 or abs(np.trace(phi) - 1.0) > 1e-9:
+            raise ValueError("state must be pure")
+        phi = vecs[:, np.argmax(vals)]
+    phi = phi / np.linalg.norm(phi)
+    amps = np.einsum("a,gab,b->g", phi.conj(), gate_set.stacked(), phi)
+    return float(np.mean(np.abs(amps) ** 2))
+
+
+def control_depolarize(rho: np.ndarray, q: float, k: int) -> np.ndarray:
+    """Depolarize the k-dimensional control factor only.
+
+    rho -> q rho + (1 - q) (I_k / k) (x) tr_c(rho); trace preserving, q = 1
+    is a no-op. Dense reference for the engine's blocked version.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"control depolarizing parameter {q} outside [0, 1]")
+    rho = as_matrix(rho)
+    total = rho.shape[0]
+    if total % k != 0:
+        raise ValueError(f"dimension {total} not divisible by control dimension {k}")
+    d = total // k
+    target = np.einsum("iaib->ab", rho.reshape(k, d, k, d))
+    return q * rho + (1.0 - q) * np.kron(np.eye(k) / k, target)
+
+
+# ---------------------------------------------------------------------------
+# Pauli-label algebra
+# ---------------------------------------------------------------------------
+
+def zero_label(d: int, n: int) -> PauliLabel:
+    return PauliLabel(d, n, (0,) * n, (0,) * n)
+
+
+def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
+    """(a, b)_Sp = a_x . b_z - a_z . b_x mod d.
+
+    Governs commutation: with the X-after-Z word convention used here the
+    exact identity is P_a P_b = w^{(b,a)_Sp} P_b P_a. The two argument
+    orders agree mod 2, so the distinction only shows for d > 2.
+    """
+    if a.d != b.d or a.n != b.n:
+        raise ValueError("labels live on different systems")
+    acc = 0
+    for ax, az, bx, bz in zip(a.x, a.z, b.x, b.z):
+        acc += ax * bz - az * bx
+    return acc % a.d
+
+
+def character_sum(q: PauliLabel) -> complex:
+    """sum_x w^{(q, x)_Sp} over all labels x: d^{2n} at the identity, 0 elsewhere."""
+    w = omega(q.d)
+    total = 0.0 + 0.0j
+    for x in enumerate_paulis(q.d, q.n):
+        total += w ** symplectic_product(q, x)
+    return total
+
+
+def parse_label(text: str, d: int, n: int) -> PauliLabel:
+    parts = dict(
+        chunk.split(":", 1) for chunk in text.strip().split(";") if chunk
+    )
+    if set(parts) != {"x", "z"}:
+        raise ValueError(f"bad Pauli label {text!r}; expected `x:...;z:...`")
+    x = tuple(int(v) for v in parts["x"].split(","))
+    z = tuple(int(v) for v in parts["z"].split(","))
+    return PauliLabel(d, n, x, z)
+
+
+# ---------------------------------------------------------------------------
+# Gate sets
+# ---------------------------------------------------------------------------
+
+def check_condition_per_label(gate_set: GateSet, tolerance: float | None = None,
+                              cap: int = DEFAULT_LABEL_CAP) -> ConditionReport:
+    """Reference for `corb.gatesets.check_condition`: the twirl of each
+    Pauli label computed on its own, sum_i U_i† P_j U_i, one at a time."""
+    if tolerance is None:
+        tolerance = TOL.channel * len(gate_set)
+    labels = enumerate_paulis(gate_set.d, gate_set.n, cap=cap)
+    basis = pauli_basis(gate_set.d, gate_set.n)
+    stack = gate_set.stacked()
+    conj = stack.conj()
+    eye = np.eye(gate_set.dim)
+    worst = -1.0
+    worst_label = labels[0]
+    for label, pmat in zip(labels, basis):
+        twirl = np.einsum("gba,bc,gcd->ad", conj, pmat, stack, optimize=True)
+        if label.is_identity:
+            residual = float(np.max(np.abs(twirl - len(gate_set) * eye)))
+        else:
+            residual = float(np.max(np.abs(twirl)))
+        if residual > worst:
+            worst = residual
+            worst_label = label
+    return ConditionReport(worst <= tolerance, worst_label, worst, tolerance)
+
+
+def normalizer_residual(gate_set: GateSet, cap: int = DEFAULT_LABEL_CAP) -> float:
+    """Worst deviation of C P C† from the nearest phase-scaled Pauli word.
+
+    Zero (to rounding) exactly when every element normalizes the Pauli
+    group, i.e. is a Clifford operation.
+    """
+    basis = pauli_basis(gate_set.d, gate_set.n)
+    if basis.shape[0] > cap:
+        raise ValueError(f"{basis.shape[0]} labels exceed the cap of {cap}")
+    stack = gate_set.stacked()
+    dim = gate_set.dim
+    rows = np.arange(len(stack))
+    worst = 0.0
+    for pmat in basis:
+        conjugated = np.matmul(np.matmul(stack, pmat),
+                               stack.conj().transpose(0, 2, 1))
+        coeffs = np.einsum("xij,gij->gx", basis.conj(), conjugated) / dim
+        best = np.argmax(np.abs(coeffs), axis=1)
+        nearest = coeffs[rows, best][:, None, None] * basis[best]
+        worst = max(worst, float(np.max(np.abs(conjugated - nearest))))
+    return worst
+
+
+def sequence_inverse(sequence: Sequence[int], gate_set: GateSet) -> np.ndarray:
+    """Exact inverse (U^(m) ... U^(1))† of an ordered index sequence.
+
+    Computed as a matrix, not looked up in the set: dressed families are
+    not closed under products.
+    """
+    if len(sequence) == 0:
+        raise ValueError("empty sequence")
+    dim = gate_set.dim
+    product = np.eye(dim, dtype=np.complex128)
+    for idx in sequence:
+        if not 0 <= idx < len(gate_set):
+            raise IndexError(f"element index {idx} out of range")
+        product = gate_set.elements[idx] @ product
+    return dagger(product)
+
+
+# ---------------------------------------------------------------------------
+# Matrix files
+# ---------------------------------------------------------------------------
+
+def format_complex(z: complex) -> str:
+    return f"{z.real:.17g}{z.imag:+.17g}i"
+
+
+def format_matrix(m: np.ndarray) -> str:
+    m = np.asarray(m, dtype=np.complex128)
+    lines = [f"dim {m.shape[0]} {m.shape[1]}"]
+    for row in m:
+        lines.append(" ".join(format_complex(z) for z in row))
+    return "\n".join(lines) + "\n"
+
+
+def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
+    atomic_write(path, "".join(format_matrix(m) for m in mats))

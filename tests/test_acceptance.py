@@ -28,23 +28,25 @@ from corb.gatesets import (
     build_ms_dressed_set,
     build_pauli_set,
     check_condition,
-    normalizer_residual,
 )
-from corb.linalg import haar_unitary
 from corb.noise import (
     NoiseModel,
     avg_gate_fidelity,
     chi00_of,
-    composed_chi00,
-    conjugate_channel,
     dephasing_kraus,
     identity_kraus,
     infidelity_to_dephasing,
+)
+from corb.paulis import PauliLabel, pauli_matrix
+from helpers import (
+    composed_chi00,
+    conjugate_channel,
+    haar_unitary,
     kraus_to_chi,
+    normalizer_residual,
     random_channel,
     random_phase_channel,
 )
-from corb.paulis import PauliLabel, pauli_matrix
 
 X = pauli_matrix(PauliLabel(2, 1, (1,), (0,)))
 Z = pauli_matrix(PauliLabel(2, 1, (0,), (1,)))

@@ -10,21 +10,23 @@ import pytest
 
 import corb
 from corb import fitting
-from corb.cli import ExperimentConfig, main, run_from_config, set_spec_dims
+from corb.cli import ExperimentConfig, main, run_from_config
 from corb.engine import MODES, FidelityRangeError, FidelityRecord, RbRunConfig, run
-from corb.gatesets import build_pauli_set
+from corb.gatesets import build_pauli_set, parse_set_spec, set_spec_dims
 from corb.io import (
-    format_complex,
     parse_complex,
     read_matrices,
     read_matrix,
     read_records,
-    write_matrices,
     write_records_csv,
     write_records_json,
 )
-from corb.linalg import haar_unitary
 from corb.noise import NoiseModel, dephasing_kraus
+from helpers import (
+    format_complex,
+    haar_unitary,
+    write_matrices,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -119,10 +121,19 @@ class TestExperimentConfig:
         replayed, _ = run_from_config(ExperimentConfig.from_dict(loaded_config))
         assert replayed == records
 
-    def test_spec_dims(self):
+    def test_spec_dims(self, tmp_path):
         assert set_spec_dims("pauli:d=3,n=2") == (3, 2)
         assert set_spec_dims("controlled:d=2") == (2, 2)
         assert set_spec_dims("ms:n=3,theta=0.2") == (2, 3)
+        u_path = str(tmp_path / "u.mat")
+        write_matrices(u_path, [np.kron(H, H)])
+        set_path = str(tmp_path / "set.mat")
+        write_matrices(set_path, [np.eye(3), np.diag([1, -1, 1])])
+        for spec in ("pauli:d=3,n=2", "clifford:d=3,n=1", "controlled:d=2",
+                     "controlled:d=3", "two-control", "ms:n=3,theta=0.2",
+                     f"dressed:d=2,n=2,u={u_path}", f"custom:{set_path}"):
+            gs = parse_set_spec(spec)
+            assert set_spec_dims(spec) == (gs.d, gs.n), spec
 
 
 class TestCheckSetCommand:

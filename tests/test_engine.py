@@ -46,21 +46,24 @@ from corb.gatesets import (
     build_ms_dressed_set,
     build_pauli_set,
 )
-from corb.linalg import basis_state, haar_unitary, projector
+from corb.linalg import basis_state, projector
 from corb.noise import (
     NoiseModel,
     chi00_of,
-    composed_chi00,
-    conjugate_channel,
     dephasing_kraus,
     depolarizing_kraus,
     identity_kraus,
-    kraus_to_chi,
     parse_channel_spec,
+)
+from corb.paulis import PauliLabel, pauli_matrix
+from helpers import (
+    composed_chi00,
+    conjugate_channel,
+    haar_unitary,
+    kraus_to_chi,
     random_channel,
     random_phase_channel,
 )
-from corb.paulis import PauliLabel, pauli_matrix
 from dense_oracle import dense_coherent
 
 PAULI_2 = build_pauli_set(2, 1)
@@ -839,7 +842,7 @@ class TestBlockedPrimitives:
     def test_blocked_control_depolarize_matches_flat(self):
         """Engine fast path agrees with the flat-matrix channel."""
         from corb.engine import _apply_control_depolarize
-        from corb.noise import control_depolarize
+        from helpers import control_depolarize
         rng = np.random.default_rng(77)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)

@@ -1,5 +1,7 @@
 """Gate-set families, the twirl-annihilation condition, inverses, specs."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,17 @@ from corb.gatesets import (
     build_two_control_set,
     check_condition,
     ms_gate,
-    normalizer_residual,
     parse_set_spec,
-    sequence_inverse,
 )
-from corb.linalg import haar_unitary, unitarity_defect
+from corb.linalg import unitarity_defect
 from corb.paulis import PauliLabel, pauli_matrix
-from corb.io import write_matrices
+from helpers import (
+    check_condition_per_label,
+    haar_unitary,
+    normalizer_residual,
+    sequence_inverse,
+    write_matrices,
+)
 
 I2 = np.eye(2, dtype=complex)
 X = pauli_matrix(PauliLabel(2, 1, (1,), (0,)))
@@ -155,6 +161,54 @@ class TestConditionChecker:
             report = check_condition(build_custom_set([haar_unitary(2, rng)]))
             assert not report.passed
             assert report.worst_residual > 0.1
+
+
+def _haar_set(dim: int, count: int, seed: int, d: int, n: int):
+    rng = np.random.default_rng(seed)
+    return build_custom_set([haar_unitary(dim, rng) for _ in range(count)], d, n)
+
+
+def _haar_singleton(i: int):
+    """The i-th Haar singleton of test_random_singletons_fail (seed 32)."""
+    rng = np.random.default_rng(32)
+    for _ in range(i + 1):
+        u = haar_unitary(2, rng)
+    return build_custom_set([u])
+
+
+ORACLE_SETS = {
+    "pauli(2,1)": lambda: build_pauli_set(2, 1),
+    "pauli(3,1)": lambda: build_pauli_set(3, 1),
+    "pauli(2,2)": lambda: build_pauli_set(2, 2),
+    "clifford(2,1)": lambda: build_clifford_set(2, 1),
+    "clifford(3,1)": lambda: build_clifford_set(3, 1),
+    "clifford(2,2)": lambda: build_clifford_set(2, 2),
+    "controlled d=2": lambda: build_controlled_set(2),
+    "controlled d=3": lambda: build_controlled_set(3),
+    "two-control": build_two_control_set,
+    "ms(2,pi/4)": lambda: build_ms_dressed_set(2, np.pi / 4),
+    "{I, Z}": lambda: build_custom_set([I2, Z]),
+    "haar qubit": lambda: _haar_set(2, 1, 7, 2, 1),
+    "three haar 2-qubit": lambda: _haar_set(4, 3, 8, 2, 2),
+    **{f"haar singleton #{i}": functools.partial(_haar_singleton, i)
+       for i in range(20)},
+}
+
+
+class TestConditionOracle:
+    """The one-product checker against the per-label loop it replaced."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_SETS))
+    def test_matches_per_label_loop(self, name):
+        gate_set = ORACLE_SETS[name]()
+        report = check_condition(gate_set)
+        oracle = check_condition_per_label(gate_set)
+        assert report.passed == oracle.passed
+        assert report.tolerance == oracle.tolerance
+        if not oracle.passed:
+            assert report.worst_label == oracle.worst_label
+            assert report.worst_residual == pytest.approx(oracle.worst_residual,
+                                                          abs=1e-12)
 
 
 class TestSequenceInverse:

@@ -4,7 +4,8 @@ operations, channels, POVM expectations, state checks."""
 import numpy as np
 import pytest
 
-from corb.linalg import haar_state, haar_unitary, projector, tensor
+from corb.linalg import projector, tensor
+from helpers import haar_state, haar_unitary
 from dense_oracle import (
     apply_channel,
     check_density_matrix,
@@ -97,7 +98,7 @@ class TestApplyChannel:
     def test_preserves_trace_and_hermiticity(self):
         """100 random valid Kraus lists on dims up to 8."""
         rng = np.random.default_rng(13)
-        from corb.noise import random_channel
+        from helpers import random_channel
         for trial in range(100):
             dim = int(rng.choice([2, 3, 4, 8]))
             kraus = random_channel(dim, int(rng.integers(1, 4)), rng)

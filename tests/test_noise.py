@@ -4,27 +4,30 @@ import numpy as np
 import pytest
 
 from corb.gatesets import build_clifford_set, build_custom_set, build_pauli_set
-from corb.linalg import haar_state, projector, tensor
+from corb.linalg import projector, tensor
 from corb.noise import (
     NoiseModel,
     avg_gate_fidelity,
-    avg_state_fidelity,
     chi00_of,
-    chi_to_kraus,
-    composed_chi00,
-    conjugate_channel,
-    control_depolarize,
     dephasing_kraus,
     depolarizing_kraus,
     identity_kraus,
     infidelity_to_dephasing,
-    kraus_to_chi,
     parse_channel_spec,
+)
+from corb.paulis import enumerate_paulis, pauli_basis
+from helpers import (
+    avg_state_fidelity,
+    chi_to_kraus,
+    composed_chi00,
+    conjugate_channel,
+    control_depolarize,
+    haar_state,
+    kraus_to_chi,
     random_channel,
     random_phase_channel,
+    write_matrices,
 )
-from corb.io import write_matrices
-from corb.paulis import enumerate_paulis, pauli_basis
 from dense_oracle import plus_state
 
 I2 = np.eye(2, dtype=complex)
@@ -214,7 +217,7 @@ class TestChannelComposition:
     def test_conjugation_preserves_chi00(self):
         rng = np.random.default_rng(49)
         kraus = random_channel(2, 3, rng)
-        from corb.linalg import haar_unitary
+        from helpers import haar_unitary
         u = haar_unitary(2, rng)
         assert chi00_of(conjugate_channel(kraus, u)) == pytest.approx(
             chi00_of(kraus), abs=1e-12)

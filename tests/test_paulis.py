@@ -5,15 +5,17 @@ import pytest
 
 from corb.paulis import (
     PauliLabel,
-    character_sum,
     enumerate_paulis,
     format_label,
-    parse_label,
     pauli_matrix,
+)
+from corb.linalg import unitarity_defect
+from helpers import (
+    character_sum,
+    parse_label,
     symplectic_product,
     zero_label,
 )
-from corb.linalg import unitarity_defect
 
 
 def reference_word(d, x_exps, z_exps):
