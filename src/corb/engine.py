@@ -6,29 +6,37 @@ standard RB (k independent sequences, no control register), coherent RB
 (k sequences in superposition, entangled with a k-level control that may
 depolarize), interleaved coherent RB (a fixed gate after every random
 gate in all branches), and the full |G|^m superposition. `run` dispatches
-through one mode table. The sampled coherent state is kept in blocked
-form (k, D, k, D) so a controlled gate is a per-branch-pair contraction
-rather than a full (kD)^2 matrix product. Its diagonal control blocks are
-the standard-RB runs of its k sequences, so one coherent pass also yields
-the standard record over the same draw (`run_coherent_and_standard`).
+through one mode table.
 
-The sampled coherent kernel updates that state in place. Because the state
-is Hermitian, U rho U^dag = U (U rho)^dag: two batched matmuls around one
-conjugated transposed copy per position. A position channel whose
-superoperator is diagonal (every Kraus operator diagonal, as for all phase
-channels) is one elementwise multiply by a state-sized mask built once per
-task (per `simulate_coherent` call, and reused by an equal final channel);
-any other channel is one (D^2, D^2) x (D^2, k) product per branch row
-between two transposed copies; the identity channel is skipped.
-Each (length, repetition) task owns exactly three (kD)^2 complex128 arrays
-(the state, a work buffer, and the mask or transpose scratch),
-48 (kD)^2 bytes, and allocates nothing state-sized per position; runs
-needing more than STATE_BUDGET_BYTES are refused before allocating.
+Every sampled mode runs on one kernel, `_evolve`, which evolves a batch of
+b independent coherent states in blocked form (b, k, D, k, D), so a
+controlled gate is a per-branch-pair contraction rather than a full
+(kD)^2 matrix product. The coherent modes evolve one k-branch state
+(b = 1). A coherent run with a one-level control register is standard
+RB, so standard RB evolves its k sequences as k one-branch states
+(b = k, one branch each). The diagonal control blocks of a coherent state
+are the standard-RB runs of its k sequences, so one coherent pass also
+yields the standard record over the same draw
+(`run_coherent_and_standard`); both readings come from
+`_branch_survivals`.
+
+The kernel updates the state in place. Because the state is Hermitian,
+U rho U^dag = U (U rho)^dag: two batched matmuls around one conjugated
+transposed copy per position. A position channel whose superoperator is
+diagonal (every Kraus operator diagonal, as for all phase channels) is one
+elementwise multiply by a state-sized mask built once per task (and
+reused by an equal final channel); any other channel is one
+(D^2, D^2) x (D^2, k) product per branch row between two transposed
+copies; the identity channel is skipped. Each (length, repetition) task
+owns exactly three state-sized complex128 arrays (the state, a work
+buffer, and the mask or transpose scratch), 48 b (kD)^2 bytes, and
+allocates nothing state-sized per position; tasks needing more than
+STATE_BUDGET_BYTES are refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
 integer >= 1) sets their number. Each busy worker holds one task's
-48 (kD)^2 bytes. Small runs (POOL_MIN_SIZE), single workers, platforms
+48 b (kD)^2 bytes. Small runs (POOL_MIN_SIZE), single workers, platforms
 without fork and processes running other threads stay serial. Records do
 not depend on the worker count.
 
@@ -69,8 +77,8 @@ from .gatesets import GateSet, _first_moment, _realign
 from .linalg import assert_unitary, basis_state, projector
 from .noise import NoiseModel
 
-# Bytes one sampled coherent task may hold: its kernel keeps three
-# (kD)^2 complex128 arrays, so this admits k * D <= 4096. The full
+# Bytes one sampled task may hold: its kernel keeps three b (kD)^2
+# complex128 arrays, so this admits b (kD)^2 <= 4096^2. The full
 # superposition never builds its state and is not capped.
 STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
 
@@ -126,7 +134,7 @@ class FidelityRecord:
 
 
 class DimensionError(ValueError):
-    """A sampled coherent run would need more than STATE_BUDGET_BYTES."""
+    """A sampled run would need more than STATE_BUDGET_BYTES per task."""
 
 
 class FidelityRangeError(RuntimeError):
@@ -238,7 +246,8 @@ def _map_tasks(fn, tasks, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Blocked-state kernel (state shape (k, D, k, D), C-contiguous)
+# Blocked-state kernel (state shape (b, k, D, k, D), C-contiguous: b
+# independent k-branch states)
 #
 # Every step maps (state, free) -> (state, free) between two buffers that
 # the calling task owns, so nothing state-sized is allocated per position.
@@ -246,15 +255,15 @@ def _map_tasks(fn, tasks, size: int):
 
 def _conjugate_branches(state: np.ndarray, free: np.ndarray,
                         gates: np.ndarray):
-    """state[i,:,j,:] -> U_i state[i,:,j,:] U_j^dag for a Hermitian state.
+    """state[x,i,:,j,:] -> U_xi state[x,i,:,j,:] U_xj^dag for Hermitian states.
 
     U rho U^dag = U (U rho)^dag: two batched matmuls around one conjugated
     transposed copy, the only transpose of the step.
     """
-    k, d = state.shape[0], state.shape[1]
-    rows, free_rows = state.reshape(k, d, k * d), free.reshape(k, d, k * d)
+    b, k, d = state.shape[:3]
+    rows, free_rows = state.reshape(b, k, d, k * d), free.reshape(b, k, d, k * d)
     np.matmul(gates, rows, out=free_rows)                       # U rho
-    np.conjugate(free.transpose(2, 3, 0, 1), out=state)         # rho U^dag
+    np.conjugate(free.transpose(0, 3, 4, 1, 2), out=state)      # rho U^dag
     np.matmul(gates, rows, out=free_rows)                       # U rho U^dag
     return free, state
 
@@ -266,17 +275,13 @@ def _superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(d * d, d * d)
 
 
-def _is_identity_sop(sop: np.ndarray) -> bool:
-    return np.array_equal(sop, np.eye(sop.shape[0]))
-
-
 def _channel_step(sop: np.ndarray, aux: np.ndarray):
     """A uniform (branch-independent) channel on the target factor, as a
     step between two state buffers. The identity is a no-op; a diagonal
     superoperator (all Kraus operators diagonal, as for every phase
     channel) is an elementwise mask held in `aux`; any other uses `aux` as
-    the scratch of its (D^2, k^2) layout."""
-    if _is_identity_sop(sop):
+    the scratch of its transposed layout."""
+    if np.array_equal(sop, np.eye(sop.shape[0])):
         return lambda state, free: (state, free)
     if not np.any(sop - np.diag(np.diagonal(sop))):
         return _mask_step(np.diagonal(sop), aux)
@@ -284,11 +289,11 @@ def _channel_step(sop: np.ndarray, aux: np.ndarray):
 
 
 def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
-    """Multiply entry [i,a,j,b] by diagonal[a*D + b]. The mask is filled
-    once at full state size: a broadcast (1,D,1,D) operand makes the inner
-    loop D long, about five times slower at k = 80, D = 2."""
-    d = mask.shape[1]
-    np.copyto(mask, diagonal.reshape(1, d, 1, d))
+    """Multiply entry [x,i,a,j,b] by diagonal[a*D + b]. The mask is filled
+    once at full state size: a broadcast (1,1,D,1,D) operand makes the
+    inner loop D long, about five times slower at k = 80, D = 2."""
+    d = mask.shape[2]
+    np.copyto(mask, diagonal.reshape(1, 1, d, 1, d))
 
     def step(state, free):
         np.multiply(state, mask, out=free)
@@ -298,28 +303,29 @@ def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
 
 def _superop_step(sop: np.ndarray, scratch: np.ndarray):
     """One (D^2, D^2) x (D^2, k) product per branch row, between two copies
-    with the last two axes swapped. One (D^2, D^2) x (D^2, k^2) product
-    would be threaded by OpenBLAS once D^4 k^2 > 262144 and oversubscribe
+    with the last two axes swapped. One (D^2, D^2) x (D^2, b k^2) product
+    would be threaded by OpenBLAS once D^4 b k^2 > 262144 and oversubscribe
     the CPUs of the forked workers; the per-row products stay under that
     size for every k the state budget admits at D <= 4."""
-    k, d = scratch.shape[0], scratch.shape[1]
-    rows = scratch.reshape(k, d * d, k)
+    b, k, d = scratch.shape[:3]
+    rows = scratch.reshape(b, k, d * d, k)
 
     def step(state, free):
-        np.copyto(rows.reshape(k, d, d, k), state.transpose(0, 1, 3, 2))
+        np.copyto(rows.reshape(b, k, d, d, k), state.transpose(0, 1, 2, 4, 3))
         # The state now lives in `rows`, so its buffer takes the product.
-        np.matmul(sop, rows, out=state.reshape(k, d * d, k))
-        np.copyto(free, state.reshape(k, d, d, k).transpose(0, 1, 3, 2))
+        np.matmul(sop, rows, out=state.reshape(b, k, d * d, k))
+        np.copyto(free, state.reshape(b, k, d, d, k).transpose(0, 1, 2, 4, 3))
         return free, state
     return step
 
 
 def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
-    """Blocked form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho), in place."""
-    k = rho.shape[0]
-    target = np.einsum("iaib->ab", rho)
+    """Blocked form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho) on every
+    state of the batch, in place."""
+    k = rho.shape[1]
+    target = np.einsum("xiaib->xab", rho)
     rho *= q
-    np.einsum("iaib->iab", rho)[...] += (1.0 - q) / k * target
+    np.einsum("xiaib->xiab", rho)[...] += (1.0 - q) / k * target[:, None]
     return rho
 
 
@@ -329,25 +335,12 @@ def _prep_target(dim: int, prep_error: float) -> np.ndarray:
     return rho
 
 
-def _coherent_initial(k: int, target_rho: np.ndarray) -> np.ndarray:
-    """|+><+|_c (x) target_rho in blocked form, C-contiguous."""
+def _coherent_initial(b: int, k: int, target_rho: np.ndarray) -> np.ndarray:
+    """b copies of |+><+|_c (x) target_rho in blocked form, C-contiguous."""
     dim = target_rho.shape[0]
-    rho = np.empty((k, dim, k, dim), dtype=np.complex128)
-    rho[...] = (target_rho / k)[None, :, None, :]
+    rho = np.empty((b, k, dim, k, dim), dtype=np.complex128)
+    rho[...] = (target_rho / k)[None, None, :, None, :]
     return rho
-
-
-def diagonal_block_survival(rho: np.ndarray, target_effect: np.ndarray) -> float:
-    """Average survival of the diagonal control blocks of a blocked state.
-
-    Block (i, i) of a coherent state evolves exactly as a standard-RB run
-    of sequence i, with weight 1/k, so the per-branch survivals
-    k tr(E rho[i,:,i,:]) are the standard survivals of the same sequences;
-    they are range-checked and averaged as standard RB does.
-    """
-    diag = np.einsum("iaib->iab", rho)
-    survivals = rho.shape[0] * np.einsum("ab,iba->i", target_effect, diag).real
-    return float(np.mean(_checked_survivals(survivals)))
 
 
 def _position_sop(noise: NoiseModel,
@@ -364,50 +357,39 @@ def _position_sop(noise: NoiseModel,
     return sop
 
 
-# ---------------------------------------------------------------------------
-# Single protocol executions
-# ---------------------------------------------------------------------------
+def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
+            control_q: float = 1.0,
+            interleaved_gate: np.ndarray | None = None,
+            interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Final blocked states of b independent coherent runs, each over k
+    branches, from a (b, k, m) sequence-index array.
 
-def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
-                      sequences: np.ndarray, *,
-                      control_q: float = 1.0,
-                      interleaved_gate: np.ndarray | None = None,
-                      interleaved_noise: Sequence[np.ndarray] | None = None,
-                      with_standard: bool = False):
-    """One coherent run over an explicit (k, m) sequence-index array.
-
-    Protocol: prepare |+>_c (x) prep(|0>); apply m controlled gates, each
-    followed by the gate channel on the target (and, when interleaving, by
-    the fixed gate and its channel; when control_q < 1, by control
-    depolarization); apply the controlled inverse of each branch; measure
-    the return effect. The inverse gate is followed by the final channel
-    except in the interleaved variant, whose closing gate is noiseless.
-
-    With `with_standard`, returns (fidelity, standard) where `standard` is
-    the standard-RB mean survival of the same k sequences, read from the
-    diagonal control blocks of the final state before its buffers are
-    released; with control_q < 1 those blocks mix and are no such mean.
+    Protocol of each run: prepare |+>_c (x) prep(|0>); apply m controlled
+    gates, each followed by the gate channel on the target (and, when
+    interleaving, by the fixed gate and its channel; when control_q < 1,
+    by control depolarization); apply the controlled inverse of each
+    branch. The inverse gate is followed by the final channel except in
+    the interleaved variant, whose closing gate is noiseless.
     """
-    sequences = np.asarray(sequences)
-    k, m = sequences.shape
+    b, k, m = sequences.shape
     dim = gate_set.dim
     stack = gate_set.stacked()
 
     # The task's whole footprint: three state-sized arrays (see
-    # _check_budget) and a few (k, D, D) ones.
-    state = _coherent_initial(k, _prep_target(dim, noise.prep_error))
+    # _check_budget) and a few (b, k, D, D) ones.
+    state = _coherent_initial(b, k, _prep_target(dim, noise.prep_error))
     free = np.empty_like(state)
     aux = np.empty_like(state)
     position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
     channel = _channel_step(position_sop, aux)
-    gates = np.empty((k, dim, dim), dtype=np.complex128)
+    gates = np.empty((b, k, dim, dim), dtype=np.complex128)
     products = np.broadcast_to(
-        np.eye(dim, dtype=np.complex128), (k, dim, dim)
+        np.eye(dim, dtype=np.complex128), (b, k, dim, dim)
     ).copy()
     spare = np.empty_like(products)
 
     for position in range(m):
-        np.take(stack, sequences[:, position], axis=0, out=gates)
+        np.take(stack, sequences[..., position], axis=0, out=gates)
         state, free = _conjugate_branches(state, free, gates)
         state, free = channel(state, free)
         np.matmul(gates, products, out=spare)
@@ -418,7 +400,7 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
         if control_q < 1.0:
             _apply_control_depolarize(state, control_q)
 
-    np.conjugate(products.transpose(0, 2, 1), out=gates)
+    np.conjugate(products.transpose(0, 1, 3, 2), out=gates)
     state, free = _conjugate_branches(state, free, gates)
     if interleaved_gate is None:
         # The final channel is most often the gate channel: reuse its step
@@ -427,89 +409,92 @@ def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
         if not np.array_equal(final_sop, position_sop):
             channel = _channel_step(final_sop, aux)
         state, free = channel(state, free)
+    return state
 
-    # Return effect (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>: a
-    # detector of efficiency 1 - eps_m, so measurement error rescales the
-    # decay amplitude without adding a constant offset.
-    overlap = float(state[:, 0, :, 0].sum().real) / k
-    fidelity = _clamp_fidelity((1.0 - noise.meas_error) * overlap)
-    if with_standard:
-        return fidelity, diagonal_block_survival(state, _return_effect(noise, dim))
-    return fidelity
+
+# Both readings measure with a detector of efficiency 1 - eps_m, so
+# measurement error rescales the decay amplitude without adding a constant
+# offset.
+
+def _overlap_fidelity(state: np.ndarray, meas_error: float) -> float:
+    """Coherent fidelity of a one-run state: the return effect
+    (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>."""
+    k = state.shape[1]
+    overlap = float(state[0, :, 0, :, 0].sum().real) / k
+    return _clamp_fidelity((1.0 - meas_error) * overlap)
+
+
+def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
+    """Standard-RB survivals k (1 - eps_m) <0|rho_xi|0> of every branch i of
+    every run x, flat, clipped into [0, 1] when all lie within FIDELITY_TOL
+    of it; FidelityRangeError, naming the first value farther out,
+    otherwise.
+
+    Block (i, i) of a coherent run evolves exactly as a standard-RB run of
+    sequence i, with weight 1/k, so with k = 1 these are the survivals of
+    standard RB and with k > 1 those of the k sequences in superposition
+    (unless control depolarization has mixed the blocks).
+    """
+    k = state.shape[1]
+    diagonal = np.einsum("xiaib->xiab", state)[:, :, 0, 0].real
+    survivals = k * ((1.0 - meas_error) * diagonal).ravel()
+    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
+    if not inside.all():
+        raise _out_of_range(survivals[~inside][0])
+    return np.clip(survivals, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Single protocol executions
+# ---------------------------------------------------------------------------
+
+def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
+                      sequences: np.ndarray, *,
+                      control_q: float = 1.0,
+                      interleaved_gate: np.ndarray | None = None,
+                      interleaved_noise: Sequence[np.ndarray] | None = None
+                      ) -> float:
+    """One coherent run over an explicit (k, m) sequence-index array (see
+    `_evolve`), measured with the return effect (1 - eps_m)|psi><psi|,
+    psi = |+>_c (x) |0>."""
+    state = _evolve(gate_set, noise, np.asarray(sequences)[None],
+                    control_q=control_q, interleaved_gate=interleaved_gate,
+                    interleaved_noise=interleaved_noise)
+    return _overlap_fidelity(state, noise.meas_error)
 
 
 def simulate_standard(gate_set: GateSet, noise: NoiseModel,
                       sequences: np.ndarray) -> np.ndarray:
-    """Per-sequence survival fidelities, no control register.
-
-    Noise insertion points match the coherent engine: the gate channel
-    after every sequence gate, the final channel after the inverse.
-    """
-    sequences = np.asarray(sequences)
-    k, m = sequences.shape
-    dim = gate_set.dim
-    stack = gate_set.stacked()
-
-    target = _prep_target(dim, noise.prep_error)
-    rho = np.broadcast_to(target, (k, dim, dim)).copy()
-    branch_products = np.broadcast_to(
-        np.eye(dim, dtype=np.complex128), (k, dim, dim)
-    ).copy()
-    gate_sop = _superop(noise.gate_channel)
-
-    def channel(states, sop):
-        if _is_identity_sop(sop):
-            return states
-        t = states.transpose(1, 2, 0).reshape(dim * dim, k)
-        return (sop @ t).reshape(dim, dim, k).transpose(2, 0, 1)
-
-    for position in range(m):
-        gates = stack[sequences[:, position]]
-        rho = np.matmul(np.matmul(gates, rho), gates.conj().transpose(0, 2, 1))
-        rho = channel(rho, gate_sop)
-        branch_products = np.matmul(gates, branch_products)
-
-    inverses = branch_products.conj().transpose(0, 2, 1)
-    rho = np.matmul(np.matmul(inverses, rho), inverses.conj().transpose(0, 2, 1))
-    rho = channel(rho, _superop(noise.final_channel))
-
-    survivals = np.einsum("ab,iba->i", _return_effect(noise, dim), rho).real
-    return _checked_survivals(survivals)
-
-
-def _return_effect(noise: NoiseModel, dim: int) -> np.ndarray:
-    """(1 - eps_m)|0><0|: a detector of efficiency 1 - eps_m."""
-    return (1.0 - noise.meas_error) * projector(basis_state(dim))
+    """Per-sequence survival fidelities of a (k, m) sequence-index array,
+    evolved as k one-branch coherent runs: with a one-level control
+    register, coherent RB is standard RB. Noise insertion points are those
+    of the coherent runs."""
+    state = _evolve(gate_set, noise, np.asarray(sequences)[:, None, :])
+    return _branch_survivals(state, noise.meas_error)
 
 
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
 
-def _check_budget(joint_dim: int) -> None:
+def _check_budget(joint_dim: int, batch: int = 1) -> None:
     """Refuse, before allocating, a task whose three state-sized complex128
-    arrays would exceed STATE_BUDGET_BYTES."""
-    needed = 3 * 16 * joint_dim ** 2
+    arrays, `batch` states of joint dimension k * D each, would exceed
+    STATE_BUDGET_BYTES."""
+    needed = 3 * 16 * batch * joint_dim ** 2
     if needed > STATE_BUDGET_BYTES:
+        what, shape = f"joint dimension k * D = {joint_dim}", f"{joint_dim}x{joint_dim}"
+        if batch > 1:
+            what = f"a batch of {batch} states of {what}"
+            shape = f"{batch}x{shape}"
         raise DimensionError(
-            f"joint dimension k * D = {joint_dim} needs {needed} bytes per task "
-            f"(three {joint_dim}x{joint_dim} complex128 arrays); the budget is "
-            f"{STATE_BUDGET_BYTES} bytes")
+            f"{what} needs {needed} bytes per task (three {shape} complex128 "
+            f"arrays); the budget is {STATE_BUDGET_BYTES} bytes")
 
 
 def _out_of_range(value) -> FidelityRangeError:
     return FidelityRangeError(f"fidelity {float(value)!r} lies outside [0, 1] "
                               f"by more than {FIDELITY_TOL}")
-
-
-def _checked_survivals(survivals: np.ndarray) -> np.ndarray:
-    """Per-sequence survivals clipped into [0, 1] when all lie within
-    FIDELITY_TOL of it; FidelityRangeError, naming the first value farther
-    out, otherwise."""
-    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
-    if not inside.all():
-        raise _out_of_range(survivals[~inside][0])
-    return np.clip(survivals, 0.0, 1.0)
 
 
 def _clamp_fidelity(value) -> float:
@@ -533,8 +518,16 @@ def _sampled_run(cfg: RbRunConfig, estimate,
     maps one (k, m) draw of sequence indices to one expected fidelity per
     mode in `modes` (default: cfg.mode alone), and the records come back
     as one list per mode. Each mode draws its shots from a fresh tag-1
-    stream, so its records equal those of a run of that mode alone."""
+    stream, so its records equal those of a run of that mode alone.
+
+    Every task evolves one kernel state: k one-branch runs in mode
+    "standard", one k-branch run otherwise. Its size is checked against
+    the budget before any task starts."""
     modes = (cfg.mode,) if modes is None else modes
+    if cfg.mode == "standard":
+        _check_budget(cfg.gate_set.dim, cfg.k)
+    else:
+        _check_budget(cfg.k * cfg.gate_set.dim)
 
     def one(task):
         m, rep = task
@@ -554,8 +547,7 @@ def _sampled_run(cfg: RbRunConfig, estimate,
 
 
 def _coherent_estimate(cfg: RbRunConfig, **kwargs):
-    """Estimator of the sampled coherent modes, after the dimension check."""
-    _check_budget(cfg.k * cfg.gate_set.dim)
+    """Estimator of the sampled coherent modes."""
     return lambda sequences: (simulate_coherent(cfg.gate_set, cfg.noise,
                                                 sequences, **kwargs),)
 
@@ -609,21 +601,23 @@ def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
 
 def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord]]:
     """Coherent RB and standard RB over the same draws, from one coherent
-    pass: the standard record of each draw is read from the diagonal
-    control blocks of its final coherent state (`diagonal_block_survival`).
+    pass: the standard record of each draw averages the survivals of the
+    diagonal control blocks of its final coherent state (`_branch_survivals`).
 
     The coherent records equal `run_coherent_rb(cfg)`; the standard ones
     equal `run_standard_rb` in mode "standard" up to rounding, since that
     run draws the same sequences from the same child streams. Standard RB
-    alone stays on `simulate_standard`, which costs k, not k^2, per
+    alone evolves k one-branch states, which costs k, not k^2, per
     position.
     """
     _expect_mode(cfg, "coherent")
-    _check_budget(cfg.k * cfg.gate_set.dim)
-    coherent, standard = _sampled_run(
-        cfg, lambda sequences: simulate_coherent(cfg.gate_set, cfg.noise, sequences,
-                                                 with_standard=True),
-        ("coherent", "standard"))
+
+    def both(sequences):
+        state = _evolve(cfg.gate_set, cfg.noise, sequences[None])
+        return (_overlap_fidelity(state, cfg.noise.meas_error),
+                float(np.mean(_branch_survivals(state, cfg.noise.meas_error))))
+
+    coherent, standard = _sampled_run(cfg, both, ("coherent", "standard"))
     return {"coherent": coherent, "standard": standard}
 
 

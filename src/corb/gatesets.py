@@ -100,22 +100,22 @@ def _first_moment(stack: np.ndarray) -> np.ndarray:
     return _realign(flat.conj().T @ flat / n)
 
 
-def check_condition(gate_set: GateSet, tolerance: float | None = None,
-                    cap: int = DEFAULT_LABEL_CAP) -> ConditionReport:
+def check_condition(gate_set: GateSet, tolerance: float | None = None
+                    ) -> ConditionReport:
     """Verify sum_i U_i† P_j U_i = |G| I (j = o) / 0 (j != o) over all labels.
 
     With A = E_u[conj(u) (x) u] the first moment of the set, row-major,
     the twirl of P is |G| vec(P) A, so one (L, D^2) x (D^2, D^2) product
     gives the twirls of all L = D^2 labels as rows. A label's residual is
     the max-norm of its twirl minus the target. A and the twirl rows take
-    16 D^4 bytes each. The label cap (`cap`, and DEFAULT_LABEL_CAP = 4096
-    inside `pauli_basis`) refuses D > 64 before either is allocated, so
-    each stays within 268 MB. A passing set's residuals are all rounding
-    noise, so its reported worst label carries no meaning.
+    16 D^4 bytes each. The label cap DEFAULT_LABEL_CAP = 4096 refuses
+    D > 64 before either is allocated, so each stays within 268 MB. A
+    passing set's residuals are all rounding noise, so its reported worst
+    label carries no meaning.
     """
     if tolerance is None:
         tolerance = TOL.channel * len(gate_set)
-    labels = enumerate_paulis(gate_set.d, gate_set.n, cap=cap)
+    labels = enumerate_paulis(gate_set.d, gate_set.n)
     dim = gate_set.dim
     basis = pauli_basis(gate_set.d, gate_set.n).reshape(len(labels), dim * dim)
     twirls = basis @ _first_moment(gate_set.stacked())
@@ -378,14 +378,17 @@ def parse_set_spec(spec: str,
 def set_spec_dims(spec: str) -> tuple[int, int]:
     """(d, n) of a set spec without constructing the whole family."""
     family, body, kv = _split_set_spec(spec)
-    if family in ("pauli", "clifford", "dressed"):
-        return int(kv["d"]), int(kv["n"])
-    if family == "controlled":
-        return _controlled_dims(int(kv["d"]))
-    if family == "two-control":
-        return 2, 3
-    if family == "ms":
-        return 2, int(kv["n"])
-    if family == "custom":
-        return read_matrices(body.strip())[0].shape[0], 1
+    try:
+        if family in ("pauli", "clifford", "dressed"):
+            return int(kv["d"]), int(kv["n"])
+        if family == "controlled":
+            return _controlled_dims(int(kv["d"]))
+        if family == "two-control":
+            return 2, 3
+        if family == "ms":
+            return 2, int(kv["n"])
+        if family == "custom":
+            return read_matrices(body.strip())[0].shape[0], 1
+    except KeyError as exc:
+        raise ValueError(f"set spec {spec!r} is missing key {exc}") from exc
     raise ValueError(f"unknown gate-set family {family!r}")

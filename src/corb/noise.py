@@ -141,12 +141,15 @@ def parse_channel_spec(spec: str, dim: int) -> list[np.ndarray]:
     kv = {} if name == "kraus" else parse_kv(body)
     if name == "identity":
         return identity_kraus(dim)
-    if name == "dephasing":
-        return dephasing_kraus(float(kv["p"]), dim)
-    if name == "depolarizing":
-        return depolarizing_kraus(float(kv["p"]), dim, 1)
-    if name == "infidelity-dephasing":
-        return infidelity_to_dephasing(float(kv["r"]), dim)
+    try:
+        if name == "dephasing":
+            return dephasing_kraus(float(kv["p"]), dim)
+        if name == "depolarizing":
+            return depolarizing_kraus(float(kv["p"]), dim, 1)
+        if name == "infidelity-dephasing":
+            return infidelity_to_dephasing(float(kv["r"]), dim)
+    except KeyError as exc:
+        raise ValueError(f"channel spec {spec!r} is missing key {exc}") from exc
     if name == "kraus":
         return check_kraus(read_matrices(body.strip()))
     raise ValueError(f"unknown channel spec {spec!r}")

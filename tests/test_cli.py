@@ -292,6 +292,25 @@ class TestRunCommand:
         assert "needs 1728000000 bytes" in err and "805306368 bytes" in err
         assert not os.path.exists(out)
 
+    def test_missing_channel_key_exit_one(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "dephasing",
+                     "--out", out])
+        assert code == 1
+        assert "channel spec 'dephasing' is missing key 'p'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_standard_byte_budget_exit_two(self, tmp_path, capsys, monkeypatch):
+        """Standard RB is refused past the budget like the coherent modes."""
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", 48 * 3 * 2 ** 2 - 1)
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--mode", "standard", "--k", "3", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "needs 576 bytes" in err and "the budget is 575 bytes" in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
     def test_bad_worker_count_exit_one(self, value, tmp_path, capsys, monkeypatch):
         """A CORB_THREADS that is not an integer >= 1 is a usage error
@@ -385,6 +404,17 @@ class TestFitCommand:
         assert main(["fit", out]) == 2
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["converged"] is False
+
+    def test_missing_set_spec_key_exit_one(self, tmp_path, capsys):
+        """A records file whose embedded set spec lacks a key is a usage
+        error that names the spec and the key."""
+        path = str(tmp_path / "r.csv")
+        records = [FidelityRecord("coherent-full", m, 0, 0.99 ** m, 4, f"{m}/full")
+                   for m in (1, 2, 3)]
+        write_records_csv(path, records, {"set_spec": "pauli:d=2"})
+        assert main(["fit", path]) == 1
+        err = capsys.readouterr().err
+        assert "set spec 'pauli:d=2' is missing key 'n'" in err
 
     def test_missing_file_exit_one(self, capsys):
         assert main(["fit", "/nonexistent/records.csv"]) == 1

@@ -20,13 +20,16 @@ from corb.engine import (
     DimensionError,
     FidelityRangeError,
     RbRunConfig,
+    _apply_control_depolarize,
+    _branch_survivals,
     _check_budget,
+    _evolve,
     _mask_step,
+    _overlap_fidelity,
     _prep_target,
     _superop,
     _superop_step,
     child_rng,
-    diagonal_block_survival,
     run,
     run_coherent_and_standard,
     run_coherent_full,
@@ -46,7 +49,6 @@ from corb.gatesets import (
     build_ms_dressed_set,
     build_pauli_set,
 )
-from corb.linalg import basis_state, projector
 from corb.noise import (
     NoiseModel,
     chi00_of,
@@ -337,12 +339,19 @@ class TestDenseOracle:
         got = simulate_coherent(gate_set, noise, sequences, **kwargs)
         want = dense_coherent(gate_set, noise, sequences, **kwargs)
         assert abs(got - want) <= 1e-12
+        if not kwargs:
+            # Standard RB: each row is a one-branch coherent run.
+            survivals = simulate_standard(gate_set, noise, sequences)
+            assert survivals.shape == (k,)
+            for i, survival in enumerate(survivals):
+                want = dense_coherent(gate_set, noise, sequences[i:i + 1])
+                assert abs(survival - want) <= 1e-12
 
     def test_mask_and_superop_paths_agree_on_a_phase_channel(self):
         rng = np.random.default_rng(66)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
-        state = np.outer(vec, vec.conj()).reshape(k, d, k, d)
+        state = np.outer(vec, vec.conj()).reshape(1, k, d, k, d)
         sop = _superop(random_phase_channel(d, 3, rng))
         assert not np.any(sop - np.diag(np.diagonal(sop)))
         masked, _ = _mask_step(np.diagonal(sop), np.empty_like(state))(
@@ -422,9 +431,11 @@ class TestSampledMeans:
         f_std = self._interleaved_moment_survival(True, (1, 2))
         f_full = self._interleaved_moment_survival(False, (1, 2))
         for m, std, full in zip((1, 2), f_std, f_full):
-            fidelity, diagonal = enumerated_full(
-                CLIFFORD_2, self.NOISE, m, interleaved_gate=H,
-                interleaved_noise=self.GATE_NOISE, with_standard=True)
+            state = _evolve(CLIFFORD_2, self.NOISE,
+                            all_sequences(len(CLIFFORD_2), m)[None],
+                            interleaved_gate=H, interleaved_noise=self.GATE_NOISE)
+            fidelity = _overlap_fidelity(state, self.NOISE.meas_error)
+            diagonal = np.mean(_branch_survivals(state, self.NOISE.meas_error))
             assert abs(full - fidelity) <= 1e-12
             assert abs(std - diagonal) <= 1e-12
             assert abs(std - full) > 1e-3
@@ -453,6 +464,12 @@ class TestSampledMeans:
             assert abs(full - mean) > 8 * sigma, m
 
 
+def diagonal_block_mean(gate_set, noise, sequences):
+    """Mean survival of the diagonal control blocks of one coherent run."""
+    state = _evolve(gate_set, noise, sequences[None])
+    return np.mean(_branch_survivals(state, noise.meas_error))
+
+
 class TestStandardCoherentIdentity:
     def test_diagonal_blocks_reproduce_classical_average(self):
         """Coherent diagonal control blocks == standard average, same list."""
@@ -460,15 +477,14 @@ class TestStandardCoherentIdentity:
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.03, 2)))
         for gate_set in (PAULI_2, CLIFFORD_2):
             sequences = rng.integers(0, len(gate_set), size=(8, 3))
-            _, diag = simulate_coherent(gate_set, noise, sequences,
-                                        with_standard=True)
+            diag = diagonal_block_mean(gate_set, noise, sequences)
             survivals = simulate_standard(gate_set, noise, sequences)
             assert abs(np.mean(survivals) - diag) <= 1e-10
 
     def test_all_sequences_at_m_two(self):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
         sequences = all_sequences(len(PAULI_2), 2)
-        _, diag = simulate_coherent(PAULI_2, noise, sequences, with_standard=True)
+        diag = diagonal_block_mean(PAULI_2, noise, sequences)
         survivals = simulate_standard(PAULI_2, noise, sequences)
         assert abs(np.mean(survivals) - diag) <= 1e-10
 
@@ -508,16 +524,15 @@ class TestCoherentAndStandard:
         """Per-branch survivals are clipped within rounding of [0, 1] and
         raise FidelityRangeError farther out, as in standard RB."""
         k = 4
-        effect = projector(basis_state(2))
         for excess, outcome in ((1e-13, 1.0), (1e-6, None)):
-            rho = np.zeros((k, 2, k, 2), dtype=complex)
+            rho = np.zeros((1, k, 2, k, 2), dtype=complex)
             for i in range(k):
-                rho[i, 0, i, 0] = (1.0 + (excess if i == 2 else 0.0)) / k
+                rho[0, i, 0, i, 0] = (1.0 + (excess if i == 2 else 0.0)) / k
             if outcome is None:
                 with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
-                    diagonal_block_survival(rho, effect)
+                    _branch_survivals(rho, 0.0)
             else:
-                assert diagonal_block_survival(rho, effect) == outcome
+                assert np.mean(_branch_survivals(rho, 0.0)) == outcome
 
 
 class TestInterleaved:
@@ -781,6 +796,21 @@ class TestConfigValidation:
         with pytest.raises(DimensionError):
             _check_budget(4097)
 
+    def test_standard_rb_is_held_to_the_byte_budget(self, monkeypatch):
+        """Standard RB evolves k one-branch states: three (k, D, D)
+        complex128 arrays, 48 k D^2 bytes per task, checked like the
+        coherent modes' before anything is allocated."""
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
+                          mode="standard")
+        needed = 48 * 5 * 2 ** 2
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
+        with pytest.raises(DimensionError,
+                           match=rf"batch of 5 states.* needs {needed} bytes"):
+            run_standard_rb(cfg)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
+        for record in run_standard_rb(cfg):
+            assert abs(record.fidelity - 1.0) <= 1e-12
+
     def test_full_mode_is_not_capped(self):
         """k * D = 4^7 * 2 is far past the sampled modes' byte budget; the exact
         evaluator never builds that state."""
@@ -841,14 +871,13 @@ class TestFidelityRange:
 class TestBlockedPrimitives:
     def test_blocked_control_depolarize_matches_flat(self):
         """Engine fast path agrees with the flat-matrix channel."""
-        from corb.engine import _apply_control_depolarize
         from helpers import control_depolarize
         rng = np.random.default_rng(77)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
-        blocked = _apply_control_depolarize(rho.reshape(k, d, k, d).copy(), 0.7)
+        blocked = _apply_control_depolarize(rho.reshape(1, k, d, k, d).copy(), 0.7)
         flat = control_depolarize(rho, 0.7, k)
         np.testing.assert_allclose(blocked.reshape(k * d, k * d), flat,
                                    atol=1e-13)

@@ -16,6 +16,7 @@ from corb.gatesets import (
     check_condition,
     ms_gate,
     parse_set_spec,
+    set_spec_dims,
 )
 from corb.linalg import unitarity_defect
 from corb.paulis import PauliLabel, pauli_matrix
@@ -154,6 +155,12 @@ class TestConditionChecker:
         report = check_condition(build_pauli_set(2, 1))
         assert report.tolerance == pytest.approx(4e-8)
 
+    def test_label_cap_refuses_large_targets(self):
+        """D = 128 has 16384 Pauli labels, past the fixed cap of 4096."""
+        gate_set = build_custom_set([np.eye(128)], 2, 7)
+        with pytest.raises(ValueError, match="16384 labels exceed the cap of 4096"):
+            check_condition(gate_set)
+
     def test_random_singletons_fail(self):
         """Haar singletons cannot annihilate the traceless basis."""
         rng = np.random.default_rng(32)
@@ -275,6 +282,15 @@ class TestSetSpecs:
     def test_missing_key(self):
         with pytest.raises(ValueError):
             parse_set_spec("pauli:d=2")
+
+    @pytest.mark.parametrize("spec,key", [
+        ("pauli:d=2", "n"), ("clifford:n=1", "d"), ("dressed:d=2", "n"),
+        ("controlled:", "d"), ("ms:theta=0.7", "n"),
+    ])
+    def test_dims_missing_key_names_spec_and_key(self, spec, key):
+        with pytest.raises(ValueError,
+                           match=rf"set spec '{spec}' is missing key '{key}'"):
+            set_spec_dims(spec)
 
 
 class TestGateSetInvariants:

@@ -263,6 +263,15 @@ class TestChannelSpecs:
         with pytest.raises(ValueError):
             parse_channel_spec("thermal:t=1", 2)
 
+    @pytest.mark.parametrize("spec,key", [
+        ("dephasing", "p"), ("depolarizing:q=0.1", "p"),
+        ("infidelity-dephasing:p=0.1", "r"),
+    ])
+    def test_missing_key_names_spec_and_key(self, spec, key):
+        with pytest.raises(ValueError,
+                           match=rf"channel spec '{spec}' is missing key '{key}'"):
+            parse_channel_spec(spec, 2)
+
 
 class TestRandomChannels:
     def test_random_channel_is_trace_preserving(self):
