@@ -6,8 +6,10 @@ per-run fidelity records and plot series; JSON carries fits and verdicts.
 The sampled engine modes run their (length, repetition) tasks in forked
 worker processes, one per usable CPU unless the CORB_THREADS environment
 variable (an integer >= 1) sets their number; each busy worker holds
-48 (kD)^2 bytes, and the records do not depend on the worker count. Any
-other CORB_THREADS value is a usage error.
+about 32 (kD)^2 bytes (three half-stored (k, D, k // 2 + 1, D) complex128
+arrays and two int64 gather indices of the same shape), and the records
+do not depend on the worker count. Any other CORB_THREADS value is a usage
+error.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
 (condition violated, fit divergence, engine error).

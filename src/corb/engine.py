@@ -9,9 +9,11 @@ gate in all branches), and the full |G|^m superposition. `run` dispatches
 through one mode table.
 
 Every sampled mode runs on one kernel, `_evolve`, which evolves a batch of
-b independent coherent states in blocked form (b, k, D, k, D), so a
-controlled gate is a per-branch-pair contraction rather than a full
-(kD)^2 matrix product. The coherent modes evolve one k-branch state
+b independent coherent states in blocked form, so a controlled gate is a
+per-branch-pair contraction rather than a full (kD)^2 matrix product.
+Block (j, i) of a Hermitian state is the adjoint of block (i, j), so each
+state is stored in half, as (b, k, D, w, D) with w = k // 2 + 1 (see the
+kernel section below). The coherent modes evolve one k-branch state
 (b = 1). A coherent run with a one-level control register is standard
 RB, so standard RB evolves its k sequences as k one-branch states
 (b = k, one branch each). The diagonal control blocks of a coherent state
@@ -21,22 +23,24 @@ yields the standard record over the same draw
 `_branch_survivals`.
 
 The kernel updates the state in place. Because the state is Hermitian,
-U rho U^dag = U (U rho)^dag: two batched matmuls around one conjugated
-transposed copy per position. A position channel whose superoperator is
-diagonal (every Kraus operator diagonal, as for all phase channels) is one
-elementwise multiply by a state-sized mask built once per task (and
-reused by an equal final channel); any other channel is one
-(D^2, D^2) x (D^2, k) product per branch row between two transposed
-copies; the identity channel is skipped. Each (length, repetition) task
-owns exactly three state-sized complex128 arrays (the state, a work
-buffer, and the mask or transpose scratch), 48 b (kD)^2 bytes, and
-allocates nothing state-sized per position; tasks needing more than
-STATE_BUDGET_BYTES are refused before allocating.
+U rho U^dag = U (U rho)^dag: per position, two batched matmuls by the row
+gates around one gather, which re-packs U rho into the other half layout
+with its blocks transposed, and an in-place conjugation. A position
+channel whose superoperator is diagonal (every Kraus operator diagonal, as
+for all phase channels) is one elementwise multiply by a state-sized mask
+built once per task (and reused by an equal final channel); any other
+channel is one (D^2, D^2) x (D^2, w) product per branch row between two
+transposed copies; the identity channel is skipped. Each (length,
+repetition) task owns exactly three state-sized complex128 arrays (the
+state, a work buffer, and the mask or transpose scratch) and uses two
+(k, D, w, D) intp gather indices, 48 b k w D^2 + 16 k w D^2 bytes on a
+64-bit platform, and allocates nothing state-sized per position; tasks
+needing more than STATE_BUDGET_BYTES are refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
 integer >= 1) sets their number. Each busy worker holds one task's
-48 b (kD)^2 bytes. Small runs (POOL_MIN_SIZE), single workers, platforms
+arrays and indices. Small runs (POOL_MIN_SIZE), single workers, platforms
 without fork and processes running other threads stay serial. Records do
 not depend on the worker count.
 
@@ -66,6 +70,7 @@ Conventions:
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -77,9 +82,10 @@ from .gatesets import GateSet, _first_moment, _realign
 from .linalg import assert_unitary, basis_state, projector
 from .noise import NoiseModel
 
-# Bytes one sampled task may hold: its kernel keeps three b (kD)^2
-# complex128 arrays, so this admits b (kD)^2 <= 4096^2. The full
-# superposition never builds its state and is not capped.
+# Bytes one sampled task may hold (see _check_budget): 48 b k w D^2 +
+# 16 k w D^2 with w = k // 2 + 1, so k * D up to about 5000 for one state
+# (k = 2507 at D = 2). The full superposition never builds its state and is
+# not capped.
 STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
 
 # Rounding leaves an exact fidelity within this distance outside [0, 1];
@@ -246,25 +252,57 @@ def _map_tasks(fn, tasks, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Blocked-state kernel (state shape (b, k, D, k, D), C-contiguous: b
-# independent k-branch states)
+# Half-stored kernel (state shape (b, k, D, w, D) with w = k // 2 + 1,
+# C-contiguous: b independent k-branch states)
+#
+# Block (j, i) of a Hermitian state is the adjoint of block (i, j), so row i
+# keeps w of its k blocks. In the forward layout slot s of row i holds block
+# (i, (i + s) mod k), in the backward layout block (i, (i - s) mod k). Slot 0
+# holds the diagonal block in both; for even k, slot k/2 of rows i and
+# i + k/2 holds the two adjoint copies of one pair. Every conjugation flips
+# the layout. The channel steps and control depolarization preserve
+# Hermiticity, so they act on the stored blocks of either layout alike.
 #
 # Every step maps (state, free) -> (state, free) between two buffers that
 # the calling task owns, so nothing state-sized is allocated per position.
 # ---------------------------------------------------------------------------
 
-def _conjugate_branches(state: np.ndarray, free: np.ndarray,
-                        gates: np.ndarray):
-    """state[x,i,:,j,:] -> U_xi state[x,i,:,j,:] U_xj^dag for Hermitian states.
+@functools.lru_cache(maxsize=2)
+def _repack_indices(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices (into forward, into backward), each of shape
+    (k, D, w, D), into a flattened state held in the other layout: entry
+    [i, a, s, c] of the gathered state is entry [r, c, s, a] of the input,
+    with r = (i + s) mod k into the forward layout and r = (i - s) mod k
+    into the backward one. Either way slot s of input row r holds block
+    (r, i), so slot s of row i receives its transpose, and block (i, r) is
+    its adjoint. They depend only on (k, D); the last two are kept."""
+    w = k // 2 + 1
+    i, a, s, c = np.ix_(range(k), range(d), range(w), range(d))
+    indices = tuple(((rows % k * d + c) * w + s) * d + a for rows in (i + s, i - s))
+    for index in indices:
+        index.setflags(write=False)
+    return indices
 
-    U rho U^dag = U (U rho)^dag: two batched matmuls around one conjugated
-    transposed copy, the only transpose of the step.
+
+def _conjugate_branches(state: np.ndarray, free: np.ndarray,
+                        gates: np.ndarray, repack: np.ndarray):
+    """Block (i, j) -> U_xi block U_xj^dag on every stored block of
+    Hermitian states, re-packed by `repack` (one of `_repack_indices`) into
+    the other layout.
+
+    U rho U^dag = U (U rho)^dag, and block (i, j) of (U rho)^dag is the
+    adjoint of block (j, i) of U rho, stored in row j of the current layout
+    whenever the other layout stores block (i, j) in row i: two batched
+    matmuls by the row gates around one gather and an in-place
+    conjugation.
     """
-    b, k, d = state.shape[:3]
-    rows, free_rows = state.reshape(b, k, d, k * d), free.reshape(b, k, d, k * d)
-    np.matmul(gates, rows, out=free_rows)                       # U rho
-    np.conjugate(free.transpose(0, 3, 4, 1, 2), out=state)      # rho U^dag
-    np.matmul(gates, rows, out=free_rows)                       # U rho U^dag
+    b, k, d, w = state.shape[:4]
+    rows, free_rows = state.reshape(b, k, d, w * d), free.reshape(b, k, d, w * d)
+    np.matmul(gates, rows, out=free_rows)                               # U rho
+    # mode="clip" writes straight into `state`; "raise" would buffer.
+    np.take(free.reshape(b, -1), repack, axis=1, out=state, mode="clip")
+    np.conjugate(state, out=state)                                      # rho U^dag
+    np.matmul(gates, rows, out=free_rows)                               # U rho U^dag
     return free, state
 
 
@@ -289,7 +327,7 @@ def _channel_step(sop: np.ndarray, aux: np.ndarray):
 
 
 def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
-    """Multiply entry [x,i,a,j,b] by diagonal[a*D + b]. The mask is filled
+    """Multiply entry [x,i,a,s,b] by diagonal[a*D + b]. The mask is filled
     once at full state size: a broadcast (1,1,D,1,D) operand makes the
     inner loop D long, about five times slower at k = 80, D = 2."""
     d = mask.shape[2]
@@ -302,30 +340,31 @@ def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
 
 
 def _superop_step(sop: np.ndarray, scratch: np.ndarray):
-    """One (D^2, D^2) x (D^2, k) product per branch row, between two copies
-    with the last two axes swapped. One (D^2, D^2) x (D^2, b k^2) product
-    would be threaded by OpenBLAS once D^4 b k^2 > 262144 and oversubscribe
+    """One (D^2, D^2) x (D^2, w) product per branch row, between two copies
+    with the last two axes swapped. One (D^2, D^2) x (D^2, b k w) product
+    would be threaded by OpenBLAS once D^4 b k w > 262144 and oversubscribe
     the CPUs of the forked workers; the per-row products stay under that
     size for every k the state budget admits at D <= 4."""
-    b, k, d = scratch.shape[:3]
-    rows = scratch.reshape(b, k, d * d, k)
+    b, k, d, w = scratch.shape[:4]
+    rows = scratch.reshape(b, k, d * d, w)
 
     def step(state, free):
-        np.copyto(rows.reshape(b, k, d, d, k), state.transpose(0, 1, 2, 4, 3))
+        np.copyto(rows.reshape(b, k, d, d, w), state.transpose(0, 1, 2, 4, 3))
         # The state now lives in `rows`, so its buffer takes the product.
-        np.matmul(sop, rows, out=state.reshape(b, k, d * d, k))
-        np.copyto(free, state.reshape(b, k, d, d, k).transpose(0, 1, 2, 4, 3))
+        np.matmul(sop, rows, out=state.reshape(b, k, d * d, w))
+        np.copyto(free, state.reshape(b, k, d, d, w).transpose(0, 1, 2, 4, 3))
         return free, state
     return step
 
 
 def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
-    """Blocked form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho) on every
-    state of the batch, in place."""
+    """Half-stored form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho) on every
+    state of the batch, in place: the diagonal blocks are slot 0."""
     k = rho.shape[1]
-    target = np.einsum("xiaib->xab", rho)
+    diagonal = rho[:, :, :, 0, :]
+    target = np.einsum("xiab->xab", diagonal)
     rho *= q
-    np.einsum("xiaib->xiab", rho)[...] += (1.0 - q) / k * target[:, None]
+    diagonal += (1.0 - q) / k * target[:, None]
     return rho
 
 
@@ -336,9 +375,10 @@ def _prep_target(dim: int, prep_error: float) -> np.ndarray:
 
 
 def _coherent_initial(b: int, k: int, target_rho: np.ndarray) -> np.ndarray:
-    """b copies of |+><+|_c (x) target_rho in blocked form, C-contiguous."""
+    """b copies of |+><+|_c (x) target_rho, half-stored and C-contiguous.
+    Its blocks are all equal, so it is in both layouts."""
     dim = target_rho.shape[0]
-    rho = np.empty((b, k, dim, k, dim), dtype=np.complex128)
+    rho = np.empty((b, k, dim, k // 2 + 1, dim), dtype=np.complex128)
     rho[...] = (target_rho / k)[None, None, :, None, :]
     return rho
 
@@ -361,8 +401,9 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
             control_q: float = 1.0,
             interleaved_gate: np.ndarray | None = None,
             interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Final blocked states of b independent coherent runs, each over k
-    branches, from a (b, k, m) sequence-index array.
+    """Final half-stored states, in the forward layout, of b independent
+    coherent runs, each over k branches, from a (b, k, m) sequence-index
+    array.
 
     Protocol of each run: prepare |+>_c (x) prep(|0>); apply m controlled
     gates, each followed by the gate channel on the target (and, when
@@ -375,11 +416,12 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
     dim = gate_set.dim
     stack = gate_set.stacked()
 
-    # The task's whole footprint: three state-sized arrays (see
-    # _check_budget) and a few (b, k, D, D) ones.
+    # The task's whole footprint: three state-sized arrays and the gather
+    # indices (see _check_budget), and a few (b, k, D, D) arrays.
     state = _coherent_initial(b, k, _prep_target(dim, noise.prep_error))
     free = np.empty_like(state)
     aux = np.empty_like(state)
+    into_forward, into_backward = _repack_indices(k, dim)
     position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
     channel = _channel_step(position_sop, aux)
     gates = np.empty((b, k, dim, dim), dtype=np.complex128)
@@ -390,7 +432,10 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
 
     for position in range(m):
         np.take(stack, sequences[..., position], axis=0, out=gates)
-        state, free = _conjugate_branches(state, free, gates)
+        # The layout flips at each of the m + 1 conjugations. The initial
+        # state is in both, so choosing by the parity left ends in forward.
+        repack = into_forward if (m - position) % 2 == 0 else into_backward
+        state, free = _conjugate_branches(state, free, gates, repack)
         state, free = channel(state, free)
         np.matmul(gates, products, out=spare)
         if interleaved_gate is None:
@@ -401,7 +446,7 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
             _apply_control_depolarize(state, control_q)
 
     np.conjugate(products.transpose(0, 1, 3, 2), out=gates)
-    state, free = _conjugate_branches(state, free, gates)
+    state, free = _conjugate_branches(state, free, gates, into_forward)
     if interleaved_gate is None:
         # The final channel is most often the gate channel: reuse its step
         # (and mask) rather than filling `aux` again.
@@ -418,9 +463,19 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
 
 def _overlap_fidelity(state: np.ndarray, meas_error: float) -> float:
     """Coherent fidelity of a one-run state: the return effect
-    (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>."""
-    k = state.shape[1]
-    overlap = float(state[0, :, 0, :, 0].sum().real) / k
+    (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>.
+
+    The overlap sums <0|block|0> over all k^2 blocks. It is real, and each
+    stored off-diagonal block stands for itself and its adjoint, so slot 0
+    counts once and every other slot twice, except slot k/2 for even k,
+    which is stored twice.
+    """
+    k, w = state.shape[1], state.shape[3]
+    weights = np.full(w, 2.0)
+    weights[0] = 1.0
+    if k % 2 == 0:
+        weights[-1] = 1.0
+    overlap = float(state[0, :, 0, :, 0].real.sum(axis=0) @ weights) / k
     return _clamp_fidelity((1.0 - meas_error) * overlap)
 
 
@@ -430,13 +485,13 @@ def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
     of it; FidelityRangeError, naming the first value farther out,
     otherwise.
 
-    Block (i, i) of a coherent run evolves exactly as a standard-RB run of
-    sequence i, with weight 1/k, so with k = 1 these are the survivals of
-    standard RB and with k > 1 those of the k sequences in superposition
-    (unless control depolarization has mixed the blocks).
+    Block (i, i) of a coherent run, slot 0 of row i, evolves exactly as a
+    standard-RB run of sequence i, with weight 1/k, so with k = 1 these are
+    the survivals of standard RB and with k > 1 those of the k sequences in
+    superposition (unless control depolarization has mixed the blocks).
     """
     k = state.shape[1]
-    diagonal = np.einsum("xiaib->xiab", state)[:, :, 0, 0].real
+    diagonal = state[:, :, 0, 0, 0].real
     survivals = k * ((1.0 - meas_error) * diagonal).ravel()
     inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
     if not inside.all():
@@ -477,19 +532,23 @@ def simulate_standard(gate_set: GateSet, noise: NoiseModel,
 # Engines
 # ---------------------------------------------------------------------------
 
-def _check_budget(joint_dim: int, batch: int = 1) -> None:
-    """Refuse, before allocating, a task whose three state-sized complex128
-    arrays, `batch` states of joint dimension k * D each, would exceed
-    STATE_BUDGET_BYTES."""
-    needed = 3 * 16 * batch * joint_dim ** 2
+def _check_budget(k: int, dim: int, batch: int = 1) -> None:
+    """Refuse, before allocating, a task of `batch` states of k branches on
+    a D-dimensional target whose footprint would exceed STATE_BUDGET_BYTES:
+    three (batch, k, D, w, D) complex128 arrays and the two (k, D, w, D)
+    gather indices of `_repack_indices`."""
+    shape = (k, dim, k // 2 + 1, dim)
+    blocks = k * dim * (k // 2 + 1) * dim
+    needed = 3 * 16 * batch * blocks + 2 * np.dtype(np.intp).itemsize * blocks
     if needed > STATE_BUDGET_BYTES:
-        what, shape = f"joint dimension k * D = {joint_dim}", f"{joint_dim}x{joint_dim}"
+        what = f"joint dimension k * D = {k * dim}"
         if batch > 1:
             what = f"a batch of {batch} states of {what}"
-            shape = f"{batch}x{shape}"
+        shape = "x".join(map(str, shape))
         raise DimensionError(
-            f"{what} needs {needed} bytes per task (three {shape} complex128 "
-            f"arrays); the budget is {STATE_BUDGET_BYTES} bytes")
+            f"{what} needs {needed} bytes per task (three {batch}x{shape} "
+            f"complex128 arrays and two {shape} gather indices); the budget "
+            f"is {STATE_BUDGET_BYTES} bytes")
 
 
 def _out_of_range(value) -> FidelityRangeError:
@@ -525,9 +584,9 @@ def _sampled_run(cfg: RbRunConfig, estimate,
     the budget before any task starts."""
     modes = (cfg.mode,) if modes is None else modes
     if cfg.mode == "standard":
-        _check_budget(cfg.gate_set.dim, cfg.k)
+        _check_budget(1, cfg.gate_set.dim, cfg.k)
     else:
-        _check_budget(cfg.k * cfg.gate_set.dim)
+        _check_budget(cfg.k, cfg.gate_set.dim)
 
     def one(task):
         m, rep = task

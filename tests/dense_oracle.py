@@ -1,6 +1,7 @@
 """Dense oracles: flat (kD) x (kD) matrices and Kraus sums, no blocked
-layout, no superoperators. They are the independent reference the blocked
-engine kernel is checked against.
+layout, no superoperators. They are the independent reference the
+half-stored engine kernel is checked against; `pack` and `unpack` convert
+between the two forms.
 """
 
 from typing import Sequence
@@ -102,9 +103,9 @@ def partial_trace_control(rho: np.ndarray, k: int) -> np.ndarray:
     return np.einsum("iaib->ab", blocks)
 
 
-def dense_coherent(gate_set, noise, sequences, *, control_q=1.0,
-                   interleaved_gate=None, interleaved_noise=None) -> float:
-    """`corb.engine.simulate_coherent` on the flat (kD)^2 state.
+def dense_coherent_state(gate_set, noise, sequences, *, control_q=1.0,
+                         interleaved_gate=None, interleaved_noise=None) -> np.ndarray:
+    """The final flat (kD)^2 state of `corb.engine._evolve` for one run.
 
     Every position applies the controlled gates, the gate channel, the
     interleaved gate and its channel, then control depolarization; the
@@ -141,6 +142,38 @@ def dense_coherent(gate_set, noise, sequences, *, control_q=1.0,
     rho = apply_channel(rho, [materialize_controlled([dagger(p) for p in products])])
     if interleaved_gate is None:
         rho = apply_channel(rho, on_target(noise.final_channel))
-    psi = np.kron(plus_state(k), basis_state(dim))
-    return povm_expectation(check_density_matrix(rho),
+    return check_density_matrix(rho)
+
+
+def dense_coherent(gate_set, noise, sequences, **kwargs) -> float:
+    """`corb.engine.simulate_coherent` on the flat (kD)^2 state of
+    `dense_coherent_state`."""
+    k = np.shape(sequences)[0]
+    psi = np.kron(plus_state(k), basis_state(gate_set.dim))
+    return povm_expectation(dense_coherent_state(gate_set, noise, sequences, **kwargs),
                             (1.0 - noise.meas_error) * projector(psi))
+
+
+def pack(rho: np.ndarray, k: int) -> np.ndarray:
+    """The forward half layout (k, D, w, D), w = k // 2 + 1, of a flat
+    (kD)^2 state: slot s of row i holds block (i, (i + s) mod k)."""
+    d = rho.shape[0] // k
+    blocks = as_matrix(rho).reshape(k, d, k, d)
+    rows = np.arange(k)[:, None]
+    columns = (rows + np.arange(k // 2 + 1)) % k
+    return blocks[rows, :, columns, :].transpose(0, 2, 1, 3).copy()
+
+
+def unpack(half: np.ndarray) -> np.ndarray:
+    """The flat (kD)^2 state of a Hermitian state in the forward half layout
+    (k, D, w, D): every stored block, and the adjoint of each stored block
+    in the place of the one not stored."""
+    k, d, w = half.shape[:3]
+    blocks = np.empty((k, d, k, d), dtype=half.dtype)
+    for i in range(k):
+        for s in range(w):
+            blocks[(i + s) % k, :, i, :] = dagger(half[i, :, s, :])
+    for i in range(k):
+        for s in range(w):
+            blocks[i, :, (i + s) % k, :] = half[i, :, s, :]
+    return blocks.reshape(k * d, k * d)

@@ -289,7 +289,7 @@ class TestRunCommand:
                      "--k", "3000", "--out", out])
         err = capsys.readouterr().err
         assert code == 2
-        assert "needs 1728000000 bytes" in err and "805306368 bytes" in err
+        assert "needs 1152768000 bytes" in err and "805306368 bytes" in err
         assert not os.path.exists(out)
 
     def test_missing_channel_key_exit_one(self, tmp_path, capsys):
@@ -302,13 +302,14 @@ class TestRunCommand:
 
     def test_standard_byte_budget_exit_two(self, tmp_path, capsys, monkeypatch):
         """Standard RB is refused past the budget like the coherent modes."""
-        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", 48 * 3 * 2 ** 2 - 1)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES",
+                            48 * 3 * 2 ** 2 + 16 * 2 ** 2 - 1)
         out = str(tmp_path / "x.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
                      "--mode", "standard", "--k", "3", "--out", out])
         err = capsys.readouterr().err
         assert code == 2
-        assert "needs 576 bytes" in err and "the budget is 575 bytes" in err
+        assert "needs 640 bytes" in err and "the budget is 639 bytes" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["two", "0", "-3"])

@@ -66,7 +66,7 @@ from helpers import (
     random_channel,
     random_phase_channel,
 )
-from dense_oracle import dense_coherent
+from dense_oracle import dense_coherent, dense_coherent_state, pack, unpack
 
 PAULI_2 = build_pauli_set(2, 1)
 CLIFFORD_2 = build_clifford_set(2, 1)
@@ -299,7 +299,7 @@ class TestEnumerationOracle:
 
 
 class TestDenseOracle:
-    """The blocked in-place kernel against the flat (kD)^2 evolution."""
+    """The half-stored in-place kernel against the flat (kD)^2 evolution."""
 
     @staticmethod
     def _channel(kind, dim, rng):
@@ -320,7 +320,12 @@ class TestDenseOracle:
                                             control, seed):
         """Random sets, CPTP channels (identity, diagonal, general), SPAM,
         an interleaved gate with its own channel (diagonal with a phase
-        channel, so the mask path covers interleaving) and control_q < 1."""
+        channel, so the mask path covers interleaving) and control_q < 1.
+
+        Block by block, the final half-stored state, unpacked, is the flat
+        state; for even k the two stored copies of each (i, i + k/2) pair
+        are adjoints, which a wrong weight of that slot in the overlap sum
+        could hide."""
         rng = np.random.default_rng(seed)
         gate_set = build_custom_set([haar_unitary(dim, rng) for _ in range(3)])
         noise = NoiseModel(
@@ -336,6 +341,13 @@ class TestDenseOracle:
             kwargs.update(interleaved_gate=gate,
                           interleaved_noise=self._channel(kind, dim, rng))
         sequences = rng.integers(0, len(gate_set), size=(k, m))
+        state = _evolve(gate_set, noise, sequences[None], **kwargs)[0]
+        flat = dense_coherent_state(gate_set, noise, sequences, **kwargs)
+        assert np.max(np.abs(unpack(state) - flat)) <= 1e-12
+        if k % 2 == 0:
+            for i in range(k // 2):
+                copy, twin = state[i, :, k // 2, :], state[i + k // 2, :, k // 2, :]
+                assert np.max(np.abs(copy - twin.conj().T)) <= 1e-12
         got = simulate_coherent(gate_set, noise, sequences, **kwargs)
         want = dense_coherent(gate_set, noise, sequences, **kwargs)
         assert abs(got - want) <= 1e-12
@@ -351,7 +363,7 @@ class TestDenseOracle:
         rng = np.random.default_rng(66)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
-        state = np.outer(vec, vec.conj()).reshape(1, k, d, k, d)
+        state = pack(np.outer(vec, vec.conj()), k)[None]
         sop = _superop(random_phase_channel(d, 3, rng))
         assert not np.any(sop - np.diag(np.diagonal(sop)))
         masked, _ = _mask_step(np.diagonal(sop), np.empty_like(state))(
@@ -525,9 +537,10 @@ class TestCoherentAndStandard:
         raise FidelityRangeError farther out, as in standard RB."""
         k = 4
         for excess, outcome in ((1e-13, 1.0), (1e-6, None)):
-            rho = np.zeros((1, k, 2, k, 2), dtype=complex)
+            flat = np.zeros((k * 2, k * 2), dtype=complex)
             for i in range(k):
-                rho[0, i, 0, i, 0] = (1.0 + (excess if i == 2 else 0.0)) / k
+                flat[2 * i, 2 * i] = (1.0 + (excess if i == 2 else 0.0)) / k
+            rho = pack(flat, k)[None]
             if outcome is None:
                 with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
                     _branch_survivals(rho, 0.0)
@@ -787,22 +800,37 @@ class TestConfigValidation:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
                           k=3000, mode="coherent")
         with pytest.raises(DimensionError,
-                           match=rf"needs 1728000000 bytes.* {STATE_BUDGET_BYTES} bytes"):
+                           match=rf"needs 1152768000 bytes.* {STATE_BUDGET_BYTES} bytes"):
             run_coherent_rb(cfg)
 
-    def test_byte_budget_admits_the_old_dimension_cap(self):
-        """Three (kD)^2 complex128 arrays: k * D = 4096 fits, 4097 does not."""
-        _check_budget(4096)
-        with pytest.raises(DimensionError):
-            _check_budget(4097)
+    def test_byte_budget_admits_the_old_dimension_cap(self, monkeypatch):
+        """A task holds three (k, D, w, D) complex128 arrays and two
+        (k, D, w, D) int64 gather indices, w = k // 2 + 1: one byte short of
+        that is refused before anything is allocated, the exact need is
+        admitted. The budget admits the old cap k * D = 4096 and, at D = 2,
+        every k up to 2507."""
+        _check_budget(2048, 2)
+        _check_budget(2507, 2)
+        with pytest.raises(DimensionError, match=r"k \* D = 5016 needs"):
+            _check_budget(2508, 2)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
+                          mode="coherent")
+        needed = (3 * 16 + 2 * 8) * 5 * 2 * 3 * 2
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
+        with pytest.raises(DimensionError, match=rf"k \* D = 10 needs {needed} bytes"):
+            run_coherent_rb(cfg)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
+        for record in run_coherent_rb(cfg):
+            assert abs(record.fidelity - 1.0) <= 1e-12
 
     def test_standard_rb_is_held_to_the_byte_budget(self, monkeypatch):
-        """Standard RB evolves k one-branch states: three (k, D, D)
-        complex128 arrays, 48 k D^2 bytes per task, checked like the
-        coherent modes' before anything is allocated."""
+        """Standard RB evolves k one-branch states: three (k, 1, D, 1, D)
+        complex128 arrays and two (1, D, 1, D) int64 gather indices,
+        48 k D^2 + 16 D^2 bytes per task, checked like the coherent modes'
+        before anything is allocated."""
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
                           mode="standard")
-        needed = 48 * 5 * 2 ** 2
+        needed = 48 * 5 * 2 ** 2 + 16 * 2 ** 2
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
         with pytest.raises(DimensionError,
                            match=rf"batch of 5 states.* needs {needed} bytes"):
@@ -877,10 +905,9 @@ class TestBlockedPrimitives:
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
-        blocked = _apply_control_depolarize(rho.reshape(1, k, d, k, d).copy(), 0.7)
+        blocked = _apply_control_depolarize(pack(rho, k)[None], 0.7)
         flat = control_depolarize(rho, 0.7, k)
-        np.testing.assert_allclose(blocked.reshape(k * d, k * d), flat,
-                                   atol=1e-13)
+        np.testing.assert_allclose(unpack(blocked[0]), flat, atol=1e-13)
 
 
 class TestAmplitude:
