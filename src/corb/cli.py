@@ -18,7 +18,9 @@ Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -48,6 +50,7 @@ from .noise import NoiseModel, avg_gate_fidelity, chi00_of, parse_channel_spec
 from .paulis import format_label
 
 USAGE_ERROR, SEMANTIC_ERROR = 1, 2
+_dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)  # JSON has no NaN
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +131,9 @@ def run_from_config(config: ExperimentConfig):
 
 def _emit_json(payload: dict, path: str | None) -> None:
     """Print the payload as one JSON line; also write it to `path` if given."""
-    print(json.dumps(payload, sort_keys=True))
+    print(_dumps(payload))
     if path:
-        cio.atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        cio.atomic_write(path, _dumps(payload, indent=2) + "\n")
 
 
 def cmd_check_set(args) -> int:
@@ -193,8 +196,8 @@ def _fit_payload(records: list[dict], dim: int | None) -> dict:
         "residual_rms": fit.residual_rms,
         "points_used": fit.points_used,
         "converged": fit.converged,
-        "stderr_A": fit.stderr_A,
-        "stderr_chi00": fit.stderr_chi00,
+        "stderr_A": None if math.isnan(fit.stderr_A) else fit.stderr_A,
+        "stderr_chi00": None if math.isnan(fit.stderr_chi00) else fit.stderr_chi00,
     }
     if dim is not None:
         payload["avg_gate_fidelity"] = avg_gate_fidelity(fit.chi00, dim)
@@ -441,8 +444,8 @@ def cmd_experiment(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     verdict = fn(args.out, seed)
     path = os.path.join(args.out, f"{args.name.replace('-', '_')}_verdict.json")
-    cio.atomic_write(path, json.dumps(verdict, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(verdict, sort_keys=True))
+    cio.atomic_write(path, _dumps(verdict, indent=2) + "\n")
+    print(_dumps(verdict))
     return 0
 
 

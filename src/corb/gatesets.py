@@ -8,21 +8,21 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u].
+from the set's first moment E[conj(u) (x) u]. `_FAMILIES` names every
+family a spec string can reach, with its keys and their types.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .io import parse_kv, read_matrices
+from .io import SpecEntry, parse_spec, read_matrices, read_matrix
 from .linalg import TOL, as_matrix, assert_unitary, tensor
 from .paulis import (
-    DEFAULT_LABEL_CAP,
     PauliLabel,
     enumerate_paulis,
     pauli_basis,
@@ -30,6 +30,7 @@ from .paulis import (
 )
 
 CLOSURE_PRODUCT_CAP = 200_000
+FINGERPRINT_DECIMALS = 8
 
 # Families with a feasible exact enumeration; larger groups are rejected
 # rather than approximated.
@@ -100,8 +101,7 @@ def _first_moment(stack: np.ndarray) -> np.ndarray:
     return _realign(flat.conj().T @ flat / n)
 
 
-def check_condition(gate_set: GateSet, tolerance: float | None = None
-                    ) -> ConditionReport:
+def check_condition(gate_set: GateSet) -> ConditionReport:
     """Verify sum_i U_i† P_j U_i = |G| I (j = o) / 0 (j != o) over all labels.
 
     With A = E_u[conj(u) (x) u] the first moment of the set, row-major,
@@ -111,10 +111,9 @@ def check_condition(gate_set: GateSet, tolerance: float | None = None
     16 D^4 bytes each. The label cap DEFAULT_LABEL_CAP = 4096 refuses
     D > 64 before either is allocated, so each stays within 268 MB. A
     passing set's residuals are all rounding noise, so its reported worst
-    label carries no meaning.
+    label carries no meaning. The tolerance is TOL.channel * |G|.
     """
-    if tolerance is None:
-        tolerance = TOL.channel * len(gate_set)
+    tolerance = TOL.channel * len(gate_set)
     labels = enumerate_paulis(gate_set.d, gate_set.n)
     dim = gate_set.dim
     basis = pauli_basis(gate_set.d, gate_set.n).reshape(len(labels), dim * dim)
@@ -131,14 +130,14 @@ def check_condition(gate_set: GateSet, tolerance: float | None = None
 # Families
 # ---------------------------------------------------------------------------
 
-def build_pauli_set(d: int, n: int, cap: int = DEFAULT_LABEL_CAP) -> GateSet:
+def build_pauli_set(d: int, n: int) -> GateSet:
     """The d^{2n} Pauli words on n qudits of dimension d."""
-    labels = enumerate_paulis(d, n, cap=cap)
+    labels = enumerate_paulis(d, n)
     return GateSet(d, n, "pauli", tuple(pauli_matrix(l) for l in labels),
                    labels=tuple(labels))
 
 
-def _phase_fingerprint(m: np.ndarray, decimals: int = 8) -> bytes:
+def _phase_fingerprint(m: np.ndarray) -> bytes:
     """Hashable fingerprint invariant under global phase.
 
     Divides by the first non-negligible entry (fixing the phase exactly for
@@ -148,13 +147,12 @@ def _phase_fingerprint(m: np.ndarray, decimals: int = 8) -> bytes:
     flat = m.ravel()
     pivot = flat[np.argmax(np.abs(flat) > 1e-6)]
     norm = flat / pivot
-    re = np.round(norm.real, decimals) + 0.0
-    im = np.round(norm.imag, decimals) + 0.0
+    re = np.round(norm.real, FINGERPRINT_DECIMALS) + 0.0
+    im = np.round(norm.imag, FINGERPRINT_DECIMALS) + 0.0
     return re.tobytes() + im.tobytes()
 
 
-def _closure_mod_phase(generators: list[np.ndarray],
-                       product_cap: int = CLOSURE_PRODUCT_CAP) -> list[np.ndarray]:
+def _closure_mod_phase(generators: list[np.ndarray]) -> list[np.ndarray]:
     """Breadth-first closure under multiplication, deduplicated mod phase."""
     dim = generators[0].shape[0]
     seen: dict[bytes, np.ndarray] = {}
@@ -170,10 +168,9 @@ def _closure_mod_phase(generators: list[np.ndarray],
         for m in frontier:
             for g in generators:
                 products += 1
-                if products > product_cap:
-                    raise RuntimeError(
-                        f"closure exceeded the product cap of {product_cap}"
-                    )
+                if products > CLOSURE_PRODUCT_CAP:
+                    raise RuntimeError("closure exceeded the product cap of "
+                                       f"{CLOSURE_PRODUCT_CAP}")
                 p = g @ m
                 f = _phase_fingerprint(p)
                 if f not in seen:
@@ -232,15 +229,13 @@ def _controlled_element(branch_mats: Sequence[np.ndarray],
     return tensor(dressing, np.eye(target_dim)) @ block
 
 
-def build_controlled_set(d: int, cap: int = DEFAULT_LABEL_CAP) -> GateSet:
+def build_controlled_set(d: int) -> GateSet:
     """Qubit-controlled Pauli operations on a dimension-d target.
 
     Elements (P_i (x) I) (|0><0| (x) P_r + |1><1| (x) P_s) with the dressing
     P_i ranging over the control-qubit Paulis and P_r, P_s over the
     single-qudit target Paulis: 4 d^4 elements in total.
     """
-    if d * d > cap:
-        raise ValueError(f"target label count {d * d} exceeds cap {cap}")
     control = [pauli_matrix(l) for l in enumerate_paulis(2, 1)]
     target = [pauli_matrix(l) for l in enumerate_paulis(d, 1)]
     elements = []
@@ -293,24 +288,21 @@ def ms_gate(n: int, theta: float) -> np.ndarray:
     return u
 
 
-def build_ms_dressed_set(n: int, theta: float, cap: int = DEFAULT_LABEL_CAP) -> GateSet:
+def build_ms_dressed_set(n: int, theta: float) -> GateSet:
     """Pauli-dressed entangling gates M_i = P_i U_n(theta), any angle."""
-    if 4 ** n > cap:
-        raise ValueError(f"4^{n} elements exceed cap {cap}")
+    labels = enumerate_paulis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
     u = ms_gate(n, theta)
-    labels = enumerate_paulis(2, n)
     return GateSet(2, n, "ms",
                    tuple(pauli_matrix(l) @ u for l in labels),
                    labels=tuple(labels))
 
 
-def build_dressed_set(u: np.ndarray, d: int, n: int,
-                      cap: int = DEFAULT_LABEL_CAP) -> GateSet:
+def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
     """Pauli-dressed set M_i = P_i U for an arbitrary unitary U on d^n."""
     u = assert_unitary(u, what="dressing unitary")
     if u.shape[0] != d ** n:
         raise ValueError(f"unitary dimension {u.shape[0]} != {d ** n}")
-    labels = enumerate_paulis(d, n, cap=cap)
+    labels = enumerate_paulis(d, n)
     return GateSet(d, n, "dressed",
                    tuple(pauli_matrix(l) @ u for l in labels),
                    labels=tuple(labels))
@@ -332,63 +324,28 @@ def build_custom_set(mats: Sequence[np.ndarray], d: int | None = None,
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
 
-def _split_set_spec(spec: str) -> tuple[str, str, dict[str, str]]:
-    """(family, body, key=value dict) of a spec; a custom body is a path."""
-    family, _, body = spec.strip().partition(":")
-    family = family.strip().lower()
-    return family, body, {} if family == "custom" else parse_kv(body)
+_FAMILIES = {
+    "pauli": SpecEntry({"d": int, "n": int}, build_pauli_set, lambda d, n: (d, n)),
+    "clifford": SpecEntry({"d": int, "n": int}, build_clifford_set, lambda d, n: (d, n)),
+    "controlled": SpecEntry({"d": int}, build_controlled_set, _controlled_dims),
+    "two-control": SpecEntry({}, build_two_control_set, lambda: (2, 3)),
+    "ms": SpecEntry({"n": int, "theta": float}, build_ms_dressed_set, lambda n, theta: (2, n)),
+    "dressed": SpecEntry({"d": int, "n": int, "u": str},
+                         lambda d, n, u: build_dressed_set(read_matrix(u), d, n),
+                         lambda d, n, u: (d, n)),
+    "custom": SpecEntry(None, lambda path: build_custom_set(read_matrices(path)),
+                        lambda path: (read_matrices(path)[0].shape[0], 1)),
+}
 
 
-def parse_set_spec(spec: str,
-                   matrix_loader: Callable[[str], list[np.ndarray]] | None = None
-                   ) -> GateSet:
-    """Build a gate set from a spec string.
-
-    Formats: `pauli:d=2,n=1`, `clifford:d=2,n=1`, `controlled:d=2`,
-    `ms:n=2,theta=0.7853981634`, `dressed:d=2,n=1,u=<file>`,
-    `custom:<file>`. Files hold one or more matrices in the text matrix
-    format (see corb.io).
-    """
-    if matrix_loader is None:
-        matrix_loader = read_matrices
-    family, body, kv = _split_set_spec(spec)
-    try:
-        if family == "pauli":
-            return build_pauli_set(int(kv["d"]), int(kv["n"]))
-        if family == "clifford":
-            return build_clifford_set(int(kv["d"]), int(kv["n"]))
-        if family == "controlled":
-            return build_controlled_set(int(kv["d"]))
-        if family == "two-control":
-            return build_two_control_set()
-        if family == "ms":
-            return build_ms_dressed_set(int(kv["n"]), float(kv["theta"]))
-        if family == "dressed":
-            mats = matrix_loader(kv["u"])
-            if len(mats) != 1:
-                raise ValueError("dressed spec expects exactly one matrix in the file")
-            return build_dressed_set(mats[0], int(kv["d"]), int(kv["n"]))
-        if family == "custom":
-            return build_custom_set(matrix_loader(body.strip()))
-    except KeyError as exc:
-        raise ValueError(f"set spec {spec!r} is missing key {exc}") from exc
-    raise ValueError(f"unknown gate-set family {family!r}")
+def parse_set_spec(spec: str) -> GateSet:
+    """Build the gate set of a spec such as `pauli:d=2,n=1` or `custom:<file>`
+    (a matrix file, see corb.io); `_FAMILIES` lists every family's keys."""
+    family, kwargs = parse_spec(spec, _FAMILIES, "set")
+    return _FAMILIES[family].build(**kwargs)
 
 
 def set_spec_dims(spec: str) -> tuple[int, int]:
     """(d, n) of a set spec without constructing the whole family."""
-    family, body, kv = _split_set_spec(spec)
-    try:
-        if family in ("pauli", "clifford", "dressed"):
-            return int(kv["d"]), int(kv["n"])
-        if family == "controlled":
-            return _controlled_dims(int(kv["d"]))
-        if family == "two-control":
-            return 2, 3
-        if family == "ms":
-            return 2, int(kv["n"])
-        if family == "custom":
-            return read_matrices(body.strip())[0].shape[0], 1
-    except KeyError as exc:
-        raise ValueError(f"set spec {spec!r} is missing key {exc}") from exc
-    raise ValueError(f"unknown gate-set family {family!r}")
+    family, kwargs = parse_spec(spec, _FAMILIES, "set")
+    return _FAMILIES[family].dims(**kwargs)

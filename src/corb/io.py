@@ -1,4 +1,4 @@
-"""Text formats: complex numbers, matrix files, spec bodies, fidelity-record
+"""Text formats: complex numbers, matrix files, spec strings, fidelity-record
 files.
 
 Complex entries are written `a+bi` with e-notation reals (`-1.5e-03+2i`);
@@ -13,8 +13,10 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import tempfile
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +52,8 @@ def read_matrices(path: str) -> list[np.ndarray]:
                     f"{path}: row {r} has {len(tokens)} entries, header says {cols}"
                 )
             m[r] = [parse_complex(t) for t in tokens]
+            if not np.all(np.isfinite(m[r])):
+                raise ValueError(f"{path}: row {r} has a non-finite entry")
         mats.append(m)
         pos += rows
     if not mats:
@@ -64,23 +68,58 @@ def read_matrix(path: str) -> np.ndarray:
     return mats[0]
 
 
-def parse_kv(body: str) -> dict[str, str]:
-    """Body of a `name:key=value,key=value` spec as a dict of strings."""
-    out = {}
-    for chunk in body.split(","):
-        if chunk:
-            key, _, value = chunk.partition("=")
-            out[key.strip()] = value.strip()
-    return out
+class SpecEntry(NamedTuple):
+    """A spec name's keys and builder; `dims` is a gate-set family's (d, n)."""
+
+    keys: dict[str, type] | None  # key -> int, float or str; None: body is a path
+    build: Callable
+    dims: Callable[..., tuple[int, int]] | None = None
+
+
+def parse_spec(spec: str, table: dict[str, SpecEntry], what: str) -> tuple[str, dict]:
+    """Name and typed keyword arguments of a `name:key=value,...` spec,
+    checked against `table[name].keys`; a path body is given back as `path`.
+    A missing key is reported before any other fault."""
+    name, _, body = (part.strip() for part in spec.strip().partition(":"))
+    name, ref = name.lower(), f"{what} spec {spec!r}"
+    if name not in table:
+        raise ValueError(f"{ref} has unknown name {name!r} (known: {', '.join(table)})")
+    keys = table[name].keys
+    if keys is None:
+        if not body:
+            raise ValueError(f"{ref} is missing its file path")
+        return name, {"path": body}
+    pairs = [(key.strip(), value.strip()) for key, _, value in
+             (chunk.partition("=") for chunk in body.split(","))] if body else []
+    given = [key for key, _ in pairs]
+    problems = ([f"is missing key {key!r}" for key in keys if key not in given]
+                + [f"has unknown key {key!r}" for key in given if key not in keys]
+                + [f"repeats key {key!r}" for key in given if given.count(key) > 1])
+    if problems:
+        raise ValueError(f"{ref} {problems[0]}")
+    kwargs = {}
+    for key, value in pairs:
+        try:
+            kwargs[key] = keys[key](value)
+            valid = keys[key] is not float or math.isfinite(kwargs[key])
+        except ValueError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{ref}: bad {keys[key].__name__} for key {key!r}: {value!r}")
+    return name, kwargs
 
 
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600 whatever the umask.
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -139,6 +178,7 @@ def read_records(path: str) -> tuple[list[dict], dict | None]:
             raise ValueError(f"{path}: not a corb records file")
         records = payload["records"]
         config = payload.get("config")
+        columns = set(RECORD_FIELDS).intersection(*records)
     else:
         config = None
         lines = text.splitlines()
@@ -151,6 +191,10 @@ def read_records(path: str) -> tuple[list[dict], dict | None]:
                 break
         reader = csv.DictReader(lines[body_start:])
         records = list(reader)
+        columns = reader.fieldnames or ()
+    for name in RECORD_FIELDS:
+        if name not in columns:
+            raise ValueError(f"{path}: not a corb records file (missing column {name!r})")
     out = []
     for row in records:
         out.append(

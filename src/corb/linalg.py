@@ -53,16 +53,16 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(u) @ u - np.eye(u.shape[0]))))
 
 
-def assert_unitary(u: np.ndarray, tol: float = TOL.structural, what: str = "matrix") -> np.ndarray:
+def assert_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     u = as_matrix(u)
     defect = unitarity_defect(u)
-    if defect > tol:
-        raise ValueError(f"{what} is not unitary (defect {defect:.3e} > {tol:.1e})")
+    if not defect <= TOL.structural:  # a NaN defect fails too
+        raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
     return u
 
 
-def check_kraus(kraus: Sequence[np.ndarray], tol: float = TOL.channel) -> list[np.ndarray]:
-    """Validate sum_s K_s†K_s = I within `tol` and return the list."""
+def check_kraus(kraus: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Validate sum_s K_s†K_s = I within TOL.channel and return the list."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus list")
     mats = [as_matrix(k) for k in kraus]
@@ -73,7 +73,7 @@ def check_kraus(kraus: Sequence[np.ndarray], tol: float = TOL.channel) -> list[n
             raise ValueError("Kraus operators must share one square dimension")
         total += dagger(m) @ m
     defect = float(np.max(np.abs(total - np.eye(dim))))
-    if defect > tol:
+    if not defect <= TOL.channel:  # a NaN defect fails too
         raise ValueError(f"Kraus list is not trace preserving (defect {defect:.3e})")
     return mats
 

@@ -5,7 +5,8 @@ The chi matrix of a channel xi(rho) = sum_ij chi_ij P_i rho P_j† is indexed
 by the Pauli labels in enumeration order, identity first, so entry (0, 0)
 is the decay-governing parameter chi_00. Daggers sit on the right factor;
 for d > 2 the basis words are non-Hermitian and no Hermitization is
-applied.
+applied. `_CHANNELS` names every channel a spec string can reach, with its
+keys and their types.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .io import parse_kv, read_matrices
+from .io import SpecEntry, parse_spec, read_matrices
 from .linalg import check_kraus
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
 
@@ -133,23 +134,18 @@ class NoiseModel:
         return NoiseModel(gate_channel=tuple(identity_kraus(dim)))
 
 
+_CHANNELS = {
+    "identity": SpecEntry({}, identity_kraus),
+    "dephasing": SpecEntry({"p": float}, lambda dim, p: dephasing_kraus(p, dim)),
+    "depolarizing": SpecEntry({"p": float}, lambda dim, p: depolarizing_kraus(p, dim, 1)),
+    "infidelity-dephasing": SpecEntry({"r": float},
+                                      lambda dim, r: infidelity_to_dephasing(r, dim)),
+    "kraus": SpecEntry(None, lambda dim, path: check_kraus(read_matrices(path))),
+}
+
+
 def parse_channel_spec(spec: str, dim: int) -> list[np.ndarray]:
-    """Channel spec strings: `identity`, `dephasing:p=0.01`,
-    `depolarizing:p=0.01`, `infidelity-dephasing:r=1e-4`, `kraus:<file>`."""
-    name, _, body = spec.strip().partition(":")
-    name = name.strip().lower()
-    kv = {} if name == "kraus" else parse_kv(body)
-    if name == "identity":
-        return identity_kraus(dim)
-    try:
-        if name == "dephasing":
-            return dephasing_kraus(float(kv["p"]), dim)
-        if name == "depolarizing":
-            return depolarizing_kraus(float(kv["p"]), dim, 1)
-        if name == "infidelity-dephasing":
-            return infidelity_to_dephasing(float(kv["r"]), dim)
-    except KeyError as exc:
-        raise ValueError(f"channel spec {spec!r} is missing key {exc}") from exc
-    if name == "kraus":
-        return check_kraus(read_matrices(body.strip()))
-    raise ValueError(f"unknown channel spec {spec!r}")
+    """Kraus list on dimension `dim` of a spec such as `dephasing:p=0.01` or
+    `kraus:<file>`; `_CHANNELS` lists every channel's keys."""
+    name, kwargs = parse_spec(spec, _CHANNELS, "channel")
+    return _CHANNELS[name].build(dim, **kwargs)

@@ -70,11 +70,11 @@ def pauli_matrix(label: PauliLabel) -> np.ndarray:
     return out
 
 
-def enumerate_paulis(d: int, n: int, cap: int = DEFAULT_LABEL_CAP) -> list[PauliLabel]:
+def enumerate_paulis(d: int, n: int) -> list[PauliLabel]:
     """All d^{2n} labels in lexicographic order, identity first."""
     count = d ** (2 * n)
-    if count > cap:
-        raise ValueError(f"{count} labels exceed the cap of {cap}")
+    if count > DEFAULT_LABEL_CAP:
+        raise ValueError(f"{count} labels exceed the cap of {DEFAULT_LABEL_CAP}")
     labels = []
     for exps in itertools.product(range(d), repeat=2 * n):
         labels.append(PauliLabel(d, n, exps[:n], exps[n:]))

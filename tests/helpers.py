@@ -190,13 +190,11 @@ def parse_label(text: str, d: int, n: int) -> PauliLabel:
 # Gate sets
 # ---------------------------------------------------------------------------
 
-def check_condition_per_label(gate_set: GateSet, tolerance: float | None = None,
-                              cap: int = DEFAULT_LABEL_CAP) -> ConditionReport:
+def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
     """Reference for `corb.gatesets.check_condition`: the twirl of each
     Pauli label computed on its own, sum_i U_i† P_j U_i, one at a time."""
-    if tolerance is None:
-        tolerance = TOL.channel * len(gate_set)
-    labels = enumerate_paulis(gate_set.d, gate_set.n, cap=cap)
+    tolerance = TOL.channel * len(gate_set)
+    labels = enumerate_paulis(gate_set.d, gate_set.n)
     basis = pauli_basis(gate_set.d, gate_set.n)
     stack = gate_set.stacked()
     conj = stack.conj()

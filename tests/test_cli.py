@@ -1,19 +1,25 @@
 """CLI surface: subcommands, exit codes, file formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import corb
-from corb import fitting
+from corb import cli, fitting
 from corb.cli import ExperimentConfig, main, run_from_config
 from corb.engine import MODES, FidelityRangeError, FidelityRecord, RbRunConfig, run
-from corb.gatesets import build_pauli_set, parse_set_spec, set_spec_dims
+from corb.fitting import DecayFit
+from corb.gatesets import _FAMILIES, build_pauli_set, parse_set_spec, set_spec_dims
 from corb.io import (
+    atomic_write,
     parse_complex,
     read_matrices,
     read_matrix,
@@ -21,7 +27,7 @@ from corb.io import (
     write_records_csv,
     write_records_json,
 )
-from corb.noise import NoiseModel, dephasing_kraus
+from corb.noise import _CHANNELS, NoiseModel, dephasing_kraus
 from helpers import (
     format_complex,
     haar_unitary,
@@ -29,6 +35,21 @@ from helpers import (
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity extensions."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def run_main(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestComplexFormat:
@@ -76,6 +97,28 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             read_matrix(path)
 
+    @pytest.mark.parametrize("token", ["nan+0i", "0+nani", "1e999+0i"])
+    def test_non_finite_entry_names_file_and_row(self, tmp_path, token):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"dim 2 2\n1+0i 0+0i\n0+0i {token}\n")
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{path}: row 1 has a non-finite entry")):
+            read_matrices(str(path))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
+                                            (0o002, 0o664)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "missing" / "dir" / "out.txt"
+        old = os.umask(umask)
+        try:
+            atomic_write(str(path), "x\n")
+        finally:
+            os.umask(old)
+        assert path.read_text() == "x\n"
+        assert path.stat().st_mode & 0o777 == mode
+
 
 class TestRecordFiles:
     @staticmethod
@@ -104,6 +147,22 @@ class TestRecordFiles:
         assert loaded_config == config.to_dict()
         assert [r["fidelity"] for r in loaded] == [r.fidelity for r in records]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_missing_column_named(self, tmp_path, fmt):
+        records, _ = self.sample_records()
+        path = str(tmp_path / f"r.{fmt}")
+        (write_records_csv if fmt == "csv" else write_records_json)(path, records)
+        text = open(path).read()
+        if fmt == "csv":
+            text = text.replace("seed_stream", "stream", 1)
+        else:
+            payload = json.loads(text)
+            del payload["records"][2]["seed_stream"]
+            text = json.dumps(payload)
+        open(path, "w").write(text)
+        with pytest.raises(ValueError, match=r"missing column 'seed_stream'"):
+            read_records(path)
+
 
 class TestExperimentConfig:
     def test_dict_round_trip(self):
@@ -125,14 +184,28 @@ class TestExperimentConfig:
         assert set_spec_dims("pauli:d=3,n=2") == (3, 2)
         assert set_spec_dims("controlled:d=2") == (2, 2)
         assert set_spec_dims("ms:n=3,theta=0.2") == (2, 3)
-        u_path = str(tmp_path / "u.mat")
-        write_matrices(u_path, [np.kron(H, H)])
-        set_path = str(tmp_path / "set.mat")
-        write_matrices(set_path, [np.eye(3), np.diag([1, -1, 1])])
-        for spec in ("pauli:d=3,n=2", "clifford:d=3,n=1", "controlled:d=2",
-                     "controlled:d=3", "two-control", "ms:n=3,theta=0.2",
-                     f"dressed:d=2,n=2,u={u_path}", f"custom:{set_path}"):
+
+    # One or more specs per family; a family missing here fails its case.
+    SPECS = {
+        "pauli": ["pauli:d=3,n=2"],
+        "clifford": ["clifford:d=3,n=1"],
+        "controlled": ["controlled:d=2", "controlled:d=3"],
+        "two-control": ["two-control"],
+        "ms": ["ms:n=3,theta=0.2"],
+        "dressed": ["dressed:d=2,n=2,u={u}"],
+        "custom": ["custom:{set}"],
+    }
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_spec_dims_match_the_built_set(self, family, tmp_path):
+        paths = {"u": str(tmp_path / "u.mat"), "set": str(tmp_path / "set.mat")}
+        write_matrices(paths["u"], [np.kron(H, H)])
+        write_matrices(paths["set"], [np.eye(3), np.diag([1, -1, 1])])
+        assert family in self.SPECS, f"no example spec for family {family!r}"
+        for template in self.SPECS[family]:
+            spec = template.format(**paths)
             gs = parse_set_spec(spec)
+            assert gs.family == family
             assert set_spec_dims(spec) == (gs.d, gs.n), spec
 
 
@@ -160,6 +233,135 @@ class TestCheckSetCommand:
         report = json.loads(open(path).read())
         assert report["passed"] is True
         assert report["elements"] == 16
+
+    def test_json_line_is_strict_json(self, tmp_path):
+        path = str(tmp_path / "iz.mat")
+        write_matrices(path, [np.eye(2), np.diag([1.0, -1.0])])
+        for spec, code in (("ms:n=2,theta=0.3", 0), (f"custom:{path}", 2)):
+            status, out, _ = run_main(["check-set", spec])
+            assert status == code
+            report = strict_json(out.splitlines()[-1])
+            assert report["set"] == spec and report["passed"] is (code == 0)
+
+    def test_non_finite_matrix_file_exit_one(self, tmp_path):
+        """A NaN entry used to pass the unitarity check and print NaN JSON."""
+        path = tmp_path / "nan.mat"
+        path.write_text("dim 2 2\nnan+0i 0+0i\n0+0i 1+0i\n")
+        status, out, err = run_main(["check-set", f"custom:{path}"])
+        assert status == 1
+        assert out == ""
+        assert err == f"error: {path}: row 0 has a non-finite entry\n"
+
+
+SET_PROBES = [
+    ("pauli:d=2,n=1,extra=3", "has unknown key 'extra'"),
+    ("pauli:d=2,n=x", "bad int for key 'n': 'x'"),
+    ("ms:n=2,theta=nan", "bad float for key 'theta': 'nan'"),
+    ("ms:n=2,theta=-inf", "bad float for key 'theta': '-inf'"),
+    ("pauli:d=2,d=2,n=1", "repeats key 'd'"),
+    ("pauli:n=1,d=2,x=1,x=2", "has unknown key 'x'"),
+    ("depolarizing:p=0.1", "has unknown name 'depolarizing'"),
+    ("two-control:d=2", "has unknown key 'd'"),
+    ("pauli:d=2,,n=1", "has unknown key ''"),
+    ("custom:", "is missing its file path"),
+]
+CHANNEL_PROBES = [
+    ("dephasing:p=0.01,q=3", "has unknown key 'q'"),
+    ("depolarizing:q=0.1,q=2", "is missing key 'p'"),
+    ("identity:p=0", "has unknown key 'p'"),
+    ("infidelity-dephasing:r=inf", "bad float for key 'r': 'inf'"),
+    ("kraus", "is missing its file path"),
+]
+
+
+def run_channel(spec: str) -> tuple[int, str, str]:
+    """`corb run` with a valid set and the given channel spec; a refused
+    spec stops it before the engine runs or any file is written."""
+    return run_main(["run", "--set", "pauli:d=2,n=1", "--channel", spec,
+                     "--lengths", "1,2,3", "--out", os.devnull])
+
+
+class TestSpecRefusals:
+    """Malformed spec strings exit 1 with one error line that names the
+    spec and the fault, never a traceback or a silent acceptance."""
+
+    @staticmethod
+    def assert_refused(result, spec, what, fault=None):
+        status, _, err = result
+        assert status == 1, (spec, err)
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert f"{what} spec {spec!r}" in lines[0], err
+        if fault is not None:
+            assert fault in lines[0], err
+
+    @pytest.mark.parametrize("spec,fault", SET_PROBES)
+    def test_set_spec_probe(self, spec, fault):
+        self.assert_refused(run_main(["check-set", spec]), spec, "set", fault)
+
+    @pytest.mark.parametrize("spec,fault", CHANNEL_PROBES)
+    def test_channel_spec_probe(self, spec, fault):
+        self.assert_refused(run_channel(spec), spec, "channel", fault)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_malformed_set_specs(self, data):
+        spec = data.draw(malformed_specs(_FAMILIES))
+        self.assert_refused(run_main(["check-set", spec]), spec, "set")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_malformed_channel_specs(self, data):
+        spec = data.draw(malformed_specs(_CHANNELS))
+        self.assert_refused(run_channel(spec), spec, "channel")
+
+
+_VALID_VALUE = {int: "2", float: "0.01", str: "u.mat"}
+_NAME_CHARS = "abcdefghijklmnopqrstuvwxyz-"
+
+
+@st.composite
+def malformed_specs(draw, table):
+    """A spec with exactly one fault, built from a valid keyed spec of
+    `table`: an unknown name; an unknown, empty, repeated or missing key;
+    a value its type cannot read; or a non-finite float."""
+    name = draw(st.sampled_from(sorted(n for n, e in table.items() if e.keys is not None)))
+    keys = table[name].keys
+    pairs = [(key, _VALID_VALUE[kind]) for key, kind in keys.items()]
+    numeric = [i for i, (key, _) in enumerate(pairs) if keys[key] is not str]
+    faults = ["name", "unknown", "empty"]
+    if pairs:
+        faults += ["repeat", "missing"]
+    if numeric:
+        faults += ["value"]
+    if any(keys[pairs[i][0]] is float for i in numeric):
+        faults += ["non-finite"]
+    fault = draw(st.sampled_from(faults))
+    if fault == "name":
+        name = draw(st.text(_NAME_CHARS, min_size=1, max_size=12).filter(
+            lambda s: s not in table and not s.startswith("-")))
+    elif fault == "unknown":
+        key = draw(st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=6)
+                   .filter(lambda s: s not in keys))
+        pairs.insert(draw(st.integers(0, len(pairs))), (key, "1"))
+    elif fault == "empty":
+        pairs.insert(draw(st.integers(0, len(pairs))), ("", draw(st.sampled_from(["", "1"]))))
+    elif fault == "repeat":
+        pairs.append(pairs[draw(st.integers(0, len(pairs) - 1))])
+    elif fault == "missing":
+        del pairs[draw(st.integers(0, len(pairs) - 1))]
+    elif fault == "value":
+        i = draw(st.sampled_from(numeric))
+        bad = ["", "x", "two", "1.2.3", "0x1g", "1e"]
+        if keys[pairs[i][0]] is int:
+            bad += ["0.5", "2.0", "1e3"]
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(bad)))
+    else:
+        i = draw(st.sampled_from([i for i in numeric if keys[pairs[i][0]] is float]))
+        pairs[i] = (pairs[i][0], draw(st.sampled_from(
+            ["nan", "NaN", "inf", "-inf", "Infinity", "+inf", "1e999"])))
+    return name + ":" + ",".join(f"{key}={value}" for key, value in pairs)
 
 
 class TestModuleEntryPoint:
@@ -405,6 +607,29 @@ class TestFitCommand:
         assert main(["fit", out]) == 2
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["converged"] is False
+
+    def test_singular_covariance_writes_null_stderr(self, tmp_path, monkeypatch):
+        """A NaN standard error is written as JSON null, not as NaN."""
+        path = str(tmp_path / "r.csv")
+        write_records_csv(path, [FidelityRecord("coherent", m, 0, 0.9 ** m, 4, f"{m}/0")
+                                 for m in (1, 2, 3)])
+        monkeypatch.setattr(cli, "fit_records",
+                            lambda records: DecayFit(1.0, 0.9, 0.0, 3, True))
+        json_path = str(tmp_path / "fit.json")
+        status, out, _ = run_main(["fit", path, "--json", json_path])
+        assert status == 0
+        for text in (out.splitlines()[-1], open(json_path).read()):
+            payload = strict_json(text)
+            assert payload["stderr_A"] is None and payload["stderr_chi00"] is None
+            assert payload["chi00"] == 0.9
+
+    def test_not_a_records_file_exit_one(self, tmp_path):
+        path = str(tmp_path / "h.mat")
+        write_matrices(path, [H])
+        status, _, err = run_main(["fit", path])
+        assert status == 1
+        assert err == (f"error: {path}: not a corb records file "
+                       "(missing column 'mode')\n")
 
     def test_missing_set_spec_key_exit_one(self, tmp_path, capsys):
         """A records file whose embedded set spec lacks a key is a usage

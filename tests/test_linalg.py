@@ -1,10 +1,11 @@
-"""Tensor products, and the dense oracles of the tests: controlled
-operations, channels, POVM expectations, state checks."""
+"""Tensor products, the unitarity and Kraus checks, and the dense oracles
+of the tests: controlled operations, channels, POVM expectations, state
+checks."""
 
 import numpy as np
 import pytest
 
-from corb.linalg import projector, tensor
+from corb.linalg import assert_unitary, check_kraus, projector, tensor
 from helpers import haar_state, haar_unitary
 from dense_oracle import (
     apply_channel,
@@ -157,3 +158,25 @@ class TestStateChecks:
         joint = tensor(np.eye(4) / 4, sigma)
         np.testing.assert_allclose(partial_trace_control(joint, 4), sigma,
                                    atol=1e-12)
+
+
+class TestStructuralChecks:
+    """A NaN defect compares False against any tolerance, so a check that
+    asks `defect > tol` would let it through. An infinite entry makes the
+    defect NaN (inf * 0), with numpy's invalid-value warning."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_not_unitary(self, bad):
+        u = I2.copy()
+        u[0, 0] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            assert_unitary(u)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kraus_list_is_refused(self, bad):
+        k = np.sqrt(0.5) * I2
+        k[1, 1] = bad
+        with pytest.raises(ValueError, match="not trace preserving"):
+            check_kraus([k, np.sqrt(0.5) * Z])
