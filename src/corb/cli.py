@@ -156,7 +156,11 @@ def cmd_check_set(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    try:
+        lengths = tuple(int(x) for x in args.lengths.split(","))
+    except ValueError:
+        raise ValueError(f"--lengths must be comma-separated integers, "
+                         f"got {args.lengths!r}") from None
     return ExperimentConfig(
         set_spec=args.set,
         channel_spec=args.channel,

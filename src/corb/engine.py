@@ -12,37 +12,45 @@ Every sampled mode runs on one kernel, `_evolve`, which evolves a batch of
 b independent coherent states in blocked form, so a controlled gate is a
 per-branch-pair contraction rather than a full (kD)^2 matrix product.
 Block (j, i) of a Hermitian state is the adjoint of block (i, j), so each
-state is stored in half, as (b, k, D, w, D) with w = k // 2 + 1 (see the
-kernel section below). The coherent modes evolve one k-branch state
-(b = 1). A coherent run with a one-level control register is standard
-RB, so standard RB evolves its k sequences as k one-branch states
-(b = k, one branch each). The diagonal control blocks of a coherent state
-are the standard-RB runs of its k sequences, so one coherent pass also
-yields the standard record over the same draw
-(`run_coherent_and_standard`); both readings come from
-`_branch_survivals`.
+state is stored in half, as (b, k, w, D, D) with w = k // 2 + 1 and each
+block transposed, so that the row-target index comes last (see the kernel
+section below). The coherent modes evolve one k-branch state (b = 1). A
+coherent run with a one-level control register is standard RB, so
+standard RB evolves its k sequences as k one-branch states (b = k, one
+branch each). The diagonal control blocks of a coherent state are the
+standard-RB runs of its k sequences, so one coherent pass also yields the
+standard record over the same draw (`run_coherent_and_standard`); both
+readings come from `_branch_survivals`.
 
-The kernel updates the state in place. Because the state is Hermitian,
-U rho U^dag = U (U rho)^dag: per position, two batched matmuls by the row
-gates around one gather, which re-packs U rho into the other half layout
-with its blocks transposed, and an in-place conjugation. A position
+The kernel updates the state in place, and every product it takes is a
+float64 batched matmul: viewed as float64, a complex row is a real row of
+twice its length, and a complex right-multiplication is one product by a
+real (2n, 2n) form. Because the state is Hermitian, U rho U^dag =
+U (U rho)^dag: per position, one product by the plain form of the row
+gates, one gather, which re-packs U rho into the other half layout with
+its blocks transposed, and one product by the conjugating form, which
+takes the adjoint as it multiplies. The running product of each branch,
+and from it the closing inverse, stay in real form. Each run builds the
+plain and the conjugating form of every gate of its set once, before its
+workers fork: a (2, |G|, 2D, 2D) float64 stack of 64 |G| D^2 bytes,
+refused like a task when it exceeds STATE_BUDGET_BYTES. A position
 channel whose superoperator is diagonal (every Kraus operator diagonal, as
 for all phase channels) is one elementwise multiply by a state-sized mask
 built once per task (and reused by an equal final channel); any other
-channel is one (D^2, D^2) x (D^2, w) product per branch row between two
-transposed copies; the identity channel is skipped. Each (length,
-repetition) task owns exactly three state-sized complex128 arrays (the
-state, a work buffer, and the mask or transpose scratch) and uses two
-(k, D, w, D) intp gather indices, 48 b k w D^2 + 16 k w D^2 bytes on a
-64-bit platform, and allocates nothing state-sized per position; tasks
-needing more than STATE_BUDGET_BYTES are refused before allocating.
+channel is one real (blocks, 2D^2) x (2D^2, 2D^2) product over all stored
+blocks; the identity channel is skipped. Each (length, repetition) task
+owns exactly three state-sized complex128 arrays (the state, a work
+buffer, and the mask) and uses two (k, w, D, D) intp gather indices,
+48 b k w D^2 + 16 k w D^2 bytes on a 64-bit platform, and allocates
+nothing state-sized per position; tasks needing more than
+STATE_BUDGET_BYTES are refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
-integer >= 1) sets their number. Each busy worker holds one task's
-arrays and indices. Small runs (POOL_MIN_SIZE), single workers, platforms
-without fork and processes running other threads stay serial. Records do
-not depend on the worker count.
+integer >= 1) sets their number. Each busy worker holds one task's arrays
+and indices; all share the run's gate stack. Small runs (POOL_MIN_SIZE),
+single workers, platforms without fork and processes running other threads
+stay serial. Records do not depend on the worker count.
 
 The full superposition is evaluated exactly, without building its state.
 Block (i, j) evolves under two independent uniform sequences, so the
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -252,7 +261,7 @@ def _map_tasks(fn, tasks, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Half-stored kernel (state shape (b, k, D, w, D) with w = k // 2 + 1,
+# Half-stored kernel (state shape (b, k, w, D, D) with w = k // 2 + 1,
 # C-contiguous: b independent k-branch states)
 #
 # Block (j, i) of a Hermitian state is the adjoint of block (i, j), so row i
@@ -263,22 +272,68 @@ def _map_tasks(fn, tasks, size: int):
 # the layout. The channel steps and control depolarization preserve
 # Hermiticity, so they act on the stored blocks of either layout alike.
 #
+# Each block B is stored transposed: entry [x, i, s, c, a] is B[a, c], so
+# the row-target index a comes last and a gate U acts on the right, as
+# x -> x U^T on every row x of the last axis. Every such product runs in
+# real arithmetic: viewed as float64, a complex row of length n is a real
+# row of length 2n (re, im interleaved), and x -> x M is x_r -> x_r R(M)
+# with the (2n, 2n) real form R of `_real_form`. R(M1 M2) = R(M1) R(M2),
+# R(M)^T = R(M^dag), and J R(M), with J negating the imaginary rows, maps
+# x_r to the real view of conj(x) M.
+#
 # Every step maps (state, free) -> (state, free) between two buffers that
 # the calling task owns, so nothing state-sized is allocated per position.
 # ---------------------------------------------------------------------------
 
+def _real_form(mats: np.ndarray) -> np.ndarray:
+    """The (..., 2n, 2n) float64 forms R of complex (..., n, n) matrices M:
+    for a complex row x, x.view(float64) @ R(M) == (x @ M).view(float64)."""
+    n = mats.shape[-1]
+    form = np.empty(mats.shape[:-2] + (n, 2, n, 2))
+    form[..., :, 0, :, 0] = form[..., :, 1, :, 1] = mats.real
+    form[..., :, 0, :, 1] = mats.imag
+    form[..., :, 1, :, 0] = -mats.imag
+    return form.reshape(mats.shape[:-2] + (2 * n, 2 * n))
+
+
+def _conjugating(form: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """J R into `out`: the real forms R(M) with their imaginary rows
+    negated, which map x.view(float64) to conj(x) @ M."""
+    signs = np.tile([1.0, -1.0], form.shape[-1] // 2)[:, None]
+    return np.multiply(form, signs, out=out)
+
+
+def _real_gates(gate_set: GateSet) -> np.ndarray:
+    """The run's read-only (2, |G|, 2D, 2D) float64 gate stack, built once
+    per run before any task is forked: for each element U, R(U^T) and
+    J R(U^T), the plain and the conjugating form of the gate step. Refused,
+    before allocating, when its 64 |G| D^2 bytes exceed STATE_BUDGET_BYTES."""
+    size, dim = len(gate_set), gate_set.dim
+    needed = 2 * 8 * size * (2 * dim) ** 2
+    if needed > STATE_BUDGET_BYTES:
+        raise DimensionError(
+            f"the real gate stack of {size} elements of dimension {dim} needs "
+            f"{needed} bytes (a 2x{size}x{2 * dim}x{2 * dim} float64 array); "
+            f"the budget is {STATE_BUDGET_BYTES} bytes")
+    gates = np.empty((2, size, 2 * dim, 2 * dim))
+    gates[0] = _real_form(gate_set.stacked().transpose(0, 2, 1))
+    _conjugating(gates[0], out=gates[1])
+    gates.setflags(write=False)
+    return gates
+
+
 @functools.lru_cache(maxsize=2)
 def _repack_indices(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices (into forward, into backward), each of shape
-    (k, D, w, D), into a flattened state held in the other layout: entry
-    [i, a, s, c] of the gathered state is entry [r, c, s, a] of the input,
+    (k, w, D, D), into a flattened state held in the other layout: entry
+    [i, s, c, a] of the gathered state is entry [r, s, a, c] of the input,
     with r = (i + s) mod k into the forward layout and r = (i - s) mod k
     into the backward one. Either way slot s of input row r holds block
     (r, i), so slot s of row i receives its transpose, and block (i, r) is
     its adjoint. They depend only on (k, D); the last two are kept."""
     w = k // 2 + 1
-    i, a, s, c = np.ix_(range(k), range(d), range(w), range(d))
-    indices = tuple(((rows % k * d + c) * w + s) * d + a for rows in (i + s, i - s))
+    i, s, c, a = np.ix_(range(k), range(w), range(d), range(d))
+    indices = tuple(((rows % k * w + s) * d + a) * d + c for rows in (i + s, i - s))
     for index in indices:
         index.setflags(write=False)
     return indices
@@ -288,21 +343,21 @@ def _conjugate_branches(state: np.ndarray, free: np.ndarray,
                         gates: np.ndarray, repack: np.ndarray):
     """Block (i, j) -> U_xi block U_xj^dag on every stored block of
     Hermitian states, re-packed by `repack` (one of `_repack_indices`) into
-    the other layout.
+    the other layout; `gates` holds the plain and the conjugating real form
+    of U_xi^T at [0, x, i] and [1, x, i].
 
     U rho U^dag = U (U rho)^dag, and block (i, j) of (U rho)^dag is the
     adjoint of block (j, i) of U rho, stored in row j of the current layout
-    whenever the other layout stores block (i, j) in row i: two batched
-    matmuls by the row gates around one gather and an in-place
-    conjugation.
+    whenever the other layout stores block (i, j) in row i: two real
+    batched matmuls around one gather, the second of which conjugates.
     """
-    b, k, d, w = state.shape[:4]
-    rows, free_rows = state.reshape(b, k, d, w * d), free.reshape(b, k, d, w * d)
-    np.matmul(gates, rows, out=free_rows)                               # U rho
+    b, k, w, d = state.shape[:4]
+    rows = state.view(np.float64).reshape(b, k, w * d, 2 * d)
+    free_rows = free.view(np.float64).reshape(b, k, w * d, 2 * d)
+    np.matmul(rows, gates[0], out=free_rows)                            # U rho
     # mode="clip" writes straight into `state`; "raise" would buffer.
     np.take(free.reshape(b, -1), repack, axis=1, out=state, mode="clip")
-    np.conjugate(state, out=state)                                      # rho U^dag
-    np.matmul(gates, rows, out=free_rows)                               # U rho U^dag
+    np.matmul(rows, gates[1], out=free_rows)                            # U rho U^dag
     return free, state
 
 
@@ -317,21 +372,21 @@ def _channel_step(sop: np.ndarray, aux: np.ndarray):
     """A uniform (branch-independent) channel on the target factor, as a
     step between two state buffers. The identity is a no-op; a diagonal
     superoperator (all Kraus operators diagonal, as for every phase
-    channel) is an elementwise mask held in `aux`; any other uses `aux` as
-    the scratch of its transposed layout."""
+    channel) is an elementwise mask held in `aux`; any other is a real
+    product over the stored blocks."""
     if np.array_equal(sop, np.eye(sop.shape[0])):
         return lambda state, free: (state, free)
     if not np.any(sop - np.diag(np.diagonal(sop))):
         return _mask_step(np.diagonal(sop), aux)
-    return _superop_step(sop, aux)
+    return _superop_step(sop)
 
 
 def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
-    """Multiply entry [x,i,a,s,b] by diagonal[a*D + b]. The mask is filled
-    once at full state size: a broadcast (1,1,D,1,D) operand makes the
+    """Multiply entry [x,i,s,c,a] by diagonal[a*D + c]. The mask is filled
+    once at full state size: a broadcast (1,1,1,D,D) operand makes the
     inner loop D long, about five times slower at k = 80, D = 2."""
-    d = mask.shape[2]
-    np.copyto(mask, diagonal.reshape(1, 1, d, 1, d))
+    d = mask.shape[-1]
+    np.copyto(mask, diagonal.reshape(d, d).T)
 
     def step(state, free):
         np.multiply(state, mask, out=free)
@@ -339,20 +394,33 @@ def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
     return step
 
 
-def _superop_step(sop: np.ndarray, scratch: np.ndarray):
-    """One (D^2, D^2) x (D^2, w) product per branch row, between two copies
-    with the last two axes swapped. One (D^2, D^2) x (D^2, b k w) product
-    would be threaded by OpenBLAS once D^4 b k w > 262144 and oversubscribe
-    the CPUs of the forked workers; the per-row products stay under that
-    size for every k the state budget admits at D <= 4."""
-    b, k, d, w = scratch.shape[:4]
-    rows = scratch.reshape(b, k, d * d, w)
+# OpenBLAS threads a product of m x n x k flops above this size, which
+# would oversubscribe the CPUs of the forked workers.
+_BLAS_SERIAL_SIZE = 262144
+
+
+def _superop_step(sop: np.ndarray):
+    """The map of `_superop` on every stored block. A stored block lists
+    its entries [c, a] contiguously, so the channel is one real
+    (blocks, 2D^2) x (2D^2, 2D^2) product over all b k w stored blocks,
+    with the superoperator's row and column pairs swapped to (c, a) and its
+    real form taken once. The blocks go in chunks small enough that no
+    product exceeds _BLAS_SERIAL_SIZE: 4096 blocks at D = 2 (all of them
+    up to k = 89), 256 at D = 4."""
+    d = math.isqrt(sop.shape[0])
+    swap = np.arange(d * d).reshape(d, d).T.ravel()
+    form = _real_form(sop[np.ix_(swap, swap)].T)
+    chunk = max(1, _BLAS_SERIAL_SIZE // form.size)
 
     def step(state, free):
-        np.copyto(rows.reshape(b, k, d, d, w), state.transpose(0, 1, 2, 4, 3))
-        # The state now lives in `rows`, so its buffer takes the product.
-        np.matmul(sop, rows, out=state.reshape(b, k, d * d, w))
-        np.copyto(free, state.reshape(b, k, d, d, w).transpose(0, 1, 2, 4, 3))
+        rows = state.view(np.float64).reshape(-1, 2 * d * d)
+        free_rows = free.view(np.float64).reshape(-1, 2 * d * d)
+        if len(rows) <= chunk:  # slicing costs about 2 us
+            np.matmul(rows, form, out=free_rows)
+        else:
+            for start in range(0, len(rows), chunk):
+                np.matmul(rows[start:start + chunk], form,
+                          out=free_rows[start:start + chunk])
         return free, state
     return step
 
@@ -361,7 +429,7 @@ def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     """Half-stored form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho) on every
     state of the batch, in place: the diagonal blocks are slot 0."""
     k = rho.shape[1]
-    diagonal = rho[:, :, :, 0, :]
+    diagonal = rho[:, :, 0]
     target = np.einsum("xiab->xab", diagonal)
     rho *= q
     diagonal += (1.0 - q) / k * target[:, None]
@@ -378,8 +446,8 @@ def _coherent_initial(b: int, k: int, target_rho: np.ndarray) -> np.ndarray:
     """b copies of |+><+|_c (x) target_rho, half-stored and C-contiguous.
     Its blocks are all equal, so it is in both layouts."""
     dim = target_rho.shape[0]
-    rho = np.empty((b, k, dim, k // 2 + 1, dim), dtype=np.complex128)
-    rho[...] = (target_rho / k)[None, None, :, None, :]
+    rho = np.empty((b, k, k // 2 + 1, dim, dim), dtype=np.complex128)
+    rho[...] = (target_rho / k).T
     return rho
 
 
@@ -397,13 +465,13 @@ def _position_sop(noise: NoiseModel,
     return sop
 
 
-def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
+def _evolve(real_gates: np.ndarray, noise: NoiseModel, sequences: np.ndarray, *,
             control_q: float = 1.0,
             interleaved_gate: np.ndarray | None = None,
             interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Final half-stored states, in the forward layout, of b independent
     coherent runs, each over k branches, from a (b, k, m) sequence-index
-    array.
+    array into the set whose real gate stack (`_real_gates`) is given.
 
     Protocol of each run: prepare |+>_c (x) prep(|0>); apply m controlled
     gates, each followed by the gate channel on the target (and, when
@@ -413,39 +481,42 @@ def _evolve(gate_set: GateSet, noise: NoiseModel, sequences: np.ndarray, *,
     the interleaved variant, whose closing gate is noiseless.
     """
     b, k, m = sequences.shape
-    dim = gate_set.dim
-    stack = gate_set.stacked()
+    dim = real_gates.shape[-1] // 2
 
     # The task's whole footprint: three state-sized arrays and the gather
-    # indices (see _check_budget), and a few (b, k, D, D) arrays.
+    # indices (see _check_budget), and a few (b, k, 2D, 2D) arrays.
     state = _coherent_initial(b, k, _prep_target(dim, noise.prep_error))
     free = np.empty_like(state)
     aux = np.empty_like(state)
     into_forward, into_backward = _repack_indices(k, dim)
     position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
     channel = _channel_step(position_sop, aux)
-    gates = np.empty((b, k, dim, dim), dtype=np.complex128)
-    products = np.broadcast_to(
-        np.eye(dim, dtype=np.complex128), (b, k, dim, dim)
-    ).copy()
+    # gates[:, x, i] are the two forms of branch i's gate of run x.
+    # products[x, i] is R(P^T) of the branch's running product P, so that
+    # the closing gate P^dag has the plain form R(P^T)^T.
+    gates = np.empty((2, b, k, 2 * dim, 2 * dim))
+    products = np.broadcast_to(np.eye(2 * dim), (b, k, 2 * dim, 2 * dim)).copy()
     spare = np.empty_like(products)
+    if interleaved_gate is not None:
+        interleaved_form = _real_form(interleaved_gate.T)
 
     for position in range(m):
-        np.take(stack, sequences[..., position], axis=0, out=gates)
+        np.take(real_gates, sequences[..., position], axis=1, out=gates)
         # The layout flips at each of the m + 1 conjugations. The initial
         # state is in both, so choosing by the parity left ends in forward.
         repack = into_forward if (m - position) % 2 == 0 else into_backward
         state, free = _conjugate_branches(state, free, gates, repack)
         state, free = channel(state, free)
-        np.matmul(gates, products, out=spare)
+        np.matmul(products, gates[0], out=spare)
         if interleaved_gate is None:
             products, spare = spare, products
         else:
-            np.matmul(interleaved_gate, spare, out=products)
+            np.matmul(spare, interleaved_form, out=products)
         if control_q < 1.0:
             _apply_control_depolarize(state, control_q)
 
-    np.conjugate(products.transpose(0, 1, 3, 2), out=gates)
+    np.copyto(gates[0], products.transpose(0, 1, 3, 2))
+    _conjugating(gates[0], out=gates[1])
     state, free = _conjugate_branches(state, free, gates, into_forward)
     if interleaved_gate is None:
         # The final channel is most often the gate channel: reuse its step
@@ -470,12 +541,12 @@ def _overlap_fidelity(state: np.ndarray, meas_error: float) -> float:
     counts once and every other slot twice, except slot k/2 for even k,
     which is stored twice.
     """
-    k, w = state.shape[1], state.shape[3]
+    k, w = state.shape[1], state.shape[2]
     weights = np.full(w, 2.0)
     weights[0] = 1.0
     if k % 2 == 0:
         weights[-1] = 1.0
-    overlap = float(state[0, :, 0, :, 0].real.sum(axis=0) @ weights) / k
+    overlap = float(state[0, :, :, 0, 0].real.sum(axis=0) @ weights) / k
     return _clamp_fidelity((1.0 - meas_error) * overlap)
 
 
@@ -497,35 +568,6 @@ def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
     if not inside.all():
         raise _out_of_range(survivals[~inside][0])
     return np.clip(survivals, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Single protocol executions
-# ---------------------------------------------------------------------------
-
-def simulate_coherent(gate_set: GateSet, noise: NoiseModel,
-                      sequences: np.ndarray, *,
-                      control_q: float = 1.0,
-                      interleaved_gate: np.ndarray | None = None,
-                      interleaved_noise: Sequence[np.ndarray] | None = None
-                      ) -> float:
-    """One coherent run over an explicit (k, m) sequence-index array (see
-    `_evolve`), measured with the return effect (1 - eps_m)|psi><psi|,
-    psi = |+>_c (x) |0>."""
-    state = _evolve(gate_set, noise, np.asarray(sequences)[None],
-                    control_q=control_q, interleaved_gate=interleaved_gate,
-                    interleaved_noise=interleaved_noise)
-    return _overlap_fidelity(state, noise.meas_error)
-
-
-def simulate_standard(gate_set: GateSet, noise: NoiseModel,
-                      sequences: np.ndarray) -> np.ndarray:
-    """Per-sequence survival fidelities of a (k, m) sequence-index array,
-    evolved as k one-branch coherent runs: with a one-level control
-    register, coherent RB is standard RB. Noise insertion points are those
-    of the coherent runs."""
-    state = _evolve(gate_set, noise, np.asarray(sequences)[:, None, :])
-    return _branch_survivals(state, noise.meas_error)
 
 
 # ---------------------------------------------------------------------------
@@ -574,26 +616,29 @@ def _sampled_run(cfg: RbRunConfig, estimate,
                  modes: tuple[str, ...] | None = None
                  ) -> tuple[list[FidelityRecord], ...]:
     """The (length, repetition) task loop of every sampled mode: `estimate`
-    maps one (k, m) draw of sequence indices to one expected fidelity per
-    mode in `modes` (default: cfg.mode alone), and the records come back
-    as one list per mode. Each mode draws its shots from a fresh tag-1
-    stream, so its records equal those of a run of that mode alone.
+    maps the run's real gate stack and one (k, m) draw of sequence indices
+    to one expected fidelity per mode in `modes` (default: cfg.mode
+    alone), and the records come back as one list per mode. Each mode
+    draws its shots from a fresh tag-1 stream, so its records equal those
+    of a run of that mode alone.
 
     Every task evolves one kernel state: k one-branch runs in mode
-    "standard", one k-branch run otherwise. Its size is checked against
-    the budget before any task starts."""
+    "standard", one k-branch run otherwise. Its size and that of the gate
+    stack are checked against the budget before any task starts; the
+    stack is built once, before the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
     if cfg.mode == "standard":
         _check_budget(1, cfg.gate_set.dim, cfg.k)
     else:
         _check_budget(cfg.k, cfg.gate_set.dim)
+    gates = _real_gates(cfg.gate_set)
 
     def one(task):
         m, rep = task
         rng = child_rng(cfg.seed, m, rep, 0)
         sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
         records = []
-        for mode, fidelity in zip(modes, estimate(sequences), strict=True):
+        for mode, fidelity in zip(modes, estimate(gates, sequences), strict=True):
             if cfg.shots > 0:
                 shots_rng = child_rng(cfg.seed, m, rep, 1)
                 fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
@@ -606,9 +651,10 @@ def _sampled_run(cfg: RbRunConfig, estimate,
 
 
 def _coherent_estimate(cfg: RbRunConfig, **kwargs):
-    """Estimator of the sampled coherent modes."""
-    return lambda sequences: (simulate_coherent(cfg.gate_set, cfg.noise,
-                                                sequences, **kwargs),)
+    """Estimator of the sampled coherent modes: one k-branch run, measured
+    with the return effect (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>."""
+    return lambda gates, sequences: (_overlap_fidelity(
+        _evolve(gates, cfg.noise, sequences[None], **kwargs), cfg.noise.meas_error),)
 
 
 def _full_run(cfg: RbRunConfig,
@@ -646,10 +692,12 @@ def _full_run(cfg: RbRunConfig,
 
 
 def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
-    """Standard RB: each record averages k independent sequence survivals."""
+    """Standard RB: each record averages k independent sequence survivals,
+    evolved as k one-branch coherent runs: with a one-level control
+    register, coherent RB is standard RB."""
     _expect_mode(cfg, "standard")
-    return _sampled_run(cfg, lambda sequences: (float(np.mean(
-        simulate_standard(cfg.gate_set, cfg.noise, sequences))),))[0]
+    return _sampled_run(cfg, lambda gates, sequences: (float(np.mean(_branch_survivals(
+        _evolve(gates, cfg.noise, sequences[:, None, :]), cfg.noise.meas_error))),))[0]
 
 
 def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -671,8 +719,8 @@ def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord
     """
     _expect_mode(cfg, "coherent")
 
-    def both(sequences):
-        state = _evolve(cfg.gate_set, cfg.noise, sequences[None])
+    def both(gates, sequences):
+        state = _evolve(gates, cfg.noise, sequences[None])
         return (_overlap_fidelity(state, cfg.noise.meas_error),
                 float(np.mean(_branch_survivals(state, cfg.noise.meas_error))))
 

@@ -324,15 +324,20 @@ def build_custom_set(mats: Sequence[np.ndarray], d: int | None = None,
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
 
+# Least values of the int keys: a qudit dimension d >= 2, a qudit count n >= 1.
+_D_MIN, _DN_MIN = {"d": 2}, {"d": 2, "n": 1}
+
 _FAMILIES = {
-    "pauli": SpecEntry({"d": int, "n": int}, build_pauli_set, lambda d, n: (d, n)),
-    "clifford": SpecEntry({"d": int, "n": int}, build_clifford_set, lambda d, n: (d, n)),
-    "controlled": SpecEntry({"d": int}, build_controlled_set, _controlled_dims),
+    "pauli": SpecEntry({"d": int, "n": int}, build_pauli_set, lambda d, n: (d, n), _DN_MIN),
+    "clifford": SpecEntry({"d": int, "n": int}, build_clifford_set, lambda d, n: (d, n),
+                          _DN_MIN),
+    "controlled": SpecEntry({"d": int}, build_controlled_set, _controlled_dims, _D_MIN),
     "two-control": SpecEntry({}, build_two_control_set, lambda: (2, 3)),
-    "ms": SpecEntry({"n": int, "theta": float}, build_ms_dressed_set, lambda n, theta: (2, n)),
+    "ms": SpecEntry({"n": int, "theta": float}, build_ms_dressed_set,
+                    lambda n, theta: (2, n), {"n": 1}),
     "dressed": SpecEntry({"d": int, "n": int, "u": str},
                          lambda d, n, u: build_dressed_set(read_matrix(u), d, n),
-                         lambda d, n, u: (d, n)),
+                         lambda d, n, u: (d, n), _DN_MIN),
     "custom": SpecEntry(None, lambda path: build_custom_set(read_matrices(path)),
                         lambda path: (read_matrices(path)[0].shape[0], 1)),
 }

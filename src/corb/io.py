@@ -69,22 +69,25 @@ def read_matrix(path: str) -> np.ndarray:
 
 
 class SpecEntry(NamedTuple):
-    """A spec name's keys and builder; `dims` is a gate-set family's (d, n)."""
+    """A spec name's keys and `build` function; `dims` is a gate-set
+    family's (d, n) and `minima` the least value of each int key."""
 
     keys: dict[str, type] | None  # key -> int, float or str; None: body is a path
     build: Callable
     dims: Callable[..., tuple[int, int]] | None = None
+    minima: dict[str, int] | None = None
 
 
 def parse_spec(spec: str, table: dict[str, SpecEntry], what: str) -> tuple[str, dict]:
     """Name and typed keyword arguments of a `name:key=value,...` spec,
-    checked against `table[name].keys`; a path body is given back as `path`.
-    A missing key is reported before any other fault."""
+    checked against `table[name].keys` and, for int keys, against
+    `table[name].minima`; a path body is given back as `path`. A missing
+    key is reported before any other fault."""
     name, _, body = (part.strip() for part in spec.strip().partition(":"))
     name, ref = name.lower(), f"{what} spec {spec!r}"
     if name not in table:
         raise ValueError(f"{ref} has unknown name {name!r} (known: {', '.join(table)})")
-    keys = table[name].keys
+    keys, minima = table[name].keys, table[name].minima or {}
     if keys is None:
         if not body:
             raise ValueError(f"{ref} is missing its file path")
@@ -106,6 +109,8 @@ def parse_spec(spec: str, table: dict[str, SpecEntry], what: str) -> tuple[str, 
             valid = False
         if not valid:
             raise ValueError(f"{ref}: bad {keys[key].__name__} for key {key!r}: {value!r}")
+        if keys[key] is int and kwargs[key] < minima[key]:
+            raise ValueError(f"{ref}: key {key!r} must be >= {minima[key]}, got {value!r}")
     return name, kwargs
 
 
@@ -128,6 +133,8 @@ def atomic_write(path: str, text: str) -> None:
 
 
 RECORD_FIELDS = ("mode", "m", "repetition", "fidelity", "k", "seed_stream")
+_RECORD_TYPES = dict(zip(RECORD_FIELDS, (str, int, int, float, int, str)))
+_ACCEPTED = {str: (str,), int: (str, int), float: (str, int, float)}
 
 
 def records_to_rows(records) -> list[dict]:
@@ -168,15 +175,21 @@ def write_records_json(path: str, records, config: dict | None = None) -> None:
 
 
 def read_records(path: str) -> tuple[list[dict], dict | None]:
-    """Load records as dicts plus the embedded config (None if absent)."""
+    """Load records as dicts plus the embedded config (None if absent).
+    A value that does not convert to its column's type, or a fidelity that
+    is not finite, is refused with the file and the row (counted from 1)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(stripped)
-        if payload.get("format") != "corb-records":
+        try:
+            payload = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+        records = payload.get("records")
+        if (payload.get("format") != "corb-records" or not isinstance(records, list)
+                or not all(isinstance(row, dict) for row in records)):
             raise ValueError(f"{path}: not a corb records file")
-        records = payload["records"]
         config = payload.get("config")
         columns = set(RECORD_FIELDS).intersection(*records)
     else:
@@ -196,15 +209,22 @@ def read_records(path: str) -> tuple[list[dict], dict | None]:
         if name not in columns:
             raise ValueError(f"{path}: not a corb records file (missing column {name!r})")
     out = []
-    for row in records:
-        out.append(
-            {
-                "mode": row["mode"],
-                "m": int(row["m"]),
-                "repetition": int(row["repetition"]),
-                "fidelity": float(row["fidelity"]),
-                "k": int(row["k"]),
-                "seed_stream": row["seed_stream"],
-            }
-        )
+    for number, row in enumerate(records, 1):
+        record = {}
+        for name, kind in _RECORD_TYPES.items():
+            value = row[name]
+            try:
+                # A CSV cell is a string to convert; a JSON value must
+                # already have a type the column accepts (a missing CSV cell
+                # or a JSON null is None, which none does).
+                if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+                    raise ValueError
+                record[name] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}: row {number}: bad {kind.__name__} "
+                                 f"for {name!r}: {value!r}") from None
+        if not math.isfinite(record["fidelity"]):
+            raise ValueError(f"{path}: row {number}: fidelity {row['fidelity']!r} "
+                             f"is not finite")
+        out.append(record)
     return out, config

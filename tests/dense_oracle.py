@@ -146,7 +146,7 @@ def dense_coherent_state(gate_set, noise, sequences, *, control_q=1.0,
 
 
 def dense_coherent(gate_set, noise, sequences, **kwargs) -> float:
-    """`corb.engine.simulate_coherent` on the flat (kD)^2 state of
+    """`helpers.simulate_coherent` on the flat (kD)^2 state of
     `dense_coherent_state`."""
     k = np.shape(sequences)[0]
     psi = np.kron(plus_state(k), basis_state(gate_set.dim))
@@ -155,25 +155,26 @@ def dense_coherent(gate_set, noise, sequences, **kwargs) -> float:
 
 
 def pack(rho: np.ndarray, k: int) -> np.ndarray:
-    """The forward half layout (k, D, w, D), w = k // 2 + 1, of a flat
-    (kD)^2 state: slot s of row i holds block (i, (i + s) mod k)."""
+    """The forward half layout (k, w, D, D), w = k // 2 + 1, of a flat
+    (kD)^2 state: slot s of row i holds the transpose of block
+    (i, (i + s) mod k)."""
     d = rho.shape[0] // k
     blocks = as_matrix(rho).reshape(k, d, k, d)
     rows = np.arange(k)[:, None]
     columns = (rows + np.arange(k // 2 + 1)) % k
-    return blocks[rows, :, columns, :].transpose(0, 2, 1, 3).copy()
+    return blocks[rows, :, columns, :].transpose(0, 1, 3, 2).copy()
 
 
 def unpack(half: np.ndarray) -> np.ndarray:
     """The flat (kD)^2 state of a Hermitian state in the forward half layout
-    (k, D, w, D): every stored block, and the adjoint of each stored block
-    in the place of the one not stored."""
-    k, d, w = half.shape[:3]
+    (k, w, D, D): every stored block, transposed back, and the adjoint of
+    each stored block in the place of the one not stored."""
+    k, w, d = half.shape[:3]
     blocks = np.empty((k, d, k, d), dtype=half.dtype)
     for i in range(k):
         for s in range(w):
-            blocks[(i + s) % k, :, i, :] = dagger(half[i, :, s, :])
+            blocks[(i + s) % k, :, i, :] = half[i, s].conj()
     for i in range(k):
         for s in range(w):
-            blocks[i, :, (i + s) % k, :] = half[i, :, s, :]
+            blocks[i, :, (i + s) % k, :] = half[i, s].T
     return blocks.reshape(k * d, k * d)

@@ -1,12 +1,14 @@
 """Test-side helpers that the library itself never calls: random states,
 unitaries and channels, the chi-matrix conversions, the Pauli-label algebra,
-matrix-file writers, and dense reference versions of library checks.
+matrix-file writers, dense reference versions of library checks, and
+single protocol executions on the engine kernel.
 """
 
 from typing import Sequence
 
 import numpy as np
 
+from corb.engine import _branch_survivals, _evolve, _overlap_fidelity, _real_gates
 from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
@@ -271,3 +273,23 @@ def format_matrix(m: np.ndarray) -> str:
 
 def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
     atomic_write(path, "".join(format_matrix(m) for m in mats))
+
+
+# ---------------------------------------------------------------------------
+# Single protocol executions on the engine kernel
+# ---------------------------------------------------------------------------
+
+def simulate_coherent(gate_set, noise, sequences, **kwargs) -> float:
+    """One coherent run of `corb.engine._evolve` over an explicit (k, m)
+    sequence-index array, measured with the return effect
+    (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>; keyword arguments as for
+    `_evolve`."""
+    state = _evolve(_real_gates(gate_set), noise, np.asarray(sequences)[None], **kwargs)
+    return _overlap_fidelity(state, noise.meas_error)
+
+
+def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
+    """Per-sequence survival fidelities of a (k, m) sequence-index array,
+    evolved as k one-branch coherent runs, as standard RB runs them."""
+    state = _evolve(_real_gates(gate_set), noise, np.asarray(sequences)[:, None, :])
+    return _branch_survivals(state, noise.meas_error)

@@ -163,6 +163,99 @@ class TestRecordFiles:
         with pytest.raises(ValueError, match=r"missing column 'seed_stream'"):
             read_records(path)
 
+    @staticmethod
+    def spoil(path, fmt, records, column, value):
+        """Write `records` to `path` with `column` of the second row set to
+        `value` (a CSV cell, or a JSON value; nan and inf as bare NaN and
+        Infinity, which Python's JSON reader accepts)."""
+        if fmt == "csv":
+            write_records_csv(path, records)
+            lines = open(path).read().splitlines()
+            header = lines[0].split(",")
+            cells = lines[2].split(",")
+            cells[header.index(column)] = str(value)
+            lines[2] = ",".join(cells)
+            text = "\n".join(lines) + "\n"
+        else:
+            write_records_json(path, records)
+            payload = json.loads(open(path).read())
+            payload["records"][1][column] = value
+            text = json.dumps(payload)
+        open(path, "w").write(text)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_fidelity_refused(self, tmp_path, fmt, value):
+        """A non-finite fidelity is refused with the file and the row;
+        `corb fit` exits 1 with that message instead of failing on
+        non-JSON-compliant output."""
+        records, _ = self.sample_records()
+        path = str(tmp_path / f"r.{fmt}")
+        self.spoil(path, fmt, records, "fidelity", value)
+        message = f"{path}: row 2: fidelity .* is not finite"
+        with pytest.raises(ValueError, match=message):
+            read_records(path)
+        status, out, err = run_main(["fit", path])
+        assert status == 1 and out == ""
+        assert re.fullmatch(f"error: {message}\n", err), err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column,value,kind", [
+        ("m", "x", "int"), ("k", 2.5, "int"), ("repetition", "", "int"),
+        ("fidelity", "high", "float")])
+    def test_unconvertible_value_named(self, tmp_path, fmt, column, value, kind):
+        """A value that does not convert to its column's type names the
+        file, the row, the column and the value; `corb fit` exits 1."""
+        records, _ = self.sample_records()
+        path = str(tmp_path / f"r.{fmt}")
+        self.spoil(path, fmt, records, column, value)
+        message = (f"{path}: row 2: bad {kind} for '{column}': "
+                   f"{(str(value) if fmt == 'csv' else value)!r}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_records(path)
+        status, _, err = run_main(["fit", path])
+        assert status == 1 and message in err
+
+    @pytest.mark.parametrize("column,value,kind", [
+        ("mode", None, "str"), ("seed_stream", 7, "str"), ("m", True, "int"),
+        ("fidelity", None, "float")])
+    def test_json_value_of_wrong_type_named(self, tmp_path, column, value, kind):
+        """A JSON value is not coerced into its column: a null, a number
+        for a string, or a boolean for an integer is refused by row."""
+        records, _ = self.sample_records()
+        path = str(tmp_path / "r.json")
+        self.spoil(path, "json", records, column, value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 2: bad {kind} for '{column}': {value!r}")):
+            read_records(path)
+
+    @pytest.mark.parametrize("text,fault", [
+        ('{"format": "corb-records"}', "not a corb records file"),
+        ('{"format": "corb-records", "records": [1, 2]}', "not a corb records file"),
+        ('{"format": "corb-records", "records": {}}', "not a corb records file"),
+        ('{"format": "corb-records", "records": [', "not valid JSON"),
+    ], ids=["no-records", "not-objects", "not-a-list", "truncated"])
+    def test_malformed_json_document_named(self, tmp_path, text, fault):
+        """A JSON document without a list of record objects is refused
+        with the file named (exit 1), not a bare KeyError or TypeError."""
+        path = str(tmp_path / "r.json")
+        open(path, "w").write(text)
+        status, _, err = run_main(["fit", path])
+        assert status == 1 and err.startswith(f"error: {path}: {fault}"), err
+
+    def test_short_csv_row_named(self, tmp_path):
+        """A CSV row with a missing cell is refused, not read as 'None'."""
+        records, _ = self.sample_records()
+        path = str(tmp_path / "r.csv")
+        write_records_csv(path, records)
+        lines = open(path).read().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 3: bad str for 'seed_stream': None")):
+            read_records(path)
+
 
 class TestExperimentConfig:
     def test_dict_round_trip(self):
@@ -264,6 +357,12 @@ SET_PROBES = [
     ("two-control:d=2", "has unknown key 'd'"),
     ("pauli:d=2,,n=1", "has unknown key ''"),
     ("custom:", "is missing its file path"),
+    ("pauli:d=2,n=-1", "key 'n' must be >= 1, got '-1'"),
+    ("pauli:d=1,n=1", "key 'd' must be >= 2, got '1'"),
+    ("clifford:d=2,n=0", "key 'n' must be >= 1, got '0'"),
+    ("controlled:d=0", "key 'd' must be >= 2, got '0'"),
+    ("ms:n=-3,theta=0.5", "key 'n' must be >= 1, got '-3'"),
+    ("dressed:d=-2,n=1,u=u.mat", "key 'd' must be >= 2, got '-2'"),
 ]
 CHANNEL_PROBES = [
     ("dephasing:p=0.01,q=3", "has unknown key 'q'"),
@@ -325,7 +424,8 @@ _NAME_CHARS = "abcdefghijklmnopqrstuvwxyz-"
 def malformed_specs(draw, table):
     """A spec with exactly one fault, built from a valid keyed spec of
     `table`: an unknown name; an unknown, empty, repeated or missing key;
-    a value its type cannot read; or a non-finite float."""
+    a value its type cannot read; an int below its key's minimum; or a
+    non-finite float."""
     name = draw(st.sampled_from(sorted(n for n, e in table.items() if e.keys is not None)))
     keys = table[name].keys
     pairs = [(key, _VALID_VALUE[kind]) for key, kind in keys.items()]
@@ -337,6 +437,8 @@ def malformed_specs(draw, table):
         faults += ["value"]
     if any(keys[pairs[i][0]] is float for i in numeric):
         faults += ["non-finite"]
+    if any(keys[pairs[i][0]] is int for i in numeric):
+        faults += ["below"]
     fault = draw(st.sampled_from(faults))
     if fault == "name":
         name = draw(st.text(_NAME_CHARS, min_size=1, max_size=12).filter(
@@ -357,6 +459,10 @@ def malformed_specs(draw, table):
         if keys[pairs[i][0]] is int:
             bad += ["0.5", "2.0", "1e3"]
         pairs[i] = (pairs[i][0], draw(st.sampled_from(bad)))
+    elif fault == "below":
+        i = draw(st.sampled_from([i for i in numeric if keys[pairs[i][0]] is int]))
+        least = table[name].minima[pairs[i][0]]
+        pairs[i] = (pairs[i][0], str(least - draw(st.integers(1, 10 ** 6))))
     else:
         i = draw(st.sampled_from([i for i in numeric if keys[pairs[i][0]] is float]))
         pairs[i] = (pairs[i][0], draw(st.sampled_from(
@@ -379,6 +485,18 @@ class TestModuleEntryPoint:
 
 
 class TestRunCommand:
+    @pytest.mark.parametrize("lengths", ["2,x", "2,,4", "1.5", ""])
+    def test_bad_lengths_named(self, lengths, tmp_path):
+        """A --lengths value that is not a list of integers names the
+        option and the value (exit 1); nothing is written."""
+        out = str(tmp_path / "r.csv")
+        status, _, err = run_main(["run", "--set", "pauli:d=2,n=1", "--channel",
+                                   "identity", "--lengths", lengths, "--out", out])
+        assert status == 1
+        assert err == (f"error: --lengths must be comma-separated integers, "
+                       f"got {lengths!r}\n")
+        assert not os.path.exists(out)
+
     def test_noiseless_run_all_ones(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",

@@ -27,6 +27,8 @@ from corb.engine import (
     _mask_step,
     _overlap_fidelity,
     _prep_target,
+    _real_form,
+    _real_gates,
     _superop,
     _superop_step,
     child_rng,
@@ -37,8 +39,6 @@ from corb.engine import (
     run_coherent_with_control_noise,
     run_interleaved_coherent,
     run_standard_rb,
-    simulate_coherent,
-    simulate_standard,
 )
 from corb.fitting import decay_amplitude
 from corb.gatesets import (
@@ -65,7 +65,10 @@ from helpers import (
     kraus_to_chi,
     random_channel,
     random_phase_channel,
+    simulate_coherent,
+    simulate_standard,
 )
+from dense_oracle import apply_channel as dense_apply_channel
 from dense_oracle import dense_coherent, dense_coherent_state, pack, unpack
 
 PAULI_2 = build_pauli_set(2, 1)
@@ -341,12 +344,12 @@ class TestDenseOracle:
             kwargs.update(interleaved_gate=gate,
                           interleaved_noise=self._channel(kind, dim, rng))
         sequences = rng.integers(0, len(gate_set), size=(k, m))
-        state = _evolve(gate_set, noise, sequences[None], **kwargs)[0]
+        state = _evolve(_real_gates(gate_set), noise, sequences[None], **kwargs)[0]
         flat = dense_coherent_state(gate_set, noise, sequences, **kwargs)
         assert np.max(np.abs(unpack(state) - flat)) <= 1e-12
         if k % 2 == 0:
             for i in range(k // 2):
-                copy, twin = state[i, :, k // 2, :], state[i + k // 2, :, k // 2, :]
+                copy, twin = state[i, k // 2], state[i + k // 2, k // 2]
                 assert np.max(np.abs(copy - twin.conj().T)) <= 1e-12
         got = simulate_coherent(gate_set, noise, sequences, **kwargs)
         want = dense_coherent(gate_set, noise, sequences, **kwargs)
@@ -359,6 +362,23 @@ class TestDenseOracle:
                 want = dense_coherent(gate_set, noise, sequences[i:i + 1])
                 assert abs(survival - want) <= 1e-12
 
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk1", "chunk3", "whole"])
+    def test_superop_step_in_chunks(self, chunk, monkeypatch):
+        """The general channel step, one product over all stored blocks or
+        over chunks of them (as at k >= 90 for D = 2, to keep every product
+        below OpenBLAS's threading size), is the dense Kraus sum."""
+        rng = np.random.default_rng(68)
+        k, d = 7, 3
+        if chunk is not None:
+            monkeypatch.setattr("corb.engine._BLAS_SERIAL_SIZE", chunk * (2 * d * d) ** 2)
+        vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
+        rho = np.outer(vec, vec.conj())
+        kraus = random_channel(d, 3, rng)
+        out, _ = _superop_step(_superop(kraus))(pack(rho, k)[None],
+                                                np.empty((1, k, k // 2 + 1, d, d), complex))
+        want = dense_apply_channel(rho, [np.kron(np.eye(k), op) for op in kraus])
+        np.testing.assert_allclose(unpack(out[0]), want, rtol=0, atol=1e-13)
+
     def test_mask_and_superop_paths_agree_on_a_phase_channel(self):
         rng = np.random.default_rng(66)
         k, d = 5, 3
@@ -368,7 +388,7 @@ class TestDenseOracle:
         assert not np.any(sop - np.diag(np.diagonal(sop)))
         masked, _ = _mask_step(np.diagonal(sop), np.empty_like(state))(
             state.copy(), np.empty_like(state))
-        general, _ = _superop_step(sop, np.empty_like(state))(
+        general, _ = _superop_step(sop)(
             state.copy(), np.empty_like(state))
         assert not np.allclose(masked, state)
         np.testing.assert_allclose(masked, general, rtol=0, atol=1e-15)
@@ -443,7 +463,7 @@ class TestSampledMeans:
         f_std = self._interleaved_moment_survival(True, (1, 2))
         f_full = self._interleaved_moment_survival(False, (1, 2))
         for m, std, full in zip((1, 2), f_std, f_full):
-            state = _evolve(CLIFFORD_2, self.NOISE,
+            state = _evolve(_real_gates(CLIFFORD_2), self.NOISE,
                             all_sequences(len(CLIFFORD_2), m)[None],
                             interleaved_gate=H, interleaved_noise=self.GATE_NOISE)
             fidelity = _overlap_fidelity(state, self.NOISE.meas_error)
@@ -478,7 +498,7 @@ class TestSampledMeans:
 
 def diagonal_block_mean(gate_set, noise, sequences):
     """Mean survival of the diagonal control blocks of one coherent run."""
-    state = _evolve(gate_set, noise, sequences[None])
+    state = _evolve(_real_gates(gate_set), noise, sequences[None])
     return np.mean(_branch_survivals(state, noise.meas_error))
 
 
@@ -839,6 +859,26 @@ class TestConfigValidation:
         for record in run_standard_rb(cfg):
             assert abs(record.fidelity - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["coherent", "standard"])
+    def test_gate_stack_is_held_to_the_byte_budget(self, mode, monkeypatch):
+        """The run's real gate stack, the plain and the conjugating
+        (2D, 2D) float64 form of every element, takes 64 |G| D^2 bytes and
+        is checked before it is built: Pauli(2,2) needs 16384 bytes for it,
+        more than its task at k = 2. One byte short is refused with the
+        byte count; the exact need runs."""
+        gate_set = build_pauli_set(2, 2)
+        needed = 64 * len(gate_set) * 4 ** 2
+        assert needed == 16384
+        cfg = RbRunConfig(gate_set=gate_set, noise=ideal(4), lengths=(1, 2), k=2,
+                          mode=mode)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
+        with pytest.raises(DimensionError,
+                           match=rf"gate stack of 16 elements .* needs {needed} bytes"):
+            run(cfg)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
+        for record in run(cfg):
+            assert abs(record.fidelity - 1.0) <= 1e-12
+
     def test_full_mode_is_not_capped(self):
         """k * D = 4^7 * 2 is far past the sampled modes' byte budget; the exact
         evaluator never builds that state."""
@@ -894,6 +934,38 @@ class TestFidelityRange:
                           mode=mode)
         records = run(cfg, interleaved_gate=H)
         assert [r.fidelity for r in records] == [1.0]
+
+
+class TestRealForm:
+    """Every product of the kernel runs on float64 views: a complex row x
+    of length n is a real row of length 2n, and x -> x M is one real
+    (2n, 2n) product."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_gate_stack_forms_equal_the_complex_products(self, dim):
+        """Plain form: x_r -> (x U^T)_r; conjugating form: x_r ->
+        (conj(x) U^T)_r, for random complex rows and Haar unitaries."""
+        rng = np.random.default_rng(90 + dim)
+        rows = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+        unitaries = [haar_unitary(dim, rng) for _ in range(5)]
+        gates = _real_gates(build_custom_set(unitaries))
+        assert gates.shape == (2, 5, 2 * dim, 2 * dim) and gates.dtype == np.float64
+        real = rows.view(np.float64)
+        for u, plain, conjugating in zip(unitaries, gates[0], gates[1]):
+            np.testing.assert_allclose((real @ plain).view(np.complex128), rows @ u.T,
+                                       rtol=0, atol=1e-13)
+            np.testing.assert_allclose((real @ conjugating).view(np.complex128),
+                                       rows.conj() @ u.T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_products_and_adjoints(self, dim):
+        """R(M1 M2) = R(M1) R(M2) carries the running product, and
+        R(M)^T = R(M^dag) gives the closing inverse from it."""
+        rng = np.random.default_rng(95 + dim)
+        m1, m2 = rng.normal(size=(2, dim, dim)) + 1j * rng.normal(size=(2, dim, dim))
+        np.testing.assert_allclose(_real_form(m1 @ m2), _real_form(m1) @ _real_form(m2),
+                                   rtol=0, atol=1e-13)
+        assert np.array_equal(_real_form(m1).T, _real_form(m1.conj().T))
 
 
 class TestBlockedPrimitives:

@@ -12,7 +12,6 @@ from corb.engine import (
     RbRunConfig,
     run_coherent_rb,
     run_standard_rb,
-    simulate_standard,
 )
 from corb.fitting import (
     DeviationScenario,
@@ -26,6 +25,7 @@ from corb.fitting import (
 )
 from corb.gatesets import build_clifford_set, build_pauli_set
 from corb.noise import NoiseModel, chi00_of, dephasing_kraus
+from helpers import simulate_standard
 
 
 def synth(a, chi, ms):

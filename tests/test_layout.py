@@ -7,7 +7,7 @@ called only from the tests, or from nowhere. Such a helper belongs in
 as references.
 
 The README's "Spec strings" section documents every name and key of the
-spec tables, with the key's type.
+spec tables, with the key's type; every int key has a least value.
 """
 
 import ast
@@ -70,3 +70,11 @@ def test_readme_documents_every_spec_name_and_key():
             assert f"`{name}:<file>`" in rows[name]
         for key, kind in (entry.keys or {}).items():
             assert f"{key}=<{TYPE_NAMES[kind]}>" in rows[name], (name, key)
+
+
+def test_every_int_spec_key_has_a_minimum():
+    """Every int key is a dimension or a count, so each has a least value
+    that parsing checks."""
+    for name, entry in [*_FAMILIES.items(), *_CHANNELS.items()]:
+        ints = {key for key, kind in (entry.keys or {}).items() if kind is int}
+        assert ints == set(entry.minima or {}), name
