@@ -38,6 +38,7 @@ from .noise import (
 from .engine import (
     FidelityRecord,
     RbRunConfig,
+    exact_fidelities,
     run,
     run_coherent_and_standard,
     run_coherent_full,
@@ -56,7 +57,6 @@ from .fitting import (
     fit_decay,
     fit_records,
     irb_extract,
-    standard_rb_curve,
 )
 
 __version__ = "0.1.0"

@@ -6,10 +6,10 @@ per-run fidelity records and plot series; JSON carries fits and verdicts.
 The sampled engine modes run their (length, repetition) tasks in forked
 worker processes, one per usable CPU unless the CORB_THREADS environment
 variable (an integer >= 1) sets their number; each busy worker holds
-about 32 (kD)^2 bytes (three half-stored (k, D, k // 2 + 1, D) complex128
-arrays and two int64 gather indices of the same shape), and the records
-do not depend on the worker count. Any other CORB_THREADS value is a usage
-error.
+about 32 (kD)^2 bytes (three half-stored (k, k // 2 + 1, D, D) complex128
+arrays, each block transposed, and two int64 gather indices of the same
+shape), and the records do not depend on the worker count. Any other
+CORB_THREADS value is a usage error.
 
 Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
 (condition violated, fit divergence, engine error).
@@ -33,6 +33,7 @@ from .engine import (
     DimensionError,
     FidelityRecord,
     RbRunConfig,
+    exact_fidelities,
     run,
     run_coherent_with_control_noise,
     run_interleaved_coherent,
@@ -43,7 +44,6 @@ from .fitting import (
     deviation_experiment,
     fit_records,
     irb_extract,
-    standard_rb_curve,
 )
 from .gatesets import check_condition, parse_set_spec, set_spec_dims
 from .noise import NoiseModel, avg_gate_fidelity, chi00_of, parse_channel_spec
@@ -81,15 +81,9 @@ class ExperimentConfig:
         d["lengths"] = list(self.lengths)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d["lengths"] = tuple(d["lengths"])
-        return ExperimentConfig(**d)
 
-
-def run_from_config(config: ExperimentConfig):
-    """Build the gate set, noise and engine run described by a config."""
+def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
+    """Build the gate set and noise a config describes, and run it."""
     gate_set = parse_set_spec(config.set_spec)
     gate_channel = parse_channel_spec(config.channel_spec, gate_set.dim)
     final = None
@@ -120,9 +114,8 @@ def run_from_config(config: ExperimentConfig):
         if config.gate_channel_spec is not None:
             interleaved_noise = parse_channel_spec(config.gate_channel_spec,
                                                    gate_set.dim)
-    records = run(cfg, interleaved_gate=interleaved_gate,
-                  interleaved_noise=interleaved_noise)
-    return records, gate_set
+    return run(cfg, interleaved_gate=interleaved_gate,
+               interleaved_noise=interleaved_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +176,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    records, _ = run_from_config(config)
+    records = run_from_config(config)
     if config.format == "json":
         cio.write_records_json(args.out, records, config.to_dict())
     else:
@@ -209,11 +202,14 @@ def _fit_payload(records: list[dict], dim: int | None) -> dict:
     return payload
 
 
-def _dim_for_records(config: dict | None, args) -> int | None:
+def _dim_for_records(path: str, config: dict | None, args) -> int | None:
     if args.dim is not None:
         return args.dim
     if config and "set_spec" in config:
-        d, n = set_spec_dims(config["set_spec"])
+        spec = config["set_spec"]
+        if not isinstance(spec, str):
+            raise ValueError(f"{path}: config set_spec is not a string: {spec!r}")
+        d, n = set_spec_dims(spec)
         return d ** n
     return None
 
@@ -231,7 +227,7 @@ def cmd_fit(args) -> int:
             "chi00_gate": estimate.chi00_gate,
             "bound_E": estimate.bound_E,
         }
-        dim = _dim_for_records(ref_cfg, args)
+        dim = _dim_for_records(args.irb[0], ref_cfg, args)
         if dim is not None:
             payload["gate_avg_fidelity"] = avg_gate_fidelity(estimate.chi00_gate, dim)
         print(f"gate chi00 = {estimate.chi00_gate:.6f} +- {estimate.bound_E:.3e} "
@@ -240,7 +236,7 @@ def cmd_fit(args) -> int:
         return 0
 
     records, config = cio.read_records(args.records)
-    payload = _fit_payload(records, _dim_for_records(config, args))
+    payload = _fit_payload(records, _dim_for_records(args.records, config, args))
     line = (f"A = {payload['A']:.6f}  chi00 = {payload['chi00']:.8f}  "
             f"residual rms = {payload['residual_rms']:.3e}")
     if "avg_gate_fidelity" in payload:
@@ -270,7 +266,7 @@ def _deviation_csv(path: str, summary, mode: str) -> None:
 
 def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
                    seed: int, outdir: str):
-    """Run one deviation study; returns its verdict and its summary."""
+    """Run one deviation study; returns its verdict, scenario and summary."""
     gate_set = parse_set_spec(set_spec)
     channel = parse_channel_spec(f"infidelity-dephasing:r={infidelity}",
                                  gate_set.dim)
@@ -302,7 +298,7 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
             summary.max_deviation["coherent"] <= summary.max_deviation["standard"]
         ),
     }
-    return verdict, summary
+    return verdict, scenario, summary
 
 
 def _experiment_fig5a(outdir: str, seed: int) -> dict:
@@ -318,11 +314,12 @@ def _experiment_fig5c(outdir: str, seed: int) -> dict:
 
 
 def _experiment_fig5d(outdir: str, seed: int) -> dict:
-    verdict, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5, 15,
-                                      seed, outdir)
-    # Reference-curve comparison: does mixing in the classical average
+    verdict, scenario, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5,
+                                                15, seed, outdir)
+    # Reference-curve comparison: does mixing in the exact standard-RB mean
     # track the finite-k coherent data better than the pure decay law?
-    gate_set_dim = 2
+    standard = dict(zip(summary.lengths, exact_fidelities(
+        scenario.gate_set, scenario.noise, summary.lengths, same_sequence=True)))
     chi00 = summary.chi00
     amplitude = summary.amplitude
     k = summary.k
@@ -332,8 +329,7 @@ def _experiment_fig5d(outdir: str, seed: int) -> dict:
     for m, values in sorted(per_m.items()):
         mean_f = float(np.mean(values))
         pure = amplitude * chi00 ** m
-        std = float(standard_rb_curve(chi00, gate_set_dim, m))
-        comb = combined_decay(pure, amplitude * std, k)
+        comb = combined_decay(pure, standard[m], k)
         rms_pure += (mean_f - pure) ** 2
         rms_combined += (mean_f - comb) ** 2
         series.append(f"{m},{mean_f!r},{pure!r},{comb!r}")

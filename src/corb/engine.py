@@ -52,14 +52,24 @@ and indices; all share the run's gate stack. Small runs (POOL_MIN_SIZE),
 single workers, platforms without fork and processes running other threads
 stay serial. Records do not depend on the worker count.
 
-The full superposition is evaluated exactly, without building its state.
-Block (i, j) evolves under two independent uniform sequences, so the
-fidelity is (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep)
-and R_t = E_{u,v}[(u^dag (x) v^T) R_{t-1} S (u (x) conj v)], R_0 = I: a
-D^2 x D^2 recursion driven by the first moment A = E_u[conj u (x) u] of
-the set, at cost O(|G| D^4 + m D^6) for every length up to m. A is
-`gatesets._first_moment`, the same matrix the twirl check of
-`gatesets.check_condition` is computed from.
+Exact expectations come from one recursion, `exact_fidelities`, which
+builds no state and draws no sequence. Block (i, j) of a coherent state
+evolves under the sequences of branches i and j, so its mean return is
+(1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep) and
+R_t = M^T acting on vec(R_{t-1} S), R_0 = I, where S is the position
+channel and M the joint moment of the pair's gates (u, v):
+  * independent pair (v drawn apart from u): the full superposition, whose
+    blocks are all such pairs, and the off-diagonal blocks of a sampled
+    state. M factorizes into the first moment A = E_u[conj u (x) u] of the
+    set (`gatesets._first_moment`, the matrix the twirl check of
+    `gatesets.check_condition` is computed from), so each step is two
+    D^2 x D^2 products, at cost O(|G| D^4 + m D^6) for every length up to m;
+  * same sequence (v = u): a diagonal block, the standard-RB survival,
+    averaged over all sequences. M = E_u[conj u (x) u (x) u (x) conj u] is a
+    dense D^4 x D^4 matrix, one (D^4, |G|) x (|G|, D^4) product, refused
+    like a task when its arrays exceed STATE_BUDGET_BYTES.
+A sampled coherent record averages k (k - 1) pairs of the first kind and k
+of the second, so its expectation is `fitting.combined_decay` of the two.
 
 Conventions:
   * sequence gates are drawn iid uniformly per branch and position;
@@ -94,7 +104,8 @@ from .noise import NoiseModel
 # Bytes one sampled task may hold (see _check_budget): 48 b k w D^2 +
 # 16 k w D^2 with w = k // 2 + 1, so k * D up to about 5000 for one state
 # (k = 2507 at D = 2). The full superposition never builds its state and is
-# not capped.
+# not capped; the dense moment that `exact_fidelities` builds for
+# `same_sequence` is held to it (see _same_sequence_moment).
 STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
 
 # Rounding leaves an exact fidelity within this distance outside [0, 1];
@@ -160,6 +171,15 @@ def _check_shape(what: str, op, dim: int) -> None:
     if np.shape(op) != (dim, dim):
         raise ValueError(f"{what} has shape {np.shape(op)}; "
                          f"the gate set needs ({dim}, {dim})")
+
+
+def _checked_interleaved(gate, gate_noise, dim: int) -> np.ndarray:
+    """The interleaved gate as a unitary matrix, after checking its shape
+    and that of each Kraus operator of its channel."""
+    _check_shape("interleaved gate", gate, dim)
+    for op in () if gate_noise is None else gate_noise:
+        _check_shape("interleaved gate channel", op, dim)
+    return assert_unitary(gate, what="interleaved gate")
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +597,10 @@ def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
 def _check_budget(k: int, dim: int, batch: int = 1) -> None:
     """Refuse, before allocating, a task of `batch` states of k branches on
     a D-dimensional target whose footprint would exceed STATE_BUDGET_BYTES:
-    three (batch, k, D, w, D) complex128 arrays and the two (k, D, w, D)
+    three (batch, k, w, D, D) complex128 arrays and the two (k, w, D, D)
     gather indices of `_repack_indices`."""
-    shape = (k, dim, k // 2 + 1, dim)
-    blocks = k * dim * (k // 2 + 1) * dim
+    shape = (k, k // 2 + 1, dim, dim)
+    blocks = k * (k // 2 + 1) * dim * dim
     needed = 3 * 16 * batch * blocks + 2 * np.dtype(np.intp).itemsize * blocks
     if needed > STATE_BUDGET_BYTES:
         what = f"joint dimension k * D = {k * dim}"
@@ -657,38 +677,95 @@ def _coherent_estimate(cfg: RbRunConfig, **kwargs):
         _evolve(gates, cfg.noise, sequences[None], **kwargs), cfg.noise.meas_error),)
 
 
-def _full_run(cfg: RbRunConfig,
-              interleaved_gate: np.ndarray | None = None,
-              interleaved_noise: Sequence[np.ndarray] | None = None
-              ) -> list[FidelityRecord]:
-    """Every length once, exactly, over the superposition of all |G|^m
-    sequences (see the module docstring); repetitions repeat it."""
-    noise = cfg.noise
-    dim = cfg.gate_set.dim
-    moment = _first_moment(cfg.gate_set.stacked())
-    step_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
-    readout = _superop(noise.final_channel)[0]
-    if interleaved_gate is not None:
-        # Each branch gate becomes g u; S then undoes the conjugation by g.
-        # The closing gate is noiseless, so no final channel.
-        moment = np.kron(interleaved_gate.conj(), interleaved_gate) @ moment
-        step_sop = step_sop @ _superop([interleaved_gate.conj().T])
+def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
+    """M[(cdef),(abgh)] = E_u[conj(u_ca) u_db u_eg conj(u_fh)] over a
+    (|G|, D, D) stack, refused before allocating when its arrays exceed
+    STATE_BUDGET_BYTES.
+
+    With x_u = conj(vec u) (x) vec u, the one product sum_u x_u^T x_u holds
+    every entry, at [(c a e g), (f h d b)]; reordering it into M takes a
+    second D^4 x D^4 array."""
+    n, d, _ = stack.shape
+    needed = 16 * n * d ** 4 + 2 * 16 * d ** 8
+    if needed > STATE_BUDGET_BYTES:
+        raise DimensionError(
+            f"the same-sequence moment of {n} elements of dimension {d} needs "
+            f"{needed} bytes (a {n}x{d ** 4} complex128 element table and two "
+            f"{d ** 4}x{d ** 4} complex128 products); the budget is "
+            f"{STATE_BUDGET_BYTES} bytes")
+    flat = stack.reshape(n, d * d)
+    table = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(n, d ** 4)
+    products = table.T @ table
+    del table
+    moment = products.reshape((d,) * 8).transpose(0, 6, 2, 4, 1, 7, 3, 5).reshape(
+        d ** 4, d ** 4)
+    moment /= n
+    return moment
+
+
+def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int],
+                     same_sequence: bool = False, *,
+                     interleaved_gate: np.ndarray | None = None,
+                     interleaved_noise: Sequence[np.ndarray] | None = None
+                     ) -> list[float]:
+    """Exact mean fidelity at each length, over uniformly random sequences
+    (see the module docstring): of a pair of independent sequences, which is
+    the full-superposition fidelity, or, with `same_sequence`, of one
+    sequence with itself, which is the mean standard-RB survival over all
+    sequences. Every length up to the longest is one step of the recursion.
+
+    With an interleaved gate g (and its channel) the random gates become g u
+    and S = S(N_g) S(g) S(N) S(g^dag), since u, N, g, N_g equals g u followed
+    by that map; the closing gate is noiseless, so no final channel.
+    """
+    if min(lengths) < 1:
+        raise ValueError("lengths must be positive integers")
+    dim = gate_set.dim
+    stack = gate_set.stacked()
+    if interleaved_gate is None:
+        step_sop = _position_sop(noise)
+        readout = _superop(noise.final_channel)[0]
+    else:
+        interleaved_gate = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+        step_sop = (_position_sop(noise, interleaved_gate, interleaved_noise)
+                    @ _superop([interleaved_gate.conj().T]))
         readout = np.eye(dim * dim)[0]
-    left, right = moment.T, moment.conj()
+    if same_sequence:
+        if interleaved_gate is not None:
+            stack = interleaved_gate @ stack
+        dense = _same_sequence_moment(stack).T
+
+        def advance(x):
+            return (dense @ x.reshape(-1)).reshape(x.shape)
+    else:
+        moment = _first_moment(stack)
+        if interleaved_gate is not None:
+            moment = np.kron(interleaved_gate.conj(), interleaved_gate) @ moment
+        left, right = moment.T, moment.conj()
+
+        def advance(x):
+            # Two pairwise contractions; one three-operand einsum is far slower.
+            return _realign(left @ _realign(x) @ right)
     prep = _prep_target(dim, noise.prep_error).reshape(dim * dim)
 
     fidelities = {}
     transfer = np.eye(dim * dim, dtype=np.complex128)
-    for m in range(1, cfg.lengths[-1] + 1):
-        # Two pairwise contractions; one three-operand einsum is far slower.
-        transfer = _realign(left @ _realign(transfer @ step_sop) @ right)
-        if m in cfg.lengths:
+    for m in range(1, max(lengths) + 1):
+        transfer = advance(transfer @ step_sop)
+        if m in lengths:
             value = (1.0 - noise.meas_error) * (readout @ transfer @ prep).real
             fidelities[m] = _clamp_fidelity(value)
+    return [fidelities[m] for m in lengths]
 
+
+def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
+    """Every length once, exactly, over the superposition of all |G|^m
+    sequences (`exact_fidelities`); repetitions repeat it."""
+    fidelities = exact_fidelities(cfg.gate_set, cfg.noise, cfg.lengths, **interleaved)
     size = len(cfg.gate_set)
-    return [FidelityRecord(cfg.mode, m, rep, fidelities[m], size ** m, f"{m}/full")
-            for m in cfg.lengths for rep in range(cfg.repetitions)]
+    return [FidelityRecord(cfg.mode, m, rep, fidelity, size ** m, f"{m}/full")
+            for m, fidelity in zip(cfg.lengths, fidelities)
+            for rep in range(cfg.repetitions)]
 
 
 def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -755,15 +832,11 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
     random gate in all branches; the closing inverse, which includes the
     interleaved gate, is noiseless."""
     _expect_mode(cfg, "interleaved")
-    dim = cfg.gate_set.dim
-    _check_shape("interleaved gate", gate, dim)
-    for op in () if gate_noise is None else gate_noise:
-        _check_shape("interleaved gate channel", op, dim)
-    kwargs = dict(interleaved_gate=assert_unitary(gate, what="interleaved gate"),
-                  interleaved_noise=gate_noise)
-    if full_superposition:
-        return _full_run(cfg, **kwargs)
-    return _sampled_run(cfg, _coherent_estimate(cfg, **kwargs))[0]
+    if full_superposition:  # exact_fidelities checks the gate and its channel
+        return _full_run(cfg, interleaved_gate=gate, interleaved_noise=gate_noise)
+    gate = _checked_interleaved(gate, gate_noise, cfg.gate_set.dim)
+    return _sampled_run(cfg, _coherent_estimate(
+        cfg, interleaved_gate=gate, interleaved_noise=gate_noise))[0]
 
 
 # The mode table, called as runner(cfg, gate, gate_noise). Each entry looks

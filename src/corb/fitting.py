@@ -157,17 +157,6 @@ def irb_extract(fit_ref: DecayFit, fit_interleaved: DecayFit) -> IrbEstimate:
                        irb_bound(fit_ref.chi00, gate))
 
 
-def standard_rb_curve(chi00: float, dim: int, m: int | np.ndarray):
-    """Zeroth-order standard-RB expectation for a twirl-to-depolarizing set.
-
-    The group average turns the gate channel into depolarizing with
-    parameter p = (dim^2 chi00 - 1)/(dim^2 - 1), giving survival
-    1/dim + (1 - 1/dim) p^m for ideal SPAM.
-    """
-    p = (dim ** 2 * chi00 - 1.0) / (dim ** 2 - 1.0)
-    return 1.0 / dim + (1.0 - 1.0 / dim) * p ** np.asarray(m)
-
-
 # ---------------------------------------------------------------------------
 # Deviation experiments
 # ---------------------------------------------------------------------------

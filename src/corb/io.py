@@ -177,7 +177,8 @@ def write_records_json(path: str, records, config: dict | None = None) -> None:
 def read_records(path: str) -> tuple[list[dict], dict | None]:
     """Load records as dicts plus the embedded config (None if absent).
     A value that does not convert to its column's type, or a fidelity that
-    is not finite, is refused with the file and the row (counted from 1)."""
+    is not finite, is refused with the file and the row (counted from 1); a
+    config that is not a JSON object is refused with the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -198,13 +199,19 @@ def read_records(path: str) -> tuple[list[dict], dict | None]:
         body_start = 0
         for i, line in enumerate(lines):
             if line.startswith("# config "):
-                config = json.loads(line[len("# config "):])
+                try:
+                    config = json.loads(line[len("# config "):])
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: config line is not valid JSON "
+                                     f"({exc})") from None
             elif not line.startswith("#"):
                 body_start = i
                 break
         reader = csv.DictReader(lines[body_start:])
         records = list(reader)
         columns = reader.fieldnames or ()
+    if config is not None and not isinstance(config, dict):
+        raise ValueError(f"{path}: config is not a JSON object")
     for name in RECORD_FIELDS:
         if name not in columns:
             raise ValueError(f"{path}: not a corb records file (missing column {name!r})")

@@ -115,6 +115,15 @@ def conjugate_channel(kraus: Sequence[np.ndarray], u: np.ndarray) -> list[np.nda
     return [dagger(u) @ as_matrix(k) @ u for k in kraus]
 
 
+def standard_closed_form(chi00: float, dim: int, m: int) -> float:
+    """Standard-RB mean survival for a unitary 2-design with ideal SPAM and
+    a final channel that fixes |0><0| (as dephasing does): the twirl makes the gate channel depolarizing with parameter
+    p = (D^2 chi00 - 1)/(D^2 - 1), so the survival is 1/D + (1 - 1/D) p^m
+    (Magesan, Gambetta and Emerson, PRL 106, 180504 (2011))."""
+    p = (dim ** 2 * chi00 - 1.0) / (dim ** 2 - 1.0)
+    return 1.0 / dim + (1.0 - 1.0 / dim) * p ** m
+
+
 def avg_state_fidelity(gate_set, phi: np.ndarray) -> float:
     """Mean of |<phi|U|phi>|^2 over the set elements, phi pure."""
     phi = np.asarray(phi, dtype=np.complex128)

@@ -31,6 +31,7 @@ from corb.noise import _CHANNELS, NoiseModel, dephasing_kraus
 from helpers import (
     format_complex,
     haar_unitary,
+    standard_closed_form,
     write_matrices,
 )
 
@@ -126,8 +127,7 @@ class TestRecordFiles:
         config = ExperimentConfig(set_spec="pauli:d=2,n=1",
                                   channel_spec="dephasing:p=0.01",
                                   lengths=(1, 2, 3), k=4, seed=5)
-        records, _ = run_from_config(config)
-        return records, config
+        return run_from_config(config), config
 
     def test_csv_round_trip(self, tmp_path):
         records, config = self.sample_records()
@@ -244,6 +244,34 @@ class TestRecordFiles:
         status, _, err = run_main(["fit", path])
         assert status == 1 and err.startswith(f"error: {path}: {fault}"), err
 
+    @pytest.mark.parametrize("fmt,config,fault", [
+        ("csv", '{"set_spec": ', "config line is not valid JSON"),
+        ("csv", "3", "config is not a JSON object"),
+        ("csv", '["x"]', "config is not a JSON object"),
+        ("json", 3, "config is not a JSON object"),
+        ("json", ["x"], "config is not a JSON object"),
+    ], ids=["csv-truncated", "csv-number", "csv-list", "json-number", "json-list"])
+    def test_bad_config_named(self, tmp_path, fmt, config, fault):
+        """An embedded config that is not valid JSON, or not a JSON object,
+        is refused with the file named; `corb fit` exits 1 instead of
+        printing a bare decoder message or a TypeError traceback."""
+        records, _ = self.sample_records()
+        path = str(tmp_path / f"r.{fmt}")
+        if fmt == "csv":
+            write_records_csv(path, records)
+            text = f"# config {config}\n" + open(path).read()
+        else:
+            write_records_json(path, records)
+            payload = json.loads(open(path).read())
+            payload["config"] = config
+            text = json.dumps(payload)
+        open(path, "w").write(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
+            read_records(path)
+        status, out, err = run_main(["fit", path])
+        assert status == 1 and out == ""
+        assert err.startswith(f"error: {path}: {fault}"), err
+
     def test_short_csv_row_named(self, tmp_path):
         """A CSV row with a missing cell is refused, not read as 'None'."""
         records, _ = self.sample_records()
@@ -257,20 +285,25 @@ class TestRecordFiles:
             read_records(path)
 
 
+def config_from_dict(d: dict) -> ExperimentConfig:
+    """The ExperimentConfig of an embedded config dict (`to_dict`)."""
+    return ExperimentConfig(**{**d, "lengths": tuple(d["lengths"])})
+
+
 class TestExperimentConfig:
     def test_dict_round_trip(self):
         config = ExperimentConfig(set_spec="clifford:d=2,n=1",
                                   channel_spec="infidelity-dephasing:r=1e-4",
                                   mode="coherent", k=20, lengths=(2, 4, 8),
                                   repetitions=3, seed=11)
-        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        assert config_from_dict(config.to_dict()) == config
 
     def test_embedded_config_reruns_identically(self, tmp_path):
         records, config = TestRecordFiles.sample_records()
         path = str(tmp_path / "r.csv")
         write_records_csv(path, records, config.to_dict())
         _, loaded_config = read_records(path)
-        replayed, _ = run_from_config(ExperimentConfig.from_dict(loaded_config))
+        replayed = run_from_config(config_from_dict(loaded_config))
         assert replayed == records
 
     def test_spec_dims(self, tmp_path):
@@ -760,6 +793,17 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "set spec 'pauli:d=2' is missing key 'n'" in err
 
+    def test_set_spec_not_a_string_exit_one(self, tmp_path):
+        """An embedded set spec that is not a string is refused with the
+        file named, not an AttributeError traceback."""
+        path = str(tmp_path / "r.csv")
+        records = [FidelityRecord("coherent-full", m, 0, 0.99 ** m, 4, f"{m}/full")
+                   for m in (1, 2, 3)]
+        write_records_csv(path, records, {"set_spec": 3})
+        status, out, err = run_main(["fit", path])
+        assert status == 1 and out == ""
+        assert err == f"error: {path}: config set_spec is not a string: 3\n"
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["fit", "/nonexistent/records.csv"]) == 1
         capsys.readouterr()
@@ -785,6 +829,31 @@ class TestExperimentCommand:
         rows = coherent_csv.splitlines()
         assert rows[0] == "m,repetition,fidelity,reference,deviation"
         assert len(rows) == 1 + 6 * 75
+
+    def test_fig5d_combined_curve(self, tmp_path, capsys):
+        """fig5d mixes the exact standard-RB mean into its reference curve:
+        for Clifford(2,1) under dephasing without SPAM every combined value
+        is (1 - 1/k) A chi00^m + A (1/D + (1 - 1/D) p^m) / k, and the
+        verdict's rms values and flag agree with the written series."""
+        outdir = str(tmp_path / "f5d")
+        assert main(["experiment", "fig5d", "--out", outdir]) == 0
+        capsys.readouterr()
+        verdict = json.loads(open(os.path.join(outdir, "fig5d_verdict.json")).read())
+        rows = open(os.path.join(outdir, "fig5d_combined_fit.csv")).read().splitlines()
+        assert rows[0] == "m,mean_fidelity,pure_curve,combined_curve"
+        ms, means, pure, combined = np.array(
+            [[float(cell) for cell in row.split(",")] for row in rows[1:]]).T
+        assert ms.tolist() == verdict["lengths"]
+        k, a, chi00 = verdict["k"], verdict["amplitude"], verdict["chi00"]
+        for m, value in zip(ms.astype(int), combined):
+            want = ((1 - 1 / k) * a * chi00 ** m
+                    + a * standard_closed_form(chi00, 2, m) / k)
+            assert abs(value - want) <= 1e-12, m
+        rms_pure = np.sqrt(np.mean((means - pure) ** 2))
+        rms_combined = np.sqrt(np.mean((means - combined) ** 2))
+        assert verdict["rms_pure_curve"] == pytest.approx(rms_pure, rel=1e-12)
+        assert verdict["rms_combined_curve"] == pytest.approx(rms_combined, rel=1e-12)
+        assert verdict["combined_improves"] == bool(rms_combined <= rms_pure)
 
     def test_irb_demo(self, tmp_path, capsys):
         outdir = str(tmp_path / "demo")

@@ -26,12 +26,12 @@ from corb.engine import (
     _evolve,
     _mask_step,
     _overlap_fidelity,
-    _prep_target,
     _real_form,
     _real_gates,
     _superop,
     _superop_step,
     child_rng,
+    exact_fidelities,
     run,
     run_coherent_and_standard,
     run_coherent_full,
@@ -105,46 +105,6 @@ def enumerated_full(gate_set, noise, m, **kwargs):
     assert len(gate_set) ** m * gate_set.dim <= ORACLE_DIM
     return simulate_coherent(gate_set, noise, all_sequences(len(gate_set), m),
                              **kwargs)
-
-
-def joint_moment(gate_set, same_sequence, gate=None):
-    """M[(cdef),(abgh)] = E[conj(u_ca) v_db u_eg conj(v_fh)] with v = u
-    (standard RB, one sequence per run) or v independent of u (a pair of
-    branches of the full superposition). With an interleaved `gate` g the
-    random gates are g u, whose product the closing inverse undoes."""
-    u = gate_set.stacked() if gate is None else gate @ gate_set.stacked()
-    d = gate_set.dim
-    if same_sequence:
-        m = np.einsum("uca,udb,ueg,ufh->cdefabgh", u.conj(), u, u, u.conj())
-        return m.reshape(d ** 4, d ** 4) / len(gate_set)
-    a = np.einsum("uca,ueg->ceag", u.conj(), u) / len(gate_set)
-    return np.einsum("ceag,dfbh->cdefabgh", a, a.conj()).reshape(d ** 4, d ** 4)
-
-
-def moment_survival(gate_set, noise, moment, lengths, gate=None, gate_noise=None):
-    """Exact mean survival over random sequences: vec(Y_m) = R_m vec(rho_prep)
-    with R_t = M^T acting on vec(R_{t-1} S), read out through the final
-    channel and the lossy detector.
-
-    With an interleaved `gate` g (and its channel), `moment` is that of the
-    gates g u (`joint_moment(..., gate=g)`); after g u comes
-    S = S(N_g) S(g) S(N) S(g^dag), since u, N, g, N_g equals g u followed
-    by that map, and the noiseless closing gate has no final channel."""
-    d2 = gate_set.dim ** 2
-    step = _superop(noise.gate_channel)
-    readout = (1.0 - noise.meas_error) * _superop(noise.final_channel)[0]
-    if gate is not None:
-        step = _superop([gate]) @ step @ _superop([gate.conj().T])
-        if gate_noise is not None:
-            step = _superop(gate_noise) @ step
-        readout = (1.0 - noise.meas_error) * np.eye(d2)[0]
-    prep = _prep_target(gate_set.dim, noise.prep_error).reshape(d2)
-    transfer = np.eye(d2, dtype=complex)
-    out = {}
-    for m in range(1, max(lengths) + 1):
-        transfer = (moment.T @ (transfer @ step).reshape(d2 * d2)).reshape(d2, d2)
-        out[m] = float((readout @ transfer @ prep).real)
-    return np.array([out[m] for m in lengths])
 
 
 class TestNoiselessInvariance:
@@ -401,7 +361,8 @@ class TestSampledMeans:
     iid sequences, so E[F_k] = (1 - 1/k) F_full + F_std / k exactly, where
     F_full pairs independent sequences and F_std pairs a sequence with
     itself (the standard-RB survival). Both come from one moment
-    recursion, with the joint moment of (u, v) independent or v = u.
+    recursion, `exact_fidelities`, with the joint moment of (u, v)
+    independent or v = u.
     """
 
     NOISE = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)),
@@ -410,10 +371,8 @@ class TestSampledMeans:
 
     def test_oracle_matches_enumeration(self):
         """The recursion reproduces both exact means it predicts."""
-        f_std = moment_survival(CLIFFORD_2, self.NOISE,
-                                joint_moment(CLIFFORD_2, True), (2,))
-        f_full = moment_survival(CLIFFORD_2, self.NOISE,
-                                 joint_moment(CLIFFORD_2, False), (1, 2))
+        f_std = exact_fidelities(CLIFFORD_2, self.NOISE, (2,), same_sequence=True)
+        f_full = exact_fidelities(CLIFFORD_2, self.NOISE, (1, 2))
         survivals = simulate_standard(CLIFFORD_2, self.NOISE,
                                       all_sequences(len(CLIFFORD_2), 2))
         assert abs(f_std[0] - np.mean(survivals)) <= 1e-12
@@ -429,10 +388,9 @@ class TestSampledMeans:
         test with probability below 3e-4 at an arbitrary seed.
         """
         k, reps = 4, 1000
-        f_std = moment_survival(CLIFFORD_2, self.NOISE,
-                                joint_moment(CLIFFORD_2, True), self.LENGTHS)
-        f_full = moment_survival(CLIFFORD_2, self.NOISE,
-                                 joint_moment(CLIFFORD_2, False), self.LENGTHS)
+        f_std = np.array(exact_fidelities(CLIFFORD_2, self.NOISE, self.LENGTHS,
+                                          same_sequence=True))
+        f_full = np.array(exact_fidelities(CLIFFORD_2, self.NOISE, self.LENGTHS))
         expected = {"standard": f_std,
                     "coherent": (1 - 1 / k) * f_full + f_std / k}
         for mode, want in expected.items():
@@ -451,17 +409,17 @@ class TestSampledMeans:
     # The interleaved gate and its own channel (non-diagonal).
     GATE_NOISE = tuple(depolarizing_kraus(0.03, 2))
 
-    def _interleaved_moment_survival(self, same_sequence, lengths):
-        return moment_survival(CLIFFORD_2, self.NOISE,
-                               joint_moment(CLIFFORD_2, same_sequence, H),
-                               lengths, H, self.GATE_NOISE)
+    def _interleaved_exact(self, same_sequence, lengths):
+        return np.array(exact_fidelities(CLIFFORD_2, self.NOISE, lengths, same_sequence,
+                                         interleaved_gate=H,
+                                         interleaved_noise=self.GATE_NOISE))
 
     def test_interleaved_oracle_matches_enumeration(self):
         """With the interleaved gate, the recursion reproduces the
         enumerated full superposition and, from its diagonal control blocks,
         the standard-RB mean over all sequences."""
-        f_std = self._interleaved_moment_survival(True, (1, 2))
-        f_full = self._interleaved_moment_survival(False, (1, 2))
+        f_std = self._interleaved_exact(True, (1, 2))
+        f_full = self._interleaved_exact(False, (1, 2))
         for m, std, full in zip((1, 2), f_std, f_full):
             state = _evolve(_real_gates(CLIFFORD_2), self.NOISE,
                             all_sequences(len(CLIFFORD_2), m)[None],
@@ -485,7 +443,7 @@ class TestSampledMeans:
         f_full = np.array([r.fidelity for r in run_interleaved_coherent(
             replace(cfg, repetitions=1), H, self.GATE_NOISE,
             full_superposition=True)])
-        f_std = self._interleaved_moment_survival(True, self.LENGTHS)
+        f_std = self._interleaved_exact(True, self.LENGTHS)
         want = (1 - 1 / k) * f_full + f_std / k
         records = run_interleaved_coherent(cfg, H, self.GATE_NOISE)
         for m, mean, full in zip(self.LENGTHS, want, f_full):
@@ -824,8 +782,8 @@ class TestConfigValidation:
             run_coherent_rb(cfg)
 
     def test_byte_budget_admits_the_old_dimension_cap(self, monkeypatch):
-        """A task holds three (k, D, w, D) complex128 arrays and two
-        (k, D, w, D) int64 gather indices, w = k // 2 + 1: one byte short of
+        """A task holds three (k, w, D, D) complex128 arrays and two
+        (k, w, D, D) int64 gather indices, w = k // 2 + 1: one byte short of
         that is refused before anything is allocated, the exact need is
         admitted. The budget admits the old cap k * D = 4096 and, at D = 2,
         every k up to 2507."""
@@ -844,8 +802,8 @@ class TestConfigValidation:
             assert abs(record.fidelity - 1.0) <= 1e-12
 
     def test_standard_rb_is_held_to_the_byte_budget(self, monkeypatch):
-        """Standard RB evolves k one-branch states: three (k, 1, D, 1, D)
-        complex128 arrays and two (1, D, 1, D) int64 gather indices,
+        """Standard RB evolves k one-branch states: three (k, 1, 1, D, D)
+        complex128 arrays and two (1, 1, D, D) int64 gather indices,
         48 k D^2 + 16 D^2 bytes per task, checked like the coherent modes'
         before anything is allocated."""
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
@@ -878,6 +836,37 @@ class TestConfigValidation:
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
         for record in run(cfg):
             assert abs(record.fidelity - 1.0) <= 1e-12
+
+    def test_same_sequence_moment_is_held_to_the_byte_budget(self, monkeypatch):
+        """The dense same-sequence moment is one (D^4, |G|) x (|G|, D^4)
+        product over a complex128 element table, reordered into a second
+        D^4 x D^4 array: 16 |G| D^4 + 32 D^8 bytes, 14336 for Clifford(2,1),
+        checked before the table is built. One byte short is refused with
+        the byte count; the exact need runs."""
+        needed = 16 * len(CLIFFORD_2) * 2 ** 4 + 32 * 2 ** 8
+        assert needed == 14336
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
+        with pytest.raises(DimensionError,
+                           match=rf"moment of 24 elements .* needs {needed} bytes"):
+            exact_fidelities(CLIFFORD_2, ideal(), (1, 2), same_sequence=True)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
+        for fidelity in exact_fidelities(CLIFFORD_2, ideal(), (1, 2), same_sequence=True):
+            assert abs(fidelity - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("same_sequence", [False, True])
+    @pytest.mark.parametrize("gate,gate_noise,message", [
+        (np.eye(3), None, r"interleaved gate has shape \(3, 3\)"),
+        (H, dephasing_kraus(0.1, 3), r"interleaved gate channel has shape \(3, 3\)"),
+        (2 * H, None, "interleaved gate is not unitary"),
+    ], ids=["gate-shape", "channel-shape", "not-unitary"])
+    def test_exact_fidelities_checks_the_interleaved_gate(
+            self, same_sequence, gate, gate_noise, message):
+        """Called directly, the exact recursion refuses an interleaved gate
+        or channel that does not fit the set, and a gate that is not
+        unitary, as the interleaved runs do."""
+        with pytest.raises(ValueError, match=message):
+            exact_fidelities(PAULI_2, ideal(), (1, 2), same_sequence,
+                             interleaved_gate=gate, interleaved_noise=gate_noise)
 
     def test_full_mode_is_not_capped(self):
         """k * D = 4^7 * 2 is far past the sampled modes' byte budget; the exact

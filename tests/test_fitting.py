@@ -10,6 +10,7 @@ from corb import fitting
 from corb.engine import (
     FidelityRangeError,
     RbRunConfig,
+    exact_fidelities,
     run_coherent_rb,
     run_standard_rb,
 )
@@ -21,11 +22,10 @@ from corb.fitting import (
     fit_records,
     irb_bound,
     irb_extract,
-    standard_rb_curve,
 )
 from corb.gatesets import build_clifford_set, build_pauli_set
 from corb.noise import NoiseModel, chi00_of, dephasing_kraus
-from helpers import simulate_standard
+from helpers import simulate_standard, standard_closed_form
 
 
 def synth(a, chi, ms):
@@ -153,18 +153,33 @@ class TestIrbExtraction:
 
 
 class TestStandardCurve:
+    """The exact standard-RB mean: `exact_fidelities` with the
+    same-sequence moment."""
+
     def test_perfect_channel_is_flat(self):
-        assert standard_rb_curve(1.0, 2, 50) == pytest.approx(1.0)
+        exact = exact_fidelities(build_clifford_set(2, 1), NoiseModel.ideal(2), (50,),
+                                 same_sequence=True)
+        assert exact == [pytest.approx(1.0)]
+
+    def test_matches_group_twirl_closed_form(self):
+        """Clifford(2,1) is a unitary 2-design, so under dephasing without
+        SPAM the mean survival is 1/D + (1 - 1/D) p^m exactly."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)))
+        lengths = (1, 2, 5, 16, 64)
+        exact = exact_fidelities(build_clifford_set(2, 1), noise, lengths,
+                                 same_sequence=True)
+        chi00 = chi00_of(noise.gate_channel)
+        for m, value in zip(lengths, exact):
+            assert abs(value - standard_closed_form(chi00, 2, m)) <= 1e-12
 
     def test_matches_simulated_sequence_average(self):
-        """Group-twirl closed form vs 3000 random sequences at m = 4."""
+        """Exact mean vs 3000 random sequences at m = 4."""
         rng = np.random.default_rng(73)
         clifford = build_clifford_set(2, 1)
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)))
-        chi00 = chi00_of(noise.gate_channel)
         sequences = rng.integers(0, 24, size=(3000, 4))
         survivals = simulate_standard(clifford, noise, sequences)
-        prediction = float(standard_rb_curve(chi00, 2, 4))
+        prediction = exact_fidelities(clifford, noise, (4,), same_sequence=True)[0]
         se = survivals.std(ddof=1) / np.sqrt(len(survivals))
         assert abs(survivals.mean() - prediction) <= 3 * se
 
@@ -172,12 +187,13 @@ class TestStandardCurve:
 class TestStandardSelfConsistency:
     def test_per_length_means_track_the_fit(self):
         """75-repetition means sit within 3 standard errors of the fitted
-        decay at every length (and of the group-twirl curve)."""
+        decay at every length (and of the exact standard-RB mean)."""
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(1.5e-4, 2)))
-        chi00 = chi00_of(noise.gate_channel)
         cfg = RbRunConfig(gate_set=build_clifford_set(2, 1), noise=noise,
                           lengths=(2, 4, 8, 16, 32, 64), k=80, repetitions=75,
                           seed=912, mode="standard")
+        exact = dict(zip(cfg.lengths, exact_fidelities(cfg.gate_set, noise, cfg.lengths,
+                                                       same_sequence=True)))
         records = run_standard_rb(cfg)
         fit = fit_records(records)
         per_m = {}
@@ -187,8 +203,7 @@ class TestStandardSelfConsistency:
             values = np.asarray(values)
             se = values.std(ddof=1) / np.sqrt(len(values))
             assert abs(values.mean() - fit.A * fit.chi00 ** m) <= 3 * se
-            analytic = float(standard_rb_curve(chi00, 2, m))
-            assert abs(values.mean() - analytic) <= 3 * se
+            assert abs(values.mean() - exact[m]) <= 3 * se
 
 
 class TestDeviationExperiment:
