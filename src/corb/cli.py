@@ -11,8 +11,10 @@ arrays, each block transposed, and two int64 gather indices of the same
 shape), and the records do not depend on the worker count. Any other
 CORB_THREADS value is a usage error.
 
-Exit codes: 0 success, 1 usage or parse failure, 2 semantic failure
-(condition violated, fit divergence, engine error).
+Exit codes: 0 success, 1 usage or parse failure (an operating-system
+error on a path, such as a missing file or a directory where a file is
+needed, included), 2 semantic failure (condition violated, fit
+divergence, engine error). Each failure prints one `error:` line.
 """
 
 from __future__ import annotations
@@ -517,7 +519,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, RuntimeError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (DimensionError, RuntimeError)):
             return SEMANTIC_ERROR

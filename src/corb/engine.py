@@ -30,20 +30,28 @@ U (U rho)^dag: per position, one product by the plain form of the row
 gates, one gather, which re-packs U rho into the other half layout with
 its blocks transposed, and one product by the conjugating form, which
 takes the adjoint as it multiplies. The running product of each branch,
-and from it the closing inverse, stay in real form. Each run builds the
-plain and the conjugating form of every gate of its set once, before its
-workers fork: a (2, |G|, 2D, 2D) float64 stack of 64 |G| D^2 bytes,
-refused like a task when it exceeds STATE_BUDGET_BYTES. A position
+and from it the closing inverse, stay in real form.
+
+Everything a task needs that does not depend on its draw is built once per
+run, before the workers fork, into a `_Kernel`, and none of it is
+state-sized: the plain and the conjugating form of every gate of the set,
+a (2, |G|, 2D, 2D) float64 stack of 64 |G| D^2 bytes, refused like a task
+when it exceeds STATE_BUDGET_BYTES; one (w, D, D) slot row of the initial
+state; the step of each channel; the real form of an interleaved gate; the
+sign vector of the conjugating forms and the identity the running products
+start from. The channels are classified once per run from the
+superoperators the `NoiseModel` holds (with interleaving, the position
+superoperator is built once per run): the identity channel is skipped; a
 channel whose superoperator is diagonal (every Kraus operator diagonal, as
-for all phase channels) is one elementwise multiply by a state-sized mask
-built once per task (and reused by an equal final channel); any other
-channel is one real (blocks, 2D^2) x (2D^2, 2D^2) product over all stored
-blocks; the identity channel is skipped. Each (length, repetition) task
-owns exactly three state-sized complex128 arrays (the state, a work
-buffer, and the mask) and uses two (k, w, D, D) intp gather indices,
-48 b k w D^2 + 16 k w D^2 bytes on a 64-bit platform, and allocates
-nothing state-sized per position; tasks needing more than
-STATE_BUDGET_BYTES are refused before allocating.
+for all phase channels) is one elementwise multiply by a state-sized mask,
+filled per task from a (w, D, D) slot row (and reused by an equal final
+channel); any other channel is one real (blocks, 2D^2) x (2D^2, 2D^2)
+product over all stored blocks. Each (length, repetition) task owns
+exactly three state-sized complex128 arrays (the state, a work buffer, and
+the mask) and uses two (k, w, D, D) intp gather indices, 48 b k w D^2 +
+16 k w D^2 bytes on a 64-bit platform, and allocates nothing state-sized
+per position; tasks needing more than STATE_BUDGET_BYTES are refused
+before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
@@ -53,7 +61,8 @@ single workers, platforms without fork and processes running other threads
 stay serial. Records do not depend on the worker count.
 
 Exact expectations come from one recursion, `exact_fidelities`, which
-builds no state and draws no sequence. Block (i, j) of a coherent state
+builds no state and draws no sequence, and reads the superoperators and
+the prepared state of its `NoiseModel`. Block (i, j) of a coherent state
 evolves under the sequences of branches i and j, so its mean return is
 (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep) and
 R_t = M^T acting on vec(R_{t-1} S), R_0 = I, where S is the position
@@ -98,8 +107,8 @@ from typing import Sequence
 import numpy as np
 
 from .gatesets import GateSet, _first_moment, _realign
-from .linalg import assert_unitary, basis_state, projector
-from .noise import NoiseModel
+from .linalg import assert_unitary, check_kraus
+from .noise import NoiseModel, superop
 
 # Bytes one sampled task may hold (see _check_budget): 48 b k w D^2 +
 # 16 k w D^2 with w = k // 2 + 1, so k * D up to about 5000 for one state
@@ -173,13 +182,17 @@ def _check_shape(what: str, op, dim: int) -> None:
                          f"the gate set needs ({dim}, {dim})")
 
 
-def _checked_interleaved(gate, gate_noise, dim: int) -> np.ndarray:
-    """The interleaved gate as a unitary matrix, after checking its shape
-    and that of each Kraus operator of its channel."""
+def _checked_interleaved(gate, gate_noise, dim: int):
+    """The interleaved gate as a unitary matrix and its channel as a
+    trace-preserving Kraus list (or None), after checking the shape of
+    each."""
     _check_shape("interleaved gate", gate, dim)
     for op in () if gate_noise is None else gate_noise:
         _check_shape("interleaved gate channel", op, dim)
-    return assert_unitary(gate, what="interleaved gate")
+    gate = assert_unitary(gate, what="interleaved gate")
+    if gate_noise is not None:
+        gate_noise = check_kraus(gate_noise, what="interleaved gate channel")
+    return gate, gate_noise
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +329,10 @@ def _real_form(mats: np.ndarray) -> np.ndarray:
     return form.reshape(mats.shape[:-2] + (2 * n, 2 * n))
 
 
-def _conjugating(form: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """J R into `out`: the real forms R(M) with their imaginary rows
-    negated, which map x.view(float64) to conj(x) @ M."""
-    signs = np.tile([1.0, -1.0], form.shape[-1] // 2)[:, None]
-    return np.multiply(form, signs, out=out)
+def _signs(dim: int) -> np.ndarray:
+    """The (2D, 1) signs of J: times a real form R(M), the conjugating form
+    J R(M), which maps x.view(float64) to conj(x) @ M."""
+    return np.tile([1.0, -1.0], dim)[:, None]
 
 
 def _real_gates(gate_set: GateSet) -> np.ndarray:
@@ -337,7 +349,7 @@ def _real_gates(gate_set: GateSet) -> np.ndarray:
             f"the budget is {STATE_BUDGET_BYTES} bytes")
     gates = np.empty((2, size, 2 * dim, 2 * dim))
     gates[0] = _real_form(gate_set.stacked().transpose(0, 2, 1))
-    _conjugating(gates[0], out=gates[1])
+    np.multiply(gates[0], _signs(dim), out=gates[1])
     gates.setflags(write=False)
     return gates
 
@@ -381,32 +393,37 @@ def _conjugate_branches(state: np.ndarray, free: np.ndarray,
     return free, state
 
 
-def _superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """(D^2, D^2) map acting on the target-index pair of a blocked state."""
-    stack = np.stack(kraus)
-    d = stack.shape[1]
-    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(d * d, d * d)
-
-
-def _channel_step(sop: np.ndarray, aux: np.ndarray):
-    """A uniform (branch-independent) channel on the target factor, as a
-    step between two state buffers. The identity is a no-op; a diagonal
-    superoperator (all Kraus operators diagonal, as for every phase
-    channel) is an elementwise mask held in `aux`; any other is a real
-    product over the stored blocks."""
+def _channel_step(sop: np.ndarray, slots: int):
+    """A uniform (branch-independent) channel on the target factor,
+    classified once per run: returns a function that takes a task's `aux`
+    buffer and returns the channel's step between two state buffers. The
+    identity is a no-op; a diagonal superoperator (all Kraus operators
+    diagonal, as for every phase channel) is an elementwise mask filled in
+    `aux` from a (slots, D, D) row built here; any other is a real product
+    over the stored blocks."""
     if np.array_equal(sop, np.eye(sop.shape[0])):
-        return lambda state, free: (state, free)
+        return lambda aux: _skip
     if not np.any(sop - np.diag(np.diagonal(sop))):
-        return _mask_step(np.diagonal(sop), aux)
-    return _superop_step(sop)
+        d = math.isqrt(sop.shape[0])
+        row = np.empty((slots, d, d), dtype=np.complex128)
+        row[...] = np.diagonal(sop).reshape(d, d).T
+        return functools.partial(_mask_step, row)
+    step = _superop_step(sop)
+    return lambda aux: step
 
 
-def _mask_step(diagonal: np.ndarray, mask: np.ndarray):
-    """Multiply entry [x,i,s,c,a] by diagonal[a*D + c]. The mask is filled
-    once at full state size: a broadcast (1,1,1,D,D) operand makes the
-    inner loop D long, about five times slower at k = 80, D = 2."""
-    d = mask.shape[-1]
-    np.copyto(mask, diagonal.reshape(d, d).T)
+def _skip(state, free):
+    return state, free
+
+
+def _mask_step(row: np.ndarray, mask: np.ndarray):
+    """Multiply entry [x,i,s,c,a] by diagonal[a*D + c], held in a
+    (w, D, D) slot row. The mask is filled once per task at full state
+    size: a broadcast (1,1,1,D,D) operand makes the inner loop D long,
+    about five times slower at k = 80, D = 2, and filling it by
+    broadcasting the whole row, not one D x D block, keeps the fill's
+    inner loop w D^2 long."""
+    np.copyto(mask, row)
 
     def step(state, free):
         np.multiply(state, mask, out=free)
@@ -420,13 +437,13 @@ _BLAS_SERIAL_SIZE = 262144
 
 
 def _superop_step(sop: np.ndarray):
-    """The map of `_superop` on every stored block. A stored block lists
-    its entries [c, a] contiguously, so the channel is one real
-    (blocks, 2D^2) x (2D^2, 2D^2) product over all b k w stored blocks,
-    with the superoperator's row and column pairs swapped to (c, a) and its
-    real form taken once. The blocks go in chunks small enough that no
-    product exceeds _BLAS_SERIAL_SIZE: 4096 blocks at D = 2 (all of them
-    up to k = 89), 256 at D = 4."""
+    """The map of a superoperator (`noise.superop`) on every stored block.
+    A stored block lists its entries [c, a] contiguously, so the channel is
+    one real (blocks, 2D^2) x (2D^2, 2D^2) product over all b k w stored
+    blocks, with the superoperator's row and column pairs swapped to (c, a)
+    and its real form taken once. The blocks go in chunks small enough
+    that no product exceeds _BLAS_SERIAL_SIZE: 4096 blocks at D = 2 (all
+    of them up to k = 89), 256 at D = 4."""
     d = math.isqrt(sop.shape[0])
     swap = np.arange(d * d).reshape(d, d).T.ravel()
     form = _real_form(sop[np.ix_(swap, swap)].T)
@@ -456,95 +473,104 @@ def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     return rho
 
 
-def _prep_target(dim: int, prep_error: float) -> np.ndarray:
-    rho = (1.0 - prep_error) * projector(basis_state(dim))
-    rho += prep_error * np.eye(dim) / dim
-    return rho
-
-
-def _coherent_initial(b: int, k: int, target_rho: np.ndarray) -> np.ndarray:
-    """b copies of |+><+|_c (x) target_rho, half-stored and C-contiguous.
-    Its blocks are all equal, so it is in both layouts."""
-    dim = target_rho.shape[0]
-    rho = np.empty((b, k, k // 2 + 1, dim, dim), dtype=np.complex128)
-    rho[...] = (target_rho / k).T
-    return rho
-
-
 def _position_sop(noise: NoiseModel,
                   interleaved_gate: np.ndarray | None = None,
                   interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """Everything after the branch gates at one position is branch-uniform,
     so it folds into one superoperator: the gate channel, then the
     interleaved gate and its channel."""
-    sop = _superop(noise.gate_channel)
+    sop = noise.gate_sop
     if interleaved_gate is not None:
-        sop = _superop([interleaved_gate]) @ sop
+        sop = superop([interleaved_gate]) @ sop
         if interleaved_noise is not None:
-            sop = _superop(interleaved_noise) @ sop
+            sop = superop(interleaved_noise) @ sop
     return sop
 
 
-def _evolve(real_gates: np.ndarray, noise: NoiseModel, sequences: np.ndarray, *,
-            control_q: float = 1.0,
-            interleaved_gate: np.ndarray | None = None,
-            interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
+class _Kernel:
+    """What every task of a sampled run shares, built once per run before
+    the workers fork, for tasks of `batch` states of `branches` branches
+    each (see the module docstring). Nothing in it is state-sized.
+
+    Protocol of each state: prepare |+>_c (x) prep(|0>); apply m controlled
+    gates, each followed by the gate channel on the target (and, when
+    interleaving, by the fixed gate and its checked channel; when
+    control_q < 1, by control depolarization); apply the controlled inverse
+    of each branch. The inverse gate is followed by the final channel
+    except in the interleaved variant, whose closing gate is noiseless.
+    """
+
+    def __init__(self, gate_set: GateSet, noise: NoiseModel, batch: int,
+                 branches: int, *, control_q: float = 1.0,
+                 interleaved_gate: np.ndarray | None = None,
+                 interleaved_noise: Sequence[np.ndarray] | None = None):
+        dim = gate_set.dim
+        slots = branches // 2 + 1
+        self.gates = _real_gates(gate_set)
+        # |+><+|_c (x) prep has all blocks equal, so it is in both layouts.
+        self.initial = np.empty((slots, dim, dim), dtype=np.complex128)
+        self.initial[...] = (noise.prep / branches).T
+        position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
+        self.channel = _channel_step(position_sop, slots)
+        self.interleaved = None
+        if interleaved_gate is not None:
+            self.interleaved = _real_form(interleaved_gate.T)
+            self.final = None
+        elif np.array_equal(noise.final_sop, position_sop):
+            # Most often the final channel is the gate channel: its step
+            # (and mask) serves both, with no second fill of `aux`.
+            self.final = self.channel
+        else:
+            self.final = _channel_step(noise.final_sop, slots)
+        self.signs = _signs(dim)
+        self.identity = np.broadcast_to(np.eye(2 * dim),
+                                        (batch, branches, 2 * dim, 2 * dim)).copy()
+        self.control_q = control_q
+
+
+def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
     """Final half-stored states, in the forward layout, of b independent
     coherent runs, each over k branches, from a (b, k, m) sequence-index
-    array into the set whose real gate stack (`_real_gates`) is given.
-
-    Protocol of each run: prepare |+>_c (x) prep(|0>); apply m controlled
-    gates, each followed by the gate channel on the target (and, when
-    interleaving, by the fixed gate and its channel; when control_q < 1,
-    by control depolarization); apply the controlled inverse of each
-    branch. The inverse gate is followed by the final channel except in
-    the interleaved variant, whose closing gate is noiseless.
-    """
+    array into the kernel's gate set (see `_Kernel` for the protocol)."""
     b, k, m = sequences.shape
-    dim = real_gates.shape[-1] // 2
+    dim = kernel.gates.shape[-1] // 2
 
     # The task's whole footprint: three state-sized arrays and the gather
     # indices (see _check_budget), and a few (b, k, 2D, 2D) arrays.
-    state = _coherent_initial(b, k, _prep_target(dim, noise.prep_error))
+    state = np.empty((b, k) + kernel.initial.shape, dtype=np.complex128)
+    state[...] = kernel.initial
     free = np.empty_like(state)
     aux = np.empty_like(state)
     into_forward, into_backward = _repack_indices(k, dim)
-    position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
-    channel = _channel_step(position_sop, aux)
+    channel = kernel.channel(aux)
     # gates[:, x, i] are the two forms of branch i's gate of run x.
     # products[x, i] is R(P^T) of the branch's running product P, so that
     # the closing gate P^dag has the plain form R(P^T)^T.
     gates = np.empty((2, b, k, 2 * dim, 2 * dim))
-    products = np.broadcast_to(np.eye(2 * dim), (b, k, 2 * dim, 2 * dim)).copy()
+    products = kernel.identity.copy()
     spare = np.empty_like(products)
-    if interleaved_gate is not None:
-        interleaved_form = _real_form(interleaved_gate.T)
 
     for position in range(m):
-        np.take(real_gates, sequences[..., position], axis=1, out=gates)
+        np.take(kernel.gates, sequences[..., position], axis=1, out=gates)
         # The layout flips at each of the m + 1 conjugations. The initial
         # state is in both, so choosing by the parity left ends in forward.
         repack = into_forward if (m - position) % 2 == 0 else into_backward
         state, free = _conjugate_branches(state, free, gates, repack)
         state, free = channel(state, free)
         np.matmul(products, gates[0], out=spare)
-        if interleaved_gate is None:
+        if kernel.interleaved is None:
             products, spare = spare, products
         else:
-            np.matmul(spare, interleaved_form, out=products)
-        if control_q < 1.0:
-            _apply_control_depolarize(state, control_q)
+            np.matmul(spare, kernel.interleaved, out=products)
+        if kernel.control_q < 1.0:
+            _apply_control_depolarize(state, kernel.control_q)
 
     np.copyto(gates[0], products.transpose(0, 1, 3, 2))
-    _conjugating(gates[0], out=gates[1])
+    np.multiply(gates[0], kernel.signs, out=gates[1])
     state, free = _conjugate_branches(state, free, gates, into_forward)
-    if interleaved_gate is None:
-        # The final channel is most often the gate channel: reuse its step
-        # (and mask) rather than filling `aux` again.
-        final_sop = _superop(noise.final_channel)
-        if not np.array_equal(final_sop, position_sop):
-            channel = _channel_step(final_sop, aux)
-        state, free = channel(state, free)
+    if kernel.final is not None:
+        final = channel if kernel.final is kernel.channel else kernel.final(aux)
+        state, free = final(state, free)
     return state
 
 
@@ -633,32 +659,32 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
 
 
 def _sampled_run(cfg: RbRunConfig, estimate,
-                 modes: tuple[str, ...] | None = None
-                 ) -> tuple[list[FidelityRecord], ...]:
+                 modes: tuple[str, ...] | None = None,
+                 **kernel_args) -> tuple[list[FidelityRecord], ...]:
     """The (length, repetition) task loop of every sampled mode: `estimate`
-    maps the run's real gate stack and one (k, m) draw of sequence indices
-    to one expected fidelity per mode in `modes` (default: cfg.mode
-    alone), and the records come back as one list per mode. Each mode
-    draws its shots from a fresh tag-1 stream, so its records equal those
-    of a run of that mode alone.
+    maps the final kernel state of one (k, m) draw of sequence indices to
+    one expected fidelity per mode in `modes` (default: cfg.mode alone),
+    and the records come back as one list per mode. Each mode draws its
+    shots from a fresh tag-1 stream, so its records equal those of a run
+    of that mode alone.
 
     Every task evolves one kernel state: k one-branch runs in mode
     "standard", one k-branch run otherwise. Its size and that of the gate
     stack are checked against the budget before any task starts; the
-    stack is built once, before the workers fork."""
+    `_Kernel` (with `kernel_args`) is built once, before the workers
+    fork."""
     modes = (cfg.mode,) if modes is None else modes
-    if cfg.mode == "standard":
-        _check_budget(1, cfg.gate_set.dim, cfg.k)
-    else:
-        _check_budget(cfg.k, cfg.gate_set.dim)
-    gates = _real_gates(cfg.gate_set)
+    batch, branches = (cfg.k, 1) if cfg.mode == "standard" else (1, cfg.k)
+    _check_budget(branches, cfg.gate_set.dim, batch)
+    kernel = _Kernel(cfg.gate_set, cfg.noise, batch, branches, **kernel_args)
 
     def one(task):
         m, rep = task
         rng = child_rng(cfg.seed, m, rep, 0)
         sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
+        state = _evolve(kernel, sequences.reshape(batch, branches, m))
         records = []
-        for mode, fidelity in zip(modes, estimate(gates, sequences), strict=True):
+        for mode, fidelity in zip(modes, estimate(state), strict=True):
             if cfg.shots > 0:
                 shots_rng = child_rng(cfg.seed, m, rep, 1)
                 fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
@@ -670,11 +696,10 @@ def _sampled_run(cfg: RbRunConfig, estimate,
     return tuple(map(list, zip(*_map_tasks(one, tasks, size))))
 
 
-def _coherent_estimate(cfg: RbRunConfig, **kwargs):
+def _coherent_estimate(cfg: RbRunConfig):
     """Estimator of the sampled coherent modes: one k-branch run, measured
     with the return effect (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>."""
-    return lambda gates, sequences: (_overlap_fidelity(
-        _evolve(gates, cfg.noise, sequences[None], **kwargs), cfg.noise.meas_error),)
+    return lambda state: (_overlap_fidelity(state, cfg.noise.meas_error),)
 
 
 def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
@@ -723,13 +748,14 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     dim = gate_set.dim
     stack = gate_set.stacked()
     if interleaved_gate is None:
-        step_sop = _position_sop(noise)
-        readout = _superop(noise.final_channel)[0]
+        step_sop = noise.gate_sop
+        readout = noise.final_sop[0]
     else:
-        interleaved_gate = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+        interleaved_gate, interleaved_noise = _checked_interleaved(
+            interleaved_gate, interleaved_noise, dim)
         step_sop = (_position_sop(noise, interleaved_gate, interleaved_noise)
-                    @ _superop([interleaved_gate.conj().T]))
-        readout = np.eye(dim * dim)[0]
+                    @ superop([interleaved_gate.conj().T]))
+        readout = None  # no final channel: row 0 of the transfer matrix
     if same_sequence:
         if interleaved_gate is not None:
             stack = interleaved_gate @ stack
@@ -740,20 +766,23 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     else:
         moment = _first_moment(stack)
         if interleaved_gate is not None:
-            moment = np.kron(interleaved_gate.conj(), interleaved_gate) @ moment
+            # conj(g) (x) g: the products np.kron takes, without its overhead.
+            kron = interleaved_gate.conj()[:, None, :, None] * interleaved_gate[None, :, None, :]
+            moment = kron.reshape(dim * dim, dim * dim) @ moment
         left, right = moment.T, moment.conj()
 
         def advance(x):
             # Two pairwise contractions; one three-operand einsum is far slower.
             return _realign(left @ _realign(x) @ right)
-    prep = _prep_target(dim, noise.prep_error).reshape(dim * dim)
+    prep = noise.prep.reshape(dim * dim)
 
     fidelities = {}
     transfer = np.eye(dim * dim, dtype=np.complex128)
     for m in range(1, max(lengths) + 1):
         transfer = advance(transfer @ step_sop)
         if m in lengths:
-            value = (1.0 - noise.meas_error) * (readout @ transfer @ prep).real
+            row = transfer[0] if readout is None else readout @ transfer
+            value = (1.0 - noise.meas_error) * (row @ prep).real
             fidelities[m] = _clamp_fidelity(value)
     return [fidelities[m] for m in lengths]
 
@@ -773,8 +802,8 @@ def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     evolved as k one-branch coherent runs: with a one-level control
     register, coherent RB is standard RB."""
     _expect_mode(cfg, "standard")
-    return _sampled_run(cfg, lambda gates, sequences: (float(np.mean(_branch_survivals(
-        _evolve(gates, cfg.noise, sequences[:, None, :]), cfg.noise.meas_error))),))[0]
+    return _sampled_run(cfg, lambda state: (float(np.mean(_branch_survivals(
+        state, cfg.noise.meas_error))),))[0]
 
 
 def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -796,8 +825,7 @@ def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord
     """
     _expect_mode(cfg, "coherent")
 
-    def both(gates, sequences):
-        state = _evolve(gates, cfg.noise, sequences[None])
+    def both(state):
         return (_overlap_fidelity(state, cfg.noise.meas_error),
                 float(np.mean(_branch_survivals(state, cfg.noise.meas_error))))
 
@@ -821,7 +849,7 @@ def run_coherent_with_control_noise(cfg: RbRunConfig) -> list[FidelityRecord]:
     error opportunity per sequence position.
     """
     _expect_mode(cfg, "coherent-control-noise")
-    return _sampled_run(cfg, _coherent_estimate(cfg, control_q=cfg.noise.control_q))[0]
+    return _sampled_run(cfg, _coherent_estimate(cfg), control_q=cfg.noise.control_q)[0]
 
 
 def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
@@ -834,9 +862,9 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
     _expect_mode(cfg, "interleaved")
     if full_superposition:  # exact_fidelities checks the gate and its channel
         return _full_run(cfg, interleaved_gate=gate, interleaved_noise=gate_noise)
-    gate = _checked_interleaved(gate, gate_noise, cfg.gate_set.dim)
-    return _sampled_run(cfg, _coherent_estimate(
-        cfg, interleaved_gate=gate, interleaved_noise=gate_noise))[0]
+    gate, gate_noise = _checked_interleaved(gate, gate_noise, cfg.gate_set.dim)
+    return _sampled_run(cfg, _coherent_estimate(cfg), interleaved_gate=gate,
+                        interleaved_noise=gate_noise)[0]
 
 
 # The mode table, called as runner(cfg, gate, gate_noise). Each entry looks

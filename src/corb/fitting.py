@@ -65,57 +65,71 @@ def fit_decay(points: Sequence[tuple[float, float]],
     """
     ms = np.asarray([p[0] for p in points], dtype=float)
     fs = np.asarray([p[1] for p in points], dtype=float)
-    if len(np.unique(ms)) < 3:
+    # Checked on Python lists, which is faster than numpy at these sizes;
+    # every NaN length counts as one, as np.unique counts them.
+    if len({m if m == m else None for m in ms.tolist()}) < 3:
         raise ValueError("need at least 3 distinct sequence lengths")
-    if np.any(fs >= 1.05):
+    fidelities = fs.tolist()
+    if any(f >= 1.05 for f in fidelities):
         raise ValueError("fidelities above 1.05 are not a decay curve")
-    if np.all(fs <= 0.0):
+    if all(f <= 0.0 for f in fidelities):
         raise ValueError("all fidelities nonpositive")
-    if weights is None:
-        w = np.ones_like(fs)
-    else:
+    if weights is not None:
         w = np.asarray(weights, dtype=float)
-        if w.shape != fs.shape or np.any(w < 0):
+        if w.shape != fs.shape or any(x < 0 for x in w.tolist()):
             raise ValueError("weights must be nonnegative, one per point")
+        w_column = w[:, None]
 
     positive = fs > 0.0
-    design = np.stack([np.ones(int(positive.sum())), ms[positive]], axis=1)
-    coeffs, *_ = np.linalg.lstsq(design, np.log(fs[positive]), rcond=None)
+    logs = np.log(fs[positive])
+    design = np.ones((len(logs), 2))
+    design[:, 1] = ms[positive]
+    coeffs, *_ = np.linalg.lstsq(design, logs, rcond=None)
     a0, chi0 = math.exp(coeffs[0]), math.exp(coeffs[1])
+
+    jacobian = np.empty((len(fs), 2))
+    lowered = ms - 1
+
+    def model_powers(a, chi):
+        """chi^m, with the Jacobian of a chi^m at (a, chi) filled in."""
+        powers = chi ** ms
+        jacobian[:, 0] = powers
+        jacobian[:, 1] = a * ms * chi ** lowered
+        return powers
 
     a, chi = a0, chi0
     converged = False
     for _ in range(GN_MAX_ITER):
-        model = a * chi ** ms
-        residuals = model - fs
-        jacobian = np.stack([chi ** ms, a * ms * chi ** (ms - 1)], axis=1)
-        step, *_ = np.linalg.lstsq(jacobian * w[:, None], -residuals * w,
-                                   rcond=None)
+        residuals = a * model_powers(a, chi) - fs
+        if weights is None:  # unit weights: multiplying by 1.0 is exact
+            step, *_ = np.linalg.lstsq(jacobian, -residuals, rcond=None)
+        else:
+            step, *_ = np.linalg.lstsq(jacobian * w_column, -residuals * w,
+                                       rcond=None)
         a += step[0]
         chi += step[1]
-        if not (np.isfinite(a) and np.isfinite(chi)) or abs(chi) > 10.0:
+        if not (math.isfinite(a) and math.isfinite(chi)) or abs(chi) > 10.0:
             a, chi = a0, chi0  # diverged: report the stage-1 estimate
             break
-        if float(np.linalg.norm(step)) < GN_STEP_TOL:
+        if math.sqrt(step.dot(step)) < GN_STEP_TOL:  # np.linalg.norm, bit for bit
             converged = True
             break
 
     chi = min(max(chi, 0.0), 1.0)
     a = max(a, 0.0)
-    residuals = a * chi ** ms - fs
-    rms = float(np.sqrt(np.mean(residuals ** 2)))
+    residuals = a * model_powers(a, chi) - fs
+    squares = float(np.sum(residuals ** 2))
+    rms = math.sqrt(squares / len(fs))
 
+    # At least 3 distinct lengths leave dof >= 1.
     stderr_a = stderr_chi = math.nan
-    dof = len(fs) - 2
-    if dof > 0:
-        jacobian = np.stack([chi ** ms, a * ms * chi ** (ms - 1)], axis=1)
-        try:
-            cov = np.linalg.inv(jacobian.T @ jacobian)
-            s2 = float(np.sum(residuals ** 2)) / dof
-            stderr_a = math.sqrt(max(s2 * cov[0, 0], 0.0))
-            stderr_chi = math.sqrt(max(s2 * cov[1, 1], 0.0))
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        cov = np.linalg.inv(jacobian.T @ jacobian)
+        s2 = squares / (len(fs) - 2)
+        stderr_a = math.sqrt(max(s2 * cov[0, 0], 0.0))
+        stderr_chi = math.sqrt(max(s2 * cov[1, 1], 0.0))
+    except np.linalg.LinAlgError:
+        pass
 
     return DecayFit(a, chi, rms, len(fs), converged, stderr_a, stderr_chi)
 
@@ -193,15 +207,14 @@ class DeviationSummary:
     max_deviation: dict
 
 
-def decay_amplitude(noise: NoiseModel, dim: int) -> float:
+def decay_amplitude(noise: NoiseModel) -> float:
     """Exact SPAM constant A = (1 - eps_m) <0|E_final(rho_prep)|0>.
 
     It is the same for every superposition size k, so it comes from the
-    D x D preparation alone: the control state |+> returns unchanged.
+    D x D preparation (`NoiseModel.prep`) alone: the control state |+>
+    returns unchanged.
     """
-    prep = np.eye(dim, dtype=np.complex128) * (noise.prep_error / dim)
-    prep[0, 0] += 1.0 - noise.prep_error
-    returned = sum(op[0] @ prep @ op[0].conj() for op in noise.final_channel)
+    returned = sum(op[0] @ noise.prep @ op[0].conj() for op in noise.final_channel)
     return (1.0 - noise.meas_error) * float(returned.real)
 
 
@@ -215,7 +228,7 @@ def deviation_experiment(scenario: DeviationScenario) -> DeviationSummary:
     same seed up to rounding) at no extra evolution.
     """
     chi00 = chi00_of(scenario.noise.gate_channel)
-    amplitude = decay_amplitude(scenario.noise, scenario.gate_set.dim)
+    amplitude = decay_amplitude(scenario.noise)
 
     base = RbRunConfig(
         gate_set=scenario.gate_set,

@@ -61,8 +61,10 @@ def assert_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     return u
 
 
-def check_kraus(kraus: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Validate sum_s K_s†K_s = I within TOL.channel and return the list."""
+def check_kraus(kraus: Sequence[np.ndarray],
+                what: str = "Kraus list") -> list[np.ndarray]:
+    """Validate sum_s K_s†K_s = I within TOL.channel and return the list;
+    a refusal names the list as `what`."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus list")
     mats = [as_matrix(k) for k in kraus]
@@ -74,7 +76,7 @@ def check_kraus(kraus: Sequence[np.ndarray]) -> list[np.ndarray]:
         total += dagger(m) @ m
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if not defect <= TOL.channel:  # a NaN defect fails too
-        raise ValueError(f"Kraus list is not trace preserving (defect {defect:.3e})")
+        raise ValueError(f"{what} is not trace preserving (defect {defect:.3e})")
     return mats
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices
-from .linalg import check_kraus
+from .linalg import basis_state, check_kraus, projector
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
 
 
@@ -88,6 +88,15 @@ def infidelity_to_dephasing(target_infidelity: float, d_eff: int) -> list[np.nda
     return dephasing_kraus(p, d_eff)
 
 
+def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """(D^2, D^2) superoperator of a Kraus list: entry [(a c), (b d)] is
+    sum_s K_s[a, b] conj(K_s[c, d]), so it maps the row-major vec of rho to
+    that of sum_s K_s rho K_s^dag."""
+    stack = np.stack(kraus)
+    d = stack.shape[1]
+    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(d * d, d * d)
+
+
 # ---------------------------------------------------------------------------
 # Noise model
 # ---------------------------------------------------------------------------
@@ -104,6 +113,14 @@ class NoiseModel:
     mixed state by eps_p; measurement scales the return effect by
     1 - eps_m (a lossy detector), so SPAM rescales the decay amplitude
     without adding a constant offset.
+
+    The operators that depend on the model alone are built once, here, and
+    are read-only attributes, not fields (so `dataclasses.replace` builds
+    them again): `gate_sop` and `final_sop`, the (D^2, D^2) superoperators
+    (`superop`) of the gate and the final channel, the same array when
+    there is no separate final channel, and `prep`, the D x D prepared
+    target (1 - eps_p)|0><0| + eps_p I/D. The engines read them and build
+    none per call or per task.
     """
 
     gate_channel: tuple[np.ndarray, ...]
@@ -122,6 +139,16 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
+        gate_sop = superop(self.gate_channel)
+        final_sop = (gate_sop if self.final_gate_channel is None
+                     else superop(self.final_gate_channel))
+        dim = self.gate_channel[0].shape[0]
+        prep = (1.0 - self.prep_error) * projector(basis_state(dim))
+        prep += self.prep_error * np.eye(dim) / dim
+        for name, value in (("gate_sop", gate_sop), ("final_sop", final_sop),
+                            ("prep", prep)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def final_channel(self) -> tuple[np.ndarray, ...]:

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from corb.engine import _branch_survivals, _evolve, _overlap_fidelity, _real_gates
+from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity
 from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
@@ -288,17 +288,24 @@ def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
 # Single protocol executions on the engine kernel
 # ---------------------------------------------------------------------------
 
+def evolve_coherent(gate_set, noise, sequences, **kwargs) -> np.ndarray:
+    """The final half-stored state, shape (1, k, w, D, D), of one coherent
+    run of `corb.engine._evolve` over an explicit (k, m) sequence-index
+    array; keyword arguments as for `corb.engine._Kernel`."""
+    sequences = np.asarray(sequences)
+    return _evolve(_Kernel(gate_set, noise, 1, len(sequences), **kwargs), sequences[None])
+
+
 def simulate_coherent(gate_set, noise, sequences, **kwargs) -> float:
-    """One coherent run of `corb.engine._evolve` over an explicit (k, m)
-    sequence-index array, measured with the return effect
-    (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>; keyword arguments as for
-    `_evolve`."""
-    state = _evolve(_real_gates(gate_set), noise, np.asarray(sequences)[None], **kwargs)
+    """One coherent run (`evolve_coherent`) measured with the return effect
+    (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>."""
+    state = evolve_coherent(gate_set, noise, sequences, **kwargs)
     return _overlap_fidelity(state, noise.meas_error)
 
 
 def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
     evolved as k one-branch coherent runs, as standard RB runs them."""
-    state = _evolve(_real_gates(gate_set), noise, np.asarray(sequences)[:, None, :])
+    sequences = np.asarray(sequences)
+    state = _evolve(_Kernel(gate_set, noise, len(sequences), 1), sequences[:, None, :])
     return _branch_survivals(state, noise.meas_error)

@@ -774,6 +774,21 @@ class TestFitCommand:
             assert payload["stderr_A"] is None and payload["stderr_chi00"] is None
             assert payload["chi00"] == 0.9
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "{dir}"],
+        ["fit", "--irb", "{dir}", "{dir}"],
+        ["run", "--set", "pauli:d=2,n=1", "--channel", "identity", "--out", "{dir}"],
+    ], ids=["fit", "fit-irb", "run-out"])
+    def test_directory_for_a_file_exit_one(self, argv, tmp_path):
+        """An operating-system error on a path (here a directory where a
+        file is needed) is one error line naming the path, exit 1, not a
+        traceback."""
+        path = str(tmp_path)
+        status, _, err = run_main([arg.format(dir=path) for arg in argv])
+        assert status == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and repr(path) in err
+
     def test_not_a_records_file_exit_one(self, tmp_path):
         path = str(tmp_path / "h.mat")
         write_matrices(path, [H])

@@ -23,12 +23,10 @@ from corb.engine import (
     _apply_control_depolarize,
     _branch_survivals,
     _check_budget,
-    _evolve,
     _mask_step,
     _overlap_fidelity,
     _real_form,
     _real_gates,
-    _superop,
     _superop_step,
     child_rng,
     exact_fidelities,
@@ -56,11 +54,13 @@ from corb.noise import (
     depolarizing_kraus,
     identity_kraus,
     parse_channel_spec,
+    superop,
 )
 from corb.paulis import PauliLabel, pauli_matrix
 from helpers import (
     composed_chi00,
     conjugate_channel,
+    evolve_coherent,
     haar_unitary,
     kraus_to_chi,
     random_channel,
@@ -161,7 +161,7 @@ class TestExactDecayLaw:
             chi00 = chi00_of(kraus)
             cfg = RbRunConfig(gate_set=gate_set, noise=noise,
                               lengths=(1, 2, 3, 10), mode="coherent-full")
-            amplitude = decay_amplitude(noise, dim)
+            amplitude = decay_amplitude(noise)
             for record in run_coherent_full(cfg):
                 assert record.fidelity == pytest.approx(
                     amplitude * chi00 ** record.m, abs=1e-9)
@@ -179,7 +179,7 @@ class TestExactDecayLaw:
         cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=(200,),
                           mode="coherent-full")
         record = run_coherent_full(cfg)[0]
-        law = decay_amplitude(noise, gate_set.dim) * chi00_of(kraus) ** 200
+        law = decay_amplitude(noise) * chi00_of(kraus) ** 200
         assert law > 0.2
         assert record.fidelity == pytest.approx(law, abs=1e-9)
 
@@ -190,7 +190,7 @@ class TestExactDecayLaw:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2, 3),
                           mode="coherent-full")
         for record in run_coherent_full(cfg):
-            a = decay_amplitude(noise, 2)
+            a = decay_amplitude(noise)
             assert record.fidelity == pytest.approx(a * 0.95 ** record.m,
                                                     abs=1e-9)
 
@@ -304,7 +304,7 @@ class TestDenseOracle:
             kwargs.update(interleaved_gate=gate,
                           interleaved_noise=self._channel(kind, dim, rng))
         sequences = rng.integers(0, len(gate_set), size=(k, m))
-        state = _evolve(_real_gates(gate_set), noise, sequences[None], **kwargs)[0]
+        state = evolve_coherent(gate_set, noise, sequences, **kwargs)[0]
         flat = dense_coherent_state(gate_set, noise, sequences, **kwargs)
         assert np.max(np.abs(unpack(state) - flat)) <= 1e-12
         if k % 2 == 0:
@@ -334,8 +334,8 @@ class TestDenseOracle:
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         rho = np.outer(vec, vec.conj())
         kraus = random_channel(d, 3, rng)
-        out, _ = _superop_step(_superop(kraus))(pack(rho, k)[None],
-                                                np.empty((1, k, k // 2 + 1, d, d), complex))
+        out, _ = _superop_step(superop(kraus))(pack(rho, k)[None],
+                                               np.empty((1, k, k // 2 + 1, d, d), complex))
         want = dense_apply_channel(rho, [np.kron(np.eye(k), op) for op in kraus])
         np.testing.assert_allclose(unpack(out[0]), want, rtol=0, atol=1e-13)
 
@@ -344,9 +344,10 @@ class TestDenseOracle:
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         state = pack(np.outer(vec, vec.conj()), k)[None]
-        sop = _superop(random_phase_channel(d, 3, rng))
+        sop = superop(random_phase_channel(d, 3, rng))
         assert not np.any(sop - np.diag(np.diagonal(sop)))
-        masked, _ = _mask_step(np.diagonal(sop), np.empty_like(state))(
+        row = np.broadcast_to(np.diagonal(sop).reshape(d, d).T, (k // 2 + 1, d, d))
+        masked, _ = _mask_step(row, np.empty_like(state))(
             state.copy(), np.empty_like(state))
         general, _ = _superop_step(sop)(
             state.copy(), np.empty_like(state))
@@ -421,9 +422,9 @@ class TestSampledMeans:
         f_std = self._interleaved_exact(True, (1, 2))
         f_full = self._interleaved_exact(False, (1, 2))
         for m, std, full in zip((1, 2), f_std, f_full):
-            state = _evolve(_real_gates(CLIFFORD_2), self.NOISE,
-                            all_sequences(len(CLIFFORD_2), m)[None],
-                            interleaved_gate=H, interleaved_noise=self.GATE_NOISE)
+            state = evolve_coherent(CLIFFORD_2, self.NOISE,
+                                    all_sequences(len(CLIFFORD_2), m),
+                                    interleaved_gate=H, interleaved_noise=self.GATE_NOISE)
             fidelity = _overlap_fidelity(state, self.NOISE.meas_error)
             diagonal = np.mean(_branch_survivals(state, self.NOISE.meas_error))
             assert abs(full - fidelity) <= 1e-12
@@ -456,7 +457,7 @@ class TestSampledMeans:
 
 def diagonal_block_mean(gate_set, noise, sequences):
     """Mean survival of the diagonal control blocks of one coherent run."""
-    state = _evolve(_real_gates(gate_set), noise, sequences[None])
+    state = evolve_coherent(gate_set, noise, sequences)
     return np.mean(_branch_survivals(state, noise.meas_error))
 
 
@@ -727,6 +728,69 @@ run(RbRunConfig(gate_set=build_pauli_set(2, 1),
                     pass
 
 
+class TestOperatorTraffic:
+    """The engines read the superoperators and the prepared state that the
+    NoiseModel built once: no call of `noise.superop` in a full run, and
+    none inside the tasks of a sampled run."""
+
+    NOISE = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2, 1)),
+                       final_gate_channel=tuple(dephasing_kraus(0.03, 2)),
+                       control_q=0.9, prep_error=0.02, meas_error=0.01)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every `noise.superop` call made, as "run" or "task": a task is a
+        call of the function that `_map_tasks` maps over the tasks."""
+        calls, where = [], ["run"]
+        real_superop, real_map = corb.noise.superop, corb.engine._map_tasks
+
+        def counted(kraus):
+            calls.append(where[0])
+            return real_superop(kraus)
+
+        def mapped(fn, tasks, size):
+            def task(t):
+                where[0] = "task"
+                try:
+                    return fn(t)
+                finally:
+                    where[0] = "run"
+            return real_map(task, tasks, size)
+
+        monkeypatch.setattr("corb.noise.superop", counted)
+        monkeypatch.setattr("corb.engine.superop", counted)
+        monkeypatch.setattr("corb.engine._map_tasks", mapped)
+        monkeypatch.setenv("CORB_THREADS", "1")
+        return calls
+
+    def test_full_runs_build_no_superoperator(self, calls):
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 5),
+                          mode="coherent-full")
+        run_coherent_full(cfg)
+        exact_fidelities(CLIFFORD_2, self.NOISE, (1, 2, 5), same_sequence=True)
+        assert calls == []
+        # The interleaved superoperators depend on the call's arguments.
+        run_interleaved_coherent(replace(cfg, mode="interleaved"), H,
+                                 dephasing_kraus(0.01, 2), full_superposition=True)
+        assert calls == ["run"] * 3
+
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "coherent-full"])
+    def test_sampled_tasks_build_no_superoperator(self, mode, calls):
+        """Six tasks; with interleaving the run builds the position
+        superoperator once, from the gate and its channel."""
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
+                          k=3, repetitions=2, mode=mode)
+        records = run(cfg, interleaved_gate=H, interleaved_noise=dephasing_kraus(0.01, 2))
+        assert len(records) == 6
+        assert calls == (["run"] * 2 if mode == "interleaved" else [])
+
+    def test_one_pass_of_both_readings_builds_no_superoperator(self, calls):
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
+                          k=3, repetitions=2)
+        assert len(run_coherent_and_standard(cfg)["standard"]) == 6
+        assert calls == []
+
+
 class TestShots:
     def test_shot_values_on_grid(self):
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)))
@@ -858,7 +922,8 @@ class TestConfigValidation:
         (np.eye(3), None, r"interleaved gate has shape \(3, 3\)"),
         (H, dephasing_kraus(0.1, 3), r"interleaved gate channel has shape \(3, 3\)"),
         (2 * H, None, "interleaved gate is not unitary"),
-    ], ids=["gate-shape", "channel-shape", "not-unitary"])
+        (H, [0.5 * np.eye(2)], "interleaved gate channel is not trace preserving"),
+    ], ids=["gate-shape", "channel-shape", "not-unitary", "not-trace-preserving"])
     def test_exact_fidelities_checks_the_interleaved_gate(
             self, same_sequence, gate, gate_noise, message):
         """Called directly, the exact recursion refuses an interleaved gate
@@ -867,6 +932,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             exact_fidelities(PAULI_2, ideal(), (1, 2), same_sequence,
                              interleaved_gate=gate, interleaved_noise=gate_noise)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["sampled", "full"])
+    def test_interleaved_run_refuses_a_lossy_channel(self, full):
+        """An interleaved channel that loses trace, here {0.5 I}, is
+        refused with its defect named, in the sampled and in the full
+        form, before anything runs."""
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2, 3), k=2,
+                          mode="interleaved")
+        with pytest.raises(ValueError, match=r"interleaved gate channel is not trace "
+                                             r"preserving \(defect 7\.500e-01\)"):
+            run_interleaved_coherent(cfg, H, [0.5 * np.eye(2)], full_superposition=full)
 
     def test_full_mode_is_not_capped(self):
         """k * D = 4^7 * 2 is far past the sampled modes' byte budget; the exact
@@ -977,7 +1053,7 @@ class TestAmplitude:
         noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
                            prep_error=0.1, meas_error=0.05)
         expected = 0.95 * 0.95
-        assert decay_amplitude(noise, 2) == pytest.approx(expected, abs=1e-12)
+        assert decay_amplitude(noise) == pytest.approx(expected, abs=1e-12)
 
     def test_amplitude_is_k_independent(self):
         """With noiseless sequence gates the coherent run returns exactly
@@ -985,7 +1061,7 @@ class TestAmplitude:
         noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
                            final_gate_channel=tuple(dephasing_kraus(0.2, 2)),
                            prep_error=0.07, meas_error=0.03)
-        amplitude = decay_amplitude(noise, 2)
+        amplitude = decay_amplitude(noise)
         rng = np.random.default_rng(65)
         for k in (1, 4, 64):
             sequences = rng.integers(0, len(CLIFFORD_2), size=(k, 3))
@@ -993,4 +1069,4 @@ class TestAmplitude:
             assert abs(fidelity - amplitude) < 1e-12
 
     def test_ideal_amplitude_is_one(self):
-        assert decay_amplitude(ideal(), 2) == pytest.approx(1.0, abs=1e-12)
+        assert decay_amplitude(ideal()) == pytest.approx(1.0, abs=1e-12)

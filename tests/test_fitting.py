@@ -15,6 +15,7 @@ from corb.engine import (
     run_standard_rb,
 )
 from corb.fitting import (
+    DecayFit,
     DeviationScenario,
     combined_decay,
     deviation_experiment,
@@ -100,6 +101,80 @@ class TestFitDecay:
         assert fit_decay(noisy).converged
         monkeypatch.setattr(fitting, "GN_MAX_ITER", 1)
         assert not fit_decay(noisy).converged
+
+
+def assert_fit_equals(fit, want):
+    """Every field of `fit` is that of the DecayFit `want`: the count and
+    the flag exactly, each float to 1e-12 relative (LAPACK builds may
+    differ in the last bits), a zero exactly, a NaN as a NaN."""
+    for name, value in vars(want).items():
+        got = getattr(fit, name)
+        if isinstance(value, float) and math.isnan(value):
+            assert math.isnan(got), name
+        else:
+            assert got == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+NOISY = [(1, 0.9), (2, 0.83), (4, 0.64), (8, 0.45)]
+
+
+class TestFitDecayPinned:
+    """`fit_decay`'s result or refusal for each kind of awkward input."""
+
+    @pytest.mark.parametrize("points, want", [
+        ([(1, 0.9), (2, math.nan), (4, 0.6), (8, 0.4)],
+         DecayFit(0.9878611515710791, 0.8913087216575926, math.nan, 4, False,
+                  math.nan, math.nan)),
+        ([(1, 0.9), (2, -math.inf), (4, 0.6), (8, 0.4)],
+         DecayFit(0.9878611515710791, 0.8913087216575926, math.inf, 4, False,
+                  math.inf, math.inf)),
+    ], ids=["nan", "minus-inf"])
+    def test_nonfinite_fidelity_reports_the_log_fit(self, points, want):
+        """A NaN or -inf point is left out of the log-linear start (it is
+        not positive) and makes the refinement diverge, so the start is
+        reported, unconverged, with the residuals it leaves."""
+        assert_fit_equals(fit_decay(points), want)
+
+    @pytest.mark.parametrize("points, weights, message", [
+        ([(1, 0.9), (2, math.inf), (4, 0.6), (8, 0.4)], None,
+         "fidelities above 1.05 are not a decay curve"),
+        ([(1, 0.9), (1, 0.8), (2, 0.7), (2, 0.6)], None,
+         "need at least 3 distinct sequence lengths"),
+        ([(math.nan, 0.9), (math.nan, 0.8), (2, 0.7)], None,
+         "need at least 3 distinct sequence lengths"),
+        ([(1, 1.05), (2, 0.7), (4, 0.5)], None,
+         "fidelities above 1.05 are not a decay curve"),
+        ([(1, 0.0), (2, -0.1), (4, 0.0)], None, "all fidelities nonpositive"),
+        (NOISY, [1.0, 1.0], "weights must be nonnegative, one per point"),
+        (NOISY, [[1.0, 1.0, 1.0, 1.0]], "weights must be nonnegative, one per point"),
+        (NOISY, [1.0, -1.0, 1.0, 1.0], "weights must be nonnegative, one per point"),
+        # With several faults, the first check in this order refuses.
+        ([(1, 2.0), (1, -1.0), (2, 0.5)], None,
+         "need at least 3 distinct sequence lengths"),
+        ([(1, 1.1), (2, -1.0), (3, -1.0)], [-1.0], "fidelities above 1.05 are not a decay curve"),
+        ([(1, 0.0), (2, 0.0), (3, 0.0)], [-1.0], "all fidelities nonpositive"),
+    ], ids=["plus-inf", "two-lengths", "nan-lengths-are-one", "at-1.05", "nonpositive",
+            "weights-short", "weights-2d", "weights-negative", "lengths-first",
+            "high-before-nonpositive", "nonpositive-before-weights"])
+    def test_refusals(self, points, weights, message):
+        with pytest.raises(ValueError) as info:
+            fit_decay(points, weights)
+        assert str(info.value) == message
+
+    def test_diverging_refinement_reports_the_log_fit(self):
+        fit = fit_decay([(11, -0.15), (13, 0.46), (17, 0.37), (22, -0.12)])
+        assert_fit_equals(fit, DecayFit(0.9333943795145252, 0.9470239734520353,
+                                        0.38759477869123893, 4, False,
+                                        2.490560964911249, 0.17408007838220083))
+
+    def test_iteration_cap_keeps_the_last_estimate(self, monkeypatch):
+        assert_fit_equals(fit_decay(NOISY), DecayFit(
+            1.0002775896247271, 0.9022657521460536, 0.014928104653674699, 4, True,
+            0.02340929647734001, 0.006416521087103789))
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", 1)
+        assert_fit_equals(fit_decay(NOISY), DecayFit(
+            1.0001758066224828, 0.9022935344956645, 0.014928182597286099, 4, False,
+            0.023407553227052288, 0.006416252844529407))
 
 
 class TestCombinedDecay:

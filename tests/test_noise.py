@@ -1,5 +1,7 @@
 """Channel representations, fidelity formulas, control depolarization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,41 @@ class TestNoiseModel:
     def test_validates_rates(self):
         with pytest.raises(ValueError):
             NoiseModel(gate_channel=tuple(identity_kraus(2)), control_q=1.5)
+
+    def test_derived_operators_are_built_once_and_read_only(self):
+        """`gate_sop`, `final_sop` and `prep` equal their definitions bit
+        for bit, are read-only attributes that are not fields, and
+        `dataclasses.replace` builds them again."""
+        rng = np.random.default_rng(41)
+        gate, final = random_channel(3, 2, rng), random_channel(3, 3, rng)
+        eps = 0.07
+        nm = NoiseModel(gate_channel=tuple(gate), final_gate_channel=tuple(final),
+                        prep_error=eps)
+
+        def definition(kraus):
+            stack = np.stack(kraus)
+            return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(9, 9)
+
+        assert np.array_equal(nm.gate_sop, definition(gate))
+        assert np.array_equal(nm.final_sop, definition(final))
+        assert np.array_equal(nm.prep, np.diag([(1 - eps) + eps / 3, eps / 3, eps / 3]))
+        rho = nm.prep + 0.1j * (np.eye(3, k=1) - np.eye(3, k=-1))
+        np.testing.assert_allclose((nm.gate_sop @ rho.ravel()).reshape(3, 3),
+                                   sum(k @ rho @ k.conj().T for k in gate), atol=1e-15)
+        for name in ("gate_sop", "final_sop", "prep"):
+            assert name not in {f.name for f in dataclasses.fields(nm)}
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(nm, name)[0, 0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(nm, name, np.eye(3))
+
+        other = dataclasses.replace(nm, final_gate_channel=None, prep_error=0.5)
+        assert other.final_sop is other.gate_sop
+        assert np.array_equal(other.gate_sop, nm.gate_sop)
+        assert np.array_equal(other.prep, np.diag([0.5 + 0.5 / 3, 0.5 / 3, 0.5 / 3]))
+        changed = dataclasses.replace(nm, gate_channel=tuple(final))
+        assert np.array_equal(changed.gate_sop, definition(final))
+        assert np.array_equal(changed.final_sop, definition(final))
 
 
 class TestChannelSpecs:
