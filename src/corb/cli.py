@@ -84,8 +84,26 @@ class ExperimentConfig:
         return d
 
 
+# Options that only some modes read: (config field, flag, default, the modes
+# that read it). The interleaved closing gate is noiseless, and coherent-full
+# writes exact values, so neither takes a final channel or shots.
+_MODE_OPTIONS = (
+    ("control_q", "--q", 1.0, ("coherent-control-noise",)),
+    ("gate_file", "--gate", None, ("interleaved",)),
+    ("gate_channel_spec", "--gate-channel", None, ("interleaved",)),
+    ("final_channel_spec", "--final-channel", None,
+     tuple(m for m in MODES if m != "interleaved")),
+    ("shots", "--shots", 0, tuple(m for m in MODES if m != "coherent-full")),
+)
+
+
 def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
-    """Build the gate set and noise a config describes, and run it."""
+    """Build the gate set and noise a config describes, and run it. An
+    option that the config's mode would ignore is refused."""
+    for name, flag, default, modes in _MODE_OPTIONS:
+        if getattr(config, name) != default and config.mode not in modes:
+            raise ValueError(f"mode {config.mode} ignores {flag}; "
+                             f"modes that read it: {', '.join(modes)}")
     gate_set = parse_set_spec(config.set_spec)
     gate_channel = parse_channel_spec(config.channel_spec, gate_set.dim)
     final = None
@@ -471,21 +489,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.add_argument("--channel", required=True)
     p.add_argument("--final-channel", default=None,
-                   help="channel after the inverse gate (defaults to --channel)")
+                   help="channel after the inverse gate (defaults to --channel; "
+                        "not with --mode interleaved)")
     p.add_argument("--q", type=float, default=1.0,
-                   help="control-register depolarizing parameter")
+                   help="control-register depolarizing parameter "
+                        "(--mode coherent-control-noise only)")
     p.add_argument("--eps-prep", type=float, default=0.0)
     p.add_argument("--eps-meas", type=float, default=0.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--lengths", default="2,4,8")
     p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--shots", type=int, default=0)
+    p.add_argument("--shots", type=int, default=0,
+                   help="binomial samples per record (not with --mode coherent-full)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="coherent", choices=MODES)
     p.add_argument("--gate", default=None,
-                   help="matrix file with the interleaved gate")
+                   help="matrix file with the interleaved gate (--mode interleaved only)")
     p.add_argument("--gate-channel", default=None,
-                   help="channel spec for the interleaved gate")
+                   help="channel spec for the interleaved gate (--mode interleaved only)")
     p.add_argument("--out", required=True)
     p.add_argument("--format", default="csv", choices=["csv", "json"])
     p.set_defaults(fn=cmd_run)

@@ -8,6 +8,14 @@ depolarize), interleaved coherent RB (a fixed gate after every random
 gate in all branches), and the full |G|^m superposition. `run` dispatches
 through one mode table.
 
+Every engine runs on one triple, built by `_protocol`: the stack each
+position draws its gate from, the position channel that follows every
+drawn gate, and the final channel that follows the closing inverse.
+Interleaving is not a variant of any engine: it only derives that triple.
+With a fixed gate g and its channel N_g, the stack becomes {g u}, the
+position channel S(N_g) S(g) S(N) S(g^dag), and the final channel, since
+the closing gate is noiseless, the identity.
+
 Every sampled mode runs on one kernel, `_evolve`, which evolves a batch of
 b independent coherent states in blocked form, so a controlled gate is a
 per-branch-pair contraction rather than a full (kD)^2 matrix product.
@@ -34,24 +42,22 @@ and from it the closing inverse, stay in real form.
 
 Everything a task needs that does not depend on its draw is built once per
 run, before the workers fork, into a `_Kernel`, and none of it is
-state-sized: the plain and the conjugating form of every gate of the set,
-a (2, |G|, 2D, 2D) float64 stack of 64 |G| D^2 bytes, refused like a task
-when it exceeds STATE_BUDGET_BYTES; one (w, D, D) slot row of the initial
-state; the step of each channel; the real form of an interleaved gate; the
-sign vector of the conjugating forms and the identity the running products
-start from. The channels are classified once per run from the
-superoperators the `NoiseModel` holds (with interleaving, the position
-superoperator is built once per run): the identity channel is skipped; a
-channel whose superoperator is diagonal (every Kraus operator diagonal, as
-for all phase channels) is one elementwise multiply by a state-sized mask,
-filled per task from a (w, D, D) slot row (and reused by an equal final
-channel); any other channel is one real (blocks, 2D^2) x (2D^2, 2D^2)
-product over all stored blocks. Each (length, repetition) task owns
-exactly three state-sized complex128 arrays (the state, a work buffer, and
-the mask) and uses two (k, w, D, D) intp gather indices, 48 b k w D^2 +
-16 k w D^2 bytes on a 64-bit platform, and allocates nothing state-sized
-per position; tasks needing more than STATE_BUDGET_BYTES are refused
-before allocating.
+state-sized: the plain and the conjugating form of every gate of the
+stack, a (2, |G|, 2D, 2D) float64 array of 64 |G| D^2 bytes, refused like
+a task when it exceeds STATE_BUDGET_BYTES; one (w, D, D) slot row of the
+initial state; the step of each channel; the sign vector of the
+conjugating forms and the identity the running products start from. The
+channels are classified once per run from the superoperators of the
+triple: the identity channel is skipped; a channel whose superoperator is
+diagonal (every Kraus operator diagonal, as for all phase channels) is one
+elementwise multiply by a state-sized mask, filled per task from a
+(w, D, D) slot row (and reused by an equal final channel); any other
+channel is one real (blocks, 2D^2) x (2D^2, 2D^2) product over all stored
+blocks. Each (length, repetition) task owns exactly three state-sized
+complex128 arrays (the state, a work buffer, and the mask) and uses two
+(k, w, D, D) intp gather indices, 48 b k w D^2 + 16 k w D^2 bytes on a
+64-bit platform, and allocates nothing state-sized per position; tasks
+needing more than STATE_BUDGET_BYTES are refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
@@ -61,12 +67,12 @@ single workers, platforms without fork and processes running other threads
 stay serial. Records do not depend on the worker count.
 
 Exact expectations come from one recursion, `exact_fidelities`, which
-builds no state and draws no sequence, and reads the superoperators and
+builds no state and draws no sequence, and runs on the same triple and
 the prepared state of its `NoiseModel`. Block (i, j) of a coherent state
 evolves under the sequences of branches i and j, so its mean return is
 (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep) and
 R_t = M^T acting on vec(R_{t-1} S), R_0 = I, where S is the position
-channel and M the joint moment of the pair's gates (u, v):
+channel and M the joint moment of the pair's gates (u, v) from the stack:
   * independent pair (v drawn apart from u): the full superposition, whose
     blocks are all such pairs, and the off-diagonal blocks of a sampled
     state. M factorizes into the first moment A = E_u[conj u (x) u] of the
@@ -335,12 +341,13 @@ def _signs(dim: int) -> np.ndarray:
     return np.tile([1.0, -1.0], dim)[:, None]
 
 
-def _real_gates(gate_set: GateSet) -> np.ndarray:
+def _real_gates(stack: np.ndarray) -> np.ndarray:
     """The run's read-only (2, |G|, 2D, 2D) float64 gate stack, built once
-    per run before any task is forked: for each element U, R(U^T) and
-    J R(U^T), the plain and the conjugating form of the gate step. Refused,
-    before allocating, when its 64 |G| D^2 bytes exceed STATE_BUDGET_BYTES."""
-    size, dim = len(gate_set), gate_set.dim
+    per run before any task is forked: for each U of a (|G|, D, D) stack,
+    R(U^T) and J R(U^T), the plain and the conjugating form of the gate
+    step. Refused, before allocating, when its 64 |G| D^2 bytes exceed
+    STATE_BUDGET_BYTES."""
+    size, dim = stack.shape[:2]
     needed = 2 * 8 * size * (2 * dim) ** 2
     if needed > STATE_BUDGET_BYTES:
         raise DimensionError(
@@ -348,7 +355,7 @@ def _real_gates(gate_set: GateSet) -> np.ndarray:
             f"{needed} bytes (a 2x{size}x{2 * dim}x{2 * dim} float64 array); "
             f"the budget is {STATE_BUDGET_BYTES} bytes")
     gates = np.empty((2, size, 2 * dim, 2 * dim))
-    gates[0] = _real_form(gate_set.stacked().transpose(0, 2, 1))
+    gates[0] = _real_form(stack.transpose(0, 2, 1))
     np.multiply(gates[0], _signs(dim), out=gates[1])
     gates.setflags(write=False)
     return gates
@@ -473,55 +480,56 @@ def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     return rho
 
 
-def _position_sop(noise: NoiseModel,
-                  interleaved_gate: np.ndarray | None = None,
-                  interleaved_noise: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Everything after the branch gates at one position is branch-uniform,
-    so it folds into one superoperator: the gate channel, then the
-    interleaved gate and its channel."""
-    sop = noise.gate_sop
-    if interleaved_gate is not None:
-        sop = superop([interleaved_gate]) @ sop
-        if interleaved_noise is not None:
-            sop = superop(interleaved_noise) @ sop
-    return sop
+def _protocol(gate_set: GateSet, noise: NoiseModel,
+              interleaved_gate: np.ndarray | None = None,
+              interleaved_noise: Sequence[np.ndarray] | None = None):
+    """The triple every engine runs on (see the module docstring): the
+    (|G|, D, D) gate stack, the position and the final superoperator.
+    Without interleaving, the set's elements and the noise model's gate and
+    final superoperators; an interleaved gate and its channel are checked
+    (`_checked_interleaved`) and derive all three, since u, N, g, N_g is
+    g u followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as
+    S(g)^dag, so at most two superoperators are built."""
+    if interleaved_gate is None:
+        return gate_set.stacked(), noise.gate_sop, noise.final_sop
+    dim = gate_set.dim
+    gate, gate_noise = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+    gate_sop = superop([gate])
+    position_sop = gate_sop @ noise.gate_sop
+    if gate_noise is not None:
+        position_sop = superop(gate_noise) @ position_sop
+    return (gate @ gate_set.stacked(), position_sop @ gate_sop.conj().T,
+            np.eye(dim * dim, dtype=np.complex128))
 
 
 class _Kernel:
     """What every task of a sampled run shares, built once per run before
     the workers fork, for tasks of `batch` states of `branches` branches
-    each (see the module docstring). Nothing in it is state-sized.
+    each (see the module docstring), from a `_protocol` triple and the
+    prepared target. Nothing in it is state-sized.
 
-    Protocol of each state: prepare |+>_c (x) prep(|0>); apply m controlled
-    gates, each followed by the gate channel on the target (and, when
-    interleaving, by the fixed gate and its checked channel; when
-    control_q < 1, by control depolarization); apply the controlled inverse
-    of each branch. The inverse gate is followed by the final channel
-    except in the interleaved variant, whose closing gate is noiseless.
+    Protocol of each state: prepare |+>_c (x) prep; apply m controlled
+    gates from the stack, each followed by the position channel on the
+    target (and, when control_q < 1, by control depolarization); apply the
+    controlled inverse of each branch, followed by the final channel.
     """
 
-    def __init__(self, gate_set: GateSet, noise: NoiseModel, batch: int,
-                 branches: int, *, control_q: float = 1.0,
-                 interleaved_gate: np.ndarray | None = None,
-                 interleaved_noise: Sequence[np.ndarray] | None = None):
-        dim = gate_set.dim
+    def __init__(self, protocol, prep: np.ndarray, batch: int, branches: int,
+                 *, control_q: float = 1.0):
+        stack, position_sop, final_sop = protocol
+        dim = stack.shape[-1]
         slots = branches // 2 + 1
-        self.gates = _real_gates(gate_set)
+        self.gates = _real_gates(stack)
         # |+><+|_c (x) prep has all blocks equal, so it is in both layouts.
         self.initial = np.empty((slots, dim, dim), dtype=np.complex128)
-        self.initial[...] = (noise.prep / branches).T
-        position_sop = _position_sop(noise, interleaved_gate, interleaved_noise)
+        self.initial[...] = (prep / branches).T
         self.channel = _channel_step(position_sop, slots)
-        self.interleaved = None
-        if interleaved_gate is not None:
-            self.interleaved = _real_form(interleaved_gate.T)
-            self.final = None
-        elif np.array_equal(noise.final_sop, position_sop):
+        if np.array_equal(final_sop, position_sop):
             # Most often the final channel is the gate channel: its step
             # (and mask) serves both, with no second fill of `aux`.
             self.final = self.channel
         else:
-            self.final = _channel_step(noise.final_sop, slots)
+            self.final = _channel_step(final_sop, slots)
         self.signs = _signs(dim)
         self.identity = np.broadcast_to(np.eye(2 * dim),
                                         (batch, branches, 2 * dim, 2 * dim)).copy()
@@ -558,19 +566,15 @@ def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
         state, free = _conjugate_branches(state, free, gates, repack)
         state, free = channel(state, free)
         np.matmul(products, gates[0], out=spare)
-        if kernel.interleaved is None:
-            products, spare = spare, products
-        else:
-            np.matmul(spare, kernel.interleaved, out=products)
+        products, spare = spare, products
         if kernel.control_q < 1.0:
             _apply_control_depolarize(state, kernel.control_q)
 
     np.copyto(gates[0], products.transpose(0, 1, 3, 2))
     np.multiply(gates[0], kernel.signs, out=gates[1])
     state, free = _conjugate_branches(state, free, gates, into_forward)
-    if kernel.final is not None:
-        final = channel if kernel.final is kernel.channel else kernel.final(aux)
-        state, free = final(state, free)
+    final = channel if kernel.final is kernel.channel else kernel.final(aux)
+    state, free = final(state, free)
     return state
 
 
@@ -659,8 +663,11 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
 
 
 def _sampled_run(cfg: RbRunConfig, estimate,
-                 modes: tuple[str, ...] | None = None,
-                 **kernel_args) -> tuple[list[FidelityRecord], ...]:
+                 modes: tuple[str, ...] | None = None, *,
+                 control_q: float = 1.0,
+                 interleaved_gate: np.ndarray | None = None,
+                 interleaved_noise: Sequence[np.ndarray] | None = None
+                 ) -> tuple[list[FidelityRecord], ...]:
     """The (length, repetition) task loop of every sampled mode: `estimate`
     maps the final kernel state of one (k, m) draw of sequence indices to
     one expected fidelity per mode in `modes` (default: cfg.mode alone),
@@ -669,14 +676,15 @@ def _sampled_run(cfg: RbRunConfig, estimate,
     of that mode alone.
 
     Every task evolves one kernel state: k one-branch runs in mode
-    "standard", one k-branch run otherwise. Its size and that of the gate
-    stack are checked against the budget before any task starts; the
-    `_Kernel` (with `kernel_args`) is built once, before the workers
-    fork."""
+    "standard", one k-branch run otherwise. The interleaved gate and its
+    channel are checked (`_protocol`), then the size of the task and that
+    of the gate stack are checked against the budget, before any task
+    starts; the `_Kernel` is built once, before the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
+    protocol = _protocol(cfg.gate_set, cfg.noise, interleaved_gate, interleaved_noise)
     batch, branches = (cfg.k, 1) if cfg.mode == "standard" else (1, cfg.k)
     _check_budget(branches, cfg.gate_set.dim, batch)
-    kernel = _Kernel(cfg.gate_set, cfg.noise, batch, branches, **kernel_args)
+    kernel = _Kernel(protocol, cfg.noise.prep, batch, branches, control_q=control_q)
 
     def one(task):
         m, rep = task
@@ -739,36 +747,21 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     sequence with itself, which is the mean standard-RB survival over all
     sequences. Every length up to the longest is one step of the recursion.
 
-    With an interleaved gate g (and its channel) the random gates become g u
-    and S = S(N_g) S(g) S(N) S(g^dag), since u, N, g, N_g equals g u followed
-    by that map; the closing gate is noiseless, so no final channel.
+    An interleaved gate and its channel change only the stack and the two
+    superoperators the recursion runs on (`_protocol`).
     """
     if min(lengths) < 1:
         raise ValueError("lengths must be positive integers")
     dim = gate_set.dim
-    stack = gate_set.stacked()
-    if interleaved_gate is None:
-        step_sop = noise.gate_sop
-        readout = noise.final_sop[0]
-    else:
-        interleaved_gate, interleaved_noise = _checked_interleaved(
-            interleaved_gate, interleaved_noise, dim)
-        step_sop = (_position_sop(noise, interleaved_gate, interleaved_noise)
-                    @ superop([interleaved_gate.conj().T]))
-        readout = None  # no final channel: row 0 of the transfer matrix
+    stack, step_sop, final_sop = _protocol(gate_set, noise, interleaved_gate,
+                                           interleaved_noise)
     if same_sequence:
-        if interleaved_gate is not None:
-            stack = interleaved_gate @ stack
         dense = _same_sequence_moment(stack).T
 
         def advance(x):
             return (dense @ x.reshape(-1)).reshape(x.shape)
     else:
         moment = _first_moment(stack)
-        if interleaved_gate is not None:
-            # conj(g) (x) g: the products np.kron takes, without its overhead.
-            kron = interleaved_gate.conj()[:, None, :, None] * interleaved_gate[None, :, None, :]
-            moment = kron.reshape(dim * dim, dim * dim) @ moment
         left, right = moment.T, moment.conj()
 
         def advance(x):
@@ -781,8 +774,7 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     for m in range(1, max(lengths) + 1):
         transfer = advance(transfer @ step_sop)
         if m in lengths:
-            row = transfer[0] if readout is None else readout @ transfer
-            value = (1.0 - noise.meas_error) * (row @ prep).real
+            value = (1.0 - noise.meas_error) * (final_sop[0] @ transfer @ prep).real
             fidelities[m] = _clamp_fidelity(value)
     return [fidelities[m] for m in lengths]
 
@@ -860,11 +852,10 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
     random gate in all branches; the closing inverse, which includes the
     interleaved gate, is noiseless."""
     _expect_mode(cfg, "interleaved")
-    if full_superposition:  # exact_fidelities checks the gate and its channel
-        return _full_run(cfg, interleaved_gate=gate, interleaved_noise=gate_noise)
-    gate, gate_noise = _checked_interleaved(gate, gate_noise, cfg.gate_set.dim)
-    return _sampled_run(cfg, _coherent_estimate(cfg), interleaved_gate=gate,
-                        interleaved_noise=gate_noise)[0]
+    interleaved = dict(interleaved_gate=gate, interleaved_noise=gate_noise)
+    if full_superposition:
+        return _full_run(cfg, **interleaved)
+    return _sampled_run(cfg, _coherent_estimate(cfg), **interleaved)[0]
 
 
 # The mode table, called as runner(cfg, gate, gate_noise). Each entry looks

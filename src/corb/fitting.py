@@ -79,6 +79,13 @@ def fit_decay(points: Sequence[tuple[float, float]],
         if w.shape != fs.shape or any(x < 0 for x in w.tolist()):
             raise ValueError("weights must be nonnegative, one per point")
         w_column = w[:, None]
+    # After the checks above, so every input they refuse keeps its message.
+    for m in ms.tolist():
+        if not math.isfinite(m):
+            raise ValueError(f"sequence length {m!r} is not finite")
+    for x in () if weights is None else w.tolist():
+        if not math.isfinite(x):
+            raise ValueError(f"weight {x!r} is not finite")
 
     positive = fs > 0.0
     logs = np.log(fs[positive])

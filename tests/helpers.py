@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity
+from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity, _protocol
 from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
@@ -288,12 +288,16 @@ def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
 # Single protocol executions on the engine kernel
 # ---------------------------------------------------------------------------
 
-def evolve_coherent(gate_set, noise, sequences, **kwargs) -> np.ndarray:
+def evolve_coherent(gate_set, noise, sequences, *, control_q=1.0,
+                    interleaved_gate=None, interleaved_noise=None) -> np.ndarray:
     """The final half-stored state, shape (1, k, w, D, D), of one coherent
     run of `corb.engine._evolve` over an explicit (k, m) sequence-index
-    array; keyword arguments as for `corb.engine._Kernel`."""
+    array, with control depolarization `control_q` and, if given, an
+    interleaved gate and its channel."""
     sequences = np.asarray(sequences)
-    return _evolve(_Kernel(gate_set, noise, 1, len(sequences), **kwargs), sequences[None])
+    protocol = _protocol(gate_set, noise, interleaved_gate, interleaved_noise)
+    kernel = _Kernel(protocol, noise.prep, 1, len(sequences), control_q=control_q)
+    return _evolve(kernel, sequences[None])
 
 
 def simulate_coherent(gate_set, noise, sequences, **kwargs) -> float:
@@ -307,5 +311,6 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
     evolved as k one-branch coherent runs, as standard RB runs them."""
     sequences = np.asarray(sequences)
-    state = _evolve(_Kernel(gate_set, noise, len(sequences), 1), sequences[:, None, :])
+    kernel = _Kernel(_protocol(gate_set, noise), noise.prep, len(sequences), 1)
+    state = _evolve(kernel, sequences[:, None, :])
     return _branch_survivals(state, noise.meas_error)

@@ -571,6 +571,37 @@ class TestRunCommand:
         capsys.readouterr()
         assert code == 1
 
+    @pytest.mark.parametrize("mode,option", [
+        ("coherent", ["--q", "0.9"]),
+        ("standard", ["--q", "0.9"]),
+        ("coherent-full", ["--q", "0.9"]),
+        ("coherent", ["--gate", "GATE"]),
+        ("coherent-control-noise", ["--gate-channel", "dephasing:p=0.01"]),
+        ("interleaved", ["--final-channel", "identity"]),
+        ("coherent-full", ["--shots", "100"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_option_the_mode_ignores_exit_one(self, mode, option, tmp_path, capsys):
+        """An option that the mode would drop silently is refused, with
+        one error line naming the option and the mode."""
+        gate_path = str(tmp_path / "h.mat")
+        write_matrices(gate_path, [H])
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--mode", mode, "--k", "2", "--out", out]
+                    + self.own_options(mode, gate_path)
+                    + [gate_path if x == "GATE" else x for x in option])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"mode {mode} ignores {option[0]};" in err[0]
+        assert not os.path.exists(out)
+
+    @staticmethod
+    def own_options(mode, gate_path):
+        """The options only `mode` reads, as argv."""
+        return {"interleaved": ["--gate", gate_path],
+                "coherent-control-noise": ["--q", "0.95"]}.get(mode, [])
+
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_through_run_and_cli(self, mode, tmp_path, capsys):
         """Each mode of the table gives the same records from `run` and
@@ -578,14 +609,15 @@ class TestRunCommand:
         gate_path = str(tmp_path / "h.mat")
         write_matrices(gate_path, [H])
         out = str(tmp_path / "r.csv")
+        q = 0.95 if mode == "coherent-control-noise" else 1.0
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
-                     "dephasing:p=0.01", "--q", "0.95", "--mode", mode,
-                     "--gate", gate_path, "--k", "3", "--lengths", "1,2,3",
-                     "--reps", "2", "--seed", "5", "--out", out])
+                     "dephasing:p=0.01", "--mode", mode, "--k", "3",
+                     "--lengths", "1,2,3", "--reps", "2", "--seed", "5", "--out", out]
+                    + self.own_options(mode, gate_path))
         capsys.readouterr()
         assert code == 0
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
-                           control_q=0.95)
+                           control_q=q)
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1), noise=noise,
                           lengths=(1, 2, 3), k=3, repetitions=2, seed=5,
                           mode=mode)
@@ -710,8 +742,9 @@ class TestRunCommand:
         write_matrices(gate_path, [H])
         out = str(tmp_path / "x.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
-                     f"kraus:{path}", "--mode", mode, "--gate", gate_path,
-                     "--k", "2", "--lengths", "2000", "--out", out])
+                     f"kraus:{path}", "--mode", mode, "--k", "2",
+                     "--lengths", "2000", "--out", out]
+                    + (["--gate", gate_path] if mode == "interleaved" else []))
         err = capsys.readouterr().err
         assert code == 2
         assert "fidelity 1.0000" in err and "outside [0, 1]" in err

@@ -261,6 +261,70 @@ class TestEnumerationOracle:
                 assert record.seed_stream == f"{record.m}/full"
 
 
+def small_rotation(dim, angle, rng):
+    """exp(i angle A) for a random Hermitian A: a coherent error."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vals, vecs = np.linalg.eigh(a + a.conj().T)
+    return (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+
+
+class TestInterleavingIsDerived:
+    """Interleaving g with its channel N_g is RB over the set {g u}, with
+    position channel {K_g g K g^dag} (N_g . g . N . g^dag) and a noiseless
+    closing gate. The derived run is built here by hand, through the
+    public GateSet and NoiseModel, and the interleaved runs equal it."""
+
+    # H and CZ are real and their own inverses; the phase gate is neither,
+    # so it tells g from g^dag and S(g)^dag from S(g)^T.
+    CASES = {
+        "clifford(2,1)-H": (lambda: CLIFFORD_2, H),
+        "clifford(2,1)-S": (lambda: CLIFFORD_2, np.diag([1, 1j])),
+        "clifford(2,2)-CZ": (lambda: build_clifford_set(2, 2),
+                             np.diag([1, 1, 1, -1]).astype(complex)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_interleaved_runs_equal_the_derived_run(self, case):
+        make_set, gate = self.CASES[case]
+        gate_set = make_set()
+        dim, n = gate_set.dim, gate_set.n
+        rng = np.random.default_rng(72)
+        noise = NoiseModel(
+            gate_channel=tuple(kraus_compose([small_rotation(dim, 0.05, rng)],
+                                             depolarizing_kraus(0.03, 2, n))),
+            final_gate_channel=tuple(random_channel(dim, 2, rng)),
+            prep_error=0.04, meas_error=0.02)
+        gate_noise = kraus_compose([small_rotation(dim, 0.08, rng)],
+                                   depolarizing_kraus(0.05, 2, n))
+        derived_set = build_custom_set([gate @ u for u in gate_set.elements],
+                                       gate_set.d, n)
+        position = np.einsum("iab,bc,jcd,de->ijae", np.stack(gate_noise), gate,
+                             np.stack(noise.gate_channel), gate.conj().T)
+        derived_noise = NoiseModel(gate_channel=tuple(position.reshape(-1, dim, dim)),
+                                   final_gate_channel=tuple(identity_kraus(dim)),
+                                   prep_error=0.04, meas_error=0.02)
+        cfg = RbRunConfig(gate_set=gate_set, noise=noise, lengths=(1, 2, 4), k=3,
+                          repetitions=2, seed=31, mode="interleaved")
+        derived = replace(cfg, gate_set=derived_set, noise=derived_noise)
+        pairs = [
+            (run_interleaved_coherent(cfg, gate, gate_noise),
+             run_coherent_rb(replace(derived, mode="coherent"))),
+            (run_interleaved_coherent(cfg, gate, gate_noise, full_superposition=True),
+             run_coherent_full(replace(derived, mode="coherent-full"))),
+            (exact_fidelities(gate_set, noise, cfg.lengths, same_sequence=True,
+                              interleaved_gate=gate, interleaved_noise=gate_noise),
+             exact_fidelities(derived_set, derived_noise, cfg.lengths,
+                              same_sequence=True)),
+        ]
+        for got, want in pairs:
+            got = [getattr(r, "fidelity", r) for r in got]
+            want = [getattr(r, "fidelity", r) for r in want]
+            assert len(got) == len(want)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
+            # Far from the noiseless value, so the channels are exercised.
+            assert min(got) < 0.97
+
+
 class TestDenseOracle:
     """The half-stored in-place kernel against the flat (kD)^2 evolution."""
 
@@ -769,10 +833,11 @@ class TestOperatorTraffic:
         run_coherent_full(cfg)
         exact_fidelities(CLIFFORD_2, self.NOISE, (1, 2, 5), same_sequence=True)
         assert calls == []
-        # The interleaved superoperators depend on the call's arguments.
+        # The interleaved superoperators depend on the call's arguments:
+        # S(g) and S(N_g), with S(g^dag) taken as S(g)^dag.
         run_interleaved_coherent(replace(cfg, mode="interleaved"), H,
                                  dephasing_kraus(0.01, 2), full_superposition=True)
-        assert calls == ["run"] * 3
+        assert calls == ["run"] * 2
 
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "coherent-full"])
     def test_sampled_tasks_build_no_superoperator(self, mode, calls):
@@ -1013,7 +1078,7 @@ class TestRealForm:
         rng = np.random.default_rng(90 + dim)
         rows = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
         unitaries = [haar_unitary(dim, rng) for _ in range(5)]
-        gates = _real_gates(build_custom_set(unitaries))
+        gates = _real_gates(np.stack(unitaries))
         assert gates.shape == (2, 5, 2 * dim, 2 * dim) and gates.dtype == np.float64
         real = rows.view(np.float64)
         for u, plain, conjugating in zip(unitaries, gates[0], gates[1]):

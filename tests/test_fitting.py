@@ -153,9 +153,22 @@ class TestFitDecayPinned:
          "need at least 3 distinct sequence lengths"),
         ([(1, 1.1), (2, -1.0), (3, -1.0)], [-1.0], "fidelities above 1.05 are not a decay curve"),
         ([(1, 0.0), (2, 0.0), (3, 0.0)], [-1.0], "all fidelities nonpositive"),
+        # Non-finite lengths and weights, checked after all of the above.
+        ([(math.nan, 0.9), (1, 0.8), (2, 0.7), (3, 0.6)], None,
+         "sequence length nan is not finite"),
+        ([(1, 0.9), (2, 0.8), (3, 0.7), (math.inf, 0.6)], None,
+         "sequence length inf is not finite"),
+        (NOISY, [1.0, math.nan, 1.0, 1.0], "weight nan is not finite"),
+        (NOISY, [1.0, 1.0, math.inf, 1.0], "weight inf is not finite"),
+        ([(1, 0.9), (math.inf, 0.8), (2, 0.7)], [1.0, 1.0, math.nan],
+         "sequence length inf is not finite"),
+        ([(1, 0.9), (math.inf, 0.8), (2, 0.7)], [1.0, -1.0, math.nan],
+         "weights must be nonnegative, one per point"),
     ], ids=["plus-inf", "two-lengths", "nan-lengths-are-one", "at-1.05", "nonpositive",
             "weights-short", "weights-2d", "weights-negative", "lengths-first",
-            "high-before-nonpositive", "nonpositive-before-weights"])
+            "high-before-nonpositive", "nonpositive-before-weights", "nan-length",
+            "inf-length", "nan-weight", "inf-weight", "length-before-weight",
+            "negative-weight-before-finite"])
     def test_refusals(self, points, weights, message):
         with pytest.raises(ValueError) as info:
             fit_decay(points, weights)
