@@ -67,7 +67,7 @@ single workers, platforms without fork and processes running other threads
 stay serial. Records do not depend on the worker count.
 
 Exact expectations come from one recursion, `exact_fidelities`, which
-builds no state and draws no sequence, and runs on the same triple and
+builds no state and draws no sequence, and runs on the same protocol and
 the prepared state of its `NoiseModel`. Block (i, j) of a coherent state
 evolves under the sequences of branches i and j, so its mean return is
 (1 - eps_m) <0|E_final(Y_m)|0> with vec(Y_m) = R_m vec(rho_prep) and
@@ -83,6 +83,18 @@ channel and M the joint moment of the pair's gates (u, v) from the stack:
     averaged over all sequences. M = E_u[conj u (x) u (x) u (x) conj u] is a
     dense D^4 x D^4 matrix, one (D^4, |G|) x (|G|, D^4) product, refused
     like a task when its arrays exceed STATE_BUDGET_BYTES.
+For a stack dressed by (L, R), element i = L P_i R over all D^2 Weyl
+operators P_i (a set with `GateSet.dressing` R has L = I, and the same
+set interleaved with g has L = g), the average over P_i makes both steps
+closed forms, and no stack and no moment is built:
+  * independent pair: A = vec(I) vec(I)^T / D exactly, so R_t = c_t I with
+    c_t = c_{t-1} tr(S) / D^2;
+  * same sequence: the step is the projection onto the diagonal in the
+    normalized Weyl basis Q, conjugated by L and R, so
+    R_t = S(R)^dag Q diag(lambda_t) Q^dag S(R), and the D^2-vector
+    lambda_t = T lambda_{t-1}, lambda_0 = 1, carries the recursion, with
+    T = (A1^dag A2) * (A2^dag S A1)^T elementwise, A1 = S(L) Q and
+    A2 = S(R)^dag Q: O(D^6) once, then O(D^4) per length.
 A sampled coherent record averages k (k - 1) pairs of the first kind and k
 of the second, so its expectation is `fitting.combined_decay` of the two.
 
@@ -96,6 +108,10 @@ Conventions:
     regardless of worker parallelism,
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
     sample of the expectation,
+  * a channel with trace gain delta (`noise.trace_gain`) is refused
+    before anything runs when (1 + delta)^m - 1 > FIDELITY_TOL at the
+    longest length m: the gate and final channels by RbRunConfig, an
+    interleaved channel by `_protocol`,
   * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
     farther out raises FidelityRangeError.
 """
@@ -108,13 +124,14 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gatesets import GateSet, _first_moment, _realign
 from .linalg import assert_unitary, check_kraus
-from .noise import NoiseModel, superop
+from .noise import NoiseModel, superop, trace_gain
+from .paulis import pauli_basis
 
 # Bytes one sampled task may hold (see _check_budget): 48 b k w D^2 +
 # 16 k w D^2 with w = k // 2 + 1, so k * D up to about 5000 for one state
@@ -160,6 +177,9 @@ class RbRunConfig:
         dim = self.gate_set.dim
         _check_shape("gate channel", self.noise.gate_channel[0], dim)
         _check_shape("final channel", self.noise.final_channel[0], dim)
+        noise, longest = self.noise, self.lengths[-1]
+        _check_gain("gate channel", noise.gate_channel, longest)
+        _check_gain("final channel", noise.final_channel, longest)
 
 
 @dataclass(frozen=True)
@@ -188,16 +208,30 @@ def _check_shape(what: str, op, dim: int) -> None:
                          f"the gate set needs ({dim}, {dim})")
 
 
-def _checked_interleaved(gate, gate_noise, dim: int):
+def _check_gain(what: str, kraus, longest: int) -> None:
+    """Refuse a channel whose trace gain delta (`noise.trace_gain`) could
+    carry a fidelity past FIDELITY_TOL within the longest sequence:
+    (1 + delta)^longest - 1 > FIDELITY_TOL."""
+    gain = trace_gain(kraus)
+    growth = (1.0 + gain) ** longest - 1.0
+    if growth > FIDELITY_TOL:
+        raise ValueError(
+            f"{what} gains trace: delta = lambda_max(sum K^dag K) - 1 = {gain:.3e}, "
+            f"so (1 + delta)^m - 1 = {growth:.3e} exceeds {FIDELITY_TOL} at "
+            f"length m = {longest}")
+
+
+def _checked_interleaved(gate, gate_noise, dim: int, longest: int):
     """The interleaved gate as a unitary matrix and its channel as a
     trace-preserving Kraus list (or None), after checking the shape of
-    each."""
+    each and the channel's trace gain over `longest` positions."""
     _check_shape("interleaved gate", gate, dim)
     for op in () if gate_noise is None else gate_noise:
         _check_shape("interleaved gate channel", op, dim)
     gate = assert_unitary(gate, what="interleaved gate")
     if gate_noise is not None:
         gate_noise = check_kraus(gate_noise, what="interleaved gate channel")
+        _check_gain("interleaved gate channel", gate_noise, longest)
     return gate, gate_noise
 
 
@@ -480,33 +514,51 @@ def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     return rho
 
 
-def _protocol(gate_set: GateSet, noise: NoiseModel,
+class _Protocol(NamedTuple):
+    """What every engine runs on (see the module docstring): the set's
+    elements, the interleaved gate or None, and the position and the final
+    superoperator. The stack itself is built only on demand (`stack`),
+    since the closed forms of a dressed set never read it."""
+
+    elements: np.ndarray
+    gate: np.ndarray | None
+    position_sop: np.ndarray
+    final_sop: np.ndarray
+
+    def stack(self) -> np.ndarray:
+        """The (|G|, D, D) stack each position draws from: the set's
+        elements, or g u for each element u when interleaving g."""
+        return self.elements if self.gate is None else self.gate @ self.elements
+
+
+def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
               interleaved_gate: np.ndarray | None = None,
-              interleaved_noise: Sequence[np.ndarray] | None = None):
-    """The triple every engine runs on (see the module docstring): the
-    (|G|, D, D) gate stack, the position and the final superoperator.
-    Without interleaving, the set's elements and the noise model's gate and
-    final superoperators; an interleaved gate and its channel are checked
-    (`_checked_interleaved`) and derive all three, since u, N, g, N_g is
+              interleaved_noise: Sequence[np.ndarray] | None = None) -> _Protocol:
+    """The protocol every engine runs on, for sequences of up to `longest`
+    positions (see the module docstring). Without interleaving, the set's
+    elements and the noise model's gate and final superoperators; an
+    interleaved gate and its channel are checked (`_checked_interleaved`)
+    and derive the stack and both superoperators, since u, N, g, N_g is
     g u followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as
     S(g)^dag, so at most two superoperators are built."""
     if interleaved_gate is None:
-        return gate_set.stacked(), noise.gate_sop, noise.final_sop
+        return _Protocol(gate_set.stacked(), None, noise.gate_sop, noise.final_sop)
     dim = gate_set.dim
-    gate, gate_noise = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+    gate, gate_noise = _checked_interleaved(interleaved_gate, interleaved_noise, dim,
+                                            longest)
     gate_sop = superop([gate])
     position_sop = gate_sop @ noise.gate_sop
     if gate_noise is not None:
         position_sop = superop(gate_noise) @ position_sop
-    return (gate @ gate_set.stacked(), position_sop @ gate_sop.conj().T,
-            np.eye(dim * dim, dtype=np.complex128))
+    return _Protocol(gate_set.stacked(), gate, position_sop @ gate_sop.conj().T,
+                     np.eye(dim * dim, dtype=np.complex128))
 
 
 class _Kernel:
     """What every task of a sampled run shares, built once per run before
     the workers fork, for tasks of `batch` states of `branches` branches
-    each (see the module docstring), from a `_protocol` triple and the
-    prepared target. Nothing in it is state-sized.
+    each (see the module docstring), from a `_protocol` and the prepared
+    target. Nothing in it is state-sized.
 
     Protocol of each state: prepare |+>_c (x) prep; apply m controlled
     gates from the stack, each followed by the position channel on the
@@ -516,7 +568,8 @@ class _Kernel:
 
     def __init__(self, protocol, prep: np.ndarray, batch: int, branches: int,
                  *, control_q: float = 1.0):
-        stack, position_sop, final_sop = protocol
+        stack = protocol.stack()
+        position_sop, final_sop = protocol.position_sop, protocol.final_sop
         dim = stack.shape[-1]
         slots = branches // 2 + 1
         self.gates = _real_gates(stack)
@@ -681,7 +734,8 @@ def _sampled_run(cfg: RbRunConfig, estimate,
     of the gate stack are checked against the budget, before any task
     starts; the `_Kernel` is built once, before the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
-    protocol = _protocol(cfg.gate_set, cfg.noise, interleaved_gate, interleaved_noise)
+    protocol = _protocol(cfg.gate_set, cfg.noise, cfg.lengths[-1], interleaved_gate,
+                         interleaved_noise)
     batch, branches = (cfg.k, 1) if cfg.mode == "standard" else (1, cfg.k)
     _check_budget(branches, cfg.gate_set.dim, batch)
     kernel = _Kernel(protocol, cfg.noise.prep, batch, branches, control_q=control_q)
@@ -736,6 +790,45 @@ def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
     return moment
 
 
+def _dense_recursion(stack: np.ndarray, step_sop: np.ndarray, same_sequence: bool):
+    """Initial transfer R_0 = I and step R_{t-1} -> M^T(R_{t-1} S) of the
+    recursion for any stack, from its dense joint moment (see the module
+    docstring)."""
+    if same_sequence:
+        dense = _same_sequence_moment(stack).T
+
+        def advance(x):
+            return (dense @ (x @ step_sop).reshape(-1)).reshape(x.shape)
+    else:
+        moment = _first_moment(stack)
+        left, right = moment.T, moment.conj()
+
+        def advance(x):
+            # Two pairwise contractions; one three-operand einsum is far slower.
+            return _realign(left @ _realign(x @ step_sop) @ right)
+    return np.eye(step_sop.shape[0], dtype=np.complex128), advance
+
+
+def _pauli_transfer(gate_set: GateSet, left: np.ndarray, right: np.ndarray,
+                    step_sop: np.ndarray, readout: np.ndarray, prep: np.ndarray):
+    """The same-sequence recursion of a stack {L P_i R} over the Weyl
+    operators of `gate_set` as a D^2-vector of Pauli-transfer weights: the
+    (D^2, D^2) matrix T with lambda_t = T lambda_{t-1}, lambda_0 = 1, and
+    the weights w with <0|E_final(Y_t)|0> = w . lambda_t (see the module
+    docstring)."""
+    size = gate_set.dim ** 2
+    basis = pauli_basis(gate_set.d, gate_set.n) / math.sqrt(gate_set.dim)
+    # S(L) Q and S(R)^dag Q, with columns vec(L P_j L^dag) and
+    # vec(R^dag P_j R) over the normalized Weyl basis: D^2 conjugations of
+    # D x D matrices, O(D^5), not two O(D^6) superoperator products.
+    dressed_left = (left @ basis @ left.conj().T).reshape(size, size).T
+    dressed_right = (right.conj().T @ basis @ right).reshape(size, size).T
+    transfer = ((dressed_left.conj().T @ dressed_right)
+                * (dressed_right.conj().T @ step_sop @ dressed_left).T)
+    weights = (readout @ dressed_right) * (dressed_right.conj().T @ prep)
+    return transfer, weights
+
+
 def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int],
                      same_sequence: bool = False, *,
                      interleaved_gate: np.ndarray | None = None,
@@ -745,36 +838,51 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     (see the module docstring): of a pair of independent sequences, which is
     the full-superposition fidelity, or, with `same_sequence`, of one
     sequence with itself, which is the mean standard-RB survival over all
-    sequences. Every length up to the longest is one step of the recursion.
+    sequences. Every length up to the longest is one step of the recursion,
+    whose state and step the dressing of the set decides: a scalar or a
+    D^2-vector for a dressed set, a (D^2, D^2) transfer otherwise.
 
-    An interleaved gate and its channel change only the stack and the two
-    superoperators the recursion runs on (`_protocol`).
+    An interleaved gate and its channel change only the stack, its left
+    dressing factor and the two superoperators the recursion runs on
+    (`_protocol`).
     """
     if min(lengths) < 1:
         raise ValueError("lengths must be positive integers")
-    dim = gate_set.dim
-    stack, step_sop, final_sop = _protocol(gate_set, noise, interleaved_gate,
-                                           interleaved_noise)
-    if same_sequence:
-        dense = _same_sequence_moment(stack).T
+    longest = max(lengths)
+    protocol = _protocol(gate_set, noise, longest, interleaved_gate, interleaved_noise)
+    step_sop, readout = protocol.position_sop, protocol.final_sop[0]
+    prep = noise.prep.reshape(-1)
+    if gate_set.dressing is None:
+        state, advance = _dense_recursion(protocol.stack(), step_sop, same_sequence)
 
-        def advance(x):
-            return (dense @ x.reshape(-1)).reshape(x.shape)
+        def read(x):
+            return readout @ x @ prep
+    elif same_sequence:
+        # The stack is {g P_i R} when interleaving g, else {P_i R}.
+        left = np.eye(gate_set.dim) if protocol.gate is None else protocol.gate
+        transfer, weights = _pauli_transfer(gate_set, left, gate_set.dressing,
+                                            step_sop, readout, prep)
+        state = np.ones(len(weights), dtype=np.complex128)
+        advance = functools.partial(np.matmul, transfer)
+        read = functools.partial(np.matmul, weights)
     else:
-        moment = _first_moment(stack)
-        left, right = moment.T, moment.conj()
+        # The pair moment of a dressed stack is vec(I) vec(I)^T / D, so the
+        # transfer stays c_t I, with c_t = c_{t-1} tr(S) / D^2.
+        decay = np.trace(step_sop) / step_sop.shape[0]
+        base = readout @ prep
+        state = 1.0
 
-        def advance(x):
-            # Two pairwise contractions; one three-operand einsum is far slower.
-            return _realign(left @ _realign(x) @ right)
-    prep = noise.prep.reshape(dim * dim)
+        def advance(c):
+            return c * decay
+
+        def read(c):
+            return c * base
 
     fidelities = {}
-    transfer = np.eye(dim * dim, dtype=np.complex128)
-    for m in range(1, max(lengths) + 1):
-        transfer = advance(transfer @ step_sop)
+    for m in range(1, longest + 1):
+        state = advance(state)
         if m in lengths:
-            value = (1.0 - noise.meas_error) * (final_sop[0] @ transfer @ prep).real
+            value = (1.0 - noise.meas_error) * read(state).real
             fidelities[m] = _clamp_fidelity(value)
     return [fidelities[m] for m in lengths]
 

@@ -8,8 +8,10 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u]. `_FAMILIES` names every
-family a spec string can reach, with its keys and their types.
+from the set's first moment E[conj(u) (x) u]. A Pauli-dressed set knows
+its dressing (`GateSet.dressing`), from which the exact evaluator takes
+its closed forms. `_FAMILIES` names every family a spec string can
+reach, with its keys and their types.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .linalg import TOL, as_matrix, assert_unitary, tensor
 from .paulis import (
     PauliLabel,
     enumerate_paulis,
+    label_index,
     pauli_basis,
     pauli_matrix,
 )
@@ -39,7 +42,16 @@ CLIFFORD_SIZES = {(2, 1): 24, (3, 1): 216, (2, 2): 11520}
 
 @dataclass(frozen=True)
 class GateSet:
-    """Ordered list of unitaries on (C^d)^(x)n with family metadata."""
+    """Ordered list of unitaries on (C^d)^(x)n with family metadata.
+
+    `dressing` is derived, not given: when the labels name each of the D^2
+    Weyl operators once and element i is P_i R for the Weyl operator P_i
+    of `labels[i]` and one unitary R (R = I for Pauli sets, R = U for the
+    dressed families `ms` and `dressed`), it is R, taken from the first
+    element and checked against every element within TOL.structural;
+    otherwise it is None. The exact evaluator takes its closed forms from
+    it (`engine.exact_fidelities`).
+    """
 
     d: int
     n: int
@@ -47,6 +59,7 @@ class GateSet:
     elements: tuple[np.ndarray, ...]
     labels: tuple | None = None
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    dressing: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -65,6 +78,7 @@ class GateSet:
         stack.flags.writeable = False
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "dressing", self._derived_dressing())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -76,6 +90,23 @@ class GateSet:
     def stacked(self) -> np.ndarray:
         """The (|G|, D, D) read-only stack of the elements, built once."""
         return self._stack
+
+    def _derived_dressing(self) -> np.ndarray | None:
+        """R with element i = P_i R for every i, or None (see the class
+        docstring)."""
+        labels = self.labels or ()
+        if not all(isinstance(l, PauliLabel) and (l.d, l.n) == (self.d, self.n)
+                   for l in labels):
+            return None
+        order = [label_index(l) for l in labels]
+        if len(self._stack) != len(order) or sorted(order) != list(range(self.dim ** 2)):
+            return None
+        paulis = pauli_basis(self.d, self.n)[order]
+        right = paulis[0].conj().T @ self._stack[0]
+        if not np.max(np.abs(paulis @ right - self._stack)) <= TOL.structural:
+            return None
+        right.setflags(write=False)
+        return right
 
 
 @dataclass(frozen=True)
@@ -132,9 +163,9 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
 
 def build_pauli_set(d: int, n: int) -> GateSet:
     """The d^{2n} Pauli words on n qudits of dimension d."""
-    labels = enumerate_paulis(d, n)
-    return GateSet(d, n, "pauli", tuple(pauli_matrix(l) for l in labels),
-                   labels=tuple(labels))
+    # The cached basis, which the dressing is checked against, is the words.
+    return GateSet(d, n, "pauli", tuple(pauli_basis(d, n)),
+                   labels=tuple(enumerate_paulis(d, n)))
 
 
 def _phase_fingerprint(m: np.ndarray) -> bytes:

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
 from .linalg import basis_state, check_kraus, projector
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
@@ -91,10 +92,19 @@ def infidelity_to_dephasing(target_infidelity: float, d_eff: int) -> list[np.nda
 def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """(D^2, D^2) superoperator of a Kraus list: entry [(a c), (b d)] is
     sum_s K_s[a, b] conj(K_s[c, d]), so it maps the row-major vec of rho to
-    that of sum_s K_s rho K_s^dag."""
-    stack = np.stack(kraus)
-    d = stack.shape[1]
-    return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(d * d, d * d)
+    that of sum_s K_s rho K_s^dag. One (D^2, s) x (s, D^2) product gives
+    the entries at [(a b), (c d)], and `_realign` moves them into place."""
+    flat = np.concatenate(kraus).reshape(len(kraus), -1)
+    return _realign(flat.T @ flat.conj())
+
+
+def trace_gain(kraus: Sequence[np.ndarray]) -> float:
+    """delta = lambda_max(sum_s K_s^dag K_s) - 1: a channel's largest
+    relative gain of trace in one application (at most TOL.channel for a
+    list that `check_kraus` admits; negative when it only loses trace).
+    The sum is one product over the stacked rows (s, a)."""
+    rows = np.concatenate(kraus)
+    return float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1]) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,14 @@ def enumerate_paulis(d: int, n: int) -> list[PauliLabel]:
     return labels
 
 
+def label_index(label: PauliLabel) -> int:
+    """Position of a label in `enumerate_paulis(label.d, label.n)`."""
+    index = 0
+    for exponent in label.x + label.z:
+        index = index * label.d + exponent
+    return index
+
+
 @functools.lru_cache(maxsize=None)
 def pauli_basis(d: int, n: int) -> np.ndarray:
     """Stacked (d^{2n}, d^n, d^n) array of all Pauli words, identity first.

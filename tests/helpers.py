@@ -295,7 +295,8 @@ def evolve_coherent(gate_set, noise, sequences, *, control_q=1.0,
     array, with control depolarization `control_q` and, if given, an
     interleaved gate and its channel."""
     sequences = np.asarray(sequences)
-    protocol = _protocol(gate_set, noise, interleaved_gate, interleaved_noise)
+    protocol = _protocol(gate_set, noise, sequences.shape[-1], interleaved_gate,
+                         interleaved_noise)
     kernel = _Kernel(protocol, noise.prep, 1, len(sequences), control_q=control_q)
     return _evolve(kernel, sequences[None])
 
@@ -311,6 +312,7 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
     evolved as k one-branch coherent runs, as standard RB runs them."""
     sequences = np.asarray(sequences)
-    kernel = _Kernel(_protocol(gate_set, noise), noise.prep, len(sequences), 1)
+    kernel = _Kernel(_protocol(gate_set, noise, sequences.shape[-1]), noise.prep,
+                     len(sequences), 1)
     state = _evolve(kernel, sequences[:, None, :])
     return _branch_survivals(state, noise.meas_error)

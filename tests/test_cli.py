@@ -713,42 +713,65 @@ class TestRunCommand:
     def test_worker_error_reaches_caller(self, tmp_path, capsys, monkeypatch,
                                          pool_starts):
         """A FidelityRangeError raised inside a worker process comes back to
-        the caller with its type and message, and `corb run` exits 2."""
+        the caller with its type and message, and `corb run` exits 2. The
+        gate channel gains 9e-10 of trace, within the boundary check at
+        length 1, and the same channel after the closing inverse carries
+        the fidelity to 1 + 1.8e-9."""
         monkeypatch.setenv("CORB_THREADS", "2")
-        gain = [np.sqrt(1.0 + 9e-9) * np.eye(2)]
+        gain = [np.sqrt(1.0 + 9e-10) * np.eye(2)]
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1),
                           noise=NoiseModel(gate_channel=tuple(gain)),
-                          lengths=(1000, 2000), k=2, repetitions=2)
+                          lengths=(1,), k=2, repetitions=2)
         with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000.*outside \[0, 1\]"):
             run(cfg)
         path = str(tmp_path / "gain.mat")
         write_matrices(path, gain)
         out = str(tmp_path / "x.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel", f"kraus:{path}",
-                     "--k", "2", "--lengths", "1000,2000", "--reps", "2", "--out", out])
+                     "--k", "2", "--lengths", "1", "--reps", "2", "--out", out])
         err = capsys.readouterr().err
         assert len(pool_starts) == 2
         assert code == 2
         assert "fidelity 1.0000" in err and "outside [0, 1]" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys):
-        """A channel that gains trace within the Kraus-check tolerance
-        pushes the fidelity past 1; the run fails, naming the value."""
+    @staticmethod
+    def _gain_args(tmp_path, mode, excess, length):
+        """`corb run` arguments with the gate channel, and in interleaved
+        mode also the interleaved channel, gaining `excess` of trace."""
         path = str(tmp_path / "gain.mat")
-        write_matrices(path, [np.sqrt(1.0 + 9e-9) * np.eye(2)])
+        write_matrices(path, [np.sqrt(1.0 + excess) * np.eye(2)])
         gate_path = str(tmp_path / "h.mat")
         write_matrices(gate_path, [H])
-        out = str(tmp_path / "x.csv")
-        code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
-                     f"kraus:{path}", "--mode", mode, "--k", "2",
-                     "--lengths", "2000", "--out", out]
-                    + (["--gate", gate_path] if mode == "interleaved" else []))
+        interleaved = ["--gate", gate_path, "--gate-channel", f"kraus:{path}"]
+        return (["run", "--set", "pauli:d=2,n=1", "--channel", f"kraus:{path}",
+                 "--mode", mode, "--k", "2", "--lengths", str(length),
+                 "--out", str(tmp_path / "x.csv")]
+                + (interleaved if mode == "interleaved" else []))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys):
+        """Each channel gains 9e-10 of trace, which the boundary check
+        admits at length 1, but two of them in one sequence (gate and
+        final channel, or gate and interleaved channel) push the fidelity
+        to 1 + 1.8e-9; the run fails, naming the value."""
+        code = main(self._gain_args(tmp_path, mode, 9e-10, 1))
         err = capsys.readouterr().err
         assert code == 2
         assert "fidelity 1.0000" in err and "outside [0, 1]" in err
-        assert not os.path.exists(out)
+        assert not os.path.exists(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trace_gaining_channel_exit_one(self, mode, tmp_path, capsys):
+        """A channel that gains 9e-9 of trace, within the Kraus-check
+        tolerance, is refused at length 2000 before anything runs, with
+        delta and the length named."""
+        code = main(self._gain_args(tmp_path, mode, 9e-9, 2000))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "channel gains trace: delta = lambda_max(sum K^dag K) - 1 = 9.000e-09" in err
+        assert "at length m = 2000" in err
+        assert not os.path.exists(tmp_path / "x.csv")
 
 class TestFitCommand:
     def test_fit_exact_decay(self, tmp_path, capsys):

@@ -25,6 +25,7 @@ from corb.engine import (
     _check_budget,
     _mask_step,
     _overlap_fidelity,
+    _pauli_transfer,
     _real_form,
     _real_gates,
     _superop_step,
@@ -40,6 +41,7 @@ from corb.engine import (
 )
 from corb.fitting import decay_amplitude
 from corb.gatesets import (
+    _first_moment,
     build_clifford_set,
     build_controlled_set,
     build_custom_set,
@@ -55,6 +57,7 @@ from corb.noise import (
     identity_kraus,
     parse_channel_spec,
     superop,
+    trace_gain,
 )
 from corb.paulis import PauliLabel, pauli_matrix
 from helpers import (
@@ -259,6 +262,140 @@ class TestEnumerationOracle:
                 assert abs(record.fidelity - want) <= 1e-12
                 assert record.k == len(gate_set) ** record.m
                 assert record.seed_stream == f"{record.m}/full"
+
+
+def _dressed_families():
+    """Every Pauli-dressed family at D <= 8, qudits included."""
+    rng = np.random.default_rng(65)
+    return {"pauli(2,1)": PAULI_2, "pauli(3,1)": build_pauli_set(3, 1),
+            "pauli(2,2)": build_pauli_set(2, 2), "pauli(2,3)": build_pauli_set(2, 3),
+            "ms(2)": build_ms_dressed_set(2, 0.3), "ms(3)": build_ms_dressed_set(3, 0.7),
+            "dressed(2,1)": build_dressed_set(haar_unitary(2, rng), 2, 1),
+            "dressed(3,1)": build_dressed_set(haar_unitary(3, rng), 3, 1),
+            "dressed(2,2)": build_dressed_set(haar_unitary(4, rng), 2, 2)}
+
+
+DRESSED = _dressed_families()
+
+
+class TestDressedMoments:
+    """For a set dressed by (L, R), `exact_fidelities` runs closed forms:
+    a scalar decay for the independent pair, a D^2-vector of
+    Pauli-transfer weights for the same sequence. The dense recursion,
+    run on a `custom` copy of the same elements, is their oracle."""
+
+    @pytest.mark.parametrize("name", DRESSED)
+    def test_pair_moment_is_rank_one(self, name):
+        """The first moment of every dressed stack, and of the stack g u
+        interleaved with a Haar-random g, is vec(I) vec(I)^T / D."""
+        gate_set = DRESSED[name]
+        dim = gate_set.dim
+        want = np.outer(np.eye(dim).ravel(), np.eye(dim).ravel()) / dim
+        g = haar_unitary(dim, np.random.default_rng(66))
+        for stack in (gate_set.stacked(), g @ gate_set.stacked()):
+            assert np.max(np.abs(_first_moment(stack) - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", DRESSED)
+    def test_closed_forms_equal_the_dense_recursion(self, name):
+        """Random 2-Kraus CPTP gate and final channels, SPAM, and an
+        interleaved Haar-random gate with its own random channel."""
+        gate_set = DRESSED[name]
+        dim = gate_set.dim
+        rng = np.random.default_rng(67)
+        noise = NoiseModel(gate_channel=tuple(random_channel(dim, 2, rng)),
+                           final_gate_channel=tuple(random_channel(dim, 2, rng)),
+                           prep_error=0.01, meas_error=0.02)
+        interleaved = dict(interleaved_gate=haar_unitary(dim, rng),
+                           interleaved_noise=random_channel(dim, 2, rng))
+        dense = build_custom_set(gate_set.elements, gate_set.d, gate_set.n)
+        lengths = (1, 2, 3, 6)
+        for kwargs in ({}, interleaved):
+            for same_sequence in (False, True):
+                got = exact_fidelities(gate_set, noise, lengths, same_sequence, **kwargs)
+                want = exact_fidelities(dense, noise, lengths, same_sequence, **kwargs)
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
+                # A random channel decays fast, but m = 1 stays 1e8 times the
+                # tolerance above zero.
+                assert got[0] > 1e-4
+
+    def test_left_and_right_dressing_equal_the_dense_recursion(self):
+        """The same-sequence transfer of a stack {L P_i R} with Haar-random
+        L and R, against the dense recursion of the `custom` set of those
+        elements (whose labels are unknown, so it records no dressing)."""
+        rng = np.random.default_rng(70)
+        qutrit = build_pauli_set(3, 1)
+        left, right = haar_unitary(3, rng), haar_unitary(3, rng)
+        dense = build_custom_set(left @ qutrit.stacked() @ right, 3, 1)
+        assert dense.dressing is None
+        noise = NoiseModel(gate_channel=tuple(random_channel(3, 2, rng)),
+                           final_gate_channel=tuple(random_channel(3, 2, rng)),
+                           prep_error=0.01, meas_error=0.02)
+        transfer, weights = _pauli_transfer(qutrit, left, right, noise.gate_sop,
+                                            noise.final_sop[0], noise.prep.reshape(-1))
+        lengths = (1, 2, 3, 6)
+        want = exact_fidelities(dense, noise, lengths, same_sequence=True)
+        state = np.ones(9)
+        for m in range(1, 7):
+            state = transfer @ state
+            if m in lengths:
+                got = 0.98 * (weights @ state).real
+                assert abs(got - want[lengths.index(m)]) <= 1e-12
+
+    @pytest.mark.parametrize("name,m", [("pauli(2,1)", 3), ("pauli(3,1)", 2),
+                                        ("ms(2)", 2), ("dressed(3,1)", 2)])
+    def test_same_sequence_matches_enumeration(self, name, m):
+        """The mean standard-RB survival over all |G|^m sequences."""
+        gate_set = DRESSED[name]
+        rng = np.random.default_rng(68)
+        noise = NoiseModel(gate_channel=tuple(random_channel(gate_set.dim, 2, rng)),
+                           final_gate_channel=tuple(random_channel(gate_set.dim, 2, rng)),
+                           prep_error=0.01, meas_error=0.02)
+        survivals = simulate_standard(gate_set, noise, all_sequences(len(gate_set), m))
+        got = exact_fidelities(gate_set, noise, (m,), same_sequence=True)[0]
+        assert abs(got - np.mean(survivals)) <= 1e-12
+
+    def test_standard_rb_on_four_qubit_paulis_is_the_closed_form(self):
+        """Pauli(2,4), whose dense moment would need 137.7 GB: with U = I
+        the exact standard mean is (1 - eps_m) sum_j L_j R_j q_j^m, with
+        q_j = tr(P_j^dag E(P_j)) / D the Pauli-transfer diagonal of the gate
+        channel, R_j = tr(P_j^dag rho) / D and L_j = <0|E_final(P_j)|0>,
+        computed here from the Kraus operators."""
+        gate_set = build_pauli_set(2, 4)
+        dim = gate_set.dim
+        rng = np.random.default_rng(69)
+        gate, final = random_channel(dim, 2, rng), random_channel(dim, 2, rng)
+        noise = NoiseModel(gate_channel=tuple(gate), final_gate_channel=tuple(final),
+                           prep_error=0.01, meas_error=0.02)
+        paulis = gate_set.stacked()
+
+        def apply(kraus, ops):
+            return sum(k @ ops @ k.conj().T for k in kraus)
+
+        q = np.einsum("jba,jab->j", paulis.conj(), apply(gate, paulis)) / dim
+        right = np.einsum("jba,ab->j", paulis.conj(), noise.prep) / dim
+        left = apply(final, paulis)[:, 0, 0]
+        lengths = (1, 2, 5, 20, 100)
+        got = exact_fidelities(gate_set, noise, lengths, same_sequence=True)
+        for m, fidelity in zip(lengths, got):
+            want = 0.98 * np.sum(left * right * q ** m).real
+            assert abs(fidelity - want) <= 1e-12
+
+    @pytest.mark.parametrize("same_sequence", [False, True])
+    def test_dressed_sets_build_no_stack_or_moment(self, same_sequence, monkeypatch):
+        """Neither the interleaved stack, nor the first moment, nor the dense
+        same-sequence moment is built for a dressed set."""
+        def refuse(*args):
+            raise AssertionError("built for a dressed set")
+
+        for name in ("_first_moment", "_same_sequence_moment"):
+            monkeypatch.setattr(f"corb.engine.{name}", refuse)
+        monkeypatch.setattr("corb.engine._Protocol.stack", refuse)
+        gate_set = DRESSED["ms(2)"]
+        for kwargs in ({}, dict(interleaved_gate=np.kron(H, H))):
+            assert len(exact_fidelities(gate_set, ideal(4), (1, 5), same_sequence,
+                                        **kwargs)) == 2
+        with pytest.raises(AssertionError, match="built for a dressed set"):
+            exact_fidelities(CLIFFORD_2, ideal(), (1,), same_sequence)
 
 
 def small_rotation(dim, angle, rng):
@@ -1042,8 +1179,11 @@ class TestConfigValidation:
 
 
 class TestFidelityRange:
-    """Fidelities are clamped only within rounding of [0, 1]; a channel that
-    gains trace within the Kraus-check tolerance drives them past it."""
+    """Fidelities are clamped only within rounding of [0, 1]. A channel
+    that gains trace within the Kraus-check tolerance is refused at the
+    boundary when its gain over the longest sequence exceeds FIDELITY_TOL;
+    two channels that each pass that check can still carry a fidelity past
+    it."""
 
     @staticmethod
     def _gaining(excess):
@@ -1051,11 +1191,55 @@ class TestFidelityRange:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_out_of_range_fidelity_raises(self, mode):
-        noise = self._gaining(9e-9)
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2000,), k=2,
+        """A gain of 9e-10 per channel passes the check at length 1; the
+        gate channel and the final channel (the interleaved channel, in
+        interleaved mode, whose closing channel is the identity) give
+        1 + 1.8e-9."""
+        noise = self._gaining(9e-10)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,), k=2,
                           mode=mode)
         with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
-            run(cfg, interleaved_gate=H)
+            run(cfg, interleaved_gate=H, interleaved_noise=noise.gate_channel)
+
+    @pytest.mark.parametrize("channel", ["gate", "final"])
+    def test_trace_gaining_channel_is_refused(self, channel):
+        """delta = 9e-9 over 2000 positions gains 1.8e-5 of trace: refused,
+        naming delta and the length. A gain of 1e-13 over 10 positions,
+        1e-12, passes."""
+        gaining = (np.sqrt(1.0 + 9e-9) * np.eye(2),)
+        noise = (NoiseModel(gate_channel=gaining) if channel == "gate" else
+                 NoiseModel(gate_channel=tuple(identity_kraus(2)),
+                            final_gate_channel=gaining))
+        with pytest.raises(ValueError, match=rf"{channel} channel gains trace: delta = "
+                                             r".* = 9\.000e-09, .* = 1\.800e-05 exceeds "
+                                             r"1e-09 at length m = 2000"):
+            RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2000))
+        RbRunConfig(gate_set=PAULI_2, noise=self._gaining(1e-13), lengths=(10,))
+
+    def test_the_exact_gain_decides(self):
+        """One Kraus operator K = G^(1/2) with G = [[1, b], [b, 1 - c]],
+        b = 2.5e-9, c = 8e-9: delta = sqrt(c^2/4 + b^2) - c/2 = 7.2e-10
+        passes at length 1 and fails at length 2 (the diagonal of G alone
+        would pass at both, its row sums fail at both)."""
+        b, c = 2.5e-9, 8e-9
+        vals, vecs = np.linalg.eigh(np.array([[1.0, b], [b, 1.0 - c]]))
+        noise = NoiseModel(gate_channel=((vecs * np.sqrt(vals)) @ vecs.T,),
+                           final_gate_channel=tuple(identity_kraus(2)))
+        delta = np.sqrt(c * c / 4 + b * b) - c / 2
+        assert trace_gain(noise.gate_channel) == pytest.approx(delta, rel=1e-6)
+        RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
+        with pytest.raises(ValueError, match=rf"delta = .* = {delta:.3e}, .* at length m = 2"):
+            RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2,))
+
+    @pytest.mark.parametrize("same_sequence", [False, True])
+    def test_trace_gaining_interleaved_channel_is_refused(self, same_sequence):
+        """The exact recursion holds the interleaved channel, which no
+        RbRunConfig sees, to the same bound at its longest length."""
+        gaining = [np.sqrt(1.0 + 9e-9) * np.eye(2)]
+        with pytest.raises(ValueError, match=r"interleaved gate channel gains trace: "
+                                             r".* at length m = 2000"):
+            exact_fidelities(PAULI_2, ideal(), (1, 2000), same_sequence,
+                             interleaved_gate=H, interleaved_noise=gaining)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rounding_excess_is_clamped(self, mode):

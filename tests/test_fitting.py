@@ -349,11 +349,13 @@ class TestDeviationExperiment:
                     assert abs(got - r.fidelity) <= 1e-12
 
     def test_out_of_range_fidelity_raises(self):
-        """A channel that gains trace within the Kraus-check tolerance stops
-        the study, as it stops a single run."""
+        """A fidelity past 1 stops the study, as it stops a single run: the
+        gate channel gains 9e-10 of trace, which the boundary check admits
+        at length 1, and the same channel after the closing inverse
+        carries the fidelity to 1 + 1.8e-9."""
         scenario = replace(
-            self.small_scenario(), lengths=(2000,), k=2, repetitions=1,
-            noise=NoiseModel(gate_channel=(np.sqrt(1.0 + 9e-9) * np.eye(2),)))
+            self.small_scenario(), lengths=(1,), k=2, repetitions=1,
+            noise=NoiseModel(gate_channel=(np.sqrt(1.0 + 9e-10) * np.eye(2),)))
         with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
             deviation_experiment(scenario)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corb.gatesets import (
+    GateSet,
     build_clifford_set,
     build_controlled_set,
     build_custom_set,
@@ -141,6 +142,53 @@ class TestDressedFamily:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             build_dressed_set(np.ones((2, 2)), 2, 1)
+
+
+class TestDressing:
+    """A set whose labels name each Weyl operator once and whose element i
+    is P_i R records R as its dressing; every other set records None."""
+
+    def test_builders_record_their_dressing(self):
+        u = haar_unitary(4, np.random.default_rng(8))
+        cases = [(build_pauli_set(3, 1), np.eye(3)), (build_pauli_set(2, 2), np.eye(4)),
+                 (build_ms_dressed_set(2, 0.4), ms_gate(2, 0.4)),
+                 (build_dressed_set(u, 2, 2), u)]
+        for gate_set, right in cases:
+            np.testing.assert_allclose(gate_set.dressing, right, rtol=0, atol=1e-15)
+            assert not gate_set.dressing.flags.writeable
+        for gate_set in (build_clifford_set(2, 1), build_controlled_set(2),
+                         build_custom_set(build_pauli_set(2, 1).elements)):
+            assert gate_set.dressing is None
+
+    def test_labels_in_any_order(self):
+        """The dressed set of H with its elements and labels reversed."""
+        ds = build_dressed_set(H, 2, 1)
+        reordered = GateSet(2, 1, "dressed", ds.elements[::-1], labels=ds.labels[::-1])
+        np.testing.assert_allclose(reordered.dressing, H, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", ["left-factor", "swapped-labels", "repeated-label",
+                                      "qutrit-label", "other-labels", "no-labels",
+                                      "too-few", "more-labels"])
+    def test_a_set_that_is_not_dressed_records_none(self, case):
+        """The dressed set of H with a part replaced: elements g P_i H for
+        a Haar-random g, labels out of step with the elements, labels that
+        do not name each Weyl operator once, more labels than elements, or
+        no labels."""
+        ds = build_dressed_set(H, 2, 1)
+        elements, labels = ds.elements, list(ds.labels)
+        g = haar_unitary(2, np.random.default_rng(9))
+        elements, labels = {
+            "left-factor": (tuple(g @ u for u in elements), labels),
+            "swapped-labels": (elements, [labels[1], labels[0]] + labels[2:]),
+            "repeated-label": (elements, labels[:3] + labels[:1]),
+            "qutrit-label": (elements, labels[:3] + [PauliLabel(3, 1, (1,), (0,))]),
+            "other-labels": (elements, ["I", "X", "Y", "Z"]),
+            "no-labels": (elements, None),
+            "too-few": (elements[:3], labels[:3]),
+            "more-labels": (elements[:3], labels),
+        }[case]
+        labels = None if labels is None else tuple(labels)
+        assert GateSet(2, 1, "dressed", elements, labels=labels).dressing is None
 
 
 class TestConditionChecker:

@@ -16,6 +16,7 @@ from corb.noise import (
     identity_kraus,
     infidelity_to_dephasing,
     parse_channel_spec,
+    superop,
 )
 from corb.paulis import enumerate_paulis, pauli_basis
 from helpers import (
@@ -239,9 +240,11 @@ class TestNoiseModel:
             NoiseModel(gate_channel=tuple(identity_kraus(2)), control_q=1.5)
 
     def test_derived_operators_are_built_once_and_read_only(self):
-        """`gate_sop`, `final_sop` and `prep` equal their definitions bit
-        for bit, are read-only attributes that are not fields, and
-        `dataclasses.replace` builds them again."""
+        """`gate_sop` and `final_sop` are `superop` of their channels bit
+        for bit and its definition to rounding (one product sums in
+        another order than the einsum), `prep` equals its definition bit
+        for bit; all three are read-only attributes that are not fields,
+        and `dataclasses.replace` builds them again."""
         rng = np.random.default_rng(41)
         gate, final = random_channel(3, 2, rng), random_channel(3, 3, rng)
         eps = 0.07
@@ -252,8 +255,10 @@ class TestNoiseModel:
             stack = np.stack(kraus)
             return np.einsum("sab,scd->acbd", stack, stack.conj()).reshape(9, 9)
 
-        assert np.array_equal(nm.gate_sop, definition(gate))
-        assert np.array_equal(nm.final_sop, definition(final))
+        assert np.array_equal(nm.gate_sop, superop(gate))
+        assert np.array_equal(nm.final_sop, superop(final))
+        for built, kraus in ((nm.gate_sop, gate), (nm.final_sop, final)):
+            np.testing.assert_allclose(built, definition(kraus), rtol=0, atol=1e-15)
         assert np.array_equal(nm.prep, np.diag([(1 - eps) + eps / 3, eps / 3, eps / 3]))
         rho = nm.prep + 0.1j * (np.eye(3, k=1) - np.eye(3, k=-1))
         np.testing.assert_allclose((nm.gate_sop @ rho.ravel()).reshape(3, 3),
@@ -270,8 +275,8 @@ class TestNoiseModel:
         assert np.array_equal(other.gate_sop, nm.gate_sop)
         assert np.array_equal(other.prep, np.diag([0.5 + 0.5 / 3, 0.5 / 3, 0.5 / 3]))
         changed = dataclasses.replace(nm, gate_channel=tuple(final))
-        assert np.array_equal(changed.gate_sop, definition(final))
-        assert np.array_equal(changed.final_sop, definition(final))
+        assert np.array_equal(changed.gate_sop, superop(final))
+        assert np.array_equal(changed.final_sop, superop(final))
 
 
 class TestChannelSpecs:
