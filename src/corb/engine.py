@@ -108,10 +108,14 @@ Conventions:
     regardless of worker parallelism,
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
     sample of the expectation,
-  * a channel with trace gain delta (`noise.trace_gain`) is refused
-    before anything runs when (1 + delta)^m - 1 > FIDELITY_TOL at the
-    longest length m: the gate and final channels by RbRunConfig, an
-    interleaved channel by `_protocol`,
+  * channels with trace gains delta (`noise.trace_gain`, derived once by
+    the NoiseModel) are refused before anything runs when the trace they
+    can add together exceeds FIDELITY_TOL at the longest length m:
+    (1 + delta_gate)^m (1 + delta_final) - 1, since the final channel acts
+    once, by RbRunConfig and by `_protocol`, or, when interleaving,
+    (1 + delta_gate)^m (1 + delta_interleaved)^m - 1, by `_protocol`,
+  * sequence lengths are integers >= 1: ints, numpy integers or integral
+    floats; any other value is refused, never truncated,
   * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
     farther out raises FidelityRangeError.
 """
@@ -129,7 +133,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gatesets import GateSet, _first_moment, _realign
-from .linalg import assert_unitary, check_kraus
+from .linalg import assert_unitary, check_kraus_gram
 from .noise import NoiseModel, superop, trace_gain
 from .paulis import pauli_basis
 
@@ -159,9 +163,7 @@ class RbRunConfig:
     mode: str = "coherent"
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
-        if not self.lengths or self.lengths[0] < 1:
-            raise ValueError("lengths must be positive integers")
+        object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
         if self.k < 1:
@@ -177,9 +179,8 @@ class RbRunConfig:
         dim = self.gate_set.dim
         _check_shape("gate channel", self.noise.gate_channel[0], dim)
         _check_shape("final channel", self.noise.final_channel[0], dim)
-        noise, longest = self.noise, self.lengths[-1]
-        _check_gain("gate channel", noise.gate_channel, longest)
-        _check_gain("final channel", noise.final_channel, longest)
+        _check_gains(self.lengths[-1], self.noise.gate_gain, "final channel",
+                     self.noise.final_gain, per_position=False)
 
 
 @dataclass(frozen=True)
@@ -202,37 +203,62 @@ class FidelityRangeError(RuntimeError):
     """An engine fidelity lies outside [0, 1] by more than FIDELITY_TOL."""
 
 
+def _checked_lengths(lengths: Sequence) -> tuple[int, ...]:
+    """The sequence lengths as ints. Each must be an int, a numpy integer
+    or an integral float such as 3.0, and at least 1; a refusal names the
+    first that is not, and an empty list is refused."""
+    lengths = tuple(lengths)
+    if not lengths:
+        raise ValueError("lengths must be positive integers, got none")
+    for m in lengths:
+        integral = (isinstance(m, (int, np.integer))
+                    or isinstance(m, (float, np.floating)) and float(m).is_integer())
+        if not integral:
+            raise ValueError(f"sequence length {m!r} is not an integer")
+        if m < 1:
+            raise ValueError(f"lengths must be positive integers, got {m!r}")
+    return tuple(map(int, lengths))
+
+
 def _check_shape(what: str, op, dim: int) -> None:
     if np.shape(op) != (dim, dim):
         raise ValueError(f"{what} has shape {np.shape(op)}; "
                          f"the gate set needs ({dim}, {dim})")
 
 
-def _check_gain(what: str, kraus, longest: int) -> None:
-    """Refuse a channel whose trace gain delta (`noise.trace_gain`) could
-    carry a fidelity past FIDELITY_TOL within the longest sequence:
-    (1 + delta)^longest - 1 > FIDELITY_TOL."""
-    gain = trace_gain(kraus)
-    growth = (1.0 + gain) ** longest - 1.0
+def _check_gains(longest: int, gate_gain: float, other: str, other_gain: float,
+                 *, per_position: bool) -> None:
+    """Refuse a gate channel and another channel (the final one, applied
+    once, or an interleaved one, applied at every position) whose trace
+    gains delta (`noise.trace_gain`) could together carry a fidelity past
+    FIDELITY_TOL within the longest sequence: (1 + delta_gate)^m
+    (1 + delta_other)^(1 or m) - 1 > FIDELITY_TOL. The message names the
+    channel with the larger gain first."""
+    power = longest if per_position else 1
+    growth = (1.0 + gate_gain) ** longest * (1.0 + other_gain) ** power - 1.0
     if growth > FIDELITY_TOL:
+        (top, top_gain), (low, low_gain) = sorted(
+            [("gate channel", gate_gain), (other, other_gain)], key=lambda c: -c[1])
+        factor = f"(1 + delta_{other.split()[0]})" + ("^m" if per_position else "")
         raise ValueError(
-            f"{what} gains trace: delta = lambda_max(sum K^dag K) - 1 = {gain:.3e}, "
-            f"so (1 + delta)^m - 1 = {growth:.3e} exceeds {FIDELITY_TOL} at "
-            f"length m = {longest}")
+            f"{top} gains trace: delta = lambda_max(sum K^dag K) - 1 = {top_gain:.3e}, "
+            f"{low} delta = {low_gain:.3e}, so (1 + delta_gate)^m {factor} - 1 = "
+            f"{growth:.3e} exceeds {FIDELITY_TOL} at length m = {longest}")
 
 
-def _checked_interleaved(gate, gate_noise, dim: int, longest: int):
-    """The interleaved gate as a unitary matrix and its channel as a
-    trace-preserving Kraus list (or None), after checking the shape of
-    each and the channel's trace gain over `longest` positions."""
+def _checked_interleaved(gate, gate_noise, dim: int):
+    """The interleaved gate as a unitary matrix, its channel as a
+    trace-preserving Kraus list (or None) and that channel's trace gain (0
+    without one), after checking the shape of each. One sum
+    sum_s K_s^dag K_s serves the channel's check and its gain."""
     _check_shape("interleaved gate", gate, dim)
     for op in () if gate_noise is None else gate_noise:
         _check_shape("interleaved gate channel", op, dim)
     gate = assert_unitary(gate, what="interleaved gate")
-    if gate_noise is not None:
-        gate_noise = check_kraus(gate_noise, what="interleaved gate channel")
-        _check_gain("interleaved gate channel", gate_noise, longest)
-    return gate, gate_noise
+    if gate_noise is None:
+        return gate, None, 0.0
+    gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
+    return gate, gate_noise, trace_gain(gate_noise, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +566,18 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
     interleaved gate and its channel are checked (`_checked_interleaved`)
     and derive the stack and both superoperators, since u, N, g, N_g is
     g u followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as
-    S(g)^dag, so at most two superoperators are built."""
+    S(g)^dag, so at most two superoperators are built. The trace gains of
+    the channels are checked together (`_check_gains`) over `longest`
+    positions, with the noise model's final channel or, when
+    interleaving, the interleaved channel."""
     if interleaved_gate is None:
+        _check_gains(longest, noise.gate_gain, "final channel", noise.final_gain,
+                     per_position=False)
         return _Protocol(gate_set.stacked(), None, noise.gate_sop, noise.final_sop)
     dim = gate_set.dim
-    gate, gate_noise = _checked_interleaved(interleaved_gate, interleaved_noise, dim,
-                                            longest)
+    gate, gate_noise, gain = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+    _check_gains(longest, noise.gate_gain, "interleaved gate channel", gain,
+                 per_position=True)
     gate_sop = superop([gate])
     position_sop = gate_sop @ noise.gate_sop
     if gate_noise is not None:
@@ -846,8 +878,7 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
     dressing factor and the two superoperators the recursion runs on
     (`_protocol`).
     """
-    if min(lengths) < 1:
-        raise ValueError("lengths must be positive integers")
+    lengths = _checked_lengths(lengths)
     longest = max(lengths)
     protocol = _protocol(gate_set, noise, longest, interleaved_gate, interleaved_noise)
     step_sop, readout = protocol.position_sop, protocol.final_sop[0]
@@ -935,7 +966,8 @@ def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord
 
 def run_coherent_full(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Deterministic coherent RB over all |G|^m sequences per length,
-    evaluated exactly at cost O(|G| D^4 + m D^6)."""
+    evaluated exactly (`exact_fidelities`): one multiply per length for a
+    Pauli-dressed set, O(|G| D^4 + m D^6) by the dense step otherwise."""
     _expect_mode(cfg, "coherent-full")
     return _full_run(cfg)
 

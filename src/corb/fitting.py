@@ -61,7 +61,8 @@ def fit_decay(points: Sequence[tuple[float, float]],
     Gauss-Newton on the unweighted (or caller-weighted) squared residuals
     in linear space. Divergent refinements fall back to the stage-1
     estimate with converged=False; a refinement that reaches GN_MAX_ITER
-    iterations keeps its last estimate, also with converged=False.
+    iterations keeps its last estimate, also with converged=False. Both
+    stages and the covariance solve 2x2 normal equations in closed form.
     """
     ms = np.asarray([p[0] for p in points], dtype=float)
     fs = np.asarray([p[1] for p in points], dtype=float)
@@ -78,7 +79,6 @@ def fit_decay(points: Sequence[tuple[float, float]],
         w = np.asarray(weights, dtype=float)
         if w.shape != fs.shape or any(x < 0 for x in w.tolist()):
             raise ValueError("weights must be nonnegative, one per point")
-        w_column = w[:, None]
     # After the checks above, so every input they refuse keeps its message.
     for m in ms.tolist():
         if not math.isfinite(m):
@@ -88,57 +88,88 @@ def fit_decay(points: Sequence[tuple[float, float]],
             raise ValueError(f"weight {x!r} is not finite")
 
     positive = fs > 0.0
-    logs = np.log(fs[positive])
-    design = np.ones((len(logs), 2))
-    design[:, 1] = ms[positive]
-    coeffs, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    a0, chi0 = math.exp(coeffs[0]), math.exp(coeffs[1])
+    a, chi = a0, chi0 = _log_linear(ms[positive], np.log(fs[positive]))
 
-    jacobian = np.empty((len(fs), 2))
+    # Rows d/dA, d/dchi and the residual of the model A chi^m at (a, chi):
+    # their Gram product, with the weights W = w^2 when given, holds
+    # J^T W J, J^T W r and r^T W r, everything a step or the covariance
+    # reads, as Python floats.
+    rows = np.empty((3, len(fs)))
     lowered = ms - 1
+    squared = None if weights is None else w * w
 
-    def model_powers(a, chi):
-        """chi^m, with the Jacobian of a chi^m at (a, chi) filled in."""
-        powers = chi ** ms
-        jacobian[:, 0] = powers
-        jacobian[:, 1] = a * ms * chi ** lowered
-        return powers
+    def gram(a, chi, row_weights=None):
+        np.power(chi, ms, out=rows[0])
+        np.multiply(a * ms, chi ** lowered, out=rows[1])
+        np.multiply(rows[0], a, out=rows[2])
+        rows[2] -= fs
+        left = rows if row_weights is None else rows * row_weights
+        return left.dot(rows.T).tolist()
 
-    a, chi = a0, chi0
     converged = False
     for _ in range(GN_MAX_ITER):
-        residuals = a * model_powers(a, chi) - fs
-        if weights is None:  # unit weights: multiplying by 1.0 is exact
-            step, *_ = np.linalg.lstsq(jacobian, -residuals, rcond=None)
-        else:
-            step, *_ = np.linalg.lstsq(jacobian * w_column, -residuals * w,
-                                       rcond=None)
-        a += step[0]
-        chi += step[1]
+        (pp, ps, pr), (_, ss, sr), _ = gram(a, chi, squared)
+        step_a, step_chi = _gauss_newton_step(pp, ps, ss, pr, sr)
+        a += step_a
+        chi += step_chi
         if not (math.isfinite(a) and math.isfinite(chi)) or abs(chi) > 10.0:
             a, chi = a0, chi0  # diverged: report the stage-1 estimate
             break
-        if math.sqrt(step.dot(step)) < GN_STEP_TOL:  # np.linalg.norm, bit for bit
+        if math.sqrt(step_a * step_a + step_chi * step_chi) < GN_STEP_TOL:
             converged = True
             break
 
     chi = min(max(chi, 0.0), 1.0)
     a = max(a, 0.0)
-    residuals = a * model_powers(a, chi) - fs
-    squares = float(np.sum(residuals ** 2))
+    (pp, ps, _), (_, ss, _), (_, _, squares) = gram(a, chi)
     rms = math.sqrt(squares / len(fs))
 
-    # At least 3 distinct lengths leave dof >= 1.
+    # At least 3 distinct lengths leave dof >= 1. The covariance is the
+    # closed-form inverse of the unweighted J^T J.
     stderr_a = stderr_chi = math.nan
-    try:
-        cov = np.linalg.inv(jacobian.T @ jacobian)
+    det = pp * ss - ps * ps
+    if det != 0.0:
         s2 = squares / (len(fs) - 2)
-        stderr_a = math.sqrt(max(s2 * cov[0, 0], 0.0))
-        stderr_chi = math.sqrt(max(s2 * cov[1, 1], 0.0))
-    except np.linalg.LinAlgError:
-        pass
+        stderr_a = math.sqrt(max(s2 * ss / det, 0.0))
+        stderr_chi = math.sqrt(max(s2 * pp / det, 0.0))
 
     return DecayFit(a, chi, rms, len(fs), converged, stderr_a, stderr_chi)
+
+
+def _log_linear(lengths: np.ndarray, logs: np.ndarray) -> tuple[float, float]:
+    """exp of the least-squares line log F = c0 + c1 m through the points,
+    from its 2x2 normal equations in the offsets d = m - m_1 from the first
+    length, which are exactly zero when every length is the same. Then the
+    line is not unique, and the minimum-norm coefficients
+    (c0, c1) = (1, m_1) mean(log F) / (1 + m_1^2) are taken, as `lstsq`
+    does."""
+    first = float(lengths[0])
+    rows = np.empty((3, len(logs)))
+    rows[0] = 1.0
+    np.subtract(lengths, first, out=rows[1])
+    rows[2] = logs
+    (n, sd, sy), (_, sdd, sdy), _ = rows.dot(rows.T).tolist()
+    spread = sdd - sd * sd / n
+    if spread == 0.0:
+        c0 = sy / n / (1.0 + first * first)
+        return math.exp(c0), math.exp(first * c0)
+    c1 = (sdy - sd * sy / n) / spread
+    return math.exp((sy - c1 * sd) / n - c1 * first), math.exp(c1)
+
+
+def _gauss_newton_step(pp: float, ps: float, ss: float, pr: float,
+                       sr: float) -> tuple[float, float]:
+    """-(J^T W J)^+ J^T W r from the entries of the 2x2 normal equations,
+    [[pp, ps], [ps, ss]] and (pr, sr): Cramer's rule, or, when the matrix
+    is singular, its pseudo-inverse G / tr(G)^2 (zero for G = 0), the
+    minimum-norm step that `lstsq` takes."""
+    det = pp * ss - ps * ps
+    if det != 0.0:
+        return (ps * sr - ss * pr) / det, (ps * pr - pp * sr) / det
+    trace = pp + ss
+    if trace == 0.0:
+        return 0.0, 0.0
+    return -(pp * pr + ps * sr) / trace / trace, -(ps * pr + ss * sr) / trace / trace
 
 
 def fit_records(records: Sequence[FidelityRecord],

@@ -18,7 +18,7 @@ import numpy as np
 
 from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
-from .linalg import basis_state, check_kraus, projector
+from .linalg import basis_state, check_kraus, check_kraus_gram, kraus_gram, projector
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
 
 
@@ -98,13 +98,16 @@ def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return _realign(flat.T @ flat.conj())
 
 
-def trace_gain(kraus: Sequence[np.ndarray]) -> float:
+def trace_gain(kraus: Sequence[np.ndarray], gram: np.ndarray | None = None) -> float:
     """delta = lambda_max(sum_s K_s^dag K_s) - 1: a channel's largest
     relative gain of trace in one application (at most TOL.channel for a
     list that `check_kraus` admits; negative when it only loses trace).
-    The sum is one product over the stacked rows (s, a)."""
-    rows = np.concatenate(kraus)
-    return float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1]) - 1.0
+    `gram` is that sum when the caller has it (`check_kraus_gram`);
+    otherwise it is formed here (`kraus_gram`), so either way the same
+    product gives the same delta."""
+    if gram is None:
+        gram = kraus_gram(kraus)
+    return float(np.linalg.eigvalsh(gram)[-1]) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +132,10 @@ class NoiseModel:
     them again): `gate_sop` and `final_sop`, the (D^2, D^2) superoperators
     (`superop`) of the gate and the final channel, the same array when
     there is no separate final channel, and `prep`, the D x D prepared
-    target (1 - eps_p)|0><0| + eps_p I/D. The engines read them and build
-    none per call or per task.
+    target (1 - eps_p)|0><0| + eps_p I/D. So are `gate_gain` and
+    `final_gain`, the trace gains (`trace_gain`) of the two channels, taken
+    from the sums sum_s K_s^dag K_s that their Kraus checks form. The
+    engines read them and build none per call or per task.
     """
 
     gate_channel: tuple[np.ndarray, ...]
@@ -140,11 +145,13 @@ class NoiseModel:
     meas_error: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "gate_channel",
-                           tuple(check_kraus(self.gate_channel)))
+        gate_channel, gram = check_kraus_gram(self.gate_channel)
+        object.__setattr__(self, "gate_channel", tuple(gate_channel))
+        gate_gain = final_gain = trace_gain(gate_channel, gram)
         if self.final_gate_channel is not None:
-            object.__setattr__(self, "final_gate_channel",
-                               tuple(check_kraus(self.final_gate_channel)))
+            final_channel, gram = check_kraus_gram(self.final_gate_channel)
+            object.__setattr__(self, "final_gate_channel", tuple(final_channel))
+            final_gain = trace_gain(final_channel, gram)
         for name in ("control_q", "prep_error", "meas_error"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -159,6 +166,8 @@ class NoiseModel:
                             ("prep", prep)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "gate_gain", gate_gain)
+        object.__setattr__(self, "final_gain", final_gain)
 
     @property
     def final_channel(self) -> tuple[np.ndarray, ...]:

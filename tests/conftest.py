@@ -4,7 +4,7 @@ import concurrent.futures
 
 import pytest
 
-from corb import engine
+from corb import engine, noise
 
 
 @pytest.fixture
@@ -22,3 +22,12 @@ def pool_starts(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(engine, "POOL_MIN_SIZE", 0)
     return starts
+
+
+@pytest.fixture
+def gainless_noise_models(monkeypatch):
+    """Every NoiseModel built during the test reports trace gains of 0, so
+    channels that gain trace pass the boundary check on the product of the
+    gains and reach the engine's own range check on the fidelity. The
+    interleaved channel, which no NoiseModel holds, keeps its real gain."""
+    monkeypatch.setattr(noise, "trace_gain", lambda kraus, gram=None: 0.0)

@@ -1,13 +1,16 @@
 """Test-side helpers that the library itself never calls: random states,
 unitaries and channels, the chi-matrix conversions, the Pauli-label algebra,
 matrix-file writers, dense reference versions of library checks, and
-single protocol executions on the engine kernel.
+single protocol executions on the engine kernel, and the decay fit as
+least-squares solver calls.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
 
+from corb import fitting
 from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity, _protocol
 from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
@@ -316,3 +319,60 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
                      len(sequences), 1)
     state = _evolve(kernel, sequences[:, None, :])
     return _branch_survivals(state, noise.meas_error)
+
+
+# ---------------------------------------------------------------------------
+# Decay fit by least-squares solver calls
+# ---------------------------------------------------------------------------
+
+def lstsq_fit_decay(points, weights=None) -> fitting.DecayFit:
+    """Reference for `corb.fitting.fit_decay` on inputs that it accepts:
+    the same two stages, with the log-linear start and every Gauss-Newton
+    step taken by `np.linalg.lstsq` and the covariance by `np.linalg.inv`
+    (standard errors NaN when it raises)."""
+    ms = np.asarray([p[0] for p in points], dtype=float)
+    fs = np.asarray([p[1] for p in points], dtype=float)
+    positive = fs > 0.0
+    logs = np.log(fs[positive])
+    design = np.ones((len(logs), 2))
+    design[:, 1] = ms[positive]
+    coeffs, *_ = np.linalg.lstsq(design, logs, rcond=None)
+    a0, chi0 = math.exp(coeffs[0]), math.exp(coeffs[1])
+
+    def model(a, chi):
+        """a chi^m and its (n, 2) Jacobian at (a, chi)."""
+        powers = chi ** ms
+        return a * powers, np.stack([powers, a * ms * chi ** (ms - 1)], axis=1)
+
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    a, chi = a0, chi0
+    converged = False
+    for _ in range(fitting.GN_MAX_ITER):
+        values, jacobian = model(a, chi)
+        residuals = values - fs
+        if w is not None:
+            jacobian, residuals = jacobian * w[:, None], residuals * w
+        step, *_ = np.linalg.lstsq(jacobian, -residuals, rcond=None)
+        a += step[0]
+        chi += step[1]
+        if not (math.isfinite(a) and math.isfinite(chi)) or abs(chi) > 10.0:
+            a, chi = a0, chi0
+            break
+        if np.linalg.norm(step) < fitting.GN_STEP_TOL:
+            converged = True
+            break
+
+    chi = min(max(chi, 0.0), 1.0)
+    a = max(a, 0.0)
+    values, jacobian = model(a, chi)
+    squares = float(np.sum((values - fs) ** 2))
+    stderr_a = stderr_chi = math.nan
+    try:
+        cov = np.linalg.inv(jacobian.T @ jacobian)
+        s2 = squares / (len(fs) - 2)
+        stderr_a = math.sqrt(max(s2 * cov[0, 0], 0.0))
+        stderr_chi = math.sqrt(max(s2 * cov[1, 1], 0.0))
+    except np.linalg.LinAlgError:
+        pass
+    return fitting.DecayFit(a, chi, math.sqrt(squares / len(fs)), len(fs), converged,
+                            stderr_a, stderr_chi)

@@ -711,12 +711,12 @@ class TestRunCommand:
         assert not os.path.exists(out)
 
     def test_worker_error_reaches_caller(self, tmp_path, capsys, monkeypatch,
-                                         pool_starts):
+                                         pool_starts, gainless_noise_models):
         """A FidelityRangeError raised inside a worker process comes back to
         the caller with its type and message, and `corb run` exits 2. The
-        gate channel gains 9e-10 of trace, within the boundary check at
-        length 1, and the same channel after the closing inverse carries
-        the fidelity to 1 + 1.8e-9."""
+        gate channel gains 9e-10 of trace, and the same channel after the
+        closing inverse carries the fidelity to 1 + 1.8e-9; the noise
+        model reports no gain, so the boundary check lets the run start."""
         monkeypatch.setenv("CORB_THREADS", "2")
         gain = [np.sqrt(1.0 + 9e-10) * np.eye(2)]
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1),
@@ -750,11 +750,14 @@ class TestRunCommand:
                 + (interleaved if mode == "interleaved" else []))
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys):
-        """Each channel gains 9e-10 of trace, which the boundary check
-        admits at length 1, but two of them in one sequence (gate and
-        final channel, or gate and interleaved channel) push the fidelity
-        to 1 + 1.8e-9; the run fails, naming the value."""
+    def test_out_of_range_fidelity_exit_two(self, mode, tmp_path, capsys,
+                                            gainless_noise_models):
+        """Each channel gains 9e-10 of trace, and two of them in one
+        sequence (gate and final channel, or gate and interleaved channel)
+        push the fidelity to 1 + 1.8e-9; the run fails, naming the value.
+        The noise model reports no gain, so the boundary check, which
+        refuses that pair (below), lets the run start; in interleaved mode
+        the interleaved channel alone, 9e-10 over one position, passes it."""
         code = main(self._gain_args(tmp_path, mode, 9e-10, 1))
         err = capsys.readouterr().err
         assert code == 2
@@ -771,6 +774,19 @@ class TestRunCommand:
         assert code == 1
         assert "channel gains trace: delta = lambda_max(sum K^dag K) - 1 = 9.000e-09" in err
         assert "at length m = 2000" in err
+        assert not os.path.exists(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trace_gaining_pair_exit_one(self, mode, tmp_path, capsys):
+        """Two channels that each gain 9e-10 of trace, the gate and the
+        final channel, are refused together at length 1, before anything
+        runs: (1 + delta)^2 - 1 = 1.8e-9."""
+        code = main(self._gain_args(tmp_path, mode, 9e-10, 1))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert ("gate channel gains trace: delta = lambda_max(sum K^dag K) - 1 = "
+                "9.000e-10, final channel delta = 9.000e-10, so (1 + delta_gate)^m "
+                "(1 + delta_final) - 1 = 1.800e-09 exceeds 1e-09 at length m = 1") in err
         assert not os.path.exists(tmp_path / "x.csv")
 
 class TestFitCommand:

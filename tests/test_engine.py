@@ -1,6 +1,7 @@
 """Protocol engines: decay laws, mode cross-checks, exact and statistical
 oracles, the dense oracle of the kernel, determinism, caps."""
 
+import math
 import os
 import signal
 import subprocess
@@ -1031,6 +1032,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(4, 2))
 
+    @pytest.mark.parametrize("lengths, message", [
+        ((2.5, 4), "sequence length 2.5 is not an integer"),
+        ((1, 2.9), "sequence length 2.9 is not an integer"),
+        (("3",), "sequence length '3' is not an integer"),
+        ((1, math.inf), "sequence length inf is not an integer"),
+        ((), "lengths must be positive integers, got none"),
+        ((0, 1), "lengths must be positive integers, got 0"),
+    ], ids=["half", "truncated", "string", "infinite", "empty", "zero"])
+    def test_non_integral_lengths_are_refused(self, lengths, message):
+        """A length that is not an integer is refused, naming it, by
+        RbRunConfig and by a direct exact call alike; none is truncated."""
+        with pytest.raises(ValueError) as info:
+            RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=lengths)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            exact_fidelities(PAULI_2, ideal(), lengths)
+        assert str(info.value) == message
+
+    def test_integral_lengths_are_accepted(self):
+        """ints, numpy integers and integral floats become ints."""
+        lengths = (1, np.int64(2), 3.0, np.float32(4.0))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=lengths)
+        assert cfg.lengths == (1, 2, 3, 4)
+        assert all(type(m) is int for m in cfg.lengths)
+        assert exact_fidelities(PAULI_2, ideal(), lengths) == [1.0] * 4
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
@@ -1178,23 +1205,74 @@ class TestConfigValidation:
             run_coherent_rb(cfg)
 
 
+class TestTraceGainTraffic:
+    """The trace gains of a noise model's channels are derived once, when
+    it is made; configs and exact runs read them."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    @staticmethod
+    def _noise():
+        return NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
+                          final_gate_channel=tuple(random_channel(2, 3,
+                                                   np.random.default_rng(5))))
+
+    def test_the_model_holds_the_gains_of_its_channels(self):
+        noise = self._noise()
+        assert noise.gate_gain == trace_gain(noise.gate_channel)
+        assert noise.final_gain == trace_gain(noise.final_gate_channel)
+        same = NoiseModel(gate_channel=noise.gate_channel)
+        assert same.final_gain == same.gate_gain == noise.gate_gain
+
+    def test_configs_and_exact_runs_derive_none(self, eigvalsh_calls):
+        noise = self._noise()
+        assert len(eigvalsh_calls) == 2
+        del eigvalsh_calls[:]
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2, 3),
+                          mode="coherent-full")
+        run_coherent_full(cfg)
+        for mode in MODES:
+            replace(cfg, mode=mode)
+        exact_fidelities(PAULI_2, noise, cfg.lengths, same_sequence=True)
+        exact_fidelities(CLIFFORD_2, noise, cfg.lengths, same_sequence=True)
+        assert eigvalsh_calls == []
+
+    def test_an_interleaved_run_derives_one(self, eigvalsh_calls):
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=self._noise(), lengths=(1, 2, 3),
+                          mode="interleaved")
+        del eigvalsh_calls[:]
+        run_interleaved_coherent(cfg, H, dephasing_kraus(0.01, 2),
+                                 full_superposition=True)
+        assert len(eigvalsh_calls) == 1
+
+
 class TestFidelityRange:
-    """Fidelities are clamped only within rounding of [0, 1]. A channel
-    that gains trace within the Kraus-check tolerance is refused at the
-    boundary when its gain over the longest sequence exceeds FIDELITY_TOL;
-    two channels that each pass that check can still carry a fidelity past
-    it."""
+    """Fidelities are clamped only within rounding of [0, 1]. Channels that
+    gain trace within the Kraus-check tolerance are refused at the boundary
+    when their gains together, (1 + delta_gate)^m (1 + delta_final) or
+    (1 + delta_gate)^m (1 + delta_interleaved)^m at the longest length m,
+    exceed 1 + FIDELITY_TOL."""
 
     @staticmethod
     def _gaining(excess):
         return NoiseModel(gate_channel=(np.sqrt(1.0 + excess) * np.eye(2),))
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_out_of_range_fidelity_raises(self, mode):
-        """A gain of 9e-10 per channel passes the check at length 1; the
-        gate channel and the final channel (the interleaved channel, in
-        interleaved mode, whose closing channel is the identity) give
-        1 + 1.8e-9."""
+    def test_out_of_range_fidelity_raises(self, mode, gainless_noise_models):
+        """The gate channel and the final channel (the interleaved channel,
+        in interleaved mode, whose closing channel is the identity) each
+        gain 9e-10, which gives 1 + 1.8e-9. The noise model reports no
+        gain, so the boundary check lets the run start."""
         noise = self._gaining(9e-10)
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,), k=2,
                           mode=mode)
@@ -1203,18 +1281,53 @@ class TestFidelityRange:
 
     @pytest.mark.parametrize("channel", ["gate", "final"])
     def test_trace_gaining_channel_is_refused(self, channel):
-        """delta = 9e-9 over 2000 positions gains 1.8e-5 of trace: refused,
-        naming delta and the length. A gain of 1e-13 over 10 positions,
-        1e-12, passes."""
+        """The gate channel is applied m times and the final channel once:
+        delta_gate = 9e-9 over 2000 positions gains 1.8e-5 of trace, and
+        delta_final = 9e-9 is refused at length 1 already. Each is refused
+        naming delta, the growth and the length. A gain of 1e-13 in both
+        over 10 positions, 1.1e-12, passes."""
         gaining = (np.sqrt(1.0 + 9e-9) * np.eye(2),)
-        noise = (NoiseModel(gate_channel=gaining) if channel == "gate" else
-                 NoiseModel(gate_channel=tuple(identity_kraus(2)),
-                            final_gate_channel=gaining))
+        ideal_channel = tuple(identity_kraus(2))
+        if channel == "gate":
+            noise = NoiseModel(gate_channel=gaining, final_gate_channel=ideal_channel)
+            length, growth = 2000, r"1\.800e-05"
+        else:
+            noise = NoiseModel(gate_channel=ideal_channel, final_gate_channel=gaining)
+            length, growth = 1, r"9\.000e-09"
         with pytest.raises(ValueError, match=rf"{channel} channel gains trace: delta = "
-                                             r".* = 9\.000e-09, .* = 1\.800e-05 exceeds "
-                                             r"1e-09 at length m = 2000"):
-            RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2000))
+                                             rf".* = 9\.000e-09, .* = {growth} exceeds "
+                                             rf"1e-09 at length m = {length}"):
+            RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(length,))
         RbRunConfig(gate_set=PAULI_2, noise=self._gaining(1e-13), lengths=(10,))
+
+    def test_the_final_channel_counts_once(self):
+        """delta_final = 1e-12 at length 2000 adds 1e-12 of trace, not
+        (1 + 1e-12)^2000 - 1 = 2e-9: admitted."""
+        gaining = (np.sqrt(1.0 + 1e-12) * np.eye(2),)
+        noise = NoiseModel(gate_channel=tuple(identity_kraus(2)), final_gate_channel=gaining)
+        RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2000,))
+        exact_fidelities(PAULI_2, noise, (2000,))
+
+    @pytest.mark.parametrize("interleaved", [False, True])
+    def test_the_product_of_the_gains_decides(self, interleaved):
+        """A gate channel gaining 6e-10 passes alone at length 1; with a
+        final channel gaining 6e-10, or an interleaved one, the product
+        1.2e-9 is refused, by RbRunConfig and by a direct exact call alike."""
+        gaining = (np.sqrt(1.0 + 6e-10) * np.eye(2),)
+        alone = NoiseModel(gate_channel=gaining, final_gate_channel=tuple(identity_kraus(2)))
+        RbRunConfig(gate_set=PAULI_2, noise=alone, lengths=(1,))
+        exact_fidelities(PAULI_2, alone, (1,))
+        message = r"gate channel gains trace: .* = 1\.200e-09 exceeds 1e-09 at length m = 1"
+        if interleaved:
+            with pytest.raises(ValueError, match=message):
+                exact_fidelities(PAULI_2, alone, (1,), interleaved_gate=H,
+                                 interleaved_noise=gaining)
+            return
+        both = NoiseModel(gate_channel=gaining)
+        with pytest.raises(ValueError, match=message):
+            RbRunConfig(gate_set=PAULI_2, noise=both, lengths=(1,))
+        with pytest.raises(ValueError, match=message):
+            exact_fidelities(PAULI_2, both, (1,))
 
     def test_the_exact_gain_decides(self):
         """One Kraus operator K = G^(1/2) with G = [[1, b], [b, 1 - c]],

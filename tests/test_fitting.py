@@ -26,7 +26,7 @@ from corb.fitting import (
 )
 from corb.gatesets import build_clifford_set, build_pauli_set
 from corb.noise import NoiseModel, chi00_of, dephasing_kraus
-from helpers import simulate_standard, standard_closed_form
+from helpers import lstsq_fit_decay, simulate_standard, standard_closed_form
 
 
 def synth(a, chi, ms):
@@ -190,6 +190,76 @@ class TestFitDecayPinned:
             0.023407553227052288, 0.006416252844529407))
 
 
+def random_decay(seed, n, kind, weighted):
+    """Seeded noisy decay points (m, A chi^m + noise) and optional weights.
+    "noisy" spreads n lengths over 1 ... 4n, and the curve keeps 20 % to
+    90 % of its amplitude at the longest; "flat" keeps all but 1e-3 to
+    3e-2 of it, so chi is within about 1e-3 / m of 1; "repeats" puts the n
+    points on three lengths. The noise is 0.3 % to 3 % of the decay over
+    the lengths, large enough that the residuals, and so the standard
+    errors, are not rounding."""
+    rng = np.random.default_rng(seed)
+    amplitude = rng.uniform(0.5, 1.0)
+    if kind == "repeats":
+        ms = np.sort(rng.choice([1, 2, 3], n))
+        ms[:3] = [1, 2, 3]
+    else:
+        ms = 1 + np.sort(rng.choice(4 * n, n, replace=False))
+    end = 1.0 - 10 ** rng.uniform(-3, -1.5) if kind == "flat" else rng.uniform(0.2, 0.9)
+    chi = end ** (1.0 / (ms.max() - ms.min()))
+    sigma = (1.0 - end) * 10 ** rng.uniform(-2.5, -1.5)
+    fs = amplitude * chi ** ms + rng.normal(0.0, sigma, n)
+    weights = rng.uniform(0.2, 2.0, n).tolist() if weighted else None
+    return list(zip(ms.tolist(), fs.tolist())), weights
+
+
+class TestFitDecayOracle:
+    """`fit_decay` solves its 2x2 normal equations in closed form; the
+    oracle takes the same stages with `lstsq` and `inv` (`lstsq_fit_decay`)."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("kind", ["noisy", "flat", "repeats"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50, 525, 7000])
+    def test_matches_least_squares_solvers(self, n, kind, weighted):
+        """A, chi00 and both standard errors to 1e-10 relative, and the same
+        convergence flag, on three seeded decays."""
+        for seed in range(3):
+            points, weights = random_decay(1000 * n + seed, n, kind, weighted)
+            fit, want = fit_decay(points, weights), lstsq_fit_decay(points, weights)
+            assert fit.converged == want.converged
+            assert fit.points_used == want.points_used == n
+            for name in ("A", "chi00", "stderr_A", "stderr_chi00"):
+                assert getattr(fit, name) == pytest.approx(getattr(want, name),
+                                                           rel=1e-10, abs=0), name
+
+    def test_rank_deficient_start(self):
+        """With every positive point at one length the log-linear line is
+        not unique: the start is lstsq's minimum-norm line, c = (1, m)
+        log F / (1 + m^2), here reported unchanged after the refinement
+        diverges."""
+        points = [(2, 0.8), (1, 0.0), (3, -0.1), (4, 0.0)]
+        fit = fit_decay(points)
+        assert fit.A == pytest.approx(0.8 ** 0.2, rel=1e-12)
+        assert fit.chi00 == pytest.approx(0.8 ** 0.4, rel=1e-12)
+        assert not fit.converged
+        assert_fit_equals(fit, lstsq_fit_decay(points))
+
+    def test_singular_steps_take_the_minimum_norm(self):
+        """A singular J^T W J gives lstsq's minimum-norm step: none when
+        every weight is zero, -G b / tr(G)^2 when G has rank one."""
+        weights = [0.0] * len(NOISY)
+        assert_fit_equals(fit_decay(NOISY, weights), lstsq_fit_decay(NOISY, weights))
+        # J = [[1, 2]] and r = 1: J^T J = [[1, 2], [2, 4]], J^T r = (1, 2).
+        step = fitting._gauss_newton_step(1.0, 2.0, 4.0, 1.0, 2.0)
+        want, *_ = np.linalg.lstsq(np.array([[1.0, 2.0]]), [-1.0], rcond=None)
+        assert step == pytest.approx(tuple(want), rel=1e-15, abs=0)
+
+    def test_results_are_python_floats(self):
+        fit = fit_decay(NOISY)
+        for name in ("A", "chi00", "residual_rms", "stderr_A", "stderr_chi00"):
+            assert type(getattr(fit, name)) is float, name
+
+
 class TestCombinedDecay:
     def test_k_one_returns_standard(self):
         assert combined_decay(0.9, 0.88, 1) == pytest.approx(0.88)
@@ -348,11 +418,11 @@ class TestDeviationExperiment:
                 else:
                     assert abs(got - r.fidelity) <= 1e-12
 
-    def test_out_of_range_fidelity_raises(self):
+    def test_out_of_range_fidelity_raises(self, gainless_noise_models):
         """A fidelity past 1 stops the study, as it stops a single run: the
-        gate channel gains 9e-10 of trace, which the boundary check admits
-        at length 1, and the same channel after the closing inverse
-        carries the fidelity to 1 + 1.8e-9."""
+        gate channel gains 9e-10 of trace, and the same channel after the
+        closing inverse carries the fidelity to 1 + 1.8e-9. The noise model
+        reports no gain, so the boundary check lets the study start."""
         scenario = replace(
             self.small_scenario(), lengths=(1,), k=2, repetitions=1,
             noise=NoiseModel(gate_channel=(np.sqrt(1.0 + 9e-10) * np.eye(2),)))
