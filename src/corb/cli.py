@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -84,24 +84,29 @@ class ExperimentConfig:
         return d
 
 
-# Options that only some modes read: (config field, flag, default, the modes
-# that read it). The interleaved closing gate is noiseless, and coherent-full
+# The default of each field (MISSING for the two that have none), read from
+# ExperimentConfig, the one place where each `corb run` default is stated.
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+# Options that only some modes read: (config field, flag, the modes that
+# read it). The interleaved closing gate is noiseless, and coherent-full
 # writes exact values, so neither takes a final channel or shots.
 _MODE_OPTIONS = (
-    ("control_q", "--q", 1.0, ("coherent-control-noise",)),
-    ("gate_file", "--gate", None, ("interleaved",)),
-    ("gate_channel_spec", "--gate-channel", None, ("interleaved",)),
-    ("final_channel_spec", "--final-channel", None,
+    ("control_q", "--q", ("coherent-control-noise",)),
+    ("gate_file", "--gate", ("interleaved",)),
+    ("gate_channel_spec", "--gate-channel", ("interleaved",)),
+    ("final_channel_spec", "--final-channel",
      tuple(m for m in MODES if m != "interleaved")),
-    ("shots", "--shots", 0, tuple(m for m in MODES if m != "coherent-full")),
+    ("shots", "--shots", tuple(m for m in MODES if m != "coherent-full")),
 )
 
 
 def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
     """Build the gate set and noise a config describes, and run it. An
-    option that the config's mode would ignore is refused."""
-    for name, flag, default, modes in _MODE_OPTIONS:
-        if getattr(config, name) != default and config.mode not in modes:
+    option that the config's mode would ignore, set to other than its
+    default, is refused."""
+    for name, flag, modes in _MODE_OPTIONS:
+        if getattr(config, name) != _DEFAULTS[name] and config.mode not in modes:
             raise ValueError(f"mode {config.mode} ignores {flag}; "
                              f"modes that read it: {', '.join(modes)}")
     gate_set = parse_set_spec(config.set_spec)
@@ -169,39 +174,27 @@ def cmd_check_set(args) -> int:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    try:
-        lengths = tuple(int(x) for x in args.lengths.split(","))
-    except ValueError:
-        raise ValueError(f"--lengths must be comma-separated integers, "
-                         f"got {args.lengths!r}") from None
-    return ExperimentConfig(
-        set_spec=args.set,
-        channel_spec=args.channel,
-        final_channel_spec=args.final_channel,
-        control_q=args.q,
-        eps_prep=args.eps_prep,
-        eps_meas=args.eps_meas,
-        mode=args.mode,
-        k=args.k,
-        lengths=lengths,
-        repetitions=args.reps,
-        shots=args.shots,
-        seed=args.seed,
-        gate_file=args.gate,
-        gate_channel_spec=args.gate_channel,
-        out=args.out,
-        format=args.format,
-    )
+    """The config of the `run` options, which store under the field names;
+    an option not given is absent, and its field keeps its default."""
+    given = {name: value for name, value in vars(args).items()
+             if name in _DEFAULTS}
+    if "lengths" in given:
+        try:
+            given["lengths"] = tuple(int(x) for x in given["lengths"].split(","))
+        except ValueError:
+            raise ValueError(f"--lengths must be comma-separated integers, "
+                             f"got {given['lengths']!r}") from None
+    return ExperimentConfig(**given)
 
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
     records = run_from_config(config)
     if config.format == "json":
-        cio.write_records_json(args.out, records, config.to_dict())
+        cio.write_records_json(config.out, records, config.to_dict())
     else:
-        cio.write_records_csv(args.out, records, config.to_dict())
-    print(f"wrote {len(records)} records to {args.out}")
+        cio.write_records_csv(config.out, records, config.to_dict())
+    print(f"wrote {len(records)} records to {config.out}")
     return 0
 
 
@@ -485,30 +478,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the report to this JSON file")
     p.set_defaults(fn=cmd_check_set)
 
-    p = sub.add_parser("run", help="simulate a benchmarking run")
-    p.add_argument("--set", required=True)
-    p.add_argument("--channel", required=True)
-    p.add_argument("--final-channel", default=None,
+    # Each option stores under its ExperimentConfig field, which holds its
+    # default (see _config_from_args).
+    p = sub.add_parser("run", help="simulate a benchmarking run",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--set", dest="set_spec", metavar="SET", required=True)
+    p.add_argument("--channel", dest="channel_spec", metavar="CHANNEL", required=True)
+    p.add_argument("--final-channel", dest="final_channel_spec", metavar="FINAL_CHANNEL",
                    help="channel after the inverse gate (defaults to --channel; "
                         "not with --mode interleaved)")
-    p.add_argument("--q", type=float, default=1.0,
+    p.add_argument("--q", dest="control_q", metavar="Q", type=float,
                    help="control-register depolarizing parameter "
                         "(--mode coherent-control-noise only)")
-    p.add_argument("--eps-prep", type=float, default=0.0)
-    p.add_argument("--eps-meas", type=float, default=0.0)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--lengths", default="2,4,8")
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--eps-prep", type=float)
+    p.add_argument("--eps-meas", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--lengths")
+    p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
+    p.add_argument("--shots", type=int,
                    help="binomial samples per record (not with --mode coherent-full)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="coherent", choices=MODES)
-    p.add_argument("--gate", default=None,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--gate", dest="gate_file", metavar="GATE",
                    help="matrix file with the interleaved gate (--mode interleaved only)")
-    p.add_argument("--gate-channel", default=None,
+    p.add_argument("--gate-channel", dest="gate_channel_spec", metavar="GATE_CHANNEL",
                    help="channel spec for the interleaved gate (--mode interleaved only)")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", default="csv", choices=["csv", "json"])
+    p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fit", help="fit the decay law to a records file")

@@ -107,15 +107,17 @@ Conventions:
     derived via numpy SeedSequence spawn keys, so results are identical
     regardless of worker parallelism,
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
-    sample of the expectation,
+    sample of the expectation (sampled modes only; the full superposition
+    refuses shots),
   * channels with trace gains delta (`noise.trace_gain`, derived once by
     the NoiseModel) are refused before anything runs when the trace they
     can add together exceeds FIDELITY_TOL at the longest length m:
     (1 + delta_gate)^m (1 + delta_final) - 1, since the final channel acts
     once, by RbRunConfig and by `_protocol`, or, when interleaving,
     (1 + delta_gate)^m (1 + delta_interleaved)^m - 1, by `_protocol`,
-  * sequence lengths are integers >= 1: ints, numpy integers or integral
-    floats; any other value is refused, never truncated,
+  * sequence lengths are integers >= 1, and k, repetitions, shots and the
+    seed integers: ints, numpy integers or integral floats, stored as ints;
+    any other value is refused, never truncated,
   * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
     farther out raises FidelityRangeError.
 """
@@ -166,6 +168,11 @@ class RbRunConfig:
         object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
+        for name in ("k", "repetitions", "shots", "seed"):
+            value = getattr(self, name)
+            if not _is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.repetitions < 1:
@@ -203,17 +210,21 @@ class FidelityRangeError(RuntimeError):
     """An engine fidelity lies outside [0, 1] by more than FIDELITY_TOL."""
 
 
+def _is_integral(value) -> bool:
+    """An int, a numpy integer or an integral float such as 3.0."""
+    return (isinstance(value, (int, np.integer))
+            or isinstance(value, (float, np.floating)) and float(value).is_integer())
+
+
 def _checked_lengths(lengths: Sequence) -> tuple[int, ...]:
-    """The sequence lengths as ints. Each must be an int, a numpy integer
-    or an integral float such as 3.0, and at least 1; a refusal names the
-    first that is not, and an empty list is refused."""
+    """The sequence lengths as ints. Each must be integral (`_is_integral`)
+    and at least 1; a refusal names the first that is not, and an empty
+    list is refused."""
     lengths = tuple(lengths)
     if not lengths:
         raise ValueError("lengths must be positive integers, got none")
     for m in lengths:
-        integral = (isinstance(m, (int, np.integer))
-                    or isinstance(m, (float, np.floating)) and float(m).is_integer())
-        if not integral:
+        if not _is_integral(m):
             raise ValueError(f"sequence length {m!r} is not an integer")
         if m < 1:
             raise ValueError(f"lengths must be positive integers, got {m!r}")
@@ -258,7 +269,7 @@ def _checked_interleaved(gate, gate_noise, dim: int):
     if gate_noise is None:
         return gate, None, 0.0
     gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
-    return gate, gate_noise, trace_gain(gate_noise, gram)
+    return gate, gate_noise, trace_gain(gram)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +931,11 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
 
 def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
     """Every length once, exactly, over the superposition of all |G|^m
-    sequences (`exact_fidelities`); repetitions repeat it."""
+    sequences (`exact_fidelities`); repetitions repeat it. Exact values take
+    no shots, so shots > 0 is refused before anything runs."""
+    if cfg.shots > 0:
+        raise ValueError(f"mode {cfg.mode} over all |G|^m sequences is exact "
+                         f"and takes no shots, got shots = {cfg.shots}")
     fidelities = exact_fidelities(cfg.gate_set, cfg.noise, cfg.lengths, **interleaved)
     size = len(cfg.gate_set)
     return [FidelityRecord(cfg.mode, m, rep, fidelity, size ** m, f"{m}/full")

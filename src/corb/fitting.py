@@ -52,17 +52,16 @@ class IrbEstimate:
     bound_E: float
 
 
-def fit_decay(points: Sequence[tuple[float, float]],
-              weights: Sequence[float] | None = None) -> DecayFit:
+def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
     """Fit A * chi00^m to (m, fidelity) points.
 
     Stage 1 initializes from ordinary least squares on log(F) vs m
     (nonpositive fidelities excluded there only); stage 2 runs
-    Gauss-Newton on the unweighted (or caller-weighted) squared residuals
-    in linear space. Divergent refinements fall back to the stage-1
-    estimate with converged=False; a refinement that reaches GN_MAX_ITER
-    iterations keeps its last estimate, also with converged=False. Both
-    stages and the covariance solve 2x2 normal equations in closed form.
+    Gauss-Newton on the squared residuals in linear space. Divergent
+    refinements fall back to the stage-1 estimate with converged=False; a
+    refinement that reaches GN_MAX_ITER iterations keeps its last estimate,
+    also with converged=False. Both stages and the covariance solve 2x2
+    normal equations in closed form.
     """
     ms = np.asarray([p[0] for p in points], dtype=float)
     fs = np.asarray([p[1] for p in points], dtype=float)
@@ -75,40 +74,30 @@ def fit_decay(points: Sequence[tuple[float, float]],
         raise ValueError("fidelities above 1.05 are not a decay curve")
     if all(f <= 0.0 for f in fidelities):
         raise ValueError("all fidelities nonpositive")
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != fs.shape or any(x < 0 for x in w.tolist()):
-            raise ValueError("weights must be nonnegative, one per point")
     # After the checks above, so every input they refuse keeps its message.
     for m in ms.tolist():
         if not math.isfinite(m):
             raise ValueError(f"sequence length {m!r} is not finite")
-    for x in () if weights is None else w.tolist():
-        if not math.isfinite(x):
-            raise ValueError(f"weight {x!r} is not finite")
 
     positive = fs > 0.0
     a, chi = a0, chi0 = _log_linear(ms[positive], np.log(fs[positive]))
 
     # Rows d/dA, d/dchi and the residual of the model A chi^m at (a, chi):
-    # their Gram product, with the weights W = w^2 when given, holds
-    # J^T W J, J^T W r and r^T W r, everything a step or the covariance
-    # reads, as Python floats.
+    # their Gram product holds J^T J, J^T r and r^T r, everything a step or
+    # the covariance reads, as Python floats.
     rows = np.empty((3, len(fs)))
     lowered = ms - 1
-    squared = None if weights is None else w * w
 
-    def gram(a, chi, row_weights=None):
+    def gram(a, chi):
         np.power(chi, ms, out=rows[0])
         np.multiply(a * ms, chi ** lowered, out=rows[1])
         np.multiply(rows[0], a, out=rows[2])
         rows[2] -= fs
-        left = rows if row_weights is None else rows * row_weights
-        return left.dot(rows.T).tolist()
+        return rows.dot(rows.T).tolist()
 
     converged = False
     for _ in range(GN_MAX_ITER):
-        (pp, ps, pr), (_, ss, sr), _ = gram(a, chi, squared)
+        (pp, ps, pr), (_, ss, sr), _ = gram(a, chi)
         step_a, step_chi = _gauss_newton_step(pp, ps, ss, pr, sr)
         a += step_a
         chi += step_chi
@@ -125,7 +114,7 @@ def fit_decay(points: Sequence[tuple[float, float]],
     rms = math.sqrt(squares / len(fs))
 
     # At least 3 distinct lengths leave dof >= 1. The covariance is the
-    # closed-form inverse of the unweighted J^T J.
+    # closed-form inverse of J^T J.
     stderr_a = stderr_chi = math.nan
     det = pp * ss - ps * ps
     if det != 0.0:
@@ -159,7 +148,7 @@ def _log_linear(lengths: np.ndarray, logs: np.ndarray) -> tuple[float, float]:
 
 def _gauss_newton_step(pp: float, ps: float, ss: float, pr: float,
                        sr: float) -> tuple[float, float]:
-    """-(J^T W J)^+ J^T W r from the entries of the 2x2 normal equations,
+    """-(J^T J)^+ J^T r from the entries of the 2x2 normal equations,
     [[pp, ps], [ps, ss]] and (pr, sr): Cramer's rule, or, when the matrix
     is singular, its pseudo-inverse G / tr(G)^2 (zero for G = 0), the
     minimum-norm step that `lstsq` takes."""
@@ -172,9 +161,8 @@ def _gauss_newton_step(pp: float, ps: float, ss: float, pr: float,
     return -(pp * pr + ps * sr) / trace / trace, -(ps * pr + ss * sr) / trace / trace
 
 
-def fit_records(records: Sequence[FidelityRecord],
-                weights: Sequence[float] | None = None) -> DecayFit:
-    return fit_decay([(r.m, r.fidelity) for r in records], weights)
+def fit_records(records: Sequence[FidelityRecord]) -> DecayFit:
+    return fit_decay([(r.m, r.fidelity) for r in records])
 
 
 def combined_decay(coherent: float, standard: float, k: int) -> float:

@@ -339,16 +339,10 @@ def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
                    labels=tuple(labels))
 
 
-def build_custom_set(mats: Sequence[np.ndarray], d: int | None = None,
-                     n: int | None = None) -> GateSet:
-    """Wrap explicit unitaries; (d, n) inferred as a single qudit by default."""
+def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:
+    """Wrap explicit unitaries as a set on one qudit of their dimension."""
     mats = [as_matrix(m) for m in mats]
-    dim = mats[0].shape[0]
-    if d is None or n is None:
-        d, n = dim, 1
-    if d ** n != dim:
-        raise ValueError(f"(d={d}, n={n}) inconsistent with dimension {dim}")
-    return GateSet(d, n, "custom", tuple(mats))
+    return GateSet(mats[0].shape[0], 1, "custom", tuple(mats))
 
 
 # ---------------------------------------------------------------------------

@@ -61,17 +61,11 @@ def assert_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     return u
 
 
-def kraus_gram(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """sum_s K_s^dag K_s of square matrices of one shape: one product over
-    the stacked rows (s, a)."""
-    rows = np.concatenate(mats)
-    return rows.conj().T @ rows
-
-
 def check_kraus_gram(kraus: Sequence[np.ndarray], what: str = "Kraus list"
                      ) -> tuple[list[np.ndarray], np.ndarray]:
     """Validate sum_s K_s^dag K_s = I within TOL.channel and return the list
-    and that sum (`kraus_gram`); a refusal names the list as `what`."""
+    and that sum, one product over the stacked rows (s, a); a refusal names
+    the list as `what`."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus list")
     mats = [as_matrix(k) for k in kraus]
@@ -79,22 +73,23 @@ def check_kraus_gram(kraus: Sequence[np.ndarray], what: str = "Kraus list"
     for m in mats:
         if m.shape != (dim, dim):
             raise ValueError("Kraus operators must share one square dimension")
-    total = kraus_gram(mats)
+    rows = np.concatenate(mats)
+    total = rows.conj().T @ rows
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if not defect <= TOL.channel:  # a NaN defect fails too
         raise ValueError(f"{what} is not trace preserving (defect {defect:.3e})")
     return mats, total
 
 
-def check_kraus(kraus: Sequence[np.ndarray],
-                what: str = "Kraus list") -> list[np.ndarray]:
+def check_kraus(kraus: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The validated list of `check_kraus_gram`, without the sum."""
-    return check_kraus_gram(kraus, what)[0]
+    return check_kraus_gram(kraus)[0]
 
 
-def basis_state(dim: int, index: int = 0) -> np.ndarray:
+def basis_state(dim: int) -> np.ndarray:
+    """|0> of a dim-level system."""
     vec = np.zeros(dim, dtype=np.complex128)
-    vec[index] = 1.0
+    vec[0] = 1.0
     return vec
 
 

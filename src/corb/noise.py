@@ -18,7 +18,7 @@ import numpy as np
 
 from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
-from .linalg import basis_state, check_kraus, check_kraus_gram, kraus_gram, projector
+from .linalg import basis_state, check_kraus, check_kraus_gram, projector
 from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
 
 
@@ -98,15 +98,11 @@ def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     return _realign(flat.T @ flat.conj())
 
 
-def trace_gain(kraus: Sequence[np.ndarray], gram: np.ndarray | None = None) -> float:
-    """delta = lambda_max(sum_s K_s^dag K_s) - 1: a channel's largest
-    relative gain of trace in one application (at most TOL.channel for a
-    list that `check_kraus` admits; negative when it only loses trace).
-    `gram` is that sum when the caller has it (`check_kraus_gram`);
-    otherwise it is formed here (`kraus_gram`), so either way the same
-    product gives the same delta."""
-    if gram is None:
-        gram = kraus_gram(kraus)
+def trace_gain(gram: np.ndarray) -> float:
+    """delta = lambda_max(sum_s K_s^dag K_s) - 1 from that sum, which
+    `check_kraus_gram` returns: a channel's largest relative gain of trace
+    in one application (at most TOL.channel for a list that it admits;
+    negative when it only loses trace)."""
     return float(np.linalg.eigvalsh(gram)[-1]) - 1.0
 
 
@@ -147,11 +143,11 @@ class NoiseModel:
     def __post_init__(self):
         gate_channel, gram = check_kraus_gram(self.gate_channel)
         object.__setattr__(self, "gate_channel", tuple(gate_channel))
-        gate_gain = final_gain = trace_gain(gate_channel, gram)
+        gate_gain = final_gain = trace_gain(gram)
         if self.final_gate_channel is not None:
             final_channel, gram = check_kraus_gram(self.final_gate_channel)
             object.__setattr__(self, "final_gate_channel", tuple(final_channel))
-            final_gain = trace_gain(final_channel, gram)
+            final_gain = trace_gain(gram)
         for name in ("control_q", "prep_error", "meas_error"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -174,10 +170,6 @@ class NoiseModel:
         if self.final_gate_channel is None:
             return self.gate_channel
         return self.final_gate_channel
-
-    @staticmethod
-    def ideal(dim: int) -> "NoiseModel":
-        return NoiseModel(gate_channel=tuple(identity_kraus(dim)))
 
 
 _CHANNELS = {

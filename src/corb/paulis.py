@@ -41,10 +41,6 @@ class PauliLabel:
         object.__setattr__(self, "x", tuple(int(v) % self.d for v in self.x))
         object.__setattr__(self, "z", tuple(int(v) % self.d for v in self.z))
 
-    @property
-    def is_identity(self) -> bool:
-        return not any(self.x) and not any(self.z)
-
 
 @functools.lru_cache(maxsize=None)
 def omega(d: int) -> complex:

@@ -30,4 +30,4 @@ def gainless_noise_models(monkeypatch):
     channels that gain trace pass the boundary check on the product of the
     gains and reach the engine's own range check on the fidelity. The
     interleaved channel, which no NoiseModel holds, keeps its real gain."""
-    monkeypatch.setattr(noise, "trace_gain", lambda kraus, gram=None: 0.0)
+    monkeypatch.setattr(noise, "trace_gain", lambda gram: 0.0)

@@ -1,5 +1,6 @@
 """Test-side helpers that the library itself never calls: random states,
-unitaries and channels, the chi-matrix conversions, the Pauli-label algebra,
+unitaries and channels, the noiseless model, the chi-matrix conversions,
+the Pauli-label algebra,
 matrix-file writers, dense reference versions of library checks, and
 single protocol executions on the engine kernel, and the decay fit as
 least-squares solver calls.
@@ -15,6 +16,7 @@ from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity, 
 from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
+from corb.noise import NoiseModel, identity_kraus
 from corb.paulis import (
     DEFAULT_LABEL_CAP,
     PauliLabel,
@@ -67,8 +69,13 @@ def random_phase_channel(d: int, n_kraus: int, rng: np.random.Generator) -> list
 
 
 # ---------------------------------------------------------------------------
-# Channels: Kraus <-> chi, composition, fidelities
+# Channels: the noiseless model, Kraus <-> chi, composition, fidelities
 # ---------------------------------------------------------------------------
+
+def ideal_noise(dim: int = 2) -> NoiseModel:
+    """The noiseless model on a dim-level target: identity channels, no SPAM."""
+    return NoiseModel(gate_channel=tuple(identity_kraus(dim)))
+
 
 def _pauli_coefficients(kraus: Sequence[np.ndarray], d: int, n: int) -> np.ndarray:
     """c[s, i] = tr(P_i† K_s) / d^n for each Kraus operator."""
@@ -165,6 +172,10 @@ def zero_label(d: int, n: int) -> PauliLabel:
     return PauliLabel(d, n, (0,) * n, (0,) * n)
 
 
+def is_identity(label: PauliLabel) -> bool:
+    return not any(label.x) and not any(label.z)
+
+
 def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
     """(a, b)_Sp = a_x . b_z - a_z . b_x mod d.
 
@@ -217,7 +228,7 @@ def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
     worst_label = labels[0]
     for label, pmat in zip(labels, basis):
         twirl = np.einsum("gba,bc,gcd->ad", conj, pmat, stack, optimize=True)
-        if label.is_identity:
+        if is_identity(label):
             residual = float(np.max(np.abs(twirl - len(gate_set) * eye)))
         else:
             residual = float(np.max(np.abs(twirl)))
@@ -325,7 +336,7 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
 # Decay fit by least-squares solver calls
 # ---------------------------------------------------------------------------
 
-def lstsq_fit_decay(points, weights=None) -> fitting.DecayFit:
+def lstsq_fit_decay(points) -> fitting.DecayFit:
     """Reference for `corb.fitting.fit_decay` on inputs that it accepts:
     the same two stages, with the log-linear start and every Gauss-Newton
     step taken by `np.linalg.lstsq` and the covariance by `np.linalg.inv`
@@ -344,15 +355,11 @@ def lstsq_fit_decay(points, weights=None) -> fitting.DecayFit:
         powers = chi ** ms
         return a * powers, np.stack([powers, a * ms * chi ** (ms - 1)], axis=1)
 
-    w = None if weights is None else np.asarray(weights, dtype=float)
     a, chi = a0, chi0
     converged = False
     for _ in range(fitting.GN_MAX_ITER):
         values, jacobian = model(a, chi)
-        residuals = values - fs
-        if w is not None:
-            jacobian, residuals = jacobian * w[:, None], residuals * w
-        step, *_ = np.linalg.lstsq(jacobian, -residuals, rcond=None)
+        step, *_ = np.linalg.lstsq(jacobian, fs - values, rcond=None)
         a += step[0]
         chi += step[1]
         if not (math.isfinite(a) and math.isfinite(chi)) or abs(chi) > 10.0:

@@ -530,6 +530,17 @@ class TestRunCommand:
                        f"got {lengths!r}\n")
         assert not os.path.exists(out)
 
+    def test_unset_options_take_the_config_defaults(self, tmp_path, capsys):
+        """An option left out stores nothing, and its field keeps the
+        ExperimentConfig default, the one place each default is stated."""
+        out = str(tmp_path / "r.csv")
+        assert main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--out", out]) == 0
+        capsys.readouterr()
+        _, config = read_records(out)
+        assert config_from_dict(config) == ExperimentConfig(
+            set_spec="pauli:d=2,n=1", channel_spec="identity", out=out)
+
     def test_noiseless_run_all_ones(self, tmp_path, capsys):
         out = str(tmp_path / "r.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",

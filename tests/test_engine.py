@@ -41,7 +41,9 @@ from corb.engine import (
     run_standard_rb,
 )
 from corb.fitting import decay_amplitude
+from corb.io import write_records_json
 from corb.gatesets import (
+    GateSet,
     _first_moment,
     build_clifford_set,
     build_controlled_set,
@@ -50,6 +52,7 @@ from corb.gatesets import (
     build_ms_dressed_set,
     build_pauli_set,
 )
+from corb.linalg import check_kraus_gram
 from corb.noise import (
     NoiseModel,
     chi00_of,
@@ -66,6 +69,7 @@ from helpers import (
     conjugate_channel,
     evolve_coherent,
     haar_unitary,
+    ideal_noise,
     kraus_to_chi,
     random_channel,
     random_phase_channel,
@@ -80,10 +84,6 @@ CLIFFORD_2 = build_clifford_set(2, 1)
 X = pauli_matrix(PauliLabel(2, 1, (1,), (0,)))
 Z = pauli_matrix(PauliLabel(2, 1, (0,), (1,)))
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def ideal(dim=2):
-    return NoiseModel.ideal(dim)
 
 
 def kraus_compose(second, first):
@@ -121,20 +121,20 @@ class TestNoiselessInvariance:
     ])
     def test_sampled_modes(self, mode, runner):
         for gate_set in (PAULI_2, CLIFFORD_2, build_ms_dressed_set(2, 0.61)):
-            cfg = RbRunConfig(gate_set=gate_set, noise=ideal(gate_set.dim),
+            cfg = RbRunConfig(gate_set=gate_set, noise=ideal_noise(gate_set.dim),
                               lengths=(1, 7, 20), k=5, repetitions=2, seed=1,
                               mode=mode)
             for record in runner(cfg):
                 assert abs(record.fidelity - 1.0) <= 1e-12
 
     def test_full_mode(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2, 3),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2, 3),
                           mode="coherent-full")
         for record in run_coherent_full(cfg):
             assert abs(record.fidelity - 1.0) <= 1e-12
 
     def test_interleaved(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 5),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 5),
                           k=4, seed=2, mode="interleaved")
         for record in run_interleaved_coherent(cfg, H):
             assert abs(record.fidelity - 1.0) <= 1e-12
@@ -308,7 +308,7 @@ class TestDressedMoments:
                            prep_error=0.01, meas_error=0.02)
         interleaved = dict(interleaved_gate=haar_unitary(dim, rng),
                            interleaved_noise=random_channel(dim, 2, rng))
-        dense = build_custom_set(gate_set.elements, gate_set.d, gate_set.n)
+        dense = GateSet(gate_set.d, gate_set.n, "custom", gate_set.elements)
         lengths = (1, 2, 3, 6)
         for kwargs in ({}, interleaved):
             for same_sequence in (False, True):
@@ -326,7 +326,7 @@ class TestDressedMoments:
         rng = np.random.default_rng(70)
         qutrit = build_pauli_set(3, 1)
         left, right = haar_unitary(3, rng), haar_unitary(3, rng)
-        dense = build_custom_set(left @ qutrit.stacked() @ right, 3, 1)
+        dense = build_custom_set(left @ qutrit.stacked() @ right)
         assert dense.dressing is None
         noise = NoiseModel(gate_channel=tuple(random_channel(3, 2, rng)),
                            final_gate_channel=tuple(random_channel(3, 2, rng)),
@@ -393,10 +393,10 @@ class TestDressedMoments:
         monkeypatch.setattr("corb.engine._Protocol.stack", refuse)
         gate_set = DRESSED["ms(2)"]
         for kwargs in ({}, dict(interleaved_gate=np.kron(H, H))):
-            assert len(exact_fidelities(gate_set, ideal(4), (1, 5), same_sequence,
+            assert len(exact_fidelities(gate_set, ideal_noise(4), (1, 5), same_sequence,
                                         **kwargs)) == 2
         with pytest.raises(AssertionError, match="built for a dressed set"):
-            exact_fidelities(CLIFFORD_2, ideal(), (1,), same_sequence)
+            exact_fidelities(CLIFFORD_2, ideal_noise(), (1,), same_sequence)
 
 
 def small_rotation(dim, angle, rng):
@@ -434,8 +434,8 @@ class TestInterleavingIsDerived:
             prep_error=0.04, meas_error=0.02)
         gate_noise = kraus_compose([small_rotation(dim, 0.08, rng)],
                                    depolarizing_kraus(0.05, 2, n))
-        derived_set = build_custom_set([gate @ u for u in gate_set.elements],
-                                       gate_set.d, n)
+        derived_set = GateSet(gate_set.d, n, "custom",
+                              tuple(gate @ u for u in gate_set.elements))
         position = np.einsum("iab,bc,jcd,de->ijae", np.stack(gate_noise), gate,
                              np.stack(noise.gate_channel), gate.conj().T)
         derived_noise = NoiseModel(gate_channel=tuple(position.reshape(-1, dim, dim)),
@@ -769,7 +769,7 @@ class TestInterleaved:
             assert record.fidelity == pytest.approx(step ** record.m, abs=1e-9)
 
     def test_rejects_non_unitary_gate(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
                           k=2, mode="interleaved")
         with pytest.raises(ValueError):
             run_interleaved_coherent(cfg, np.ones((2, 2)))
@@ -839,7 +839,7 @@ class TestDeterminism:
         """Fork would copy a lock another thread holds, held forever in the
         workers: with a second thread alive the run stays serial."""
         monkeypatch.setenv("CORB_THREADS", "2")
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
                           k=2, repetitions=2)
         release = threading.Event()
         other = threading.Thread(target=release.wait, daemon=True)
@@ -860,7 +860,7 @@ class TestDeterminism:
         """CORB_THREADS must be an integer >= 1; anything else is named in
         the error, never replaced by one worker."""
         monkeypatch.setenv("CORB_THREADS", value)
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
                           k=2, repetitions=2, mode="standard")
         with pytest.raises(ValueError, match=f"CORB_THREADS.*'{value}'"):
             run(cfg)
@@ -1030,7 +1030,7 @@ class TestKConsistency:
 class TestConfigValidation:
     def test_lengths_must_increase(self):
         with pytest.raises(ValueError):
-            RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(4, 2))
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(4, 2))
 
     @pytest.mark.parametrize("lengths, message", [
         ((2.5, 4), "sequence length 2.5 is not an integer"),
@@ -1044,31 +1044,73 @@ class TestConfigValidation:
         """A length that is not an integer is refused, naming it, by
         RbRunConfig and by a direct exact call alike; none is truncated."""
         with pytest.raises(ValueError) as info:
-            RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=lengths)
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
         assert str(info.value) == message
         with pytest.raises(ValueError) as info:
-            exact_fidelities(PAULI_2, ideal(), lengths)
+            exact_fidelities(PAULI_2, ideal_noise(), lengths)
         assert str(info.value) == message
 
     def test_integral_lengths_are_accepted(self):
         """ints, numpy integers and integral floats become ints."""
         lengths = (1, np.int64(2), 3.0, np.float32(4.0))
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=lengths)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
         assert cfg.lengths == (1, 2, 3, 4)
         assert all(type(m) is int for m in cfg.lengths)
-        assert exact_fidelities(PAULI_2, ideal(), lengths) == [1.0] * 4
+        assert exact_fidelities(PAULI_2, ideal_noise(), lengths) == [1.0] * 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("repetitions", 1.5), ("shots", 2.5), ("seed", 1.5),
+        ("k", "3"), ("shots", math.nan),
+    ], ids=["k", "repetitions", "shots", "seed", "k-string", "shots-nan"])
+    def test_non_integral_counts_are_refused(self, field, value):
+        """k, repetitions, shots and seed take the rule of the lengths. A
+        binomial draw would truncate shots = 2.5 to 2 and divide by 2.5;
+        numpy refuses the others mid-run with a TypeError."""
+        with pytest.raises(ValueError) as info:
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
+                        **{field: value})
+        assert str(info.value) == f"{field} must be an integer, got {value!r}"
+
+    def test_integral_counts_become_ints(self, tmp_path):
+        """numpy integers and integral floats are stored as ints, so the
+        records equal those of plain ints and can be written as JSON."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
+        plain = dict(k=3, repetitions=2, shots=10, seed=7)
+        given = dict(k=np.int64(3), repetitions=2.0, shots=np.int32(10),
+                     seed=np.uint64(7))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2), **given)
+        assert all(type(getattr(cfg, name)) is int for name in plain)
+        records = run_coherent_rb(cfg)
+        assert records == run_coherent_rb(replace(cfg, **plain))
+        write_records_json(str(tmp_path / "records.json"), records)
+
+    @pytest.mark.parametrize("call", ["coherent-full", "interleaved"])
+    def test_the_full_superposition_refuses_shots(self, call, monkeypatch):
+        """Both exact paths refuse shots before anything runs, rather than
+        write exact values as if sampled."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,), shots=10,
+                          mode=call)
+        monkeypatch.setattr("corb.engine.exact_fidelities", None)
+        with pytest.raises(ValueError) as info:
+            if call == "coherent-full":
+                run(cfg)
+            else:
+                run_interleaved_coherent(cfg, H, full_superposition=True)
+        assert str(info.value) == (f"mode {call} over all |G|^m sequences is exact "
+                                   f"and takes no shots, got shots = 10")
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                         mode="psychic")
 
     def test_k_positive(self):
         with pytest.raises(ValueError):
-            RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,), k=0)
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,), k=0)
 
     def test_dimension_cap(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                           k=3000, mode="coherent")
         with pytest.raises(DimensionError,
                            match=rf"needs 1152768000 bytes.* {STATE_BUDGET_BYTES} bytes"):
@@ -1084,7 +1126,7 @@ class TestConfigValidation:
         _check_budget(2507, 2)
         with pytest.raises(DimensionError, match=r"k \* D = 5016 needs"):
             _check_budget(2508, 2)
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=5,
                           mode="coherent")
         needed = (3 * 16 + 2 * 8) * 5 * 2 * 3 * 2
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
@@ -1099,7 +1141,7 @@ class TestConfigValidation:
         complex128 arrays and two (1, 1, D, D) int64 gather indices,
         48 k D^2 + 16 D^2 bytes per task, checked like the coherent modes'
         before anything is allocated."""
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2), k=5,
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=5,
                           mode="standard")
         needed = 48 * 5 * 2 ** 2 + 16 * 2 ** 2
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
@@ -1120,7 +1162,7 @@ class TestConfigValidation:
         gate_set = build_pauli_set(2, 2)
         needed = 64 * len(gate_set) * 4 ** 2
         assert needed == 16384
-        cfg = RbRunConfig(gate_set=gate_set, noise=ideal(4), lengths=(1, 2), k=2,
+        cfg = RbRunConfig(gate_set=gate_set, noise=ideal_noise(4), lengths=(1, 2), k=2,
                           mode=mode)
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
         with pytest.raises(DimensionError,
@@ -1141,9 +1183,9 @@ class TestConfigValidation:
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
         with pytest.raises(DimensionError,
                            match=rf"moment of 24 elements .* needs {needed} bytes"):
-            exact_fidelities(CLIFFORD_2, ideal(), (1, 2), same_sequence=True)
+            exact_fidelities(CLIFFORD_2, ideal_noise(), (1, 2), same_sequence=True)
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
-        for fidelity in exact_fidelities(CLIFFORD_2, ideal(), (1, 2), same_sequence=True):
+        for fidelity in exact_fidelities(CLIFFORD_2, ideal_noise(), (1, 2), same_sequence=True):
             assert abs(fidelity - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("same_sequence", [False, True])
@@ -1159,7 +1201,7 @@ class TestConfigValidation:
         or channel that does not fit the set, and a gate that is not
         unitary, as the interleaved runs do."""
         with pytest.raises(ValueError, match=message):
-            exact_fidelities(PAULI_2, ideal(), (1, 2), same_sequence,
+            exact_fidelities(PAULI_2, ideal_noise(), (1, 2), same_sequence,
                              interleaved_gate=gate, interleaved_noise=gate_noise)
 
     @pytest.mark.parametrize("full", [False, True], ids=["sampled", "full"])
@@ -1167,7 +1209,7 @@ class TestConfigValidation:
         """An interleaved channel that loses trace, here {0.5 I}, is
         refused with its defect named, in the sampled and in the full
         form, before anything runs."""
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1, 2, 3), k=2,
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2, 3), k=2,
                           mode="interleaved")
         with pytest.raises(ValueError, match=r"interleaved gate channel is not trace "
                                              r"preserving \(defect 7\.500e-01\)"):
@@ -1193,13 +1235,13 @@ class TestConfigValidation:
                 RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
 
     def test_dispatcher_requires_gate_for_interleaved(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                           k=2, mode="interleaved")
         with pytest.raises(ValueError):
             run(cfg)
 
     def test_mode_mismatch_rejected(self):
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal(), lengths=(1,),
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                           mode="standard")
         with pytest.raises(ValueError):
             run_coherent_rb(cfg)
@@ -1229,8 +1271,8 @@ class TestTraceGainTraffic:
 
     def test_the_model_holds_the_gains_of_its_channels(self):
         noise = self._noise()
-        assert noise.gate_gain == trace_gain(noise.gate_channel)
-        assert noise.final_gain == trace_gain(noise.final_gate_channel)
+        assert noise.gate_gain == trace_gain(check_kraus_gram(noise.gate_channel)[1])
+        assert noise.final_gain == trace_gain(check_kraus_gram(noise.final_gate_channel)[1])
         same = NoiseModel(gate_channel=noise.gate_channel)
         assert same.final_gain == same.gate_gain == noise.gate_gain
 
@@ -1339,7 +1381,7 @@ class TestFidelityRange:
         noise = NoiseModel(gate_channel=((vecs * np.sqrt(vals)) @ vecs.T,),
                            final_gate_channel=tuple(identity_kraus(2)))
         delta = np.sqrt(c * c / 4 + b * b) - c / 2
-        assert trace_gain(noise.gate_channel) == pytest.approx(delta, rel=1e-6)
+        assert noise.gate_gain == pytest.approx(delta, rel=1e-6)
         RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
         with pytest.raises(ValueError, match=rf"delta = .* = {delta:.3e}, .* at length m = 2"):
             RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2,))
@@ -1351,7 +1393,7 @@ class TestFidelityRange:
         gaining = [np.sqrt(1.0 + 9e-9) * np.eye(2)]
         with pytest.raises(ValueError, match=r"interleaved gate channel gains trace: "
                                              r".* at length m = 2000"):
-            exact_fidelities(PAULI_2, ideal(), (1, 2000), same_sequence,
+            exact_fidelities(PAULI_2, ideal_noise(), (1, 2000), same_sequence,
                              interleaved_gate=H, interleaved_noise=gaining)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -1431,4 +1473,4 @@ class TestAmplitude:
             assert abs(fidelity - amplitude) < 1e-12
 
     def test_ideal_amplitude_is_one(self):
-        assert decay_amplitude(ideal()) == pytest.approx(1.0, abs=1e-12)
+        assert decay_amplitude(ideal_noise()) == pytest.approx(1.0, abs=1e-12)

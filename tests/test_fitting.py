@@ -26,7 +26,7 @@ from corb.fitting import (
 )
 from corb.gatesets import build_clifford_set, build_pauli_set
 from corb.noise import NoiseModel, chi00_of, dephasing_kraus
-from helpers import lstsq_fit_decay, simulate_standard, standard_closed_form
+from helpers import ideal_noise, lstsq_fit_decay, simulate_standard, standard_closed_form
 
 
 def synth(a, chi, ms):
@@ -56,11 +56,6 @@ class TestFitDecay:
             fit = fit_decay(synth(a, chi, ms))
             assert abs(fit.A - a) < 1e-8
             assert abs(fit.chi00 - chi) < 1e-8
-
-    def test_weights_accepted(self):
-        points = synth(1.0, 0.97, (1, 2, 3, 4))
-        fit = fit_decay(points, weights=[1.0, 2.0, 1.0, 0.5])
-        assert fit.chi00 == pytest.approx(0.97, abs=1e-9)
 
     def test_needs_three_distinct_lengths(self):
         with pytest.raises(ValueError):
@@ -135,43 +130,30 @@ class TestFitDecayPinned:
         reported, unconverged, with the residuals it leaves."""
         assert_fit_equals(fit_decay(points), want)
 
-    @pytest.mark.parametrize("points, weights, message", [
-        ([(1, 0.9), (2, math.inf), (4, 0.6), (8, 0.4)], None,
+    @pytest.mark.parametrize("points, message", [
+        ([(1, 0.9), (2, math.inf), (4, 0.6), (8, 0.4)],
          "fidelities above 1.05 are not a decay curve"),
-        ([(1, 0.9), (1, 0.8), (2, 0.7), (2, 0.6)], None,
+        ([(1, 0.9), (1, 0.8), (2, 0.7), (2, 0.6)],
          "need at least 3 distinct sequence lengths"),
-        ([(math.nan, 0.9), (math.nan, 0.8), (2, 0.7)], None,
+        ([(math.nan, 0.9), (math.nan, 0.8), (2, 0.7)],
          "need at least 3 distinct sequence lengths"),
-        ([(1, 1.05), (2, 0.7), (4, 0.5)], None,
+        ([(1, 1.05), (2, 0.7), (4, 0.5)],
          "fidelities above 1.05 are not a decay curve"),
-        ([(1, 0.0), (2, -0.1), (4, 0.0)], None, "all fidelities nonpositive"),
-        (NOISY, [1.0, 1.0], "weights must be nonnegative, one per point"),
-        (NOISY, [[1.0, 1.0, 1.0, 1.0]], "weights must be nonnegative, one per point"),
-        (NOISY, [1.0, -1.0, 1.0, 1.0], "weights must be nonnegative, one per point"),
+        ([(1, 0.0), (2, -0.1), (4, 0.0)], "all fidelities nonpositive"),
         # With several faults, the first check in this order refuses.
-        ([(1, 2.0), (1, -1.0), (2, 0.5)], None,
+        ([(1, 2.0), (1, -1.0), (2, 0.5)],
          "need at least 3 distinct sequence lengths"),
-        ([(1, 1.1), (2, -1.0), (3, -1.0)], [-1.0], "fidelities above 1.05 are not a decay curve"),
-        ([(1, 0.0), (2, 0.0), (3, 0.0)], [-1.0], "all fidelities nonpositive"),
-        # Non-finite lengths and weights, checked after all of the above.
-        ([(math.nan, 0.9), (1, 0.8), (2, 0.7), (3, 0.6)], None,
+        ([(1, 1.1), (2, -1.0), (3, -1.0)], "fidelities above 1.05 are not a decay curve"),
+        # Non-finite lengths, checked after all of the above.
+        ([(math.nan, 0.9), (1, 0.8), (2, 0.7), (3, 0.6)],
          "sequence length nan is not finite"),
-        ([(1, 0.9), (2, 0.8), (3, 0.7), (math.inf, 0.6)], None,
+        ([(1, 0.9), (2, 0.8), (3, 0.7), (math.inf, 0.6)],
          "sequence length inf is not finite"),
-        (NOISY, [1.0, math.nan, 1.0, 1.0], "weight nan is not finite"),
-        (NOISY, [1.0, 1.0, math.inf, 1.0], "weight inf is not finite"),
-        ([(1, 0.9), (math.inf, 0.8), (2, 0.7)], [1.0, 1.0, math.nan],
-         "sequence length inf is not finite"),
-        ([(1, 0.9), (math.inf, 0.8), (2, 0.7)], [1.0, -1.0, math.nan],
-         "weights must be nonnegative, one per point"),
     ], ids=["plus-inf", "two-lengths", "nan-lengths-are-one", "at-1.05", "nonpositive",
-            "weights-short", "weights-2d", "weights-negative", "lengths-first",
-            "high-before-nonpositive", "nonpositive-before-weights", "nan-length",
-            "inf-length", "nan-weight", "inf-weight", "length-before-weight",
-            "negative-weight-before-finite"])
-    def test_refusals(self, points, weights, message):
+            "lengths-first", "high-before-nonpositive", "nan-length", "inf-length"])
+    def test_refusals(self, points, message):
         with pytest.raises(ValueError) as info:
-            fit_decay(points, weights)
+            fit_decay(points)
         assert str(info.value) == message
 
     def test_diverging_refinement_reports_the_log_fit(self):
@@ -190,8 +172,8 @@ class TestFitDecayPinned:
             0.023407553227052288, 0.006416252844529407))
 
 
-def random_decay(seed, n, kind, weighted):
-    """Seeded noisy decay points (m, A chi^m + noise) and optional weights.
+def random_decay(seed, n, kind):
+    """Seeded noisy decay points (m, A chi^m + noise).
     "noisy" spreads n lengths over 1 ... 4n, and the curve keeps 20 % to
     90 % of its amplitude at the longest; "flat" keeps all but 1e-3 to
     3e-2 of it, so chi is within about 1e-3 / m of 1; "repeats" puts the n
@@ -209,23 +191,23 @@ def random_decay(seed, n, kind, weighted):
     chi = end ** (1.0 / (ms.max() - ms.min()))
     sigma = (1.0 - end) * 10 ** rng.uniform(-2.5, -1.5)
     fs = amplitude * chi ** ms + rng.normal(0.0, sigma, n)
-    weights = rng.uniform(0.2, 2.0, n).tolist() if weighted else None
-    return list(zip(ms.tolist(), fs.tolist())), weights
+    return list(zip(ms.tolist(), fs.tolist()))
 
 
 class TestFitDecayOracle:
     """`fit_decay` solves its 2x2 normal equations in closed form; the
     oracle takes the same stages with `lstsq` and `inv` (`lstsq_fit_decay`)."""
 
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
-    @pytest.mark.parametrize("kind", ["noisy", "flat", "repeats"])
+    # Both sides solve unweighted least squares, which the ids name.
+    @pytest.mark.parametrize("kind", ["noisy", "flat", "repeats"],
+                             ids=lambda kind: f"{kind}-unweighted")
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 50, 525, 7000])
-    def test_matches_least_squares_solvers(self, n, kind, weighted):
+    def test_matches_least_squares_solvers(self, n, kind):
         """A, chi00 and both standard errors to 1e-10 relative, and the same
         convergence flag, on three seeded decays."""
         for seed in range(3):
-            points, weights = random_decay(1000 * n + seed, n, kind, weighted)
-            fit, want = fit_decay(points, weights), lstsq_fit_decay(points, weights)
+            points = random_decay(1000 * n + seed, n, kind)
+            fit, want = fit_decay(points), lstsq_fit_decay(points)
             assert fit.converged == want.converged
             assert fit.points_used == want.points_used == n
             for name in ("A", "chi00", "stderr_A", "stderr_chi00"):
@@ -245,10 +227,9 @@ class TestFitDecayOracle:
         assert_fit_equals(fit, lstsq_fit_decay(points))
 
     def test_singular_steps_take_the_minimum_norm(self):
-        """A singular J^T W J gives lstsq's minimum-norm step: none when
-        every weight is zero, -G b / tr(G)^2 when G has rank one."""
-        weights = [0.0] * len(NOISY)
-        assert_fit_equals(fit_decay(NOISY, weights), lstsq_fit_decay(NOISY, weights))
+        """A singular J^T J gives lstsq's minimum-norm step: none when it is
+        zero, -G b / tr(G)^2 when G has rank one."""
+        assert fitting._gauss_newton_step(0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
         # J = [[1, 2]] and r = 1: J^T J = [[1, 2], [2, 4]], J^T r = (1, 2).
         step = fitting._gauss_newton_step(1.0, 2.0, 4.0, 1.0, 2.0)
         want, *_ = np.linalg.lstsq(np.array([[1.0, 2.0]]), [-1.0], rcond=None)
@@ -315,7 +296,7 @@ class TestStandardCurve:
     same-sequence moment."""
 
     def test_perfect_channel_is_flat(self):
-        exact = exact_fidelities(build_clifford_set(2, 1), NoiseModel.ideal(2), (50,),
+        exact = exact_fidelities(build_clifford_set(2, 1), ideal_noise(2), (50,),
                                  same_sequence=True)
         assert exact == [pytest.approx(1.0)]
 

@@ -205,7 +205,7 @@ class TestConditionChecker:
 
     def test_label_cap_refuses_large_targets(self):
         """D = 128 has 16384 Pauli labels, past the fixed cap of 4096."""
-        gate_set = build_custom_set([np.eye(128)], 2, 7)
+        gate_set = GateSet(2, 7, "custom", (np.eye(128),))
         with pytest.raises(ValueError, match="16384 labels exceed the cap of 4096"):
             check_condition(gate_set)
 
@@ -220,7 +220,7 @@ class TestConditionChecker:
 
 def _haar_set(dim: int, count: int, seed: int, d: int, n: int):
     rng = np.random.default_rng(seed)
-    return build_custom_set([haar_unitary(dim, rng) for _ in range(count)], d, n)
+    return GateSet(d, n, "custom", tuple(haar_unitary(dim, rng) for _ in range(count)))
 
 
 def _haar_singleton(i: int):

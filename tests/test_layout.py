@@ -1,10 +1,11 @@
 """Layout guards.
 
 `src/corb` holds only code that the library itself calls: a module-level
-function that no `corb` module references (as a name or an attribute) is
-called only from the tests, or from nowhere. Such a helper belongs in
-`tests/` as an oracle, or is deleted. `__init__.py` re-exports do not count
-as references.
+function, or a method of a class, that no `corb` module references (as a
+name or an attribute) is called only from the tests, or from nowhere. Such
+a helper belongs in `tests/` as an oracle, or is deleted. `__init__.py`
+re-exports do not count as references. Dunder methods, which Python calls
+(`__post_init__`, the dataclass hook, among them), need no reference.
 
 The README's "Spec strings" section documents every name and key of the
 spec tables, with the key's type; every int key has a least value.
@@ -38,16 +39,37 @@ def _references(tree: ast.Module) -> set[str]:
     return names
 
 
-def test_every_module_function_has_a_library_caller():
+def _methods(tree: ast.Module) -> list[str]:
+    """Class.method of every method that is not a dunder."""
+    return [f"{node.name}.{item.name}" for node in tree.body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def _library() -> tuple[dict[str, ast.Module], set[str]]:
+    """The tree of each `corb` module, and every name the modules reference."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     referenced = set()
     for name, tree in trees.items():
         if name != "__init__.py":
             referenced |= _references(tree)
+    return trees, referenced
+
+
+def test_every_module_function_has_a_library_caller():
+    trees, referenced = _library()
     unused = [f"{name}:{fn}" for name, tree in trees.items()
               for fn in _module_defs(tree) if fn not in referenced]
     assert not unused, "functions no corb module calls: " + ", ".join(unused)
+
+
+def test_every_method_has_a_library_caller():
+    trees, referenced = _library()
+    unused = [f"{name}:{method}" for name, tree in trees.items()
+              for method in _methods(tree) if method.split(".")[1] not in referenced]
+    assert not unused, "methods no corb module calls: " + ", ".join(unused)
 
 
 def _spec_rows() -> dict[str, str]:
