@@ -49,7 +49,6 @@ from .engine import (
 )
 from .fitting import (
     DecayFit,
-    DeviationScenario,
     DeviationSummary,
     IrbEstimate,
     combined_decay,

@@ -41,7 +41,6 @@ from .engine import (
     run_interleaved_coherent,
 )
 from .fitting import (
-    DeviationScenario,
     combined_decay,
     deviation_experiment,
     fit_records,
@@ -268,9 +267,8 @@ FIG5_LENGTHS = (2, 4, 8, 16, 32, 64)
 
 def _deviation_csv(path: str, summary, mode: str) -> None:
     lines = ["m,repetition,fidelity,reference,deviation"]
-    for m in summary.lengths:
+    for m, fids in summary.fidelities[mode].items():
         reference = summary.amplitude * summary.chi00 ** m
-        fids = summary.fidelities[mode][m]
         devs = summary.deviations[mode][m]
         for rep, (f, dev) in enumerate(zip(fids, devs)):
             lines.append(f"{m},{rep},{f!r},{reference!r},{dev!r}")
@@ -279,30 +277,29 @@ def _deviation_csv(path: str, summary, mode: str) -> None:
 
 def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
                    seed: int, outdir: str):
-    """Run one deviation study; returns its verdict, scenario and summary."""
+    """Run one deviation study; returns its verdict, run config and summary."""
     gate_set = parse_set_spec(set_spec)
     channel = parse_channel_spec(f"infidelity-dephasing:r={infidelity}",
                                  gate_set.dim)
-    scenario = DeviationScenario(
-        name=name,
+    cfg = RbRunConfig(
         gate_set=gate_set,
         noise=NoiseModel(gate_channel=tuple(channel)),
+        lengths=FIG5_LENGTHS,
         k=k,
         repetitions=75,
-        lengths=FIG5_LENGTHS,
         seed=seed,
     )
-    summary = deviation_experiment(scenario)
+    summary = deviation_experiment(cfg)
     for mode in ("coherent", "standard"):
         _deviation_csv(os.path.join(outdir, f"{name}_{mode}.csv"), summary, mode)
     verdict = {
         "scenario": name,
         "set": set_spec,
         "infidelity": infidelity,
-        "k": k,
-        "repetitions": 75,
-        "lengths": list(FIG5_LENGTHS),
-        "seed": seed,
+        "k": cfg.k,
+        "repetitions": cfg.repetitions,
+        "lengths": list(cfg.lengths),
+        "seed": cfg.seed,
         "chi00": summary.chi00,
         "amplitude": summary.amplitude,
         "coherent_max_deviation": summary.max_deviation["coherent"],
@@ -311,7 +308,7 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
             summary.max_deviation["coherent"] <= summary.max_deviation["standard"]
         ),
     }
-    return verdict, scenario, summary
+    return verdict, cfg, summary
 
 
 def _experiment_fig5a(outdir: str, seed: int) -> dict:
@@ -327,15 +324,15 @@ def _experiment_fig5c(outdir: str, seed: int) -> dict:
 
 
 def _experiment_fig5d(outdir: str, seed: int) -> dict:
-    verdict, scenario, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5,
-                                                15, seed, outdir)
+    verdict, cfg, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5,
+                                           15, seed, outdir)
     # Reference-curve comparison: does mixing in the exact standard-RB mean
     # track the finite-k coherent data better than the pure decay law?
-    standard = dict(zip(summary.lengths, exact_fidelities(
-        scenario.gate_set, scenario.noise, summary.lengths, same_sequence=True)))
+    standard = dict(zip(cfg.lengths, exact_fidelities(
+        cfg.gate_set, cfg.noise, cfg.lengths, same_sequence=True)))
     chi00 = summary.chi00
     amplitude = summary.amplitude
-    k = summary.k
+    k = cfg.k
     per_m = summary.fidelities["coherent"]
     rms_pure = rms_combined = 0.0
     series = ["m,mean_fidelity,pure_curve,combined_curve"]

@@ -109,12 +109,14 @@ Conventions:
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
     sample of the expectation (sampled modes only; the full superposition
     refuses shots),
-  * channels with trace gains delta (`noise.trace_gain`, derived once by
-    the NoiseModel) are refused before anything runs when the trace they
-    can add together exceeds FIDELITY_TOL at the longest length m:
+  * a channel that does not act on the set's dimension is refused before
+    anything runs, and so are channels with trace gains delta
+    (`noise.trace_gain`, derived once by the NoiseModel) when the trace
+    they can add together exceeds FIDELITY_TOL at the longest length m:
     (1 + delta_gate)^m (1 + delta_final) - 1, since the final channel acts
-    once, by RbRunConfig and by `_protocol`, or, when interleaving,
-    (1 + delta_gate)^m (1 + delta_interleaved)^m - 1, by `_protocol`,
+    once, by RbRunConfig and by `_protocol` (`_check_noise`), or, when
+    interleaving, (1 + delta_gate)^m (1 + delta_interleaved)^m - 1, by
+    `_protocol`,
   * sequence lengths are integers >= 1, and k, repetitions, shots and the
     seed integers: ints, numpy integers or integral floats, stored as ints;
     any other value is refused, never truncated,
@@ -183,11 +185,7 @@ class RbRunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        dim = self.gate_set.dim
-        _check_shape("gate channel", self.noise.gate_channel[0], dim)
-        _check_shape("final channel", self.noise.final_channel[0], dim)
-        _check_gains(self.lengths[-1], self.noise.gate_gain, "final channel",
-                     self.noise.final_gain, per_position=False)
+        _check_noise(self.gate_set, self.noise, self.lengths[-1])
 
 
 @dataclass(frozen=True)
@@ -235,6 +233,16 @@ def _check_shape(what: str, op, dim: int) -> None:
     if np.shape(op) != (dim, dim):
         raise ValueError(f"{what} has shape {np.shape(op)}; "
                          f"the gate set needs ({dim}, {dim})")
+
+
+def _check_noise(gate_set: GateSet, noise: NoiseModel, longest: int) -> None:
+    """Refuse a noise model whose gate or final channel does not act on the
+    set's dimension, or whose two trace gains could together carry a
+    fidelity past FIDELITY_TOL within `longest` positions (`_check_gains`)."""
+    _check_shape("gate channel", noise.gate_channel[0], gate_set.dim)
+    _check_shape("final channel", noise.final_channel[0], gate_set.dim)
+    _check_gains(longest, noise.gate_gain, "final channel", noise.final_gain,
+                 per_position=False)
 
 
 def _check_gains(longest: int, gate_gain: float, other: str, other_gain: float,
@@ -573,19 +581,20 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
               interleaved_noise: Sequence[np.ndarray] | None = None) -> _Protocol:
     """The protocol every engine runs on, for sequences of up to `longest`
     positions (see the module docstring). Without interleaving, the set's
-    elements and the noise model's gate and final superoperators; an
-    interleaved gate and its channel are checked (`_checked_interleaved`)
-    and derive the stack and both superoperators, since u, N, g, N_g is
-    g u followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as
-    S(g)^dag, so at most two superoperators are built. The trace gains of
-    the channels are checked together (`_check_gains`) over `longest`
-    positions, with the noise model's final channel or, when
-    interleaving, the interleaved channel."""
+    elements and the noise model's gate and final superoperators, once the
+    noise model is checked against the set (`_check_noise`); an
+    interleaved gate and its channel are checked (`_checked_interleaved`),
+    after the shape of the gate channel, and derive the stack and both
+    superoperators, since u, N, g, N_g is g u followed by
+    S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag, so at most
+    two superoperators are built. The trace gains of the gate channel and
+    the interleaved one are checked together (`_check_gains`) over
+    `longest` positions."""
     if interleaved_gate is None:
-        _check_gains(longest, noise.gate_gain, "final channel", noise.final_gain,
-                     per_position=False)
+        _check_noise(gate_set, noise, longest)
         return _Protocol(gate_set.stacked(), None, noise.gate_sop, noise.final_sop)
     dim = gate_set.dim
+    _check_shape("gate channel", noise.gate_channel[0], dim)
     gate, gate_noise, gain = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
     _check_gains(longest, noise.gate_gain, "interleaved gate channel", gain,
                  per_position=True)
@@ -758,30 +767,34 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
 
 
-def _sampled_run(cfg: RbRunConfig, estimate,
-                 modes: tuple[str, ...] | None = None, *,
-                 control_q: float = 1.0,
+def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None, *,
                  interleaved_gate: np.ndarray | None = None,
                  interleaved_noise: Sequence[np.ndarray] | None = None
-                 ) -> tuple[list[FidelityRecord], ...]:
-    """The (length, repetition) task loop of every sampled mode: `estimate`
-    maps the final kernel state of one (k, m) draw of sequence indices to
-    one expected fidelity per mode in `modes` (default: cfg.mode alone),
-    and the records come back as one list per mode. Each mode draws its
-    shots from a fresh tag-1 stream, so its records equal those of a run
-    of that mode alone.
+                 ) -> dict[str, list[FidelityRecord]]:
+    """The (length, repetition) task loop of every sampled mode, with the
+    records of each mode in `modes` (default: cfg.mode alone), by mode.
 
-    Every task evolves one kernel state: k one-branch runs in mode
-    "standard", one k-branch run otherwise. The interleaved gate and its
-    channel are checked (`_protocol`), then the size of the task and that
-    of the gate stack are checked against the budget, before any task
-    starts; the `_Kernel` is built once, before the workers fork."""
+    Every task evolves one kernel state of one (k, m) draw of sequence
+    indices: k one-branch runs when cfg.mode is "standard", one k-branch
+    run otherwise, whose control depolarizes (cfg.noise.control_q) only in
+    mode "coherent-control-noise". Each mode in `modes` reads that state
+    its own way: "standard" as the mean survival of the diagonal blocks
+    (`_branch_survivals`), every other mode as the overlap with the return
+    effect (`_overlap_fidelity`). Each mode draws its shots from a fresh
+    tag-1 stream, so its records equal those of a run of that mode alone.
+
+    The interleaved gate and its channel are checked (`_protocol`), then
+    the size of the task and that of the gate stack are checked against
+    the budget, before any task starts; the `_Kernel` is built once, before
+    the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
     protocol = _protocol(cfg.gate_set, cfg.noise, cfg.lengths[-1], interleaved_gate,
                          interleaved_noise)
     batch, branches = (cfg.k, 1) if cfg.mode == "standard" else (1, cfg.k)
     _check_budget(branches, cfg.gate_set.dim, batch)
+    control_q = cfg.noise.control_q if cfg.mode == "coherent-control-noise" else 1.0
     kernel = _Kernel(protocol, cfg.noise.prep, batch, branches, control_q=control_q)
+    meas_error = cfg.noise.meas_error
 
     def one(task):
         m, rep = task
@@ -789,7 +802,11 @@ def _sampled_run(cfg: RbRunConfig, estimate,
         sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
         state = _evolve(kernel, sequences.reshape(batch, branches, m))
         records = []
-        for mode, fidelity in zip(modes, estimate(state), strict=True):
+        for mode in modes:
+            if mode == "standard":
+                fidelity = float(np.mean(_branch_survivals(state, meas_error)))
+            else:
+                fidelity = _overlap_fidelity(state, meas_error)
             if cfg.shots > 0:
                 shots_rng = child_rng(cfg.seed, m, rep, 1)
                 fidelity = shots_rng.binomial(cfg.shots, fidelity) / cfg.shots
@@ -798,13 +815,7 @@ def _sampled_run(cfg: RbRunConfig, estimate,
 
     tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
     size = cfg.k * cfg.repetitions * sum(cfg.lengths)
-    return tuple(map(list, zip(*_map_tasks(one, tasks, size))))
-
-
-def _coherent_estimate(cfg: RbRunConfig):
-    """Estimator of the sampled coherent modes: one k-branch run, measured
-    with the return effect (1 - eps_m)|psi><psi|, psi = |+>_c (x) |0>."""
-    return lambda state: (_overlap_fidelity(state, cfg.noise.meas_error),)
+    return dict(zip(modes, map(list, zip(*_map_tasks(one, tasks, size)))))
 
 
 def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
@@ -948,14 +959,13 @@ def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     evolved as k one-branch coherent runs: with a one-level control
     register, coherent RB is standard RB."""
     _expect_mode(cfg, "standard")
-    return _sampled_run(cfg, lambda state: (float(np.mean(_branch_survivals(
-        state, cfg.noise.meas_error))),))[0]
+    return _sampled_run(cfg)["standard"]
 
 
 def run_coherent_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Coherent RB with k iid-sampled sequences in superposition."""
     _expect_mode(cfg, "coherent")
-    return _sampled_run(cfg, _coherent_estimate(cfg))[0]
+    return _sampled_run(cfg)["coherent"]
 
 
 def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord]]:
@@ -970,13 +980,7 @@ def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord
     position.
     """
     _expect_mode(cfg, "coherent")
-
-    def both(state):
-        return (_overlap_fidelity(state, cfg.noise.meas_error),
-                float(np.mean(_branch_survivals(state, cfg.noise.meas_error))))
-
-    coherent, standard = _sampled_run(cfg, both, ("coherent", "standard"))
-    return {"coherent": coherent, "standard": standard}
+    return _sampled_run(cfg, ("coherent", "standard"))
 
 
 def run_coherent_full(cfg: RbRunConfig) -> list[FidelityRecord]:
@@ -996,7 +1000,7 @@ def run_coherent_with_control_noise(cfg: RbRunConfig) -> list[FidelityRecord]:
     error opportunity per sequence position.
     """
     _expect_mode(cfg, "coherent-control-noise")
-    return _sampled_run(cfg, _coherent_estimate(cfg), control_q=cfg.noise.control_q)[0]
+    return _sampled_run(cfg)["coherent-control-noise"]
 
 
 def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
@@ -1010,7 +1014,7 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
     interleaved = dict(interleaved_gate=gate, interleaved_noise=gate_noise)
     if full_superposition:
         return _full_run(cfg, **interleaved)
-    return _sampled_run(cfg, _coherent_estimate(cfg), **interleaved)[0]
+    return _sampled_run(cfg, **interleaved)["interleaved"]
 
 
 # The mode table, called as runner(cfg, gate, gate_noise). Each entry looks

@@ -22,7 +22,6 @@ from .engine import FidelityRecord, RbRunConfig, run_coherent_and_standard
 # The single-mode runners stay importable from here: perfbench/spans.py
 # traces the engine by the attributes of the modules that call it.
 from .engine import run_coherent_rb, run_standard_rb  # noqa: F401
-from .gatesets import GateSet
 from .noise import NoiseModel, chi00_of
 
 GN_STEP_TOL = 1e-12
@@ -202,19 +201,6 @@ def irb_extract(fit_ref: DecayFit, fit_interleaved: DecayFit) -> IrbEstimate:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DeviationScenario:
-    """Named comparison cell: set, noise, superposition size, grid, seed."""
-
-    name: str
-    gate_set: GateSet
-    noise: NoiseModel
-    k: int
-    repetitions: int
-    lengths: tuple[int, ...]
-    seed: int
-
-
-@dataclass(frozen=True)
 class DeviationSummary:
     """Per-length |F_k - F_ref| lists for both modes, plus maxima.
 
@@ -222,10 +208,6 @@ class DeviationSummary:
     itself; both modes are compared against the same curve.
     """
 
-    scenario: str
-    lengths: tuple[int, ...]
-    k: int
-    repetitions: int
     amplitude: float
     chi00: float
     fidelities: dict
@@ -244,35 +226,26 @@ def decay_amplitude(noise: NoiseModel) -> float:
     return (1.0 - noise.meas_error) * float(returned.real)
 
 
-def deviation_experiment(scenario: DeviationScenario) -> DeviationSummary:
-    """Run coherent and standard modes, report deviations from A * chi00^m.
+def deviation_experiment(cfg: RbRunConfig) -> DeviationSummary:
+    """Run the coherent config `cfg` and standard RB over the same draws,
+    and report each record's deviation from A * chi00^m.
 
-    Both modes come from one coherent pass over the same draws: the k
-    diagonal control blocks of each final coherent state are the k
+    Both modes come from one coherent pass (`run_coherent_and_standard`):
+    the k diagonal control blocks of each final coherent state are the k
     standard-RB runs of its sequences, each with weight 1/k, so their
     survivals give the standard record (equal to `run_standard_rb` on the
     same seed up to rounding) at no extra evolution.
     """
-    chi00 = chi00_of(scenario.noise.gate_channel)
-    amplitude = decay_amplitude(scenario.noise)
-
-    base = RbRunConfig(
-        gate_set=scenario.gate_set,
-        noise=scenario.noise,
-        lengths=scenario.lengths,
-        k=scenario.k,
-        repetitions=scenario.repetitions,
-        seed=scenario.seed,
-        mode="coherent",
-    )
-    runs = run_coherent_and_standard(base)
+    chi00 = chi00_of(cfg.noise.gate_channel)
+    amplitude = decay_amplitude(cfg.noise)
+    runs = run_coherent_and_standard(cfg)
 
     fidelities: dict = {}
     deviations: dict = {}
     max_dev: dict = {}
     for mode, records in runs.items():
-        per_m_f = {m: [] for m in scenario.lengths}
-        per_m_d = {m: [] for m in scenario.lengths}
+        per_m_f = {m: [] for m in cfg.lengths}
+        per_m_d = {m: [] for m in cfg.lengths}
         for rec in records:
             reference = amplitude * chi00 ** rec.m
             per_m_f[rec.m].append(rec.fidelity)
@@ -282,10 +255,6 @@ def deviation_experiment(scenario: DeviationScenario) -> DeviationSummary:
         max_dev[mode] = max(max(v) for v in per_m_d.values())
 
     return DeviationSummary(
-        scenario=scenario.name,
-        lengths=scenario.lengths,
-        k=scenario.k,
-        repetitions=scenario.repetitions,
         amplitude=amplitude,
         chi00=chi00,
         fidelities=fidelities,

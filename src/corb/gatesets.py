@@ -16,6 +16,7 @@ reach, with its keys and their types.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -249,15 +250,22 @@ def build_clifford_set(d: int, n: int) -> GateSet:
     return GateSet(d, n, "clifford", tuple(elements))
 
 
-def _controlled_element(branch_mats: Sequence[np.ndarray],
-                        dressing: np.ndarray,
-                        target_dim: int) -> np.ndarray:
-    k = len(branch_mats)
-    block = np.zeros((k * target_dim, k * target_dim), dtype=np.complex128)
-    for c, b in enumerate(branch_mats):
-        block[c * target_dim:(c + 1) * target_dim,
-              c * target_dim:(c + 1) * target_dim] = b
-    return tensor(dressing, np.eye(target_dim)) @ block
+def _controlled_paulis(controls: int, d: int) -> tuple[np.ndarray, ...]:
+    """(P_c (x) I) sum_b |b><b| (x) P_b over the Paulis P_c of `controls`
+    control qubits (outermost) and every choice of one dimension-d target
+    Pauli P_b per control basis state b, in `itertools.product` order.
+    Sequence draws index into the stack, so this order is fixed."""
+    branches = 2 ** controls
+    eye = np.eye(d)
+    elements = []
+    for dressing in pauli_basis(2, controls):
+        left = tensor(dressing, eye)
+        for paulis in itertools.product(pauli_basis(d, 1), repeat=branches):
+            block = np.zeros((branches * d, branches * d), dtype=np.complex128)
+            for b, pauli in enumerate(paulis):
+                block[b * d:(b + 1) * d, b * d:(b + 1) * d] = pauli
+            elements.append(left @ block)
+    return tuple(elements)
 
 
 def build_controlled_set(d: int) -> GateSet:
@@ -267,14 +275,7 @@ def build_controlled_set(d: int) -> GateSet:
     P_i ranging over the control-qubit Paulis and P_r, P_s over the
     single-qudit target Paulis: 4 d^4 elements in total.
     """
-    control = [pauli_matrix(l) for l in enumerate_paulis(2, 1)]
-    target = [pauli_matrix(l) for l in enumerate_paulis(d, 1)]
-    elements = []
-    for pi in control:
-        for pr in target:
-            for ps in target:
-                elements.append(_controlled_element((pr, ps), pi, d))
-    return GateSet(*_controlled_dims(d), "controlled", tuple(elements))
+    return GateSet(*_controlled_dims(d), "controlled", _controlled_paulis(1, d))
 
 
 def _controlled_dims(d: int) -> tuple[int, int]:
@@ -287,20 +288,10 @@ def build_two_control_set() -> GateSet:
     """Toffoli-type family: two control qubits, one target qubit.
 
     Same construction as the single-control set with a branch Pauli per
-    control basis state and a two-qubit Pauli dressing on the controls.
+    control basis state and a two-qubit Pauli dressing on the controls:
+    16 * 4^4 = 4096 elements.
     """
-    control = [pauli_matrix(l) for l in enumerate_paulis(2, 2)]
-    target = [pauli_matrix(l) for l in enumerate_paulis(2, 1)]
-    elements = []
-    for pc in control:
-        for ps in target:
-            for pr in target:
-                for pp in target:
-                    for pq in target:
-                        elements.append(
-                            _controlled_element((ps, pr, pp, pq), pc, 2)
-                        )
-    return GateSet(2, 3, "two-control", tuple(elements))
+    return GateSet(2, 3, "two-control", _controlled_paulis(2, 2))
 
 
 def ms_gate(n: int, theta: float) -> np.ndarray:
@@ -342,6 +333,8 @@ def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
 def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:
     """Wrap explicit unitaries as a set on one qudit of their dimension."""
     mats = [as_matrix(m) for m in mats]
+    if not mats:
+        raise ValueError("gate set must contain at least one element")
     return GateSet(mats[0].shape[0], 1, "custom", tuple(mats))
 
 

@@ -15,7 +15,6 @@ import pytest
 from corb.engine import RbRunConfig, run_coherent_full, run_coherent_rb, \
     run_coherent_with_control_noise, run_interleaved_coherent
 from corb.fitting import (
-    DeviationScenario,
     deviation_experiment,
     fit_records,
     irb_extract,
@@ -149,16 +148,15 @@ def test_criterion_4_clifford_enumeration():
 
 def _fig5_summary(label: str, set_builder, k: int):
     channel = infidelity_to_dephasing(1e-4, 2)
-    scenario = DeviationScenario(
-        name=f"fig5{label}",
+    cfg = RbRunConfig(
         gate_set=set_builder,
         noise=NoiseModel(gate_channel=tuple(channel)),
+        lengths=FIG5_LENGTHS,
         k=k,
         repetitions=75,
-        lengths=FIG5_LENGTHS,
         seed=FIG5_SEEDS[label],
     )
-    return deviation_experiment(scenario)
+    return deviation_experiment(cfg)
 
 
 def test_criterion_5_fig5_order_relations():

@@ -1234,6 +1234,23 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
                 RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
 
+    @pytest.mark.parametrize("same_sequence", [False, True], ids=["pair", "same"])
+    @pytest.mark.parametrize("gate_set", [PAULI_2, CLIFFORD_2], ids=["dressed", "dense"])
+    def test_exact_fidelities_checks_the_noise_dimension(self, gate_set, same_sequence):
+        """Called directly, each of the four recursions, with or without an
+        interleaved gate, refuses a noise model on another dimension than
+        the set's with RbRunConfig's message, before anything runs. The
+        dressed pair once returned the qutrit channel's decay, and the
+        other recursions failed inside numpy."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 3)))
+        message = r"^gate channel has shape \(3, 3\); the gate set needs \(2, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            RbRunConfig(gate_set=gate_set, noise=noise, lengths=(1, 2, 3))
+        with pytest.raises(ValueError, match=message):
+            exact_fidelities(gate_set, noise, (1, 2, 3), same_sequence)
+        with pytest.raises(ValueError, match=message):
+            exact_fidelities(gate_set, noise, (1, 2, 3), same_sequence, interleaved_gate=H)
+
     def test_dispatcher_requires_gate_for_interleaved(self):
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                           k=2, mode="interleaved")

@@ -16,7 +16,6 @@ from corb.engine import (
 )
 from corb.fitting import (
     DecayFit,
-    DeviationScenario,
     combined_decay,
     deviation_experiment,
     fit_decay,
@@ -348,13 +347,12 @@ class TestStandardSelfConsistency:
 class TestDeviationExperiment:
     @staticmethod
     def small_scenario(seed=91):
-        return DeviationScenario(
-            name="small",
+        return RbRunConfig(
             gate_set=build_pauli_set(2, 1),
             noise=NoiseModel(gate_channel=tuple(dephasing_kraus(0.001, 2))),
+            lengths=(1, 2, 4),
             k=5,
             repetitions=6,
-            lengths=(1, 2, 4),
             seed=seed,
         )
 
@@ -384,11 +382,8 @@ class TestDeviationExperiment:
         """Both modes come from one coherent pass: the coherent fidelities
         are those of `run_coherent_rb`, the standard ones those of
         `run_standard_rb` on the same draws, up to rounding."""
-        scenario = self.small_scenario()
-        summary = deviation_experiment(scenario)
-        base = RbRunConfig(gate_set=scenario.gate_set, noise=scenario.noise,
-                           lengths=scenario.lengths, k=scenario.k,
-                           repetitions=scenario.repetitions, seed=scenario.seed)
+        base = self.small_scenario()
+        summary = deviation_experiment(base)
         runs = {"coherent": run_coherent_rb(base),
                 "standard": run_standard_rb(replace(base, mode="standard"))}
         for mode, records in runs.items():
@@ -417,9 +412,9 @@ class TestDeviationExperiment:
         from corb.noise import identity_kraus
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
                            final_gate_channel=tuple(identity_kraus(2)))
-        summary = deviation_experiment(DeviationScenario(
-            name="xcheck", gate_set=build_pauli_set(2, 1), noise=noise,
-            k=4, repetitions=2, lengths=(1, 2, 3), seed=17))
+        summary = deviation_experiment(RbRunConfig(
+            gate_set=build_pauli_set(2, 1), noise=noise,
+            lengths=(1, 2, 3), k=4, repetitions=2, seed=17))
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1), noise=noise,
                           lengths=(1, 2, 3), mode="coherent-full")
         for record in run_coherent_full(cfg):

@@ -20,7 +20,7 @@ from corb.gatesets import (
     set_spec_dims,
 )
 from corb.linalg import unitarity_defect
-from corb.paulis import PauliLabel, pauli_matrix
+from corb.paulis import PauliLabel, enumerate_paulis, pauli_matrix
 from helpers import (
     check_condition_per_label,
     haar_unitary,
@@ -91,6 +91,22 @@ class TestControlledFamily:
         assert len(tc) == 4 * 4 * 4 ** 4
         assert tc.dim == 8
         assert check_condition(tc).passed
+
+    def test_two_control_order(self):
+        """Element 256 c + 64 t_0 + 16 t_1 + 4 t_2 + t_3 is
+        (P_c (x) I) sum_b |b><b| (x) P_{t_b}, with P_c the c-th two-qubit
+        Pauli and P_t the t-th qubit Pauli: sequence draws index into the
+        stack, so the order is part of the set."""
+        tc = build_two_control_set()
+        controls = [pauli_matrix(l) for l in enumerate_paulis(2, 2)]
+        targets = [pauli_matrix(l) for l in enumerate_paulis(2, 1)]
+        projectors = [np.diag(row) for row in np.eye(4)]
+        for index in (0, 1, 77, 1234, 2730, 4095):
+            c, rest = divmod(index, 256)
+            digits = (rest // 64, rest // 16 % 4, rest // 4 % 4, rest % 4)
+            branches = sum(np.kron(projectors[b], targets[t]) for b, t in enumerate(digits))
+            expected = np.kron(controls[c], np.eye(2)) @ branches
+            assert np.max(np.abs(tc.elements[index] - expected)) < 1e-12, index
 
 
 class TestMsFamily:
@@ -346,6 +362,10 @@ class TestGateSetInvariants:
         gs = build_pauli_set(2, 1)
         with pytest.raises(ValueError):
             gs.elements[0][0, 0] = 5.0
+
+    def test_rejects_an_empty_custom_set(self):
+        with pytest.raises(ValueError, match="^gate set must contain at least one element$"):
+            build_custom_set([])
 
     def test_rejects_non_unitary_element(self):
         with pytest.raises(ValueError):

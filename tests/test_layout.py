@@ -7,6 +7,9 @@ a helper belongs in `tests/` as an oracle, or is deleted. `__init__.py`
 re-exports do not count as references. Dunder methods, which Python calls
 (`__post_init__`, the dataclass hook, among them), need no reference.
 
+Every import of a `corb` module (other than the re-exports of
+`__init__.py`) and of a test module is used by that module.
+
 The README's "Spec strings" section documents every name and key of the
 spec tables, with the key's type; every int key has a least value.
 """
@@ -20,6 +23,7 @@ from corb.gatesets import _FAMILIES
 from corb.noise import _CHANNELS
 
 SRC = pathlib.Path(corb.__file__).parent
+TESTS = pathlib.Path(__file__).resolve().parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 TYPE_NAMES = {int: "int", float: "float", str: "file"}
 
@@ -70,6 +74,34 @@ def test_every_method_has_a_library_caller():
     unused = [f"{name}:{method}" for name, tree in trees.items()
               for method in _methods(tree) if method.split(".")[1] not in referenced]
     assert not unused, "methods no corb module calls: " + ", ".join(unused)
+
+
+# perfbench/spans.py traces the engine through these attributes of
+# corb.fitting (its TARGETS), which corb.fitting itself never calls.
+TRACED_IMPORTS = {"corb/fitting.py:run_coherent_rb", "corb/fitting.py:run_standard_rb"}
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """Every name an import statement binds, at any depth."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_import_is_used():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    unused = []
+    for path in paths + sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        where = f"{path.parent.name}/{path.name}:"
+        unused += [where + name for name in _imported(tree)
+                   if name not in used and where + name not in TRACED_IMPORTS]
+    assert not unused, "imports no code uses: " + ", ".join(unused)
 
 
 def _spec_rows() -> dict[str, str]:
