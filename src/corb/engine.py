@@ -6,7 +6,8 @@ standard RB (k independent sequences, no control register), coherent RB
 (k sequences in superposition, entangled with a k-level control that may
 depolarize), interleaved coherent RB (a fixed gate after every random
 gate in all branches), and the full |G|^m superposition. `run` dispatches
-through one mode table.
+through one mode table and refuses an interleaved gate or channel in every
+mode but `interleaved`.
 
 Every engine runs on one triple, built by `_protocol`: the stack each
 position draws its gate from, the position channel that follows every
@@ -84,8 +85,9 @@ channel and M the joint moment of the pair's gates (u, v) from the stack:
     dense D^4 x D^4 matrix, one (D^4, |G|) x (|G|, D^4) product, refused
     like a task when its arrays exceed STATE_BUDGET_BYTES.
 For a stack dressed by (L, R), element i = L P_i R over all D^2 Weyl
-operators P_i (a set with `GateSet.dressing` R has L = I, and the same
-set interleaved with g has L = g), the average over P_i makes both steps
+operators P_i (a set whose elements are such a coset has
+`GateSet.dressing` R and L = I, and the same set interleaved with g has
+L = g), the average over P_i makes both steps
 closed forms, and no stack and no moment is built:
   * independent pair: A = vec(I) vec(I)^T / D exactly, so R_t = c_t I with
     c_t = c_{t-1} tr(S) / D^2;
@@ -592,7 +594,7 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
     `longest` positions."""
     if interleaved_gate is None:
         _check_noise(gate_set, noise, longest)
-        return _Protocol(gate_set.stacked(), None, noise.gate_sop, noise.final_sop)
+        return _Protocol(gate_set.elements, None, noise.gate_sop, noise.final_sop)
     dim = gate_set.dim
     _check_shape("gate channel", noise.gate_channel[0], dim)
     gate, gate_noise, gain = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
@@ -602,7 +604,7 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
     position_sop = gate_sop @ noise.gate_sop
     if gate_noise is not None:
         position_sop = superop(gate_noise) @ position_sop
-    return _Protocol(gate_set.stacked(), gate, position_sop @ gate_sop.conj().T,
+    return _Protocol(gate_set.elements, gate, position_sop @ gate_sop.conj().T,
                      np.eye(dim * dim, dtype=np.complex128))
 
 
@@ -1033,7 +1035,12 @@ MODES = tuple(_RUNNERS)
 def run(cfg: RbRunConfig, *, interleaved_gate: np.ndarray | None = None,
         interleaved_noise: Sequence[np.ndarray] | None = None
         ) -> list[FidelityRecord]:
-    """Run cfg.mode through the mode table; interleaved mode needs the gate."""
+    """Run cfg.mode through the mode table. Interleaved mode needs the gate;
+    every other mode refuses an interleaved gate or channel, which it would
+    not apply."""
     if cfg.mode == "interleaved" and interleaved_gate is None:
         raise ValueError("interleaved mode needs an interleaved gate")
+    if cfg.mode != "interleaved" and (interleaved_gate is not None
+                                      or interleaved_noise is not None):
+        raise ValueError(f"mode {cfg.mode} takes no interleaved gate or channel")
     return _RUNNERS[cfg.mode](cfg, interleaved_gate, interleaved_noise)

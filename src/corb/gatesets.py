@@ -8,8 +8,9 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u]. A Pauli-dressed set knows
-its dressing (`GateSet.dressing`), from which the exact evaluator takes
+from the set's first moment E[conj(u) (x) u]. A set is its elements: a
+Pauli-dressed set {P_i R}, whatever family built it, is recognized from
+them, and its dressing R (`GateSet.dressing`) gives the exact evaluator
 its closed forms. `_FAMILIES` names every family a spec string can
 reach, with its keys and their types.
 """
@@ -25,13 +26,7 @@ import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices, read_matrix
 from .linalg import TOL, as_matrix, assert_unitary, tensor
-from .paulis import (
-    PauliLabel,
-    enumerate_paulis,
-    label_index,
-    pauli_basis,
-    pauli_matrix,
-)
+from .paulis import PauliLabel, enumerate_paulis, omega, pauli_basis, pauli_matrix
 
 CLOSURE_PRODUCT_CAP = 200_000
 FINGERPRINT_DECIMALS = 8
@@ -43,23 +38,22 @@ CLIFFORD_SIZES = {(2, 1): 24, (3, 1): 216, (2, 2): 11520}
 
 @dataclass(frozen=True)
 class GateSet:
-    """Ordered list of unitaries on (C^d)^(x)n with family metadata.
+    """Ordered unitaries on (C^d)^(x)n with family metadata, kept as one
+    read-only (|G|, D, D) stack, `elements`.
 
-    `dressing` is derived, not given: when the labels name each of the D^2
-    Weyl operators once and element i is P_i R for the Weyl operator P_i
-    of `labels[i]` and one unitary R (R = I for Pauli sets, R = U for the
-    dressed families `ms` and `dressed`), it is R, taken from the first
-    element and checked against every element within TOL.structural;
-    otherwise it is None. The exact evaluator takes its closed forms from
-    it (`engine.exact_fidelities`).
+    `dressing` is derived from the elements alone: when |G| = D^2 and every
+    U_i U_0^dag is a phase times a distinct Weyl operator X^x Z^z, element i
+    is P_i R up to phase for the D^2 Weyl operators P_i and R = U_0 (R = I
+    for Pauli sets, R = U for the dressed families `ms` and `dressed`, and
+    any Pauli coset, in any order and with any phases, for `custom`), and
+    it is R; otherwise it is None. The exact evaluator takes its closed
+    forms from it (`engine.exact_fidelities`).
     """
 
     d: int
     n: int
     family: str
-    elements: tuple[np.ndarray, ...]
-    labels: tuple | None = None
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    elements: np.ndarray
     dressing: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,11 +68,9 @@ class GateSet:
                     f"element {i} has shape {u.shape}, expected ({dim}, {dim})"
                 )
             checked.append(u)
-        # The elements are views of one read-only stack, so `stacked()` is free.
         stack = np.stack(checked)
         stack.flags.writeable = False
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
+        object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "dressing", self._derived_dressing())
 
     def __len__(self) -> int:
@@ -88,25 +80,36 @@ class GateSet:
     def dim(self) -> int:
         return self.d ** self.n
 
-    def stacked(self) -> np.ndarray:
-        """The (|G|, D, D) read-only stack of the elements, built once."""
-        return self._stack
-
     def _derived_dressing(self) -> np.ndarray | None:
-        """R with element i = P_i R for every i, or None (see the class
-        docstring)."""
-        labels = self.labels or ()
-        if not all(isinstance(l, PauliLabel) and (l.d, l.n) == (self.d, self.n)
-                   for l in labels):
+        """R = U_0 when each product U_i U_0^dag is c_i X^x Z^z for a phase
+        c_i and distinct (x, z), else None (see the class docstring).
+
+        X^x Z^z |s> = w^(z.s) |s + x>, so the largest entry of column 0 of
+        a product sits in row x and is c_i, and column |e_j>, with a one at
+        site j, holds c_i w^(z_j) in row x + e_j, read as the nearest power
+        of w. The candidates c_i X^x Z^z are subtracted from the products in
+        one scatter and the residual is compared with TOL.structural."""
+        d, n, dim = self.d, self.n, self.dim
+        count = len(self.elements)
+        if count != dim * dim:
             return None
-        order = [label_index(l) for l in labels]
-        if len(self._stack) != len(order) or sorted(order) != list(range(self.dim ** 2)):
+        right = self.elements[0]
+        products = self.elements @ right.conj().T
+        rows = np.arange(count)[:, None]
+        places = d ** np.arange(n - 1, -1, -1)  # site 0 is the leading digit
+        digits = np.arange(dim)[:, None] // places % d
+        x = np.argmax(np.abs(products[:, :, 0]), axis=1)
+        phases = products[rows[:, 0], x, 0]
+        # shifted[i, s] is the row of s + x_i, where column s holds its entry.
+        shifted = (digits[x][:, None, :] + digits) % d @ places
+        sites = products[rows, shifted[:, places], places] / phases[:, None]
+        roots = omega(d) ** np.arange(d)
+        z = np.argmin(np.abs(sites[:, :, None] - roots), axis=2)
+        products[rows, shifted, np.arange(dim)] -= phases[:, None] * roots[z @ digits.T % d]
+        # count = D^2 codes below D^2 are distinct when each occurs once.
+        distinct = np.all(np.bincount(x * dim + z @ places, minlength=count) == 1)
+        if not (distinct and np.max(np.abs(products)) <= TOL.structural):
             return None
-        paulis = pauli_basis(self.d, self.n)[order]
-        right = paulis[0].conj().T @ self._stack[0]
-        if not np.max(np.abs(paulis @ right - self._stack)) <= TOL.structural:
-            return None
-        right.setflags(write=False)
         return right
 
 
@@ -149,7 +152,7 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
     labels = enumerate_paulis(gate_set.d, gate_set.n)
     dim = gate_set.dim
     basis = pauli_basis(gate_set.d, gate_set.n).reshape(len(labels), dim * dim)
-    twirls = basis @ _first_moment(gate_set.stacked())
+    twirls = basis @ _first_moment(gate_set.elements)
     twirls *= len(gate_set)
     twirls[0] -= len(gate_set) * np.eye(dim).ravel()
     residuals = np.max(np.abs(twirls), axis=1)
@@ -164,9 +167,7 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
 
 def build_pauli_set(d: int, n: int) -> GateSet:
     """The d^{2n} Pauli words on n qudits of dimension d."""
-    # The cached basis, which the dressing is checked against, is the words.
-    return GateSet(d, n, "pauli", tuple(pauli_basis(d, n)),
-                   labels=tuple(enumerate_paulis(d, n)))
+    return GateSet(d, n, "pauli", pauli_basis(d, n))
 
 
 def _phase_fingerprint(m: np.ndarray) -> bytes:
@@ -314,9 +315,7 @@ def build_ms_dressed_set(n: int, theta: float) -> GateSet:
     """Pauli-dressed entangling gates M_i = P_i U_n(theta), any angle."""
     labels = enumerate_paulis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
     u = ms_gate(n, theta)
-    return GateSet(2, n, "ms",
-                   tuple(pauli_matrix(l) @ u for l in labels),
-                   labels=tuple(labels))
+    return GateSet(2, n, "ms", tuple(pauli_matrix(l) @ u for l in labels))
 
 
 def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
@@ -324,10 +323,8 @@ def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
     u = assert_unitary(u, what="dressing unitary")
     if u.shape[0] != d ** n:
         raise ValueError(f"unitary dimension {u.shape[0]} != {d ** n}")
-    labels = enumerate_paulis(d, n)
     return GateSet(d, n, "dressed",
-                   tuple(pauli_matrix(l) @ u for l in labels),
-                   labels=tuple(labels))
+                   tuple(pauli_matrix(l) @ u for l in enumerate_paulis(d, n)))
 
 
 def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:

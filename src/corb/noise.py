@@ -62,11 +62,14 @@ def dephasing_kraus(p: float, d: int = 2) -> list[np.ndarray]:
     return kraus
 
 
-def depolarizing_kraus(p: float, d: int = 2, n: int = 1) -> list[np.ndarray]:
-    """Uniform Pauli noise: rho -> (1-p) rho + p I/d^n."""
+def depolarizing_kraus(p: float, d: int = 2) -> list[np.ndarray]:
+    """Uniform Pauli noise on dimension d: rho -> (1-p) rho + p I/d. The
+    Weyl basis of one qudit of dimension d suffices for any split of d
+    into qudits, since sum_a P_a rho P_a^dag = d tr(rho) I for every Weyl
+    basis."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    basis = pauli_basis(d, n)
+    basis = pauli_basis(d, 1)
     size = basis.shape[0]
     kraus = [np.sqrt(1.0 - p * (size - 1) / size) * basis[0].copy()]
     for mat in basis[1:]:
@@ -175,7 +178,7 @@ class NoiseModel:
 _CHANNELS = {
     "identity": SpecEntry({}, identity_kraus),
     "dephasing": SpecEntry({"p": float}, lambda dim, p: dephasing_kraus(p, dim)),
-    "depolarizing": SpecEntry({"p": float}, lambda dim, p: depolarizing_kraus(p, dim, 1)),
+    "depolarizing": SpecEntry({"p": float}, lambda dim, p: depolarizing_kraus(p, dim)),
     "infidelity-dephasing": SpecEntry({"r": float},
                                       lambda dim, r: infidelity_to_dephasing(r, dim)),
     "kraus": SpecEntry(None, lambda dim, path: check_kraus(read_matrices(path))),

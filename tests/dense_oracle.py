@@ -115,7 +115,7 @@ def dense_coherent_state(gate_set, noise, sequences, *, control_q=1.0,
     sequences = np.asarray(sequences)
     k, m = sequences.shape
     dim = gate_set.dim
-    stack = gate_set.stacked()
+    stack = gate_set.elements
 
     def on_target(kraus):
         return [np.kron(np.eye(k), op) for op in kraus]

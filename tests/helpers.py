@@ -72,6 +72,24 @@ def random_phase_channel(d: int, n_kraus: int, rng: np.random.Generator) -> list
 # Channels: the noiseless model, Kraus <-> chi, composition, fidelities
 # ---------------------------------------------------------------------------
 
+def shuffled_coset(d: int, n: int, rng: np.random.Generator) -> GateSet:
+    """The `custom` set {c_i P_pi(i) U} over the Weyl operators P of (d, n),
+    for a random permutation pi, random phases c_i and a Haar-random U."""
+    dim = d ** n
+    phases = np.exp(2j * np.pi * rng.random(dim * dim))[:, None, None]
+    paulis = pauli_basis(d, n)[rng.permutation(dim * dim)]
+    return GateSet(d, n, "custom", phases * paulis @ haar_unitary(dim, rng))
+
+
+def undressed(gate_set: GateSet) -> GateSet:
+    """A `custom` copy of the elements with no dressing, so that the exact
+    evaluator takes its dense recursion on them: the oracle of the closed
+    forms of a dressed set."""
+    copy = GateSet(gate_set.d, gate_set.n, "custom", gate_set.elements)
+    object.__setattr__(copy, "dressing", None)
+    return copy
+
+
 def ideal_noise(dim: int = 2) -> NoiseModel:
     """The noiseless model on a dim-level target: identity channels, no SPAM."""
     return NoiseModel(gate_channel=tuple(identity_kraus(dim)))
@@ -143,7 +161,7 @@ def avg_state_fidelity(gate_set, phi: np.ndarray) -> float:
             raise ValueError("state must be pure")
         phi = vecs[:, np.argmax(vals)]
     phi = phi / np.linalg.norm(phi)
-    amps = np.einsum("a,gab,b->g", phi.conj(), gate_set.stacked(), phi)
+    amps = np.einsum("a,gab,b->g", phi.conj(), gate_set.elements, phi)
     return float(np.mean(np.abs(amps) ** 2))
 
 
@@ -221,7 +239,7 @@ def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
     tolerance = TOL.channel * len(gate_set)
     labels = enumerate_paulis(gate_set.d, gate_set.n)
     basis = pauli_basis(gate_set.d, gate_set.n)
-    stack = gate_set.stacked()
+    stack = gate_set.elements
     conj = stack.conj()
     eye = np.eye(gate_set.dim)
     worst = -1.0
@@ -247,7 +265,7 @@ def normalizer_residual(gate_set: GateSet, cap: int = DEFAULT_LABEL_CAP) -> floa
     basis = pauli_basis(gate_set.d, gate_set.n)
     if basis.shape[0] > cap:
         raise ValueError(f"{basis.shape[0]} labels exceed the cap of {cap}")
-    stack = gate_set.stacked()
+    stack = gate_set.elements
     dim = gate_set.dim
     rows = np.arange(len(stack))
     worst = 0.0

@@ -632,7 +632,8 @@ class TestRunCommand:
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1), noise=noise,
                           lengths=(1, 2, 3), k=3, repetitions=2, seed=5,
                           mode=mode)
-        records = run(cfg, interleaved_gate=H)
+        gate = H if mode == "interleaved" else None
+        records = run(cfg, interleaved_gate=gate)
         assert len(records) == 6 and {r.mode for r in records} == {mode}
         rows, _ = read_records(out)
         assert [FidelityRecord(**r) for r in rows] == records

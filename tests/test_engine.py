@@ -73,8 +73,10 @@ from helpers import (
     kraus_to_chi,
     random_channel,
     random_phase_channel,
+    shuffled_coset,
     simulate_coherent,
     simulate_standard,
+    undressed,
 )
 from dense_oracle import apply_channel as dense_apply_channel
 from dense_oracle import dense_coherent, dense_coherent_state, pack, unpack
@@ -266,14 +268,18 @@ class TestEnumerationOracle:
 
 
 def _dressed_families():
-    """Every Pauli-dressed family at D <= 8, qudits included."""
+    """Every Pauli-dressed family at D <= 8, qudits included, and `custom`
+    cosets {c_i P_pi(i) U}, shuffled and phased (`shuffled_coset`), each
+    dressed from its elements alone."""
     rng = np.random.default_rng(65)
     return {"pauli(2,1)": PAULI_2, "pauli(3,1)": build_pauli_set(3, 1),
             "pauli(2,2)": build_pauli_set(2, 2), "pauli(2,3)": build_pauli_set(2, 3),
             "ms(2)": build_ms_dressed_set(2, 0.3), "ms(3)": build_ms_dressed_set(3, 0.7),
             "dressed(2,1)": build_dressed_set(haar_unitary(2, rng), 2, 1),
             "dressed(3,1)": build_dressed_set(haar_unitary(3, rng), 3, 1),
-            "dressed(2,2)": build_dressed_set(haar_unitary(4, rng), 2, 2)}
+            "dressed(2,2)": build_dressed_set(haar_unitary(4, rng), 2, 2),
+            **{f"coset({d},{n})": shuffled_coset(d, n, rng)
+               for d, n in ((2, 1), (3, 1), (2, 2))}}
 
 
 DRESSED = _dressed_families()
@@ -283,7 +289,8 @@ class TestDressedMoments:
     """For a set dressed by (L, R), `exact_fidelities` runs closed forms:
     a scalar decay for the independent pair, a D^2-vector of
     Pauli-transfer weights for the same sequence. The dense recursion,
-    run on a `custom` copy of the same elements, is their oracle."""
+    run on an undressed copy of the same elements (`undressed`), is their
+    oracle."""
 
     @pytest.mark.parametrize("name", DRESSED)
     def test_pair_moment_is_rank_one(self, name):
@@ -293,7 +300,7 @@ class TestDressedMoments:
         dim = gate_set.dim
         want = np.outer(np.eye(dim).ravel(), np.eye(dim).ravel()) / dim
         g = haar_unitary(dim, np.random.default_rng(66))
-        for stack in (gate_set.stacked(), g @ gate_set.stacked()):
+        for stack in (gate_set.elements, g @ gate_set.elements):
             assert np.max(np.abs(_first_moment(stack) - want)) <= 1e-12
 
     @pytest.mark.parametrize("name", DRESSED)
@@ -308,7 +315,8 @@ class TestDressedMoments:
                            prep_error=0.01, meas_error=0.02)
         interleaved = dict(interleaved_gate=haar_unitary(dim, rng),
                            interleaved_noise=random_channel(dim, 2, rng))
-        dense = GateSet(gate_set.d, gate_set.n, "custom", gate_set.elements)
+        assert gate_set.dressing is not None
+        dense = undressed(gate_set)
         lengths = (1, 2, 3, 6)
         for kwargs in ({}, interleaved):
             for same_sequence in (False, True):
@@ -321,13 +329,12 @@ class TestDressedMoments:
 
     def test_left_and_right_dressing_equal_the_dense_recursion(self):
         """The same-sequence transfer of a stack {L P_i R} with Haar-random
-        L and R, against the dense recursion of the `custom` set of those
-        elements (whose labels are unknown, so it records no dressing)."""
+        L and R, against the dense recursion of an undressed copy of those
+        elements."""
         rng = np.random.default_rng(70)
         qutrit = build_pauli_set(3, 1)
         left, right = haar_unitary(3, rng), haar_unitary(3, rng)
-        dense = build_custom_set(left @ qutrit.stacked() @ right)
-        assert dense.dressing is None
+        dense = undressed(build_custom_set(left @ qutrit.elements @ right))
         noise = NoiseModel(gate_channel=tuple(random_channel(3, 2, rng)),
                            final_gate_channel=tuple(random_channel(3, 2, rng)),
                            prep_error=0.01, meas_error=0.02)
@@ -367,7 +374,7 @@ class TestDressedMoments:
         gate, final = random_channel(dim, 2, rng), random_channel(dim, 2, rng)
         noise = NoiseModel(gate_channel=tuple(gate), final_gate_channel=tuple(final),
                            prep_error=0.01, meas_error=0.02)
-        paulis = gate_set.stacked()
+        paulis = gate_set.elements
 
         def apply(kraus, ops):
             return sum(k @ ops @ k.conj().T for k in kraus)
@@ -429,11 +436,11 @@ class TestInterleavingIsDerived:
         rng = np.random.default_rng(72)
         noise = NoiseModel(
             gate_channel=tuple(kraus_compose([small_rotation(dim, 0.05, rng)],
-                                             depolarizing_kraus(0.03, 2, n))),
+                                             depolarizing_kraus(0.03, 2 ** n))),
             final_gate_channel=tuple(random_channel(dim, 2, rng)),
             prep_error=0.04, meas_error=0.02)
         gate_noise = kraus_compose([small_rotation(dim, 0.08, rng)],
-                                   depolarizing_kraus(0.05, 2, n))
+                                   depolarizing_kraus(0.05, 2 ** n))
         derived_set = GateSet(gate_set.d, n, "custom",
                               tuple(gate @ u for u in gate_set.elements))
         position = np.einsum("iab,bc,jcd,de->ijae", np.stack(gate_noise), gate,
@@ -774,6 +781,33 @@ class TestInterleaved:
         with pytest.raises(ValueError):
             run_interleaved_coherent(cfg, np.ones((2, 2)))
 
+    def test_interleaved_mode_needs_the_gate(self):
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
+                          k=2, mode="interleaved")
+        with pytest.raises(ValueError, match="^interleaved mode needs an interleaved gate$"):
+            run(cfg, interleaved_noise=dephasing_kraus(0.01, 2))
+
+    @pytest.mark.parametrize("given", ["gate", "channel"])
+    @pytest.mark.parametrize("mode", [m for m in MODES if m != "interleaved"])
+    def test_other_modes_refuse_an_interleaved_gate_or_channel(self, mode, given):
+        """Every other mode would run without them, so `run` refuses them
+        rather than drop them."""
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
+                          k=2, mode=mode)
+        kwargs = {"gate": dict(interleaved_gate=H),
+                  "channel": dict(interleaved_noise=dephasing_kraus(0.01, 2))}[given]
+        with pytest.raises(ValueError,
+                           match=f"^mode {mode} takes no interleaved gate or channel$"):
+            run(cfg, **kwargs)
+
+
+def _interleaving(mode: str, gate: np.ndarray, gate_noise=None) -> dict:
+    """The interleaved gate and channel as `run` takes them: in interleaved
+    mode only."""
+    if mode != "interleaved":
+        return {}
+    return dict(interleaved_gate=gate, interleaved_noise=gate_noise)
+
 
 class TestControlNoise:
     def test_q_one_identical_to_coherent(self):
@@ -811,7 +845,7 @@ class TestDeterminism:
         with CORB_THREADS unset, 1 and 2; 2 goes through the process pool."""
         dephasing = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)),
                                control_q=0.9)
-        depolarizing = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2, 1)))
+        depolarizing = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2)))
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=dephasing, lengths=(2, 4, 8),
                           k=8, repetitions=3, seed=7)
         runners = (
@@ -935,7 +969,7 @@ class TestOperatorTraffic:
     NoiseModel built once: no call of `noise.superop` in a full run, and
     none inside the tasks of a sampled run."""
 
-    NOISE = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2, 1)),
+    NOISE = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2)),
                        final_gate_channel=tuple(dephasing_kraus(0.03, 2)),
                        control_q=0.9, prep_error=0.02, meas_error=0.01)
 
@@ -983,7 +1017,7 @@ class TestOperatorTraffic:
         superoperator once, from the gate and its channel."""
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
                           k=3, repetitions=2, mode=mode)
-        records = run(cfg, interleaved_gate=H, interleaved_noise=dephasing_kraus(0.01, 2))
+        records = run(cfg, **_interleaving(mode, H, dephasing_kraus(0.01, 2)))
         assert len(records) == 6
         assert calls == (["run"] * 2 if mode == "interleaved" else [])
 
@@ -1336,7 +1370,7 @@ class TestFidelityRange:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,), k=2,
                           mode=mode)
         with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
-            run(cfg, interleaved_gate=H, interleaved_noise=noise.gate_channel)
+            run(cfg, **_interleaving(mode, H, noise.gate_channel))
 
     @pytest.mark.parametrize("channel", ["gate", "final"])
     def test_trace_gaining_channel_is_refused(self, channel):
@@ -1418,7 +1452,7 @@ class TestFidelityRange:
         noise = self._gaining(1e-13)
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(10,), k=2,
                           mode=mode)
-        records = run(cfg, interleaved_gate=H)
+        records = run(cfg, **_interleaving(mode, H))
         assert [r.fidelity for r in records] == [1.0]
 
 

@@ -26,6 +26,7 @@ from helpers import (
     haar_unitary,
     normalizer_residual,
     sequence_inverse,
+    shuffled_coset,
     write_matrices,
 )
 
@@ -161,50 +162,50 @@ class TestDressedFamily:
 
 
 class TestDressing:
-    """A set whose labels name each Weyl operator once and whose element i
-    is P_i R records R as its dressing; every other set records None."""
+    """A set of D^2 elements whose products U_i U_0^dag are phases times
+    distinct Weyl operators records R = U_0 as its dressing, whatever
+    family built it; every other set records None."""
 
     def test_builders_record_their_dressing(self):
         u = haar_unitary(4, np.random.default_rng(8))
         cases = [(build_pauli_set(3, 1), np.eye(3)), (build_pauli_set(2, 2), np.eye(4)),
                  (build_ms_dressed_set(2, 0.4), ms_gate(2, 0.4)),
-                 (build_dressed_set(u, 2, 2), u)]
+                 (build_dressed_set(u, 2, 2), u),
+                 (build_custom_set(build_pauli_set(2, 1).elements), I2)]
         for gate_set, right in cases:
             np.testing.assert_allclose(gate_set.dressing, right, rtol=0, atol=1e-15)
             assert not gate_set.dressing.flags.writeable
         for gate_set in (build_clifford_set(2, 1), build_controlled_set(2),
-                         build_custom_set(build_pauli_set(2, 1).elements)):
+                         build_custom_set([I2, Z, X, H])):
             assert gate_set.dressing is None
 
-    def test_labels_in_any_order(self):
-        """The dressed set of H with its elements and labels reversed."""
-        ds = build_dressed_set(H, 2, 1)
-        reordered = GateSet(2, 1, "dressed", ds.elements[::-1], labels=ds.labels[::-1])
-        np.testing.assert_allclose(reordered.dressing, H, rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_a_coset_in_any_order_and_phase(self, d, n):
+        """{c_i P_pi(i) U} for a random permutation pi, random phases c_i
+        and a Haar-random U records its first element."""
+        gate_set = shuffled_coset(d, n, np.random.default_rng(10 * d + n))
+        assert gate_set.family == "custom"
+        np.testing.assert_array_equal(gate_set.dressing, gate_set.elements[0])
 
-    @pytest.mark.parametrize("case", ["left-factor", "swapped-labels", "repeated-label",
-                                      "qutrit-label", "other-labels", "no-labels",
-                                      "too-few", "more-labels"])
+    @pytest.mark.parametrize("case", ["left-factor", "too-few", "repeated-element",
+                                      "monomial", "perturbed"])
     def test_a_set_that_is_not_dressed_records_none(self, case):
         """The dressed set of H with a part replaced: elements g P_i H for
-        a Haar-random g, labels out of step with the elements, labels that
-        do not name each Weyl operator once, more labels than elements, or
-        no labels."""
-        ds = build_dressed_set(H, 2, 1)
-        elements, labels = ds.elements, list(ds.labels)
+        a Haar-random g, three of its elements, its first element again
+        (times i) in place of the last, S H in place of the last (S U_0^dag
+        is a phase matrix but no phase times a Weyl operator), or the last
+        turned by an angle of 1e-6, past TOL.structural."""
+        elements = build_dressed_set(H, 2, 1).elements
         g = haar_unitary(2, np.random.default_rng(9))
-        elements, labels = {
-            "left-factor": (tuple(g @ u for u in elements), labels),
-            "swapped-labels": (elements, [labels[1], labels[0]] + labels[2:]),
-            "repeated-label": (elements, labels[:3] + labels[:1]),
-            "qutrit-label": (elements, labels[:3] + [PauliLabel(3, 1, (1,), (0,))]),
-            "other-labels": (elements, ["I", "X", "Y", "Z"]),
-            "no-labels": (elements, None),
-            "too-few": (elements[:3], labels[:3]),
-            "more-labels": (elements[:3], labels),
+        turn = np.cos(1e-6) * I2 + 1j * np.sin(1e-6) * X
+        elements = {
+            "left-factor": g @ elements,
+            "too-few": elements[:3],
+            "repeated-element": [*elements[:3], 1j * elements[0]],
+            "monomial": [*elements[:3], S @ H],
+            "perturbed": [*elements[:3], turn @ elements[3]],
         }[case]
-        labels = None if labels is None else tuple(labels)
-        assert GateSet(2, 1, "dressed", elements, labels=labels).dressing is None
+        assert GateSet(2, 1, "dressed", elements).dressing is None
 
 
 class TestConditionChecker:

@@ -11,7 +11,8 @@ Every import of a `corb` module (other than the re-exports of
 `__init__.py`) and of a test module is used by that module.
 
 The README's "Spec strings" section documents every name and key of the
-spec tables, with the key's type; every int key has a least value.
+spec tables, with the key's type; every int key has a least value. The
+python block of its "Library example" section runs.
 """
 
 import ast
@@ -104,12 +105,24 @@ def test_every_import_is_used():
     assert not unused, "imports no code uses: " + ", ".join(unused)
 
 
+def _readme_section(heading: str) -> str:
+    """The README text under a `## ` heading, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_example_runs(capsys):
+    """The example runs against the current API, so an API change that
+    leaves it behind fails here."""
+    code = _readme_section("Library example").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README}: Library example", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def _spec_rows() -> dict[str, str]:
     """Table rows of the README's "Spec strings" section, by spec name."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Spec strings\n", 1)[1].split("\n## ", 1)[0]
     rows = {}
-    for line in section.splitlines():
+    for line in _readme_section("Spec strings").splitlines():
         match = re.match(r"\| `([a-z-]+)[:`]", line)
         if match:
             rows[match.group(1)] = line.split("|")[1]

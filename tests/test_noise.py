@@ -55,6 +55,16 @@ class TestKrausToChi:
         chi = kraus_to_chi(depolarizing_kraus(p, 2), 2, 1)
         assert chi[0, 0] == pytest.approx(1 - 3 * p / 4, abs=1e-14)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_depolarizing_is_uniform_on_any_dimension(self, dim):
+        """rho -> (1 - p) rho + p tr(rho) I / D from the one-qudit Weyl basis
+        of dimension D, which serves any split of D into qudits (D = 4, 8
+        for two and three qubits)."""
+        p = 0.3
+        vec_eye = np.eye(dim).ravel()
+        want = (1 - p) * np.eye(dim * dim) + p * np.outer(vec_eye, vec_eye) / dim
+        assert np.max(np.abs(superop(depolarizing_kraus(p, dim)) - want)) <= 1e-14
+
     def test_chi_is_hermitian_psd_unit_trace_preserving(self):
         rng = np.random.default_rng(41)
         for dim, n in ((2, 1), (4, 2)):
