@@ -7,12 +7,7 @@ to recover chi00 and average gate fidelities.
 """
 
 from .linalg import TOL, Tolerances, tensor
-from .paulis import (
-    PauliLabel,
-    enumerate_paulis,
-    pauli_basis,
-    pauli_matrix,
-)
+from .paulis import pauli_basis
 from .gatesets import (
     ConditionReport,
     GateSet,

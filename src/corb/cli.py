@@ -48,7 +48,6 @@ from .fitting import (
 )
 from .gatesets import check_condition, parse_set_spec, set_spec_dims
 from .noise import NoiseModel, avg_gate_fidelity, chi00_of, parse_channel_spec
-from .paulis import format_label
 
 USAGE_ERROR, SEMANTIC_ERROR = 1, 2
 _dumps = functools.partial(json.dumps, sort_keys=True, allow_nan=False)  # JSON has no NaN
@@ -160,7 +159,7 @@ def cmd_check_set(args) -> int:
         "set": args.set_spec,
         "elements": len(gate_set),
         "passed": report.passed,
-        "worst_label": format_label(report.worst_label),
+        "worst_label": report.worst_label,
         "worst_residual": report.worst_residual,
         "tolerance": report.tolerance,
     }

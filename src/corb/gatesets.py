@@ -8,7 +8,8 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u]. A set is its elements: a
+from the set's first moment E[conj(u) (x) u]. Pauli words are indexed
+by the Weyl index of `corb.paulis`. A set is its elements: a
 Pauli-dressed set {P_i R}, whatever family built it, is recognized from
 them, and its dressing R (`GateSet.dressing`) gives the exact evaluator
 its closed forms. `_FAMILIES` names every family a spec string can
@@ -17,6 +18,7 @@ reach, with its keys and their types.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices, read_matrix
 from .linalg import TOL, as_matrix, assert_unitary, tensor
-from .paulis import PauliLabel, enumerate_paulis, omega, pauli_basis, pauli_matrix
+from .paulis import _weyl_digits, format_label, omega, pauli_basis
 
 CLOSURE_PRODUCT_CAP = 200_000
 FINGERPRINT_DECIMALS = 8
@@ -36,7 +38,7 @@ FINGERPRINT_DECIMALS = 8
 CLIFFORD_SIZES = {(2, 1): 24, (3, 1): 216, (2, 2): 11520}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GateSet:
     """Ordered unitaries on (C^d)^(x)n with family metadata, kept as one
     read-only (|G|, D, D) stack, `elements`.
@@ -47,14 +49,15 @@ class GateSet:
     for Pauli sets, R = U for the dressed families `ms` and `dressed`, and
     any Pauli coset, in any order and with any phases, for `custom`), and
     it is R; otherwise it is None. The exact evaluator takes its closed
-    forms from it (`engine.exact_fidelities`).
+    forms from it (`engine.exact_fidelities`). Sets hash and compare by
+    identity.
     """
 
     d: int
     n: int
     family: str
     elements: np.ndarray
-    dressing: np.ndarray | None = field(init=False, repr=False, compare=False)
+    dressing: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.elements) < 1:
@@ -71,7 +74,7 @@ class GateSet:
         stack = np.stack(checked)
         stack.flags.writeable = False
         object.__setattr__(self, "elements", stack)
-        object.__setattr__(self, "dressing", self._derived_dressing())
+        object.__setattr__(self, "dressing", _derived_dressing(stack, self.d, self.n))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -80,37 +83,38 @@ class GateSet:
     def dim(self) -> int:
         return self.d ** self.n
 
-    def _derived_dressing(self) -> np.ndarray | None:
-        """R = U_0 when each product U_i U_0^dag is c_i X^x Z^z for a phase
-        c_i and distinct (x, z), else None (see the class docstring).
 
-        X^x Z^z |s> = w^(z.s) |s + x>, so the largest entry of column 0 of
-        a product sits in row x and is c_i, and column |e_j>, with a one at
-        site j, holds c_i w^(z_j) in row x + e_j, read as the nearest power
-        of w. The candidates c_i X^x Z^z are subtracted from the products in
-        one scatter and the residual is compared with TOL.structural."""
-        d, n, dim = self.d, self.n, self.dim
-        count = len(self.elements)
-        if count != dim * dim:
-            return None
-        right = self.elements[0]
-        products = self.elements @ right.conj().T
-        rows = np.arange(count)[:, None]
-        places = d ** np.arange(n - 1, -1, -1)  # site 0 is the leading digit
-        digits = np.arange(dim)[:, None] // places % d
-        x = np.argmax(np.abs(products[:, :, 0]), axis=1)
-        phases = products[rows[:, 0], x, 0]
-        # shifted[i, s] is the row of s + x_i, where column s holds its entry.
-        shifted = (digits[x][:, None, :] + digits) % d @ places
-        sites = products[rows, shifted[:, places], places] / phases[:, None]
-        roots = omega(d) ** np.arange(d)
-        z = np.argmin(np.abs(sites[:, :, None] - roots), axis=2)
-        products[rows, shifted, np.arange(dim)] -= phases[:, None] * roots[z @ digits.T % d]
-        # count = D^2 codes below D^2 are distinct when each occurs once.
-        distinct = np.all(np.bincount(x * dim + z @ places, minlength=count) == 1)
-        if not (distinct and np.max(np.abs(products)) <= TOL.structural):
-            return None
-        return right
+def _derived_dressing(elements: np.ndarray, d: int, n: int) -> np.ndarray | None:
+    """The dressing R = U_0 of a stack of unitaries on n qudits of
+    dimension d when each product U_i U_0^dag is c_i X^x Z^z for a phase
+    c_i and distinct (x, z), else None (see `GateSet`).
+
+    X^x Z^z |s> = w^(z.s) |s + x>, so the largest entry of column 0 of
+    a product sits in row x and is c_i, and column |e_j>, with a one at
+    site j, holds c_i w^(z_j) in row x + e_j, read as the nearest power
+    of w. The candidates c_i X^x Z^z are subtracted from the products in
+    one scatter and the residual is compared with TOL.structural."""
+    dim = d ** n
+    count = len(elements)
+    if count != dim * dim:
+        return None
+    right = elements[0]
+    products = elements @ right.conj().T
+    rows = np.arange(count)[:, None]
+    places, digits = _weyl_digits(d, n)
+    x = np.argmax(np.abs(products[:, :, 0]), axis=1)
+    phases = products[rows[:, 0], x, 0]
+    # shifted[i, s] is the row of s + x_i, where column s holds its entry.
+    shifted = (digits[x][:, None, :] + digits) % d @ places
+    sites = products[rows, shifted[:, places], places] / phases[:, None]
+    roots = omega(d) ** np.arange(d)
+    z = np.argmin(np.abs(sites[:, :, None] - roots), axis=2)
+    products[rows, shifted, np.arange(dim)] -= phases[:, None] * roots[z @ digits.T % d]
+    # count = D^2 codes below D^2 are distinct when each occurs once.
+    distinct = np.all(np.bincount(x * dim + z @ places, minlength=count) == 1)
+    if not (distinct and np.max(np.abs(products)) <= TOL.structural):
+        return None
+    return right
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class ConditionReport:
     """Worst-case residual of the twirl-annihilation check."""
 
     passed: bool
-    worst_label: PauliLabel
+    worst_label: str
     worst_residual: float
     tolerance: float
 
@@ -146,19 +150,20 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
     16 D^4 bytes each. The label cap DEFAULT_LABEL_CAP = 4096 refuses
     D > 64 before either is allocated, so each stays within 268 MB. A
     passing set's residuals are all rounding noise, so its reported worst
-    label carries no meaning. The tolerance is TOL.channel * |G|.
+    label, the `format_label` text of its row, carries no meaning. The
+    tolerance is TOL.channel * |G|.
     """
     tolerance = TOL.channel * len(gate_set)
-    labels = enumerate_paulis(gate_set.d, gate_set.n)
     dim = gate_set.dim
-    basis = pauli_basis(gate_set.d, gate_set.n).reshape(len(labels), dim * dim)
+    basis = pauli_basis(gate_set.d, gate_set.n).reshape(dim * dim, dim * dim)
     twirls = basis @ _first_moment(gate_set.elements)
     twirls *= len(gate_set)
     twirls[0] -= len(gate_set) * np.eye(dim).ravel()
     residuals = np.max(np.abs(twirls), axis=1)
     worst = int(np.argmax(residuals))
     residual = float(residuals[worst])
-    return ConditionReport(residual <= tolerance, labels[worst], residual, tolerance)
+    return ConditionReport(residual <= tolerance,
+                           format_label(gate_set.d, gate_set.n, worst), residual, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -303,19 +308,19 @@ def ms_gate(n: int, theta: float) -> np.ndarray:
     dim = 2 ** n
     u = np.eye(dim, dtype=np.complex128)
     eye = np.eye(dim)
+    site_eye, site_x = pauli_basis(2, 1)[[0, 2]]
     for s in range(n - 1):
         for r in range(s + 1, n):
-            xs = tuple(1 if q in (s, r) else 0 for q in range(n))
-            xx = pauli_matrix(PauliLabel(2, n, xs, (0,) * n))
+            xx = functools.reduce(tensor, [site_x if q in (s, r) else site_eye
+                                           for q in range(n)])
             u = (np.cos(theta) * eye + 1j * np.sin(theta) * xx) @ u
     return u
 
 
 def build_ms_dressed_set(n: int, theta: float) -> GateSet:
     """Pauli-dressed entangling gates M_i = P_i U_n(theta), any angle."""
-    labels = enumerate_paulis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
-    u = ms_gate(n, theta)
-    return GateSet(2, n, "ms", tuple(pauli_matrix(l) @ u for l in labels))
+    paulis = pauli_basis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
+    return GateSet(2, n, "ms", paulis @ ms_gate(n, theta))
 
 
 def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
@@ -323,16 +328,23 @@ def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
     u = assert_unitary(u, what="dressing unitary")
     if u.shape[0] != d ** n:
         raise ValueError(f"unitary dimension {u.shape[0]} != {d ** n}")
-    return GateSet(d, n, "dressed",
-                   tuple(pauli_matrix(l) @ u for l in enumerate_paulis(d, n)))
+    return GateSet(d, n, "dressed", pauli_basis(d, n) @ u)
 
 
 def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:
-    """Wrap explicit unitaries as a set on one qudit of their dimension."""
+    """Wrap explicit unitaries of dimension D as a set on n qudits of
+    dimension d, d^n = D: the finest split under which the set is a Pauli
+    coset (see `GateSet`), else one qudit of dimension D. The Weyl groups
+    of different splits differ modulo phase, so at most one split fits."""
     mats = [as_matrix(m) for m in mats]
     if not mats:
         raise ValueError("gate set must contain at least one element")
-    return GateSet(mats[0].shape[0], 1, "custom", tuple(mats))
+    whole = GateSet(mats[0].shape[0], 1, "custom", tuple(mats))
+    for d in range(2, math.isqrt(whole.dim) + 1):
+        n = round(math.log(whole.dim, d))
+        if d ** n == whole.dim and _derived_dressing(whole.elements, d, n) is not None:
+            return GateSet(d, n, "custom", whole.elements)
+    return whole
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +378,8 @@ def parse_set_spec(spec: str) -> GateSet:
 
 
 def set_spec_dims(spec: str) -> tuple[int, int]:
-    """(d, n) of a set spec without constructing the whole family."""
+    """(d, n) of a set spec without constructing the whole family; a
+    `custom` file gives (D, 1) whatever split its set takes, with the
+    same D = d^n."""
     family, kwargs = parse_spec(spec, _FAMILIES, "set")
     return _FAMILIES[family].dims(**kwargs)

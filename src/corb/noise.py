@@ -2,8 +2,8 @@
 noise models.
 
 The chi matrix of a channel xi(rho) = sum_ij chi_ij P_i rho P_j† is indexed
-by the Pauli labels in enumeration order, identity first, so entry (0, 0)
-is the decay-governing parameter chi_00. Daggers sit on the right factor;
+by the Weyl index of `corb.paulis`, identity first, so entry (0, 0) is the
+decay-governing parameter chi_00. Daggers sit on the right factor;
 for d > 2 the basis words are non-Hermitian and no Hermitization is
 applied. `_CHANNELS` names every channel a spec string can reach, with its
 keys and their types.
@@ -19,7 +19,7 @@ import numpy as np
 from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
 from .linalg import basis_state, check_kraus, check_kraus_gram, projector
-from .paulis import enumerate_paulis, pauli_basis, pauli_matrix
+from .paulis import pauli_basis
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def dephasing_kraus(p: float, d: int = 2) -> list[np.ndarray]:
     """{sqrt(1-p) I} + {sqrt(p/(d-1)) Z^k}: chi00 = 1 - p for any d."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"dephasing probability {p} outside [0, 1]")
-    z = pauli_matrix(enumerate_paulis(d, 1)[1])  # label (x=0, z=1)
+    z = pauli_basis(d, 1)[1]  # Z = X^0 Z^1
     kraus = [np.sqrt(1.0 - p) * np.eye(d, dtype=np.complex128)]
     for k in range(1, d):
         kraus.append(np.sqrt(p / (d - 1)) * np.linalg.matrix_power(z, k))

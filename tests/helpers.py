@@ -1,6 +1,6 @@
 """Test-side helpers that the library itself never calls: random states,
 unitaries and channels, the noiseless model, the chi-matrix conversions,
-the Pauli-label algebra,
+the Pauli-label algebra on (x, z) exponent tuples,
 matrix-file writers, dense reference versions of library checks, and
 single protocol executions on the engine kernel, and the decay fit as
 least-squares solver calls.
@@ -17,13 +17,7 @@ from corb.gatesets import ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
 from corb.noise import NoiseModel, identity_kraus
-from corb.paulis import (
-    DEFAULT_LABEL_CAP,
-    PauliLabel,
-    enumerate_paulis,
-    omega,
-    pauli_basis,
-)
+from corb.paulis import DEFAULT_LABEL_CAP, format_label, omega, pauli_basis
 
 
 # ---------------------------------------------------------------------------
@@ -186,39 +180,54 @@ def control_depolarize(rho: np.ndarray, q: float, k: int) -> np.ndarray:
 # Pauli-label algebra
 # ---------------------------------------------------------------------------
 
-def zero_label(d: int, n: int) -> PauliLabel:
-    return PauliLabel(d, n, (0,) * n, (0,) * n)
+def weyl_label(d: int, n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(x, z) exponent tuples of row i of `pauli_basis(d, n)`: i = x D + z
+    with D = d^n, x and z read as base-d numbers with site 0 leading."""
+    x, z = divmod(i, d ** n)
+
+    def digits(k):
+        return tuple(k // d ** (n - 1 - j) % d for j in range(n))
+
+    return digits(x), digits(z)
 
 
-def is_identity(label: PauliLabel) -> bool:
-    return not any(label.x) and not any(label.z)
+def zero_label(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (0,) * n, (0,) * n
 
 
-def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
-    """(a, b)_Sp = a_x . b_z - a_z . b_x mod d.
+def is_identity(label) -> bool:
+    x, z = label
+    return not any(x) and not any(z)
+
+
+def symplectic_product(a, b, d: int) -> int:
+    """(a, b)_Sp = a_x . b_z - a_z . b_x mod d for (x, z) labels.
 
     Governs commutation: with the X-after-Z word convention used here the
     exact identity is P_a P_b = w^{(b,a)_Sp} P_b P_a. The two argument
     orders agree mod 2, so the distinction only shows for d > 2.
     """
-    if a.d != b.d or a.n != b.n:
+    (ax, az), (bx, bz) = a, b
+    if not len(ax) == len(az) == len(bx) == len(bz):
         raise ValueError("labels live on different systems")
     acc = 0
-    for ax, az, bx, bz in zip(a.x, a.z, b.x, b.z):
-        acc += ax * bz - az * bx
-    return acc % a.d
+    for axj, azj, bxj, bzj in zip(ax, az, bx, bz):
+        acc += axj * bzj - azj * bxj
+    return acc % d
 
 
-def character_sum(q: PauliLabel) -> complex:
+def character_sum(q, d: int) -> complex:
     """sum_x w^{(q, x)_Sp} over all labels x: d^{2n} at the identity, 0 elsewhere."""
-    w = omega(q.d)
+    w = omega(d)
+    n = len(q[0])
     total = 0.0 + 0.0j
-    for x in enumerate_paulis(q.d, q.n):
-        total += w ** symplectic_product(q, x)
+    for i in range(d ** (2 * n)):
+        total += w ** symplectic_product(q, weyl_label(d, n, i), d)
     return total
 
 
-def parse_label(text: str, d: int, n: int) -> PauliLabel:
+def parse_label(text: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(x, z) tuples of the text `x:<exponents>;z:<exponents>` over n sites."""
     parts = dict(
         chunk.split(":", 1) for chunk in text.strip().split(";") if chunk
     )
@@ -226,7 +235,9 @@ def parse_label(text: str, d: int, n: int) -> PauliLabel:
         raise ValueError(f"bad Pauli label {text!r}; expected `x:...;z:...`")
     x = tuple(int(v) for v in parts["x"].split(","))
     z = tuple(int(v) for v in parts["z"].split(","))
-    return PauliLabel(d, n, x, z)
+    if len(x) != n or len(z) != n:
+        raise ValueError(f"Pauli label {text!r} does not have {n} sites")
+    return x, z
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +248,24 @@ def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
     """Reference for `corb.gatesets.check_condition`: the twirl of each
     Pauli label computed on its own, sum_i U_i† P_j U_i, one at a time."""
     tolerance = TOL.channel * len(gate_set)
-    labels = enumerate_paulis(gate_set.d, gate_set.n)
     basis = pauli_basis(gate_set.d, gate_set.n)
     stack = gate_set.elements
     conj = stack.conj()
     eye = np.eye(gate_set.dim)
     worst = -1.0
-    worst_label = labels[0]
-    for label, pmat in zip(labels, basis):
+    worst_row = 0
+    for i, pmat in enumerate(basis):
         twirl = np.einsum("gba,bc,gcd->ad", conj, pmat, stack, optimize=True)
-        if is_identity(label):
+        if is_identity(weyl_label(gate_set.d, gate_set.n, i)):
             residual = float(np.max(np.abs(twirl - len(gate_set) * eye)))
         else:
             residual = float(np.max(np.abs(twirl)))
         if residual > worst:
             worst = residual
-            worst_label = label
-    return ConditionReport(worst <= tolerance, worst_label, worst, tolerance)
+            worst_row = i
+    return ConditionReport(worst <= tolerance,
+                           format_label(gate_set.d, gate_set.n, worst_row), worst,
+                           tolerance)
 
 
 def normalizer_residual(gate_set: GateSet, cap: int = DEFAULT_LABEL_CAP) -> float:

@@ -63,7 +63,7 @@ from corb.noise import (
     superop,
     trace_gain,
 )
-from corb.paulis import PauliLabel, pauli_matrix
+from corb.paulis import pauli_basis
 from helpers import (
     composed_chi00,
     conjugate_channel,
@@ -83,8 +83,7 @@ from dense_oracle import dense_coherent, dense_coherent_state, pack, unpack
 
 PAULI_2 = build_pauli_set(2, 1)
 CLIFFORD_2 = build_clifford_set(2, 1)
-X = pauli_matrix(PauliLabel(2, 1, (1,), (0,)))
-Z = pauli_matrix(PauliLabel(2, 1, (0,), (1,)))
+Z, X = pauli_basis(2, 1)[1:3]  # rows x D + z = 1 and 2
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
@@ -270,7 +269,8 @@ class TestEnumerationOracle:
 def _dressed_families():
     """Every Pauli-dressed family at D <= 8, qudits included, and `custom`
     cosets {c_i P_pi(i) U}, shuffled and phased (`shuffled_coset`), each
-    dressed from its elements alone."""
+    dressed from its elements alone; the last is read as a matrix file is,
+    by `build_custom_set`, which finds its two-qubit split."""
     rng = np.random.default_rng(65)
     return {"pauli(2,1)": PAULI_2, "pauli(3,1)": build_pauli_set(3, 1),
             "pauli(2,2)": build_pauli_set(2, 2), "pauli(2,3)": build_pauli_set(2, 3),
@@ -279,7 +279,8 @@ def _dressed_families():
             "dressed(3,1)": build_dressed_set(haar_unitary(3, rng), 3, 1),
             "dressed(2,2)": build_dressed_set(haar_unitary(4, rng), 2, 2),
             **{f"coset({d},{n})": shuffled_coset(d, n, rng)
-               for d, n in ((2, 1), (3, 1), (2, 2))}}
+               for d, n in ((2, 1), (3, 1), (2, 2))},
+            "custom file coset(2,2)": build_custom_set(shuffled_coset(2, 2, rng).elements)}
 
 
 DRESSED = _dressed_families()

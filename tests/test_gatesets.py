@@ -20,7 +20,7 @@ from corb.gatesets import (
     set_spec_dims,
 )
 from corb.linalg import unitarity_defect
-from corb.paulis import PauliLabel, enumerate_paulis, pauli_matrix
+from corb.paulis import pauli_basis
 from helpers import (
     check_condition_per_label,
     haar_unitary,
@@ -31,8 +31,7 @@ from helpers import (
 )
 
 I2 = np.eye(2, dtype=complex)
-X = pauli_matrix(PauliLabel(2, 1, (1,), (0,)))
-Z = pauli_matrix(PauliLabel(2, 1, (0,), (1,)))
+Z, X = pauli_basis(2, 1)[1:3]  # rows x D + z = 1 and 2
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 S = np.diag([1, 1j]).astype(complex)
 
@@ -99,8 +98,8 @@ class TestControlledFamily:
         Pauli and P_t the t-th qubit Pauli: sequence draws index into the
         stack, so the order is part of the set."""
         tc = build_two_control_set()
-        controls = [pauli_matrix(l) for l in enumerate_paulis(2, 2)]
-        targets = [pauli_matrix(l) for l in enumerate_paulis(2, 1)]
+        controls = pauli_basis(2, 2)
+        targets = pauli_basis(2, 1)
         projectors = [np.diag(row) for row in np.eye(4)]
         for index in (0, 1, 77, 1234, 2730, 4095):
             c, rest = divmod(index, 256)
@@ -187,6 +186,31 @@ class TestDressing:
         assert gate_set.family == "custom"
         np.testing.assert_array_equal(gate_set.dressing, gate_set.elements[0])
 
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (2, 3)])
+    def test_a_custom_coset_keeps_its_split(self, d, n):
+        """A matrix file holds one D x D stack; a Pauli coset of n qudits
+        in it is read back on its own split d^n = D, with its dressing."""
+        coset = shuffled_coset(d, n, np.random.default_rng(20 + d + n))
+        for elements in (build_pauli_set(d, n).elements, coset.elements):
+            gate_set = build_custom_set(elements)
+            assert (gate_set.d, gate_set.n) == (d, n)
+            np.testing.assert_array_equal(gate_set.dressing, elements[0])
+
+    def test_a_custom_set_that_is_no_coset_stays_one_qudit(self):
+        """No split of D = 4 makes these sets cosets, and the ququart
+        Weyl group is no two-qubit coset, so each keeps (D, 1)."""
+        pauli = build_pauli_set(2, 2).elements
+        cases = [(build_clifford_set(2, 2).elements, None),
+                 ([*pauli[:15], np.kron(H, I2) @ pauli[15]], None),
+                 (build_pauli_set(4, 1).elements, np.eye(4))]
+        for elements, dressing in cases:
+            gate_set = build_custom_set(elements)
+            assert (gate_set.d, gate_set.n) == (4, 1)
+            if dressing is None:
+                assert gate_set.dressing is None
+            else:
+                np.testing.assert_array_equal(gate_set.dressing, dressing)
+
     @pytest.mark.parametrize("case", ["left-factor", "too-few", "repeated-element",
                                       "monomial", "perturbed"])
     def test_a_set_that_is_not_dressed_records_none(self, case):
@@ -214,7 +238,7 @@ class TestConditionChecker:
         report = check_condition(build_custom_set([I2, Z]))
         assert not report.passed
         assert report.worst_residual == pytest.approx(2.0, abs=1e-12)
-        assert report.worst_label == PauliLabel(2, 1, (0,), (1,))
+        assert report.worst_label == "x:0;z:1"
 
     def test_tolerance_default_scales_with_size(self):
         report = check_condition(build_pauli_set(2, 1))
@@ -363,6 +387,11 @@ class TestGateSetInvariants:
         gs = build_pauli_set(2, 1)
         with pytest.raises(ValueError):
             gs.elements[0][0, 0] = 5.0
+
+    def test_sets_hash_and_compare_by_identity(self):
+        a, b = build_pauli_set(2, 1), build_pauli_set(2, 1)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     def test_rejects_an_empty_custom_set(self):
         with pytest.raises(ValueError, match="^gate set must contain at least one element$"):

@@ -18,7 +18,7 @@ from corb.noise import (
     parse_channel_spec,
     superop,
 )
-from corb.paulis import enumerate_paulis, pauli_basis
+from corb.paulis import pauli_basis
 from helpers import (
     avg_state_fidelity,
     chi_to_kraus,
@@ -29,6 +29,7 @@ from helpers import (
     kraus_to_chi,
     random_channel,
     random_phase_channel,
+    weyl_label,
     write_matrices,
 )
 from dense_oracle import plus_state
@@ -338,8 +339,7 @@ class TestRandomChannels:
         rng = np.random.default_rng(51)
         kraus = random_phase_channel(2, 3, rng)
         chi = kraus_to_chi(kraus, 2, 1)
-        z_labels = [i for i, l in enumerate(enumerate_paulis(2, 1))
-                    if not any(l.x)]
+        z_labels = [i for i in range(4) if not any(weyl_label(2, 1, i)[0])]
         mask = np.zeros((4, 4), dtype=bool)
         for i in z_labels:
             for j in z_labels:
