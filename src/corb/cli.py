@@ -1,8 +1,12 @@
 """Command-line surface: check-set, run, fit, experiment.
 
 Runs are reproducible: the full configuration is embedded in every output
-artifact and a fixed seed yields byte-identical files. CSV carries the
-per-run fidelity records and plot series; JSON carries fits and verdicts.
+artifact and a fixed seed yields byte-identical files. `corb run` and the
+canned experiments state each run as an `ExperimentConfig`, which one
+builder (`_run_inputs`) turns into its gate set, noise and engine config.
+CSV carries the per-run fidelity records and plot series; JSON carries fits
+and verdicts. `corb fit` takes one records file, or a reference and an
+interleaved file after `--irb`, never both.
 The sampled engine modes run their (length, repetition) tasks in forked
 worker processes, one per usable CPU unless the CORB_THREADS environment
 variable (an integer >= 1) sets their number; each busy worker holds
@@ -37,10 +41,10 @@ from .engine import (
     RbRunConfig,
     exact_fidelities,
     run,
-    run_coherent_with_control_noise,
     run_interleaved_coherent,
 )
 from .fitting import (
+    DecayFit,
     combined_decay,
     deviation_experiment,
     fit_records,
@@ -99,10 +103,11 @@ _MODE_OPTIONS = (
 )
 
 
-def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
-    """Build the gate set and noise a config describes, and run it. An
+def _run_inputs(config: ExperimentConfig) -> tuple[RbRunConfig, dict]:
+    """The run a config describes, and its interleaved gate and channel as
+    keyword arguments of `run` (none unless the mode is interleaved). An
     option that the config's mode would ignore, set to other than its
-    default, is refused."""
+    default, is refused. Every run the command line makes is built here."""
     for name, flag, modes in _MODE_OPTIONS:
         if getattr(config, name) != _DEFAULTS[name] and config.mode not in modes:
             raise ValueError(f"mode {config.mode} ignores {flag}; "
@@ -129,16 +134,22 @@ def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
         shots=config.shots,
         mode=config.mode,
     )
-    interleaved_gate = interleaved_noise = None
-    if config.mode == "interleaved":
-        if config.gate_file is None:
-            raise ValueError("interleaved mode needs --gate <matrix file>")
-        interleaved_gate = cio.read_matrix(config.gate_file)
-        if config.gate_channel_spec is not None:
-            interleaved_noise = parse_channel_spec(config.gate_channel_spec,
-                                                   gate_set.dim)
-    return run(cfg, interleaved_gate=interleaved_gate,
-               interleaved_noise=interleaved_noise)
+    if config.mode != "interleaved":
+        return cfg, {}
+    if config.gate_file is None:
+        raise ValueError("interleaved mode needs --gate <matrix file>")
+    interleaved = dict(interleaved_gate=cio.read_matrix(config.gate_file),
+                       interleaved_noise=None)
+    if config.gate_channel_spec is not None:
+        interleaved["interleaved_noise"] = parse_channel_spec(config.gate_channel_spec,
+                                                              gate_set.dim)
+    return cfg, interleaved
+
+
+def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
+    """Build the gate set and noise a config describes, and run it."""
+    cfg, interleaved = _run_inputs(config)
+    return run(cfg, **interleaved)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +207,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _fit_payload(records: list[dict], dim: int | None) -> dict:
-    fit = fit_records([FidelityRecord(**r) for r in records])
+def _fit_file(path: str) -> tuple[DecayFit, dict | None]:
+    """The decay fit of a records file, and the file's embedded config."""
+    records, config = cio.read_records(path)
+    return fit_records([FidelityRecord(**r) for r in records]), config
+
+
+def _fit_payload(fit: DecayFit, dim: int | None) -> dict:
     payload = {
         "A": fit.A,
         "chi00": fit.chi00,
@@ -226,11 +242,11 @@ def _dim_for_records(path: str, config: dict | None, args) -> int | None:
 
 
 def cmd_fit(args) -> int:
+    if bool(args.records) == bool(args.irb):
+        raise ValueError("fit takes one records file or --irb REF INTERLEAVED")
     if args.irb:
-        ref_records, ref_cfg = cio.read_records(args.irb[0])
-        int_records, _ = cio.read_records(args.irb[1])
-        fit_ref = fit_records([FidelityRecord(**r) for r in ref_records])
-        fit_int = fit_records([FidelityRecord(**r) for r in int_records])
+        fit_ref, ref_cfg = _fit_file(args.irb[0])
+        fit_int, _ = _fit_file(args.irb[1])
         estimate = irb_extract(fit_ref, fit_int)
         payload = {
             "chi00_ref": estimate.chi00_ref,
@@ -246,8 +262,8 @@ def cmd_fit(args) -> int:
         _emit_json(payload, args.json)
         return 0
 
-    records, config = cio.read_records(args.records)
-    payload = _fit_payload(records, _dim_for_records(args.records, config, args))
+    fit, config = _fit_file(args.records)
+    payload = _fit_payload(fit, _dim_for_records(args.records, config, args))
     line = (f"A = {payload['A']:.6f}  chi00 = {payload['chi00']:.8f}  "
             f"residual rms = {payload['residual_rms']:.3e}")
     if "avg_gate_fidelity" in payload:
@@ -275,19 +291,13 @@ def _deviation_csv(path: str, summary, mode: str) -> None:
 
 
 def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
-                   seed: int, outdir: str):
-    """Run one deviation study; returns its verdict, run config and summary."""
-    gate_set = parse_set_spec(set_spec)
-    channel = parse_channel_spec(f"infidelity-dephasing:r={infidelity}",
-                                 gate_set.dim)
-    cfg = RbRunConfig(
-        gate_set=gate_set,
-        noise=NoiseModel(gate_channel=tuple(channel)),
-        lengths=FIG5_LENGTHS,
-        k=k,
-        repetitions=75,
-        seed=seed,
-    )
+                   outdir: str, seed: int, reference_curve: bool = False) -> dict:
+    """Run one deviation study and return its verdict. With
+    `reference_curve`, also compare the coherent means with the pure decay
+    law and with the law mixed with the exact standard-RB mean."""
+    cfg, _ = _run_inputs(ExperimentConfig(
+        set_spec, f"infidelity-dephasing:r={infidelity}", k=k,
+        lengths=FIG5_LENGTHS, repetitions=75, seed=seed))
     summary = deviation_experiment(cfg)
     for mode in ("coherent", "standard"):
         _deviation_csv(os.path.join(outdir, f"{name}_{mode}.csv"), summary, mode)
@@ -307,31 +317,14 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
             summary.max_deviation["coherent"] <= summary.max_deviation["standard"]
         ),
     }
-    return verdict, cfg, summary
-
-
-def _experiment_fig5a(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5a", "clifford:d=2,n=1", 1e-4, 80, seed, outdir)[0]
-
-
-def _experiment_fig5b(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5b", "pauli:d=2,n=1", 1e-4, 80, seed, outdir)[0]
-
-
-def _experiment_fig5c(outdir: str, seed: int) -> dict:
-    return _fig5_scenario("fig5c", "clifford:d=2,n=1", 1e-4, 25, seed, outdir)[0]
-
-
-def _experiment_fig5d(outdir: str, seed: int) -> dict:
-    verdict, cfg, summary = _fig5_scenario("fig5d", "clifford:d=2,n=1", 1e-5,
-                                           15, seed, outdir)
+    if not reference_curve:
+        return verdict
     # Reference-curve comparison: does mixing in the exact standard-RB mean
     # track the finite-k coherent data better than the pure decay law?
     standard = dict(zip(cfg.lengths, exact_fidelities(
         cfg.gate_set, cfg.noise, cfg.lengths, same_sequence=True)))
     chi00 = summary.chi00
     amplitude = summary.amplitude
-    k = cfg.k
     per_m = summary.fidelities["coherent"]
     rms_pure = rms_combined = 0.0
     series = ["m,mean_fidelity,pure_curve,combined_curve"]
@@ -344,7 +337,7 @@ def _experiment_fig5d(outdir: str, seed: int) -> dict:
         series.append(f"{m},{mean_f!r},{pure!r},{comb!r}")
     rms_pure = float(np.sqrt(rms_pure / len(per_m)))
     rms_combined = float(np.sqrt(rms_combined / len(per_m)))
-    cio.atomic_write(os.path.join(outdir, "fig5d_combined_fit.csv"),
+    cio.atomic_write(os.path.join(outdir, f"{name}_combined_fit.csv"),
                      "\n".join(series) + "\n")
     verdict.update(
         rms_pure_curve=rms_pure,
@@ -355,27 +348,22 @@ def _experiment_fig5d(outdir: str, seed: int) -> dict:
 
 
 def _experiment_control_noise(outdir: str, seed: int) -> dict:
-    pauli = parse_set_spec("pauli:d=2,n=1")
-    f_set = 1.0 / pauli.dim
-
     # Single-step check at strong control noise and tiny superposition.
-    noise1 = NoiseModel(gate_channel=tuple(parse_channel_spec("identity", 2)),
-                        control_q=0.9)
-    cfg1 = RbRunConfig(gate_set=pauli, noise=noise1, lengths=(1,), k=4,
-                       repetitions=300, seed=seed, mode="coherent-control-noise")
-    records1 = run_coherent_with_control_noise(cfg1)
-    m1_mean = float(np.mean([r.fidelity for r in records1]))
+    cfg1, _ = _run_inputs(ExperimentConfig(
+        "pauli:d=2,n=1", "identity", control_q=0.9, mode="coherent-control-noise",
+        k=4, lengths=(1,), repetitions=300, seed=seed))
+    f_set = 1.0 / cfg1.gate_set.dim
+    m1_mean = float(np.mean([r.fidelity for r in run(cfg1)]))
     m1_law = 0.9 * 1.0 + (1.0 - 0.9) / 4 * f_set
 
     # Decay-rate check at weak control noise over a length grid.
     q = 0.99
-    channel = parse_channel_spec("infidelity-dephasing:r=1e-4", 2)
-    chi00 = chi00_of(channel)
-    noise2 = NoiseModel(gate_channel=tuple(channel), control_q=q)
-    cfg2 = RbRunConfig(gate_set=pauli, noise=noise2,
-                       lengths=tuple(range(1, 21)), k=25, repetitions=40,
-                       seed=seed + 1, mode="coherent-control-noise")
-    records2 = run_coherent_with_control_noise(cfg2)
+    cfg2, _ = _run_inputs(ExperimentConfig(
+        "pauli:d=2,n=1", "infidelity-dephasing:r=1e-4", control_q=q,
+        mode="coherent-control-noise", k=25, lengths=tuple(range(1, 21)),
+        repetitions=40, seed=seed + 1))
+    chi00 = chi00_of(cfg2.noise.gate_channel)
+    records2 = run(cfg2)
     per_m: dict[int, list[float]] = {}
     for r in records2:
         per_m.setdefault(r.m, []).append(r.fidelity)
@@ -404,15 +392,13 @@ def _experiment_control_noise(outdir: str, seed: int) -> dict:
 
 
 def _experiment_irb_demo(outdir: str, seed: int) -> dict:
-    pauli = parse_set_spec("pauli:d=2,n=1")
-    ref_channel = parse_channel_spec("dephasing:p=0.001", 2)
+    base, _ = _run_inputs(ExperimentConfig(
+        "pauli:d=2,n=1", "dephasing:p=0.001", mode="coherent-full",
+        lengths=(1, 2, 3), seed=seed))
     gate = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
     gate_channel = parse_channel_spec("dephasing:p=0.01", 2)
     planted = chi00_of(gate_channel)
 
-    noise = NoiseModel(gate_channel=tuple(ref_channel))
-    base = RbRunConfig(gate_set=pauli, noise=noise, lengths=(1, 2, 3),
-                       seed=seed, mode="coherent-full")
     ref_records = run(base)
     int_records = run_interleaved_coherent(
         replace(base, mode="interleaved"), gate, gate_channel,
@@ -433,11 +419,16 @@ def _experiment_irb_demo(outdir: str, seed: int) -> dict:
     }
 
 
+# name -> (scenario function of (outdir, seed), pinned seed)
 SCENARIOS = {
-    "fig5a": (_experiment_fig5a, 20260801),
-    "fig5b": (_experiment_fig5b, 20260802),
-    "fig5c": (_experiment_fig5c, 20260803),
-    "fig5d": (_experiment_fig5d, 20260804),
+    "fig5a": (functools.partial(_fig5_scenario, "fig5a", "clifford:d=2,n=1", 1e-4, 80),
+              20260801),
+    "fig5b": (functools.partial(_fig5_scenario, "fig5b", "pauli:d=2,n=1", 1e-4, 80),
+              20260802),
+    "fig5c": (functools.partial(_fig5_scenario, "fig5c", "clifford:d=2,n=1", 1e-4, 25),
+              20260803),
+    "fig5d": (functools.partial(_fig5_scenario, "fig5d", "clifford:d=2,n=1", 1e-5, 15,
+                                reference_curve=True), 20260804),
     "control-noise": (_experiment_control_noise, 20260805),
     "irb-demo": (_experiment_irb_demo, 20260806),
 }
@@ -445,9 +436,8 @@ SCENARIOS = {
 
 def cmd_experiment(args) -> int:
     if args.name not in SCENARIOS:
-        print(f"unknown scenario {args.name!r}; available: {', '.join(sorted(SCENARIOS))}",
-              file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError(f"unknown scenario {args.name!r}; "
+                         f"available: {', '.join(sorted(SCENARIOS))}")
     fn, default_seed = SCENARIOS[args.name]
     seed = args.seed if args.seed is not None else default_seed
     os.makedirs(args.out, exist_ok=True)
@@ -527,9 +517,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if args.fn is cmd_fit and not args.irb and not args.records:
-        print("fit needs a records file or --irb REF INTERLEAVED", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

@@ -139,6 +139,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gatesets import GateSet, _first_moment, _realign
+from .io import FidelityRecord
 from .linalg import assert_unitary, check_kraus_gram
 from .noise import NoiseModel, superop, trace_gain
 from .paulis import pauli_basis
@@ -188,18 +189,6 @@ class RbRunConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         _check_noise(self.gate_set, self.noise, self.lengths[-1])
-
-
-@dataclass(frozen=True)
-class FidelityRecord:
-    """One protocol execution: estimate at a given length and repetition."""
-
-    mode: str
-    m: int
-    repetition: int
-    fidelity: float
-    k: int
-    seed_stream: str
 
 
 class DimensionError(ValueError):

@@ -4,8 +4,9 @@ files.
 Complex entries are written `a+bi` with e-notation reals (`-1.5e-03+2i`);
 the parser is tolerant of surrounding whitespace and of bare reals. A
 matrix file is one or more blocks, each a header line `dim <rows> <cols>`
-followed by that many rows of whitespace-separated entries. All writes go
-through a temp file + rename so partial output never lands.
+(sizes are integers >= 1) followed by that many rows of whitespace-separated
+entries. The columns of a records file are the fields of `FidelityRecord`.
+All writes go through a temp file + rename so partial output never lands.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import math
 import os
 import tempfile
-from typing import Callable, NamedTuple
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -40,21 +42,26 @@ def read_matrices(path: str) -> list[np.ndarray]:
         header = lines[pos].split()
         if len(header) != 3 or header[0] != "dim":
             raise ValueError(f"{path}: expected `dim <r> <c>` header, got {lines[pos]!r}")
+        if not all(size.isdecimal() and int(size) >= 1 for size in header[1:]):
+            raise ValueError(f"{path}: matrix sizes must be integers >= 1, "
+                             f"got {lines[pos]!r}")
         rows, cols = int(header[1]), int(header[2])
         pos += 1
         if pos + rows > len(lines):
             raise ValueError(f"{path}: truncated matrix block ({rows} rows declared)")
-        m = np.zeros((rows, cols), dtype=np.complex128)
+        # Rows are read before the array is built, so a header's size
+        # allocates nothing that the file's rows do not hold.
+        block = []
         for r in range(rows):
             tokens = lines[pos + r].split()
             if len(tokens) != cols:
                 raise ValueError(
                     f"{path}: row {r} has {len(tokens)} entries, header says {cols}"
                 )
-            m[r] = [parse_complex(t) for t in tokens]
-            if not np.all(np.isfinite(m[r])):
+            block.append([parse_complex(t) for t in tokens])
+            if not np.all(np.isfinite(block[r])):
                 raise ValueError(f"{path}: row {r} has a non-finite entry")
-        mats.append(m)
+        mats.append(np.array(block, dtype=np.complex128))
         pos += rows
     if not mats:
         raise ValueError(f"{path}: no matrix blocks found")
@@ -132,23 +139,26 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-RECORD_FIELDS = ("mode", "m", "repetition", "fidelity", "k", "seed_stream")
-_RECORD_TYPES = dict(zip(RECORD_FIELDS, (str, int, int, float, int, str)))
+@dataclass(frozen=True)
+class FidelityRecord:
+    """One protocol execution: estimate at a given length and repetition.
+    Its fields, in order, are the columns of a records file."""
+
+    mode: str
+    m: int
+    repetition: int
+    fidelity: float
+    k: int
+    seed_stream: str
+
+
+_RECORD_TYPES = get_type_hints(FidelityRecord)
+RECORD_FIELDS = tuple(_RECORD_TYPES)
 _ACCEPTED = {str: (str,), int: (str, int), float: (str, int, float)}
 
 
 def records_to_rows(records) -> list[dict]:
-    return [
-        {
-            "mode": r.mode,
-            "m": r.m,
-            "repetition": r.repetition,
-            "fidelity": repr(float(r.fidelity)),
-            "k": r.k,
-            "seed_stream": r.seed_stream,
-        }
-        for r in records
-    ]
+    return [{**asdict(r), "fidelity": repr(float(r.fidelity))} for r in records]
 
 
 def write_records_csv(path: str, records, config: dict | None = None) -> None:

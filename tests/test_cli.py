@@ -106,6 +106,25 @@ class TestMatrixFiles:
                            match=re.escape(f"{path}: row 1 has a non-finite entry")):
             read_matrices(str(path))
 
+    @pytest.mark.parametrize("header", ["dim 0 0", "dim -1 2", "dim x 2"])
+    def test_bad_size_names_file(self, tmp_path, header):
+        """A size that is not an integer >= 1 is refused with the file
+        named, not a numpy or int() message."""
+        path = tmp_path / "bad.mat"
+        path.write_text(f"{header}\n1+0i 0+0i\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: matrix sizes must be integers >= 1, got {header!r}")):
+            read_matrices(str(path))
+
+    def test_wide_header_is_refused_before_allocation(self, tmp_path):
+        """A header far wider than its rows is a row-width error, not an
+        attempt to allocate the declared 16 TB."""
+        path = tmp_path / "wide.mat"
+        path.write_text("dim 1 1000000000000\n1+0i 0+0i\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: row 0 has 2 entries, header says 1000000000000")):
+            read_matrices(str(path))
+
 
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600),
@@ -907,15 +926,27 @@ class TestFitCommand:
         assert main(["fit", "/nonexistent/records.csv"]) == 1
         capsys.readouterr()
 
-    def test_no_args_exit_one(self, capsys):
-        assert main(["fit"]) == 1
-        capsys.readouterr()
+    def test_no_args_exit_one(self):
+        status, out, err = run_main(["fit"])
+        assert status == 1 and out == ""
+        assert err == "error: fit takes one records file or --irb REF INTERLEAVED\n"
+
+    def test_records_file_with_irb_exit_one(self, tmp_path):
+        """A records file beside --irb is refused, not silently ignored."""
+        path = str(tmp_path / "r.csv")
+        write_records_csv(path, [FidelityRecord("coherent-full", m, 0, 0.99 ** m, 4,
+                                                f"{m}/full") for m in (1, 2, 3)])
+        status, out, err = run_main(["fit", path, "--irb", path, path])
+        assert status == 1 and out == ""
+        assert err == "error: fit takes one records file or --irb REF INTERLEAVED\n"
 
 
 class TestExperimentCommand:
-    def test_unknown_scenario(self, tmp_path, capsys):
-        assert main(["experiment", "fig9z", "--out", str(tmp_path)]) == 1
-        capsys.readouterr()
+    def test_unknown_scenario(self, tmp_path):
+        status, out, err = run_main(["experiment", "fig9z", "--out", str(tmp_path)])
+        assert status == 1 and out == ""
+        assert err.startswith("error: unknown scenario 'fig9z'; available: ")
+        assert err.count("\n") == 1
 
     def test_fig5c_scenario(self, tmp_path, capsys):
         outdir = str(tmp_path / "f5c")
