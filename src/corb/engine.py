@@ -156,9 +156,10 @@ STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
 FIDELITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RbRunConfig:
-    """One benchmarking run: set, noise, lengths, superposition size, seed."""
+    """One benchmarking run: set, noise, lengths, superposition size, seed.
+    Configs hash and compare by identity."""
 
     gate_set: GateSet
     noise: NoiseModel
@@ -227,11 +228,11 @@ def _check_shape(what: str, op, dim: int) -> None:
 
 
 def _check_noise(gate_set: GateSet, noise: NoiseModel, longest: int) -> None:
-    """Refuse a noise model whose gate or final channel does not act on the
-    set's dimension, or whose two trace gains could together carry a
-    fidelity past FIDELITY_TOL within `longest` positions (`_check_gains`)."""
+    """Refuse a noise model whose channels (`NoiseModel` keeps both on one
+    dimension) do not act on the set's dimension, or whose two trace gains
+    could together carry a fidelity past FIDELITY_TOL within `longest`
+    positions (`_check_gains`)."""
     _check_shape("gate channel", noise.gate_channel[0], gate_set.dim)
-    _check_shape("final channel", noise.final_channel[0], gate_set.dim)
     _check_gains(longest, noise.gate_gain, "final channel", noise.final_gain,
                  per_position=False)
 

@@ -8,12 +8,16 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u]. Pauli words are indexed
-by the Weyl index of `corb.paulis`. A set is its elements: a
-Pauli-dressed set {P_i R}, whatever family built it, is recognized from
-them, and its dressing R (`GateSet.dressing`) gives the exact evaluator
-its closed forms. `_FAMILIES` names every family a spec string can
-reach, with its keys and their types.
+from the set's first moment E[conj(u) (x) u]. Every builder forms its
+(|G|, D, D) stack at once: a Clifford group is closed breadth-first by
+rounds, one batched product of the frontier by the generators and one
+phase-fingerprint pass over the products per round, and the controlled
+sets are one batched product of their blocks by the control dressings.
+Pauli words are indexed by the Weyl index of `corb.paulis`. A set is its
+elements: a Pauli-dressed set {P_i R}, whatever family built it, is
+recognized from them, and its dressing R (`GateSet.dressing`) gives the
+exact evaluator its closed forms. `_FAMILIES` names every family a spec
+string can reach, with its keys and their types.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices, read_matrix
 from .linalg import TOL, as_matrix, assert_unitary, tensor
-from .paulis import _weyl_digits, format_label, omega, pauli_basis
+from .paulis import DEFAULT_LABEL_CAP, _weyl_digits, format_label, omega, pauli_basis
 
 CLOSURE_PRODUCT_CAP = 200_000
 FINGERPRINT_DECIMALS = 8
+# Bytes of Pauli(2, 6), the largest stack that the label cap admits (268 MB).
+_STACK_BYTES_CAP = 16 * DEFAULT_LABEL_CAP ** 2
 
 # Families with a feasible exact enumeration; larger groups are rejected
 # rather than approximated.
@@ -41,7 +47,8 @@ CLIFFORD_SIZES = {(2, 1): 24, (3, 1): 216, (2, 2): 11520}
 @dataclass(frozen=True, eq=False)
 class GateSet:
     """Ordered unitaries on (C^d)^(x)n with family metadata, kept as one
-    read-only (|G|, D, D) stack, `elements`.
+    read-only (|G|, D, D) stack, `elements`: as given if it is a read-only
+    complex128 stack (as `pauli_basis` is), else as a frozen copy.
 
     `dressing` is derived from the elements alone: when |G| = D^2 and every
     U_i U_0^dag is a phase times a distinct Weyl operator X^x Z^z, element i
@@ -71,9 +78,12 @@ class GateSet:
                     f"element {i} has shape {u.shape}, expected ({dim}, {dim})"
                 )
             checked.append(u)
-        stack = np.stack(checked)
-        stack.flags.writeable = False
-        object.__setattr__(self, "elements", stack)
+        stack = self.elements
+        if not (isinstance(stack, np.ndarray) and stack.dtype == np.complex128
+                and not stack.flags.writeable):
+            stack = np.stack(checked)
+            stack.flags.writeable = False
+            object.__setattr__(self, "elements", stack)
         object.__setattr__(self, "dressing", _derived_dressing(stack, self.d, self.n))
 
     def __len__(self) -> int:
@@ -175,64 +185,52 @@ def build_pauli_set(d: int, n: int) -> GateSet:
     return GateSet(d, n, "pauli", pauli_basis(d, n))
 
 
-def _phase_fingerprint(m: np.ndarray) -> bytes:
-    """Hashable fingerprint invariant under global phase.
-
-    Divides by the first non-negligible entry (fixing the phase exactly for
-    equal-up-to-phase matrices), rounds, and serializes. The +0.0 folds any
-    -0.0 into +0.0 so the byte form is canonical.
-    """
-    flat = m.ravel()
-    pivot = flat[np.argmax(np.abs(flat) > 1e-6)]
-    norm = flat / pivot
-    re = np.round(norm.real, FINGERPRINT_DECIMALS) + 0.0
-    im = np.round(norm.imag, FINGERPRINT_DECIMALS) + 0.0
-    return re.tobytes() + im.tobytes()
-
-
-def _closure_mod_phase(generators: list[np.ndarray]) -> list[np.ndarray]:
-    """Breadth-first closure under multiplication, deduplicated mod phase."""
-    dim = generators[0].shape[0]
-    seen: dict[bytes, np.ndarray] = {}
-    frontier: list[np.ndarray] = []
-    for m in [np.eye(dim, dtype=np.complex128)] + generators:
-        f = _phase_fingerprint(m)
-        if f not in seen:
-            seen[f] = m
-            frontier.append(m)
-    products = 0
-    while frontier:
-        new: list[np.ndarray] = []
-        for m in frontier:
-            for g in generators:
-                products += 1
-                if products > CLOSURE_PRODUCT_CAP:
-                    raise RuntimeError("closure exceeded the product cap of "
-                                       f"{CLOSURE_PRODUCT_CAP}")
-                p = g @ m
-                f = _phase_fingerprint(p)
-                if f not in seen:
-                    seen[f] = p
-                    new.append(p)
-        frontier = new
-    return list(seen.values())
+def _closure_mod_phase(generators: np.ndarray) -> np.ndarray:
+    """Breadth-first closure of a (g, D, D) generator stack, deduplicated
+    mod phase, by rounds: one batched product of the frontier by every
+    generator, row (f, j) = g_j @ frontier_f, then one fingerprint pass
+    that keeps the new rows in that order. A fingerprint divides a row by
+    its first entry above 1e-6, which fixes the phase, rounds, folds -0.0
+    into +0.0 and takes the bytes of the real, then the imaginary part. A
+    round that would take the products past CLOSURE_PRODUCT_CAP is refused
+    before it is formed."""
+    count, dim, _ = generators.shape
+    seen: set[bytes] = set()
+    rounds = []
+    stack, products = np.concatenate([np.eye(dim, dtype=np.complex128)[None], generators]), 0
+    while True:
+        flat = stack.reshape(len(stack), dim * dim)
+        flat = flat / flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-6, axis=1)][:, None]
+        prints = np.round(np.hstack([flat.real, flat.imag]), FINGERPRINT_DECIMALS) + 0.0
+        new = []
+        for i, row in enumerate(prints):
+            if (key := row.tobytes()) not in seen:
+                seen.add(key)
+                new.append(i)
+        if not new:
+            return np.concatenate(rounds)
+        rounds.append(stack[new])
+        products += len(new) * count
+        if products > CLOSURE_PRODUCT_CAP:
+            raise RuntimeError(f"closure exceeded the product cap of {CLOSURE_PRODUCT_CAP}")
+        stack = (generators @ rounds[-1][:, None]).reshape(-1, dim, dim)
 
 
-def _clifford_generators(d: int, n: int) -> list[np.ndarray]:
+def _clifford_generators(d: int, n: int) -> np.ndarray:
     if d == 2:
         h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
         s = np.diag([1, 1j]).astype(np.complex128)
         if n == 1:
-            return [h, s]
+            return np.stack([h, s])
         eye = np.eye(2, dtype=np.complex128)
         cz = np.diag([1, 1, 1, -1]).astype(np.complex128)
-        return [tensor(h, eye), tensor(eye, h), tensor(s, eye), tensor(eye, s), cz]
+        return np.stack([tensor(h, eye), tensor(eye, h), tensor(s, eye), tensor(eye, s), cz])
     if d == 3 and n == 1:
         w = np.exp(2j * np.pi / 3)
         f = np.array([[1, 1, 1], [1, w, w ** 2], [1, w ** 2, w]],
                      dtype=np.complex128) / np.sqrt(3)
         s = np.diag([1, 1, w]).astype(np.complex128)
-        return [f, s]
+        return np.stack([f, s])
     raise ValueError(f"unsupported Clifford dimensions (d={d}, n={n})")
 
 
@@ -253,25 +251,30 @@ def build_clifford_set(d: int, n: int) -> GateSet:
         raise RuntimeError(
             f"Clifford closure produced {len(elements)} elements, expected {expected}"
         )
-    return GateSet(d, n, "clifford", tuple(elements))
+    return GateSet(d, n, "clifford", elements)
 
 
-def _controlled_paulis(controls: int, d: int) -> tuple[np.ndarray, ...]:
+def _controlled_paulis(controls: int, d: int) -> np.ndarray:
     """(P_c (x) I) sum_b |b><b| (x) P_b over the Paulis P_c of `controls`
     control qubits (outermost) and every choice of one dimension-d target
     Pauli P_b per control basis state b, in `itertools.product` order.
-    Sequence draws index into the stack, so this order is fixed."""
+    Sequence draws index into the stack, so this order is fixed. A stack
+    over _STACK_BYTES_CAP bytes (d > 10 for one control) is refused first."""
     branches = 2 ** controls
-    eye = np.eye(d)
-    elements = []
-    for dressing in pauli_basis(2, controls):
-        left = tensor(dressing, eye)
-        for paulis in itertools.product(pauli_basis(d, 1), repeat=branches):
-            block = np.zeros((branches * d, branches * d), dtype=np.complex128)
-            for b, pauli in enumerate(paulis):
-                block[b * d:(b + 1) * d, b * d:(b + 1) * d] = pauli
-            elements.append(left @ block)
-    return tuple(elements)
+    dim = branches * d
+    size = 16 * 4 ** controls * d ** (2 * branches) * dim * dim
+    if size > _STACK_BYTES_CAP:
+        raise ValueError(f"the controlled set at d={d} would take {size} bytes, "
+                         f"over the bound of {_STACK_BYTES_CAP} bytes")
+    targets = pauli_basis(d, 1)
+    table = np.array(list(itertools.product(range(d * d), repeat=branches)))
+    blocks = np.zeros((len(table), branches, d, branches, d), dtype=np.complex128)
+    for b in range(branches):
+        blocks[:, b, :, b, :] = targets[table[:, b]]
+    lefts = np.stack([tensor(p, np.eye(d)) for p in pauli_basis(2, controls)])
+    stack = (lefts[:, None] @ blocks.reshape(-1, dim, dim)).reshape(-1, dim, dim)
+    stack.flags.writeable = False  # GateSet keeps it rather than a copy
+    return stack
 
 
 def build_controlled_set(d: int) -> GateSet:
@@ -351,7 +354,8 @@ def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
 
-# Least values of the int keys: a qudit dimension d >= 2, a qudit count n >= 1.
+# Least values of the int keys: a qudit dimension d >= 2, a qudit count n >= 1
+# (n >= 2 for `ms`, whose entangling gate needs two qubits).
 _D_MIN, _DN_MIN = {"d": 2}, {"d": 2, "n": 1}
 
 _FAMILIES = {
@@ -361,7 +365,7 @@ _FAMILIES = {
     "controlled": SpecEntry({"d": int}, build_controlled_set, _controlled_dims, _D_MIN),
     "two-control": SpecEntry({}, build_two_control_set, lambda: (2, 3)),
     "ms": SpecEntry({"n": int, "theta": float}, build_ms_dressed_set,
-                    lambda n, theta: (2, n), {"n": 1}),
+                    lambda n, theta: (2, n), {"n": 2}),
     "dressed": SpecEntry({"d": int, "n": int, "u": str},
                          lambda d, n, u: build_dressed_set(read_matrix(u), d, n),
                          lambda d, n, u: (d, n), _DN_MIN),
@@ -372,9 +376,16 @@ _FAMILIES = {
 
 def parse_set_spec(spec: str) -> GateSet:
     """Build the gate set of a spec such as `pauli:d=2,n=1` or `custom:<file>`
-    (a matrix file, see corb.io); `_FAMILIES` lists every family's keys."""
+    (a matrix file, see corb.io); `_FAMILIES` lists every family's keys.
+    A builder's refusal of its key values names the spec; the faults of a
+    `custom` file name the file."""
     family, kwargs = parse_spec(spec, _FAMILIES, "set")
-    return _FAMILIES[family].build(**kwargs)
+    try:
+        return _FAMILIES[family].build(**kwargs)
+    except ValueError as exc:
+        if _FAMILIES[family].keys is None:
+            raise
+        raise ValueError(f"set spec {spec!r}: {exc}") from exc
 
 
 def set_spec_dims(spec: str) -> tuple[int, int]:

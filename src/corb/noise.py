@@ -113,15 +113,15 @@ def trace_gain(gram: np.ndarray) -> float:
 # Noise model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseModel:
     """Noise applied by the engines.
 
     `gate_channel` follows every controlled sequence gate; the final
     inverse gate gets `final_gate_channel` (defaults to the same channel,
-    configurable separately). `control_q` is the control-register
-    depolarizing parameter (1 = ideal control, only used by the
-    control-noise mode). Preparation mixes the target with the maximally
+    configurable separately, on the same dimension). `control_q` is the
+    control-register depolarizing parameter (1 = ideal control, only used
+    by the control-noise mode). Preparation mixes the target with the maximally
     mixed state by eps_p; measurement scales the return effect by
     1 - eps_m (a lossy detector), so SPAM rescales the decay amplitude
     without adding a constant offset.
@@ -134,7 +134,8 @@ class NoiseModel:
     target (1 - eps_p)|0><0| + eps_p I/D. So are `gate_gain` and
     `final_gain`, the trace gains (`trace_gain`) of the two channels, taken
     from the sums sum_s K_s^dag K_s that their Kraus checks form. The
-    engines read them and build none per call or per task.
+    engines read them and build none per call or per task. Models hash
+    and compare by identity.
     """
 
     gate_channel: tuple[np.ndarray, ...]
@@ -149,6 +150,9 @@ class NoiseModel:
         gate_gain = final_gain = trace_gain(gram)
         if self.final_gate_channel is not None:
             final_channel, gram = check_kraus_gram(self.final_gate_channel)
+            if final_channel[0].shape != gate_channel[0].shape:
+                raise ValueError(f"final channel has shape {final_channel[0].shape}; "
+                                 f"the gate channel has {gate_channel[0].shape}")
             object.__setattr__(self, "final_gate_channel", tuple(final_channel))
             final_gain = trace_gain(gram)
         for name in ("control_q", "prep_error", "meas_error"):

@@ -1,11 +1,12 @@
 """Test-side helpers that the library itself never calls: random states,
 unitaries and channels, the noiseless model, the chi-matrix conversions,
 the Pauli-label algebra on (x, z) exponent tuples,
-matrix-file writers, dense reference versions of library checks, and
-single protocol executions on the engine kernel, and the decay fit as
-least-squares solver calls.
+matrix-file writers, dense reference versions of library checks and
+gate-set builders, single protocol executions on the engine kernel, and
+the decay fit as least-squares solver calls.
 """
 
+import itertools
 import math
 from typing import Sequence
 
@@ -13,7 +14,7 @@ import numpy as np
 
 from corb import fitting
 from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity, _protocol
-from corb.gatesets import ConditionReport, GateSet
+from corb.gatesets import FINGERPRINT_DECIMALS, ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
 from corb.noise import NoiseModel, identity_kraus
@@ -243,6 +244,63 @@ def parse_label(text: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Gate sets
 # ---------------------------------------------------------------------------
+
+def phase_fingerprint(m: np.ndarray) -> bytes:
+    """Hashable fingerprint of one matrix, invariant under global phase.
+
+    Divides by the first non-negligible entry (fixing the phase exactly for
+    equal-up-to-phase matrices), rounds, and serializes. The +0.0 folds any
+    -0.0 into +0.0 so the byte form is canonical.
+    """
+    flat = m.ravel()
+    pivot = flat[np.argmax(np.abs(flat) > 1e-6)]
+    norm = flat / pivot
+    re = np.round(norm.real, FINGERPRINT_DECIMALS) + 0.0
+    im = np.round(norm.imag, FINGERPRINT_DECIMALS) + 0.0
+    return re.tobytes() + im.tobytes()
+
+
+def closure_mod_phase(generators: Sequence[np.ndarray]) -> np.ndarray:
+    """Reference for `corb.gatesets._closure_mod_phase`: the breadth-first
+    closure one product g @ m and one fingerprint at a time, in
+    (frontier, generator) order, as a stack."""
+    dim = generators[0].shape[0]
+    seen: dict[bytes, np.ndarray] = {}
+    frontier: list[np.ndarray] = []
+    for m in [np.eye(dim, dtype=np.complex128)] + list(generators):
+        f = phase_fingerprint(m)
+        if f not in seen:
+            seen[f] = m
+            frontier.append(m)
+    while frontier:
+        new: list[np.ndarray] = []
+        for m in frontier:
+            for g in generators:
+                p = g @ m
+                f = phase_fingerprint(p)
+                if f not in seen:
+                    seen[f] = p
+                    new.append(p)
+        frontier = new
+    return np.stack(list(seen.values()))
+
+
+def controlled_paulis(controls: int, d: int) -> np.ndarray:
+    """Reference for `corb.gatesets._controlled_paulis`: each element
+    (P_c (x) I) sum_b |b><b| (x) P_b filled block by block and multiplied
+    on its own, in the same order."""
+    branches = 2 ** controls
+    eye = np.eye(d)
+    elements = []
+    for dressing in pauli_basis(2, controls):
+        left = np.kron(dressing, eye)
+        for paulis in itertools.product(pauli_basis(d, 1), repeat=branches):
+            block = np.zeros((branches * d, branches * d), dtype=np.complex128)
+            for b, pauli in enumerate(paulis):
+                block[b * d:(b + 1) * d, b * d:(b + 1) * d] = pauli
+            elements.append(left @ block)
+    return np.stack(elements)
+
 
 def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
     """Reference for `corb.gatesets.check_condition`: the twirl of each

@@ -413,7 +413,10 @@ SET_PROBES = [
     ("pauli:d=1,n=1", "key 'd' must be >= 2, got '1'"),
     ("clifford:d=2,n=0", "key 'n' must be >= 1, got '0'"),
     ("controlled:d=0", "key 'd' must be >= 2, got '0'"),
-    ("ms:n=-3,theta=0.5", "key 'n' must be >= 1, got '-3'"),
+    ("ms:n=-3,theta=0.5", "key 'n' must be >= 2, got '-3'"),
+    ("ms:n=1,theta=0.3", "key 'n' must be >= 2, got '1'"),
+    ("controlled:d=11", "d=11 would take 453519616 bytes, over the bound of 268435456"),
+    ("pauli:d=2,n=7", "16384 labels exceed the cap of 4096"),
     ("dressed:d=-2,n=1,u=u.mat", "key 'd' must be >= 2, got '-2'"),
 ]
 CHANNEL_PROBES = [

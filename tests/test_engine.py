@@ -1063,6 +1063,12 @@ class TestKConsistency:
 
 
 class TestConfigValidation:
+    def test_configs_hash_and_compare_by_identity(self):
+        a, b = (RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,))
+                for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_lengths_must_increase(self):
         with pytest.raises(ValueError):
             RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(4, 2))
@@ -1262,12 +1268,14 @@ class TestConfigValidation:
         assert record.fidelity == pytest.approx(0.99 ** 7, abs=1e-12)
 
     def test_channel_dimension_mismatch_rejected(self):
+        """A gate channel on another dimension than the set's is refused by
+        RbRunConfig; a final channel on another dimension than the gate
+        channel's is refused by NoiseModel itself."""
         wrong = tuple(identity_kraus(3))
-        for noise in (NoiseModel(gate_channel=wrong),
-                      NoiseModel(gate_channel=tuple(identity_kraus(2)),
-                                 final_gate_channel=wrong)):
-            with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
-                RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
+        with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
+            RbRunConfig(gate_set=PAULI_2, noise=NoiseModel(gate_channel=wrong), lengths=(1,))
+        with pytest.raises(ValueError, match=r"\(3, 3\).*\(2, 2\)"):
+            NoiseModel(gate_channel=tuple(identity_kraus(2)), final_gate_channel=wrong)
 
     @pytest.mark.parametrize("same_sequence", [False, True], ids=["pair", "same"])
     @pytest.mark.parametrize("gate_set", [PAULI_2, CLIFFORD_2], ids=["dressed", "dense"])

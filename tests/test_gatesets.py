@@ -5,8 +5,10 @@ import functools
 import numpy as np
 import pytest
 
+from corb import gatesets
 from corb.gatesets import (
     GateSet,
+    _clifford_generators,
     build_clifford_set,
     build_controlled_set,
     build_custom_set,
@@ -23,8 +25,11 @@ from corb.linalg import unitarity_defect
 from corb.paulis import pauli_basis
 from helpers import (
     check_condition_per_label,
+    closure_mod_phase,
+    controlled_paulis,
     haar_unitary,
     normalizer_residual,
+    phase_fingerprint,
     sequence_inverse,
     shuffled_coset,
     write_matrices,
@@ -107,6 +112,56 @@ class TestControlledFamily:
             branches = sum(np.kron(projectors[b], targets[t]) for b, t in enumerate(digits))
             expected = np.kron(controls[c], np.eye(2)) @ branches
             assert np.max(np.abs(tc.elements[index] - expected)) < 1e-12, index
+
+
+class TestBatchedBuilders:
+    """The closure and the controlled builders form each family as one
+    stack; the builders of `helpers` that form one product at a time are
+    their oracles, byte for byte and in order, since sequence draws index
+    into the stack."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
+    def test_clifford_closure_matches_the_per_product_oracle(self, d, n):
+        built = build_clifford_set(d, n).elements
+        oracle = closure_mod_phase(list(_clifford_generators(d, n)))
+        assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("build,controls,d", [
+        (functools.partial(build_controlled_set, 2), 1, 2),
+        (functools.partial(build_controlled_set, 3), 1, 3),
+        (build_two_control_set, 2, 2),
+    ], ids=["controlled-2", "controlled-3", "two-control"])
+    def test_controlled_stack_matches_the_per_block_oracle(self, build, controls, d):
+        built, oracle = build().elements, controlled_paulis(controls, d)
+        assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
+
+    def test_product_cap_is_exact(self, monkeypatch):
+        """Clifford(2, 1) takes 2 x 24 products, one per generator and
+        element: a cap of 48 admits it, one of 47 refuses it."""
+        monkeypatch.setattr(gatesets, "CLOSURE_PRODUCT_CAP", 48)
+        assert len(build_clifford_set(2, 1)) == 24
+        monkeypatch.setattr(gatesets, "CLOSURE_PRODUCT_CAP", 47)
+        with pytest.raises(RuntimeError, match="^closure exceeded the product cap of 47$"):
+            build_clifford_set(2, 1)
+
+    def test_controlled_bound_in_bytes_before_any_array(self, monkeypatch):
+        """The controlled stack holds 4 d^4 matrices of (2d)^2 entries,
+        256 d^6 bytes: d = 10 is within the 268435456 bytes of Pauli(2, 6),
+        and d = 11 is refused, naming d and the bytes, before the first
+        array (the target Paulis) is built."""
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(gatesets, "pauli_basis", built)
+        with pytest.raises(Built):
+            build_controlled_set(10)
+        with pytest.raises(ValueError, match="^the controlled set at d=11 would take "
+                                             "453519616 bytes, over the bound of "
+                                             "268435456 bytes$"):
+            build_controlled_set(11)
 
 
 class TestMsFamily:
@@ -402,7 +457,17 @@ class TestGateSetInvariants:
             build_custom_set([np.ones((2, 2))])
 
     def test_no_phase_duplicates_in_clifford(self):
-        from corb.gatesets import _phase_fingerprint
         cl = build_clifford_set(2, 1)
-        prints = {_phase_fingerprint(e) for e in cl.elements}
+        prints = {phase_fingerprint(e) for e in cl.elements}
         assert len(prints) == len(cl)
+
+    def test_keeps_a_read_only_stack_and_copies_the_rest(self):
+        """A read-only complex128 stack, as the cached `pauli_basis` is, is
+        kept as given; a writable array or a sequence is copied and frozen."""
+        assert np.shares_memory(build_pauli_set(2, 1).elements, pauli_basis(2, 1))
+        writable = np.array(pauli_basis(2, 1))
+        for given in (writable, list(writable)):
+            gs = GateSet(2, 1, "custom", given)
+            assert not np.shares_memory(gs.elements, writable)
+            assert not gs.elements.flags.writeable
+            assert np.array_equal(gs.elements, writable)

@@ -250,6 +250,20 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(gate_channel=tuple(identity_kraus(2)), control_q=1.5)
 
+    def test_final_channel_on_another_dimension_is_refused(self):
+        """The final channel must act where the gate channel does; a
+        ququart final channel after a qubit gate channel used to pass here
+        and fail later, inside numpy, in `fitting.decay_amplitude`."""
+        with pytest.raises(ValueError, match=r"^final channel has shape \(4, 4\); "
+                                             r"the gate channel has \(2, 2\)$"):
+            NoiseModel(gate_channel=dephasing_kraus(0.01, 2),
+                       final_gate_channel=dephasing_kraus(0.01, 4))
+
+    def test_models_hash_and_compare_by_identity(self):
+        a, b = (NoiseModel(gate_channel=tuple(dephasing_kraus(0.1, 2))) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_derived_operators_are_built_once_and_read_only(self):
         """`gate_sop` and `final_sop` are `superop` of their channels bit
         for bit and its definition to rounding (one product sums in
