@@ -9,7 +9,7 @@ and verdicts. `corb fit` takes one records file, or a reference and an
 interleaved file after `--irb`, never both.
 The sampled engine modes run their (length, repetition) tasks in forked
 worker processes, one per usable CPU unless the CORB_THREADS environment
-variable (an integer >= 1) sets their number; each busy worker holds
+variable (an integer from 1 to the CPU count) sets their number; each busy worker holds
 about 32 (kD)^2 bytes (three half-stored (k, k // 2 + 1, D, D) complex128
 arrays, each block transposed, and two int64 gather indices of the same
 shape), and the records do not depend on the worker count. Any other

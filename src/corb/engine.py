@@ -62,10 +62,11 @@ needing more than STATE_BUDGET_BYTES are refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
-integer >= 1) sets their number. Each busy worker holds one task's arrays
-and indices; all share the run's gate stack. Small runs (POOL_MIN_SIZE),
-single workers, platforms without fork and processes running other threads
-stay serial. Records do not depend on the worker count.
+integer from 1 to the CPU count) sets their number. Each busy worker holds
+one task's arrays and indices; all share the run's gate stack. Small runs
+(POOL_MIN_SIZE), single workers, platforms without fork and processes
+running other threads stay serial. Records do not depend on the worker
+count.
 
 Exact expectations come from one recursion, `exact_fidelities`, which
 builds no state and draws no sequence, and runs on the same protocol and
@@ -111,19 +112,21 @@ Conventions:
   * shots = 0 returns exact expectations, shots = N > 0 draws a binomial
     sample of the expectation (sampled modes only; the full superposition
     refuses shots),
-  * a channel that does not act on the set's dimension is refused before
-    anything runs, and so are channels with trace gains delta
-    (`noise.trace_gain`, derived once by the NoiseModel) when the trace
-    they can add together exceeds FIDELITY_TOL at the longest length m:
-    (1 + delta_gate)^m (1 + delta_final) - 1, since the final channel acts
-    once, by RbRunConfig and by `_protocol` (`_check_noise`), or, when
-    interleaving, (1 + delta_gate)^m (1 + delta_interleaved)^m - 1, by
-    `_protocol`,
-  * sequence lengths are integers >= 1, and k, repetitions, shots and the
-    seed integers: ints, numpy integers or integral floats, stored as ints;
-    any other value is refused, never truncated,
+  * every run's inputs are checked once, by its RbRunConfig, before
+    anything runs (`exact_fidelities` builds one): a channel that does not
+    act on the set's dimension is refused, and so are channels with trace
+    gains delta (`noise.trace_gain`, derived once by the NoiseModel) when
+    the trace they can add together exceeds FIDELITY_TOL at the longest
+    length m, (1 + delta_gate)^m (1 + delta_final) - 1, since the final
+    channel acts once; `_protocol` checks only the interleaved gate and
+    channel, which no config holds, with
+    (1 + delta_gate)^m (1 + delta_interleaved)^m - 1,
+  * sequence lengths are strictly increasing integers >= 1, and k,
+    repetitions, shots and the seed integers: ints, numpy integers or
+    integral floats, stored as ints; any other value is refused, never
+    truncated,
   * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
-    farther out raises FidelityRangeError.
+    farther out raises FidelityRangeError (`_clamped`).
 """
 
 from __future__ import annotations
@@ -158,8 +161,10 @@ FIDELITY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RbRunConfig:
-    """One benchmarking run: set, noise, lengths, superposition size, seed.
-    Configs hash and compare by identity."""
+    """One benchmarking run: set, noise, lengths, superposition size, seed,
+    checked here, once for every engine (see the module docstring); a
+    refusal names the first length that is not an integer >= 1. Configs
+    hash and compare by identity."""
 
     gate_set: GateSet
     noise: NoiseModel
@@ -171,7 +176,15 @@ class RbRunConfig:
     mode: str = "coherent"
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", _checked_lengths(self.lengths))
+        lengths = tuple(self.lengths)
+        if not lengths:
+            raise ValueError("lengths must be positive integers, got none")
+        for m in lengths:
+            if not _is_integral(m):
+                raise ValueError(f"sequence length {m!r} is not an integer")
+            if m < 1:
+                raise ValueError(f"lengths must be positive integers, got {m!r}")
+        object.__setattr__(self, "lengths", tuple(map(int, lengths)))
         if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
             raise ValueError("lengths must be strictly increasing")
         for name in ("k", "repetitions", "shots", "seed"):
@@ -189,15 +202,26 @@ class RbRunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        _check_noise(self.gate_set, self.noise, self.lengths[-1])
+        # `NoiseModel` keeps both channels on one dimension.
+        _check_shape("gate channel", self.noise.gate_channel[0], self.gate_set.dim)
+        _check_gains(self.lengths[-1], self.noise.gate_gain, "final channel",
+                     self.noise.final_gain, per_position=False)
 
 
 class DimensionError(ValueError):
-    """A sampled run would need more than STATE_BUDGET_BYTES per task."""
+    """A run would need more than STATE_BUDGET_BYTES (`_check_bytes`)."""
 
 
 class FidelityRangeError(RuntimeError):
     """An engine fidelity lies outside [0, 1] by more than FIDELITY_TOL."""
+
+
+def _check_bytes(needed: int, what: str, arrays: str) -> None:
+    """Refuse `what`, before it is allocated, when it needs more than
+    STATE_BUDGET_BYTES; `arrays` says what the bytes hold."""
+    if needed > STATE_BUDGET_BYTES:
+        raise DimensionError(f"{what} needs {needed} bytes {arrays}; the budget is "
+                             f"{STATE_BUDGET_BYTES} bytes")
 
 
 def _is_integral(value) -> bool:
@@ -206,35 +230,10 @@ def _is_integral(value) -> bool:
             or isinstance(value, (float, np.floating)) and float(value).is_integer())
 
 
-def _checked_lengths(lengths: Sequence) -> tuple[int, ...]:
-    """The sequence lengths as ints. Each must be integral (`_is_integral`)
-    and at least 1; a refusal names the first that is not, and an empty
-    list is refused."""
-    lengths = tuple(lengths)
-    if not lengths:
-        raise ValueError("lengths must be positive integers, got none")
-    for m in lengths:
-        if not _is_integral(m):
-            raise ValueError(f"sequence length {m!r} is not an integer")
-        if m < 1:
-            raise ValueError(f"lengths must be positive integers, got {m!r}")
-    return tuple(map(int, lengths))
-
-
 def _check_shape(what: str, op, dim: int) -> None:
     if np.shape(op) != (dim, dim):
         raise ValueError(f"{what} has shape {np.shape(op)}; "
                          f"the gate set needs ({dim}, {dim})")
-
-
-def _check_noise(gate_set: GateSet, noise: NoiseModel, longest: int) -> None:
-    """Refuse a noise model whose channels (`NoiseModel` keeps both on one
-    dimension) do not act on the set's dimension, or whose two trace gains
-    could together carry a fidelity past FIDELITY_TOL within `longest`
-    positions (`_check_gains`)."""
-    _check_shape("gate channel", noise.gate_channel[0], gate_set.dim)
-    _check_gains(longest, noise.gate_gain, "final channel", noise.final_gain,
-                 per_position=False)
 
 
 def _check_gains(longest: int, gate_gain: float, other: str, other_gain: float,
@@ -257,21 +256,6 @@ def _check_gains(longest: int, gate_gain: float, other: str, other_gain: float,
             f"{growth:.3e} exceeds {FIDELITY_TOL} at length m = {longest}")
 
 
-def _checked_interleaved(gate, gate_noise, dim: int):
-    """The interleaved gate as a unitary matrix, its channel as a
-    trace-preserving Kraus list (or None) and that channel's trace gain (0
-    without one), after checking the shape of each. One sum
-    sum_s K_s^dag K_s serves the channel's check and its gain."""
-    _check_shape("interleaved gate", gate, dim)
-    for op in () if gate_noise is None else gate_noise:
-        _check_shape("interleaved gate channel", op, dim)
-    gate = assert_unitary(gate, what="interleaved gate")
-    if gate_noise is None:
-        return gate, None, 0.0
-    gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
-    return gate, gate_noise, trace_gain(gram)
-
-
 # ---------------------------------------------------------------------------
 # Seed streams and worker pool
 # ---------------------------------------------------------------------------
@@ -288,7 +272,8 @@ def child_rng(seed: int, m: int, repetition: int, tag: int = 0) -> np.random.Gen
 
 def _worker_count() -> int:
     """Worker processes for the (length, repetition) tasks: CORB_THREADS, an
-    integer >= 1, default the number of CPUs this process may run on."""
+    integer from 1 to the CPU count, default the number of CPUs this
+    process may run on."""
     raw = os.environ.get("CORB_THREADS")
     if raw is None:
         try:
@@ -301,6 +286,9 @@ def _worker_count() -> int:
         workers = 0
     if workers < 1:
         raise ValueError(f"CORB_THREADS must be an integer >= 1, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"CORB_THREADS must be at most the CPU count {cpus}, got {raw!r}")
     return workers
 
 
@@ -419,12 +407,9 @@ def _real_gates(stack: np.ndarray) -> np.ndarray:
     step. Refused, before allocating, when its 64 |G| D^2 bytes exceed
     STATE_BUDGET_BYTES."""
     size, dim = stack.shape[:2]
-    needed = 2 * 8 * size * (2 * dim) ** 2
-    if needed > STATE_BUDGET_BYTES:
-        raise DimensionError(
-            f"the real gate stack of {size} elements of dimension {dim} needs "
-            f"{needed} bytes (a 2x{size}x{2 * dim}x{2 * dim} float64 array); "
-            f"the budget is {STATE_BUDGET_BYTES} bytes")
+    _check_bytes(2 * 8 * size * (2 * dim) ** 2,
+                 f"the real gate stack of {size} elements of dimension {dim}",
+                 f"(a 2x{size}x{2 * dim}x{2 * dim} float64 array)")
     gates = np.empty((2, size, 2 * dim, 2 * dim))
     gates[0] = _real_form(stack.transpose(0, 2, 1))
     np.multiply(gates[0], _signs(dim), out=gates[1])
@@ -572,22 +557,27 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
               interleaved_gate: np.ndarray | None = None,
               interleaved_noise: Sequence[np.ndarray] | None = None) -> _Protocol:
     """The protocol every engine runs on, for sequences of up to `longest`
-    positions (see the module docstring). Without interleaving, the set's
-    elements and the noise model's gate and final superoperators, once the
-    noise model is checked against the set (`_check_noise`); an
-    interleaved gate and its channel are checked (`_checked_interleaved`),
-    after the shape of the gate channel, and derive the stack and both
-    superoperators, since u, N, g, N_g is g u followed by
-    S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag, so at most
-    two superoperators are built. The trace gains of the gate channel and
-    the interleaved one are checked together (`_check_gains`) over
-    `longest` positions."""
+    positions (see the module docstring), of a set and a noise model that
+    an RbRunConfig has checked. Without interleaving, the set's elements
+    and the noise model's gate and final superoperators. An interleaved
+    gate and its channel, which no config holds, are checked here: the
+    shape of each, the gate as unitary and the channel as trace preserving,
+    with one sum sum_s K_s^dag K_s for its check and its trace gain. They
+    derive the stack and both superoperators, since u, N, g, N_g is g u
+    followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag,
+    so at most two superoperators are built. The trace gains of the gate
+    channel and the interleaved one are checked together (`_check_gains`)
+    over `longest` positions."""
     if interleaved_gate is None:
-        _check_noise(gate_set, noise, longest)
         return _Protocol(gate_set.elements, None, noise.gate_sop, noise.final_sop)
-    dim = gate_set.dim
-    _check_shape("gate channel", noise.gate_channel[0], dim)
-    gate, gate_noise, gain = _checked_interleaved(interleaved_gate, interleaved_noise, dim)
+    dim, gate_noise, gain = gate_set.dim, interleaved_noise, 0.0
+    _check_shape("interleaved gate", interleaved_gate, dim)
+    for op in () if gate_noise is None else gate_noise:
+        _check_shape("interleaved gate channel", op, dim)
+    gate = assert_unitary(interleaved_gate, what="interleaved gate")
+    if gate_noise is not None:
+        gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
+        gain = trace_gain(gram)
     _check_gains(longest, noise.gate_gain, "interleaved gate channel", gain,
                  per_position=True)
     gate_sop = superop([gate])
@@ -694,14 +684,12 @@ def _overlap_fidelity(state: np.ndarray, meas_error: float) -> float:
     if k % 2 == 0:
         weights[-1] = 1.0
     overlap = float(state[0, :, :, 0, 0].real.sum(axis=0) @ weights) / k
-    return _clamp_fidelity((1.0 - meas_error) * overlap)
+    return float(_clamped((1.0 - meas_error) * overlap))
 
 
 def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
     """Standard-RB survivals k (1 - eps_m) <0|rho_xi|0> of every branch i of
-    every run x, flat, clipped into [0, 1] when all lie within FIDELITY_TOL
-    of it; FidelityRangeError, naming the first value farther out,
-    otherwise.
+    every run x, flat, held to the range rule (`_clamped`).
 
     Block (i, i) of a coherent run, slot 0 of row i, evolves exactly as a
     standard-RB run of sequence i, with weight 1/k, so with k = 1 these are
@@ -710,11 +698,7 @@ def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
     """
     k = state.shape[1]
     diagonal = state[:, :, 0, 0, 0].real
-    survivals = k * ((1.0 - meas_error) * diagonal).ravel()
-    inside = (survivals >= -FIDELITY_TOL) & (survivals <= 1.0 + FIDELITY_TOL)
-    if not inside.all():
-        raise _out_of_range(survivals[~inside][0])
-    return np.clip(survivals, 0.0, 1.0)
+    return _clamped(k * ((1.0 - meas_error) * diagonal).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -726,32 +710,27 @@ def _check_budget(k: int, dim: int, batch: int = 1) -> None:
     a D-dimensional target whose footprint would exceed STATE_BUDGET_BYTES:
     three (batch, k, w, D, D) complex128 arrays and the two (k, w, D, D)
     gather indices of `_repack_indices`."""
-    shape = (k, k // 2 + 1, dim, dim)
     blocks = k * (k // 2 + 1) * dim * dim
-    needed = 3 * 16 * batch * blocks + 2 * np.dtype(np.intp).itemsize * blocks
-    if needed > STATE_BUDGET_BYTES:
-        what = f"joint dimension k * D = {k * dim}"
-        if batch > 1:
-            what = f"a batch of {batch} states of {what}"
-        shape = "x".join(map(str, shape))
-        raise DimensionError(
-            f"{what} needs {needed} bytes per task (three {batch}x{shape} "
-            f"complex128 arrays and two {shape} gather indices); the budget "
-            f"is {STATE_BUDGET_BYTES} bytes")
+    shape = "x".join(map(str, (k, k // 2 + 1, dim, dim)))
+    what = f"joint dimension k * D = {k * dim}"
+    if batch > 1:
+        what = f"a batch of {batch} states of {what}"
+    _check_bytes(3 * 16 * batch * blocks + 2 * np.dtype(np.intp).itemsize * blocks, what,
+                 f"per task (three {batch}x{shape} complex128 arrays and two {shape} "
+                 f"gather indices)")
 
 
-def _out_of_range(value) -> FidelityRangeError:
-    return FidelityRangeError(f"fidelity {float(value)!r} lies outside [0, 1] "
-                              f"by more than {FIDELITY_TOL}")
-
-
-def _clamp_fidelity(value) -> float:
-    """Clamp a fidelity into [0, 1] when within FIDELITY_TOL of it; raise
-    FidelityRangeError, naming the value, when farther out or NaN."""
-    value = float(value)
-    if not -FIDELITY_TOL <= value <= 1.0 + FIDELITY_TOL:
-        raise _out_of_range(value)
-    return min(max(value, 0.0), 1.0)
+def _clamped(fidelities) -> np.ndarray:
+    """The range rule of every sampled and exact fidelity: the values
+    clipped into [0, 1] when all lie within FIDELITY_TOL of it;
+    FidelityRangeError, naming the first value farther out or NaN,
+    otherwise."""
+    fidelities = np.asarray(fidelities, dtype=np.float64)
+    inside = (fidelities >= -FIDELITY_TOL) & (fidelities <= 1.0 + FIDELITY_TOL)
+    if not inside.all():
+        raise FidelityRangeError(f"fidelity {float(fidelities[~inside][0])!r} lies outside "
+                                 f"[0, 1] by more than {FIDELITY_TOL}")
+    return fidelities.clip(0.0, 1.0)
 
 
 def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
@@ -819,13 +798,10 @@ def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
     every entry, at [(c a e g), (f h d b)]; reordering it into M takes a
     second D^4 x D^4 array."""
     n, d, _ = stack.shape
-    needed = 16 * n * d ** 4 + 2 * 16 * d ** 8
-    if needed > STATE_BUDGET_BYTES:
-        raise DimensionError(
-            f"the same-sequence moment of {n} elements of dimension {d} needs "
-            f"{needed} bytes (a {n}x{d ** 4} complex128 element table and two "
-            f"{d ** 4}x{d ** 4} complex128 products); the budget is "
-            f"{STATE_BUDGET_BYTES} bytes")
+    _check_bytes(16 * n * d ** 4 + 2 * 16 * d ** 8,
+                 f"the same-sequence moment of {n} elements of dimension {d}",
+                 f"(a {n}x{d ** 4} complex128 element table and two {d ** 4}x{d ** 4} "
+                 f"complex128 products)")
     flat = stack.reshape(n, d * d)
     table = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(n, d ** 4)
     products = table.T @ table
@@ -890,11 +866,21 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
 
     An interleaved gate and its channel change only the stack, its left
     dressing factor and the two superoperators the recursion runs on
-    (`_protocol`).
+    (`_protocol`). The set, the noise model and the lengths are checked by
+    one RbRunConfig, as a run's are.
     """
-    lengths = _checked_lengths(lengths)
-    longest = max(lengths)
-    protocol = _protocol(gate_set, noise, longest, interleaved_gate, interleaved_noise)
+    return _exact(RbRunConfig(gate_set, noise, lengths), same_sequence,
+                  interleaved_gate=interleaved_gate, interleaved_noise=interleaved_noise)
+
+
+def _exact(cfg: RbRunConfig, same_sequence: bool = False, *,
+           interleaved_gate: np.ndarray | None = None,
+           interleaved_noise: Sequence[np.ndarray] | None = None) -> list[float]:
+    """The recursion of `exact_fidelities` at the lengths of a checked
+    config, with every fidelity held to the range rule (`_clamped`)."""
+    gate_set, noise = cfg.gate_set, cfg.noise
+    protocol = _protocol(gate_set, noise, cfg.lengths[-1], interleaved_gate,
+                         interleaved_noise)
     step_sop, readout = protocol.position_sop, protocol.final_sop[0]
     prep = noise.prep.reshape(-1)
     if gate_set.dressing is None:
@@ -923,13 +909,12 @@ def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int
         def read(c):
             return c * base
 
-    fidelities = {}
-    for m in range(1, longest + 1):
+    values = []
+    for m in range(1, cfg.lengths[-1] + 1):
         state = advance(state)
-        if m in lengths:
-            value = (1.0 - noise.meas_error) * read(state).real
-            fidelities[m] = _clamp_fidelity(value)
-    return [fidelities[m] for m in lengths]
+        if m in cfg.lengths:
+            values.append(read(state).real)
+    return _clamped((1.0 - noise.meas_error) * np.array(values)).tolist()
 
 
 def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
@@ -939,7 +924,7 @@ def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
     if cfg.shots > 0:
         raise ValueError(f"mode {cfg.mode} over all |G|^m sequences is exact "
                          f"and takes no shots, got shots = {cfg.shots}")
-    fidelities = exact_fidelities(cfg.gate_set, cfg.noise, cfg.lengths, **interleaved)
+    fidelities = _exact(cfg, **interleaved)
     size = len(cfg.gate_set)
     return [FidelityRecord(cfg.mode, m, rep, fidelity, size ** m, f"{m}/full")
             for m, fidelity in zip(cfg.lengths, fidelities)

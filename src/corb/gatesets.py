@@ -38,6 +38,8 @@ CLOSURE_PRODUCT_CAP = 200_000
 FINGERPRINT_DECIMALS = 8
 # Bytes of Pauli(2, 6), the largest stack that the label cap admits (268 MB).
 _STACK_BYTES_CAP = 16 * DEFAULT_LABEL_CAP ** 2
+# Bytes of the products U_i U_0^dag that `_derived_dressing` decodes at once.
+_DRESSING_CHUNK_BYTES = 4 * 2 ** 20
 
 # Families with a feasible exact enumeration; larger groups are rejected
 # rather than approximated.
@@ -48,7 +50,8 @@ CLIFFORD_SIZES = {(2, 1): 24, (3, 1): 216, (2, 2): 11520}
 class GateSet:
     """Ordered unitaries on (C^d)^(x)n with family metadata, kept as one
     read-only (|G|, D, D) stack, `elements`: as given if it is a read-only
-    complex128 stack (as `pauli_basis` is), else as a frozen copy.
+    complex128 stack (as `pauli_basis` and every family builder's stack
+    is), else as a frozen copy.
 
     `dressing` is derived from the elements alone: when |G| = D^2 and every
     U_i U_0^dag is a phase times a distinct Weyl operator X^x Z^z, element i
@@ -103,28 +106,34 @@ def _derived_dressing(elements: np.ndarray, d: int, n: int) -> np.ndarray | None
     a product sits in row x and is c_i, and column |e_j>, with a one at
     site j, holds c_i w^(z_j) in row x + e_j, read as the nearest power
     of w. The candidates c_i X^x Z^z are subtracted from the products in
-    one scatter and the residual is compared with TOL.structural."""
+    one scatter and the residual is compared with TOL.structural. The
+    products are formed and decoded in chunks of rows of at most
+    _DRESSING_CHUNK_BYTES, the first chunk that fails decides, and the
+    codes (x, z) of all rows must be distinct."""
     dim = d ** n
     count = len(elements)
     if count != dim * dim:
         return None
     right = elements[0]
-    products = elements @ right.conj().T
-    rows = np.arange(count)[:, None]
     places, digits = _weyl_digits(d, n)
-    x = np.argmax(np.abs(products[:, :, 0]), axis=1)
-    phases = products[rows[:, 0], x, 0]
-    # shifted[i, s] is the row of s + x_i, where column s holds its entry.
-    shifted = (digits[x][:, None, :] + digits) % d @ places
-    sites = products[rows, shifted[:, places], places] / phases[:, None]
     roots = omega(d) ** np.arange(d)
-    z = np.argmin(np.abs(sites[:, :, None] - roots), axis=2)
-    products[rows, shifted, np.arange(dim)] -= phases[:, None] * roots[z @ digits.T % d]
+    codes = np.empty(count, dtype=np.intp)
+    chunk = max(1, _DRESSING_CHUNK_BYTES // (16 * dim * dim))
+    for start in range(0, count, chunk):
+        products = elements[start:start + chunk] @ right.conj().T
+        rows = np.arange(len(products))[:, None]
+        x = np.argmax(np.abs(products[:, :, 0]), axis=1)
+        phases = products[rows[:, 0], x, 0]
+        # shifted[i, s] is the row of s + x_i, where column s holds its entry.
+        shifted = (digits[x][:, None, :] + digits) % d @ places
+        sites = products[rows, shifted[:, places], places] / phases[:, None]
+        z = np.argmin(np.abs(sites[:, :, None] - roots), axis=2)
+        products[rows, shifted, np.arange(dim)] -= phases[:, None] * roots[z @ digits.T % d]
+        if not np.max(np.abs(products)) <= TOL.structural:
+            return None
+        codes[start:start + len(products)] = x * dim + z @ places
     # count = D^2 codes below D^2 are distinct when each occurs once.
-    distinct = np.all(np.bincount(x * dim + z @ places, minlength=count) == 1)
-    if not (distinct and np.max(np.abs(products)) <= TOL.structural):
-        return None
-    return right
+    return right if np.all(np.bincount(codes, minlength=count) == 1) else None
 
 
 @dataclass(frozen=True)
@@ -180,6 +189,13 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
 # Families
 # ---------------------------------------------------------------------------
 
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    """A builder's fresh stack, made read-only, so that GateSet keeps it
+    rather than a copy."""
+    stack.flags.writeable = False
+    return stack
+
+
 def build_pauli_set(d: int, n: int) -> GateSet:
     """The d^{2n} Pauli words on n qudits of dimension d."""
     return GateSet(d, n, "pauli", pauli_basis(d, n))
@@ -208,7 +224,7 @@ def _closure_mod_phase(generators: np.ndarray) -> np.ndarray:
                 seen.add(key)
                 new.append(i)
         if not new:
-            return np.concatenate(rounds)
+            return _frozen(np.concatenate(rounds))
         rounds.append(stack[new])
         products += len(new) * count
         if products > CLOSURE_PRODUCT_CAP:
@@ -272,9 +288,7 @@ def _controlled_paulis(controls: int, d: int) -> np.ndarray:
     for b in range(branches):
         blocks[:, b, :, b, :] = targets[table[:, b]]
     lefts = np.stack([tensor(p, np.eye(d)) for p in pauli_basis(2, controls)])
-    stack = (lefts[:, None] @ blocks.reshape(-1, dim, dim)).reshape(-1, dim, dim)
-    stack.flags.writeable = False  # GateSet keeps it rather than a copy
-    return stack
+    return _frozen((lefts[:, None] @ blocks.reshape(-1, dim, dim)).reshape(-1, dim, dim))
 
 
 def build_controlled_set(d: int) -> GateSet:
@@ -323,7 +337,7 @@ def ms_gate(n: int, theta: float) -> np.ndarray:
 def build_ms_dressed_set(n: int, theta: float) -> GateSet:
     """Pauli-dressed entangling gates M_i = P_i U_n(theta), any angle."""
     paulis = pauli_basis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
-    return GateSet(2, n, "ms", paulis @ ms_gate(n, theta))
+    return GateSet(2, n, "ms", _frozen(paulis @ ms_gate(n, theta)))
 
 
 def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
@@ -331,7 +345,7 @@ def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
     u = assert_unitary(u, what="dressing unitary")
     if u.shape[0] != d ** n:
         raise ValueError(f"unitary dimension {u.shape[0]} != {d ** n}")
-    return GateSet(d, n, "dressed", pauli_basis(d, n) @ u)
+    return GateSet(d, n, "dressed", _frozen(pauli_basis(d, n) @ u))
 
 
 def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:

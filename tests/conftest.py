@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import concurrent.futures
+import os
 
 import pytest
 
@@ -10,8 +11,10 @@ from corb import engine, noise
 @pytest.fixture
 def pool_starts(monkeypatch):
     """Send every sampled run with two or more workers through the process
-    pool, whatever its size; the returned list gets one entry per pool
-    started, so a test can show that the pool path really ran."""
+    pool, whatever its size, on a machine of two CPUs (`os.cpu_count`), so
+    that CORB_THREADS=2 is admitted whatever the machine has; the returned
+    list gets one entry per pool started, so a test can show that the pool
+    path really ran, or that none did."""
     starts = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -21,6 +24,7 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(engine, "POOL_MIN_SIZE", 0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return starts
 
 

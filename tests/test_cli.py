@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,14 +172,14 @@ class TestRecordFiles:
         records, _ = self.sample_records()
         path = str(tmp_path / f"r.{fmt}")
         (write_records_csv if fmt == "csv" else write_records_json)(path, records)
-        text = open(path).read()
+        text = Path(path).read_text()
         if fmt == "csv":
             text = text.replace("seed_stream", "stream", 1)
         else:
             payload = json.loads(text)
             del payload["records"][2]["seed_stream"]
             text = json.dumps(payload)
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         with pytest.raises(ValueError, match=r"missing column 'seed_stream'"):
             read_records(path)
 
@@ -189,7 +190,7 @@ class TestRecordFiles:
         Infinity, which Python's JSON reader accepts)."""
         if fmt == "csv":
             write_records_csv(path, records)
-            lines = open(path).read().splitlines()
+            lines = Path(path).read_text().splitlines()
             header = lines[0].split(",")
             cells = lines[2].split(",")
             cells[header.index(column)] = str(value)
@@ -197,10 +198,10 @@ class TestRecordFiles:
             text = "\n".join(lines) + "\n"
         else:
             write_records_json(path, records)
-            payload = json.loads(open(path).read())
+            payload = json.loads(Path(path).read_text())
             payload["records"][1][column] = value
             text = json.dumps(payload)
-        open(path, "w").write(text)
+        Path(path).write_text(text)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
@@ -259,7 +260,7 @@ class TestRecordFiles:
         """A JSON document without a list of record objects is refused
         with the file named (exit 1), not a bare KeyError or TypeError."""
         path = str(tmp_path / "r.json")
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         status, _, err = run_main(["fit", path])
         assert status == 1 and err.startswith(f"error: {path}: {fault}"), err
 
@@ -278,13 +279,13 @@ class TestRecordFiles:
         path = str(tmp_path / f"r.{fmt}")
         if fmt == "csv":
             write_records_csv(path, records)
-            text = f"# config {config}\n" + open(path).read()
+            text = f"# config {config}\n" + Path(path).read_text()
         else:
             write_records_json(path, records)
-            payload = json.loads(open(path).read())
+            payload = json.loads(Path(path).read_text())
             payload["config"] = config
             text = json.dumps(payload)
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}: {fault}")):
             read_records(path)
         status, out, err = run_main(["fit", path])
@@ -296,9 +297,9 @@ class TestRecordFiles:
         records, _ = self.sample_records()
         path = str(tmp_path / "r.csv")
         write_records_csv(path, records)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0]
-        open(path, "w").write("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: row 3: bad str for 'seed_stream': None")):
             read_records(path)
@@ -375,7 +376,7 @@ class TestCheckSetCommand:
         path = str(tmp_path / "report.json")
         assert main(["check-set", "ms:n=2,theta=0.3", "--json", path]) == 0
         capsys.readouterr()
-        report = json.loads(open(path).read())
+        report = json.loads(Path(path).read_text())
         assert report["passed"] is True
         assert report["elements"] == 16
 
@@ -582,8 +583,8 @@ class TestRunCommand:
         assert main(args + ["--out", out1]) == 0
         assert main(args + ["--out", out2]) == 0
         capsys.readouterr()
-        a = open(out1, "rb").read()
-        b = open(out2, "rb").read()
+        a = Path(out1).read_bytes()
+        b = Path(out2).read_bytes()
         assert a.replace(out1.encode(), b"F") == b.replace(out2.encode(), b"F")
 
     def test_shot_grid(self, tmp_path, capsys):
@@ -744,6 +745,20 @@ class TestRunCommand:
         assert "CORB_THREADS" in err and f"'{value}'" in err
         assert not os.path.exists(out)
 
+    def test_worker_count_above_the_cpu_count_exit_one(self, tmp_path, capsys,
+                                                       monkeypatch, pool_starts):
+        """A CORB_THREADS above the CPU count (two, patched) is a usage
+        error naming the value and the count; no worker starts and
+        nothing is written."""
+        monkeypatch.setenv("CORB_THREADS", "100000")
+        out = str(tmp_path / "x.csv")
+        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
+                     "--k", "2", "--lengths", "1,2", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1 and pool_starts == []
+        assert err == "error: CORB_THREADS must be at most the CPU count 2, got '100000'\n"
+        assert not os.path.exists(out)
+
     def test_worker_error_reaches_caller(self, tmp_path, capsys, monkeypatch,
                                          pool_starts, gainless_noise_models):
         """A FidelityRangeError raised inside a worker process comes back to
@@ -875,7 +890,7 @@ class TestFitCommand:
         json_path = str(tmp_path / "fit.json")
         status, out, _ = run_main(["fit", path, "--json", json_path])
         assert status == 0
-        for text in (out.splitlines()[-1], open(json_path).read()):
+        for text in (out.splitlines()[-1], Path(json_path).read_text()):
             payload = strict_json(text)
             assert payload["stderr_A"] is None and payload["stderr_chi00"] is None
             assert payload["chi00"] == 0.9
@@ -955,10 +970,10 @@ class TestExperimentCommand:
         outdir = str(tmp_path / "f5c")
         assert main(["experiment", "fig5c", "--out", outdir]) == 0
         capsys.readouterr()
-        verdict = json.loads(open(os.path.join(outdir, "fig5c_verdict.json")).read())
+        verdict = json.loads(Path(os.path.join(outdir, "fig5c_verdict.json")).read_text())
         assert verdict["k"] == 25
         assert verdict["standard_max_deviation"] > verdict["coherent_max_deviation"]
-        coherent_csv = open(os.path.join(outdir, "fig5c_coherent.csv")).read()
+        coherent_csv = Path(os.path.join(outdir, "fig5c_coherent.csv")).read_text()
         rows = coherent_csv.splitlines()
         assert rows[0] == "m,repetition,fidelity,reference,deviation"
         assert len(rows) == 1 + 6 * 75
@@ -971,8 +986,8 @@ class TestExperimentCommand:
         outdir = str(tmp_path / "f5d")
         assert main(["experiment", "fig5d", "--out", outdir]) == 0
         capsys.readouterr()
-        verdict = json.loads(open(os.path.join(outdir, "fig5d_verdict.json")).read())
-        rows = open(os.path.join(outdir, "fig5d_combined_fit.csv")).read().splitlines()
+        verdict = json.loads(Path(os.path.join(outdir, "fig5d_verdict.json")).read_text())
+        rows = Path(os.path.join(outdir, "fig5d_combined_fit.csv")).read_text().splitlines()
         assert rows[0] == "m,mean_fidelity,pure_curve,combined_curve"
         ms, means, pure, combined = np.array(
             [[float(cell) for cell in row.split(",")] for row in rows[1:]]).T
@@ -992,7 +1007,7 @@ class TestExperimentCommand:
         outdir = str(tmp_path / "demo")
         assert main(["experiment", "irb-demo", "--out", outdir]) == 0
         capsys.readouterr()
-        verdict = json.loads(open(os.path.join(outdir, "irb_demo_verdict.json")).read())
+        verdict = json.loads(Path(os.path.join(outdir, "irb_demo_verdict.json")).read_text())
         assert verdict["covered"] is True
         assert verdict["planted_chi00"] == pytest.approx(0.99)
         assert abs(verdict["chi00_gate_estimate"] - 0.99) <= verdict["bound_E"]

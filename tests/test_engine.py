@@ -900,6 +900,23 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=f"CORB_THREADS.*'{value}'"):
             run(cfg)
 
+    @pytest.mark.parametrize("value", ["3", "100000"])
+    def test_worker_count_above_the_cpu_count_rejected(self, monkeypatch, pool_starts,
+                                                       value):
+        """A CORB_THREADS above the CPU count (two, patched) is refused,
+        naming the value and the count, before any worker is forked."""
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setenv("CORB_THREADS", value)
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
+                          k=2, repetitions=2)
+        with pytest.raises(ValueError, match=rf"^CORB_THREADS must be at most the CPU "
+                                             rf"count 2, got '{value}'$"):
+            run(cfg)
+        assert pool_starts == []
+
     def test_child_streams_are_order_free(self):
         a = child_rng(42, 8, 3).integers(0, 1000, 5)
         b = child_rng(42, 8, 3).integers(0, 1000, 5)
@@ -934,6 +951,7 @@ def init(*args):
     open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
 
 real, engine._init_worker = engine._init_worker, init
+os.cpu_count = lambda: 2  # CORB_THREADS=2 is admitted on any machine
 engine.POOL_MIN_SIZE = 0
 run(RbRunConfig(gate_set=build_pauli_set(2, 1),
                 noise=NoiseModel(gate_channel=tuple(identity_kraus(2))),
@@ -1070,8 +1088,39 @@ class TestConfigValidation:
         assert len({a, b, a}) == 2
 
     def test_lengths_must_increase(self):
-        with pytest.raises(ValueError):
-            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(4, 2))
+        """By RbRunConfig and by a direct exact call alike, which checks its
+        inputs through one config."""
+        for lengths in ((4, 2), (2, 2)):
+            with pytest.raises(ValueError, match="^lengths must be strictly increasing$"):
+                RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
+            with pytest.raises(ValueError, match="^lengths must be strictly increasing$"):
+                exact_fidelities(PAULI_2, ideal_noise(), lengths)
+
+    def test_inputs_are_checked_once(self, monkeypatch):
+        """RbRunConfig is the only check of a run's noise model: running a
+        config in any mode checks the trace gains only of an interleaved
+        channel, which no config holds, and a direct exact call checks the
+        final channel once, through its config."""
+        checked = []
+        real_check = corb.engine._check_gains
+
+        def check(*args, **kwargs):
+            checked.append(args[2])
+            return real_check(*args, **kwargs)
+
+        monkeypatch.setattr("corb.engine._check_gains", check)
+        for mode in MODES:
+            cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=2,
+                              mode=mode)
+            assert checked == ["final channel"]
+            interleaved = mode == "interleaved"
+            run(cfg, interleaved_gate=H if interleaved else None)
+            assert checked == ["final channel"] + ["interleaved gate channel"] * interleaved
+            checked.clear()
+        for kwargs in ({}, dict(interleaved_gate=H)):
+            exact_fidelities(PAULI_2, ideal_noise(), (1, 2), **kwargs)
+            assert checked == ["final channel"] + ["interleaved gate channel"] * bool(kwargs)
+            checked.clear()
 
     @pytest.mark.parametrize("lengths, message", [
         ((2.5, 4), "sequence length 2.5 is not an integer"),
@@ -1445,6 +1494,17 @@ class TestFidelityRange:
         RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,))
         with pytest.raises(ValueError, match=rf"delta = .* = {delta:.3e}, .* at length m = 2"):
             RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2,))
+
+    @pytest.mark.parametrize("same_sequence", [False, True])
+    def test_interleaved_exact_call_checks_the_final_channel(self, same_sequence):
+        """A direct exact call checks its noise model through one
+        RbRunConfig, as an interleaved run does, so a final channel gaining
+        9e-9 is refused beside an interleaved gate too, although the
+        interleaved protocol replaces it by the identity."""
+        noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
+                           final_gate_channel=(np.sqrt(1.0 + 9e-9) * np.eye(2),))
+        with pytest.raises(ValueError, match="^final channel gains trace: "):
+            exact_fidelities(PAULI_2, noise, (1,), same_sequence, interleaved_gate=H)
 
     @pytest.mark.parametrize("same_sequence", [False, True])
     def test_trace_gaining_interleaved_channel_is_refused(self, same_sequence):

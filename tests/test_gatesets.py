@@ -135,6 +135,30 @@ class TestBatchedBuilders:
         built, oracle = build().elements, controlled_paulis(controls, d)
         assert built.shape == oracle.shape and built.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("build", [
+        functools.partial(build_pauli_set, 2, 2),
+        functools.partial(build_clifford_set, 2, 1),
+        functools.partial(build_controlled_set, 2),
+        build_two_control_set,
+        functools.partial(build_ms_dressed_set, 2, 0.3),
+        functools.partial(build_dressed_set, H, 2, 1),
+    ], ids=["pauli", "clifford", "controlled", "two-control", "ms", "dressed"])
+    def test_no_builder_stack_is_copied(self, build, monkeypatch):
+        """Every builder hands GateSet a read-only stack, which it keeps:
+        no set's elements are the output of an `np.stack` call, as the
+        copy that GateSet makes of a writable stack is."""
+        outputs = []
+        real_stack = np.stack
+
+        def stack(*args, **kwargs):
+            outputs.append(real_stack(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(np, "stack", stack)
+        elements = build().elements
+        assert not elements.flags.writeable
+        assert not any(out is elements for out in outputs)
+
     def test_product_cap_is_exact(self, monkeypatch):
         """Clifford(2, 1) takes 2 x 24 products, one per generator and
         element: a cap of 48 admits it, one of 47 refuses it."""
@@ -285,6 +309,30 @@ class TestDressing:
             "perturbed": [*elements[:3], turn @ elements[3]],
         }[case]
         assert GateSet(2, 1, "dressed", elements).dressing is None
+
+    @pytest.mark.parametrize("case", ["coset", "perturbed-last", "repeated-last"])
+    def test_decided_in_chunks_as_at_once(self, case, monkeypatch):
+        """The products U_i U_0^dag are decoded in chunks of rows. With one
+        row per chunk, a shuffled, phased coset records its first element,
+        and the same coset with only its last row spoiled, turned by an
+        angle of 1e-6 or replaced by i U_0 (a repeated code, which no
+        chunk sees alone), records None, as with one chunk for the set."""
+        coset = shuffled_coset(2, 2, np.random.default_rng(5)).elements
+        turn = np.cos(1e-6) * np.eye(4) + 1j * np.sin(1e-6) * np.kron(X, I2)
+        last = {"coset": coset[-1], "perturbed-last": turn @ coset[-1],
+                "repeated-last": 1j * coset[0]}[case]
+        elements = [*coset[:-1], last]
+        row = 16 * 4 * 4
+        assert gatesets._DRESSING_CHUNK_BYTES >= len(coset) * row
+        decisions = []
+        for chunk_bytes in (gatesets._DRESSING_CHUNK_BYTES, row):
+            monkeypatch.setattr(gatesets, "_DRESSING_CHUNK_BYTES", chunk_bytes)
+            decisions.append(GateSet(2, 2, "custom", elements).dressing)
+        for dressing in decisions:
+            if case == "coset":
+                np.testing.assert_array_equal(dressing, coset[0])
+            else:
+                assert dressing is None
 
 
 class TestConditionChecker:

@@ -105,6 +105,23 @@ def test_every_import_is_used():
     assert not unused, "imports no code uses: " + ", ".join(unused)
 
 
+def test_each_engine_error_is_raised_by_one_function():
+    """The byte budget and the fidelity range rule are each stated once:
+    one function raises every DimensionError, one every
+    FidelityRangeError."""
+    raisers = {"DimensionError": set(), "FidelityRangeError": set()}
+    for name, tree in _library()[0].items():
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                        and getattr(node.exc.func, "id", None) in raisers):
+                    raisers[node.exc.func.id].add(f"{name}:{function.name}")
+    assert raisers == {"DimensionError": {"engine.py:_check_bytes"},
+                       "FidelityRangeError": {"engine.py:_clamped"}}
+
+
 def _readme_section(heading: str) -> str:
     """The README text under a `## ` heading, up to the next one."""
     text = README.read_text(encoding="utf-8")
