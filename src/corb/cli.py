@@ -9,11 +9,12 @@ and verdicts. `corb fit` takes one records file, or a reference and an
 interleaved file after `--irb`, never both.
 The sampled engine modes run their (length, repetition) tasks in forked
 worker processes, one per usable CPU unless the CORB_THREADS environment
-variable (an integer from 1 to the CPU count) sets their number; each busy worker holds
-about 32 (kD)^2 bytes (three half-stored (k, k // 2 + 1, D, D) complex128
-arrays, each block transposed, and two int64 gather indices of the same
-shape), and the records do not depend on the worker count. Any other
-CORB_THREADS value is a usage error.
+variable (an integer from 1 to the CPU count) sets their number; each busy
+worker holds 64 k w D^2 bytes (three half-stored (k, w, D, D) complex128
+arrays, each block transposed, and two int64 gather indices of that shape;
+w = k // 2 + 1 for the coherent modes, 1 for standard RB), and the records
+do not depend on the worker count. Any other CORB_THREADS value is a usage
+error of every command.
 
 Exit codes: 0 success, 1 usage or parse failure (an operating-system
 error on a path, such as a missing file or a directory where a file is
@@ -39,6 +40,7 @@ from .engine import (
     DimensionError,
     FidelityRecord,
     RbRunConfig,
+    _worker_count,
     exact_fidelities,
     run,
     run_interleaved_coherent,
@@ -518,6 +520,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        _worker_count()  # every command refuses a bad CORB_THREADS, not only sampled runs
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

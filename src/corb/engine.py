@@ -17,53 +17,42 @@ With a fixed gate g and its channel N_g, the stack becomes {g u}, the
 position channel S(N_g) S(g) S(N) S(g^dag), and the final channel, since
 the closing gate is noiseless, the identity.
 
-Every sampled mode runs on one kernel, `_evolve`, which evolves a batch of
-b independent coherent states in blocked form, so a controlled gate is a
-per-branch-pair contraction rather than a full (kD)^2 matrix product.
-Block (j, i) of a Hermitian state is the adjoint of block (i, j), so each
-state is stored in half, as (b, k, w, D, D) with w = k // 2 + 1 and each
-block transposed, so that the row-target index comes last (see the kernel
-section below). The coherent modes evolve one k-branch state (b = 1). A
-coherent run with a one-level control register is standard RB, so
-standard RB evolves its k sequences as k one-branch states (b = k, one
-branch each). The diagonal control blocks of a coherent state are the
-standard-RB runs of its k sequences, so one coherent pass also yields the
-standard record over the same draw (`run_coherent_and_standard`); both
-readings come from `_branch_survivals`.
+Every sampled mode runs on one kernel, `_evolve`, which evolves one
+k-branch state in blocked form, so a controlled gate is a per-branch-pair
+contraction rather than a full (kD)^2 matrix product. Block (j, i) of a
+Hermitian state is the adjoint of block (i, j), so row i stores w of its k
+blocks, as (k, w, D, D), each block transposed (see the kernel section
+below): w = k // 2 + 1 for the coherent modes. The diagonal control blocks
+of a coherent state are the standard-RB runs of its k sequences, so
+standard RB stores only them (w = 1), and one coherent pass also yields
+the standard record over the same draw (`run_coherent_and_standard`);
+both readings come from `_branch_survivals`. The kernel updates the state
+in place, and every product it takes is a float64 batched matmul; each
+conjugation is two products around one gather, which re-packs the state
+into the other half layout.
 
-The kernel updates the state in place, and every product it takes is a
-float64 batched matmul: viewed as float64, a complex row is a real row of
-twice its length, and a complex right-multiplication is one product by a
-real (2n, 2n) form. Because the state is Hermitian, U rho U^dag =
-U (U rho)^dag: per position, one product by the plain form of the row
-gates, one gather, which re-packs U rho into the other half layout with
-its blocks transposed, and one product by the conjugating form, which
-takes the adjoint as it multiplies. The running product of each branch,
-and from it the closing inverse, stay in real form.
-
-Everything a task needs that does not depend on its draw is built once per
-run, before the workers fork, into a `_Kernel`, and none of it is
-state-sized: the plain and the conjugating form of every gate of the
-stack, a (2, |G|, 2D, 2D) float64 array of 64 |G| D^2 bytes, refused like
-a task when it exceeds STATE_BUDGET_BYTES; one (w, D, D) slot row of the
-initial state; the step of each channel; the sign vector of the
-conjugating forms and the identity the running products start from. The
-channels are classified once per run from the superoperators of the
-triple: the identity channel is skipped; a channel whose superoperator is
-diagonal (every Kraus operator diagonal, as for all phase channels) is one
-elementwise multiply by a state-sized mask, filled per task from a
-(w, D, D) slot row (and reused by an equal final channel); any other
-channel is one real (blocks, 2D^2) x (2D^2, 2D^2) product over all stored
-blocks. Each (length, repetition) task owns exactly three state-sized
-complex128 arrays (the state, a work buffer, and the mask) and uses two
-(k, w, D, D) intp gather indices, 48 b k w D^2 + 16 k w D^2 bytes on a
-64-bit platform, and allocates nothing state-sized per position; tasks
-needing more than STATE_BUDGET_BYTES are refused before allocating.
+What a task needs that does not depend on its draw is held by the run's
+`_Kernel`, built once per run before the workers fork: the plain and the
+conjugating real form of every gate of the stack, a (2, |G|, 2D, 2D)
+float64 array of 64 |G| D^2 bytes, refused like a task when it exceeds
+STATE_BUDGET_BYTES; one (w, D, D) slot row of the initial state; the step
+of each channel, classified from its superoperator: the identity is
+skipped, a diagonal one (every Kraus operator diagonal, as for all phase
+channels) is one elementwise multiply by a state-sized mask filled per
+task from a slot row, and any other is one real (blocks, 2D^2) x
+(2D^2, 2D^2) product over all stored blocks. Only the two (k, w, D, D)
+intp gather indices are built later, by each process at its first task,
+and die with the kernel. Each (length, repetition) task owns three
+state-sized complex128 arrays (the state, a work buffer, the mask) and
+uses the indices, 64 k w D^2 bytes on a 64-bit platform, and allocates
+nothing state-sized per position; a task needing more than
+STATE_BUDGET_BYTES is refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, by default one per CPU this process may run on; CORB_THREADS (an
-integer from 1 to the CPU count) sets their number. Each busy worker holds
-one task's arrays and indices; all share the run's gate stack. Small runs
+integer from 1 to the CPU count) sets their number, and is read before
+anything of the run is built. Each busy worker holds one task's arrays and
+the run's indices; all share the run's gate stack. Small runs
 (POOL_MIN_SIZE), single workers, platforms without fork and processes
 running other threads stay serial. Records do not depend on the worker
 count.
@@ -147,9 +136,9 @@ from .linalg import assert_unitary, check_kraus_gram
 from .noise import NoiseModel, superop, trace_gain
 from .paulis import pauli_basis
 
-# Bytes one sampled task may hold (see _check_budget): 48 b k w D^2 +
-# 16 k w D^2 with w = k // 2 + 1, so k * D up to about 5000 for one state
-# (k = 2507 at D = 2). The full superposition never builds its state and is
+# Bytes one sampled task may hold (see _check_budget): 64 k w D^2, so with
+# w = k // 2 + 1, k * D up to about 5000 for a coherent state (k = 2507 at
+# D = 2). The full superposition never builds its state and is
 # not capped; the dense moment that `exact_fidelities` builds for
 # `same_sequence` is held to it (see _same_sequence_moment).
 STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
@@ -327,18 +316,18 @@ def _run_chunk(chunk):
     return [_worker_task(task) for task in chunk]
 
 
-def _map_tasks(fn, tasks, size: int):
+def _map_tasks(fn, tasks, size: int, workers: int):
     """[fn(t) for t in tasks], in order, spread over forked worker processes.
 
     Under fork the workers inherit `fn` (and the gate set and closures it
     holds) instead of unpickling it; only the task tuples and the results
     cross the pipe. Worker w runs the strided chunk tasks[w::W], so every
-    worker gets the same mix of lengths. A run stays serial with one worker,
-    fewer than two tasks, a `size` below POOL_MIN_SIZE, no fork start
-    method, or other Python threads running. An exception raised in a
-    worker is re-raised here.
+    worker gets the same mix of lengths. A run stays serial when `workers`
+    (`_worker_count`) or the task count is below 2, `size` is below
+    POOL_MIN_SIZE, fork is missing, or other Python threads run. An
+    exception raised in a worker is re-raised here.
     """
-    workers = min(_worker_count(), len(tasks))
+    workers = min(workers, len(tasks))
     if workers <= 1 or size < POOL_MIN_SIZE:
         return [fn(t) for t in tasks]
     # Imported here: the pool machinery would add about 20 ms to `import corb`.
@@ -359,18 +348,19 @@ def _map_tasks(fn, tasks, size: int):
 
 
 # ---------------------------------------------------------------------------
-# Half-stored kernel (state shape (b, k, w, D, D) with w = k // 2 + 1,
-# C-contiguous: b independent k-branch states)
+# Half-stored kernel (one k-branch state of shape (k, w, D, D), C-contiguous)
 #
 # Block (j, i) of a Hermitian state is the adjoint of block (i, j), so row i
 # keeps w of its k blocks. In the forward layout slot s of row i holds block
 # (i, (i + s) mod k), in the backward layout block (i, (i - s) mod k). Slot 0
-# holds the diagonal block in both; for even k, slot k/2 of rows i and
-# i + k/2 holds the two adjoint copies of one pair. Every conjugation flips
-# the layout. The channel steps and control depolarization preserve
-# Hermiticity, so they act on the stored blocks of either layout alike.
+# holds the diagonal block in both; for even k and w = k // 2 + 1, slot k/2
+# of rows i and i + k/2 holds the two adjoint copies of one pair. Every
+# conjugation flips the layout. The channel steps and control
+# depolarization preserve Hermiticity, so they act on the stored blocks of
+# either layout alike. With w = 1 only the diagonal is stored: no gate
+# couples two branches' diagonal blocks, so they evolve as k standard runs.
 #
-# Each block B is stored transposed: entry [x, i, s, c, a] is B[a, c], so
+# Each block B is stored transposed: entry [i, s, c, a] is B[a, c], so
 # the row-target index a comes last and a gate U acts on the right, as
 # x -> x U^T on every row x of the last axis. Every such product runs in
 # real arithmetic: viewed as float64, a complex row of length n is a real
@@ -417,16 +407,14 @@ def _real_gates(stack: np.ndarray) -> np.ndarray:
     return gates
 
 
-@functools.lru_cache(maxsize=2)
-def _repack_indices(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+def _repack_indices(k: int, w: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices (into forward, into backward), each of shape
     (k, w, D, D), into a flattened state held in the other layout: entry
     [i, s, c, a] of the gathered state is entry [r, s, a, c] of the input,
     with r = (i + s) mod k into the forward layout and r = (i - s) mod k
     into the backward one. Either way slot s of input row r holds block
     (r, i), so slot s of row i receives its transpose, and block (i, r) is
-    its adjoint. They depend only on (k, D); the last two are kept."""
-    w = k // 2 + 1
+    its adjoint."""
     i, s, c, a = np.ix_(range(k), range(w), range(d), range(d))
     indices = tuple(((rows % k * w + s) * d + a) * d + c for rows in (i + s, i - s))
     for index in indices:
@@ -436,22 +424,22 @@ def _repack_indices(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _conjugate_branches(state: np.ndarray, free: np.ndarray,
                         gates: np.ndarray, repack: np.ndarray):
-    """Block (i, j) -> U_xi block U_xj^dag on every stored block of
-    Hermitian states, re-packed by `repack` (one of `_repack_indices`) into
+    """Block (i, j) -> U_i block U_j^dag on every stored block of a
+    Hermitian state, re-packed by `repack` (one of `_repack_indices`) into
     the other layout; `gates` holds the plain and the conjugating real form
-    of U_xi^T at [0, x, i] and [1, x, i].
+    of U_i^T at [0, i] and [1, i].
 
     U rho U^dag = U (U rho)^dag, and block (i, j) of (U rho)^dag is the
     adjoint of block (j, i) of U rho, stored in row j of the current layout
     whenever the other layout stores block (i, j) in row i: two real
     batched matmuls around one gather, the second of which conjugates.
     """
-    b, k, w, d = state.shape[:4]
-    rows = state.view(np.float64).reshape(b, k, w * d, 2 * d)
-    free_rows = free.view(np.float64).reshape(b, k, w * d, 2 * d)
+    k, w, d = state.shape[:3]
+    rows = state.view(np.float64).reshape(k, w * d, 2 * d)
+    free_rows = free.view(np.float64).reshape(k, w * d, 2 * d)
     np.matmul(rows, gates[0], out=free_rows)                            # U rho
     # mode="clip" writes straight into `state`; "raise" would buffer.
-    np.take(free.reshape(b, -1), repack, axis=1, out=state, mode="clip")
+    np.take(free.reshape(-1), repack, out=state, mode="clip")
     np.matmul(rows, gates[1], out=free_rows)                            # U rho U^dag
     return free, state
 
@@ -480,9 +468,9 @@ def _skip(state, free):
 
 
 def _mask_step(row: np.ndarray, mask: np.ndarray):
-    """Multiply entry [x,i,s,c,a] by diagonal[a*D + c], held in a
+    """Multiply entry [i,s,c,a] by diagonal[a*D + c], held in a
     (w, D, D) slot row. The mask is filled once per task at full state
-    size: a broadcast (1,1,1,D,D) operand makes the inner loop D long,
+    size: a broadcast (1,1,D,D) operand makes the inner loop D long,
     about five times slower at k = 80, D = 2, and filling it by
     broadcasting the whole row, not one D x D block, keeps the fill's
     inner loop w D^2 long."""
@@ -502,7 +490,7 @@ _BLAS_SERIAL_SIZE = 262144
 def _superop_step(sop: np.ndarray):
     """The map of a superoperator (`noise.superop`) on every stored block.
     A stored block lists its entries [c, a] contiguously, so the channel is
-    one real (blocks, 2D^2) x (2D^2, 2D^2) product over all b k w stored
+    one real (blocks, 2D^2) x (2D^2, 2D^2) product over all k w stored
     blocks, with the superoperator's row and column pairs swapped to (c, a)
     and its real form taken once. The blocks go in chunks small enough
     that no product exceeds _BLAS_SERIAL_SIZE: 4096 blocks at D = 2 (all
@@ -526,13 +514,13 @@ def _superop_step(sop: np.ndarray):
 
 
 def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
-    """Half-stored form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho) on every
-    state of the batch, in place: the diagonal blocks are slot 0."""
-    k = rho.shape[1]
-    diagonal = rho[:, :, 0]
-    target = np.einsum("xiab->xab", diagonal)
+    """Half-stored form of rho -> q rho + (1-q)(I_k/k)(x)tr_c(rho), in
+    place: the diagonal blocks are slot 0."""
+    k = rho.shape[0]
+    diagonal = rho[:, 0]
+    target = np.einsum("iab->ab", diagonal)
     rho *= q
-    diagonal += (1.0 - q) / k * target[:, None]
+    diagonal += (1.0 - q) / k * target
     return rho
 
 
@@ -588,28 +576,35 @@ def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
                      np.eye(dim * dim, dtype=np.complex128))
 
 
-class _Kernel:
-    """What every task of a sampled run shares, built once per run before
-    the workers fork, for tasks of `batch` states of `branches` branches
-    each (see the module docstring), from a `_protocol` and the prepared
-    target. Nothing in it is state-sized.
+def _shared_blocks(k: int, slots: int) -> int:
+    """How many diagonal blocks share the prepared target: k when the state
+    stores off-diagonal slots, 1 when only the diagonal (exact at k = 1)."""
+    return k if slots > 1 else 1
 
-    Protocol of each state: prepare |+>_c (x) prep; apply m controlled
-    gates from the stack, each followed by the position channel on the
-    target (and, when control_q < 1, by control depolarization); apply the
-    controlled inverse of each branch, followed by the final channel.
+
+class _Kernel:
+    """What every task of a sampled run shares, for states of k branches
+    stored in `slots` slots per row (see the module docstring), built from a
+    `_protocol` and the prepared target once per run, before the workers
+    fork; only the gather indices (`repack`) wait for a task.
+
+    Protocol of each state: prepare |+>_c (x) prep, of which only the
+    diagonal blocks are kept when slots = 1; apply m controlled gates from
+    the stack, each followed by the position channel on the target (and,
+    when control_q < 1, by control depolarization); apply the controlled
+    inverse of each branch, followed by the final channel.
     """
 
-    def __init__(self, protocol, prep: np.ndarray, batch: int, branches: int,
+    def __init__(self, protocol, prep: np.ndarray, k: int, slots: int,
                  *, control_q: float = 1.0):
         stack = protocol.stack()
         position_sop, final_sop = protocol.position_sop, protocol.final_sop
         dim = stack.shape[-1]
-        slots = branches // 2 + 1
+        self.k, self.slots, self.dim = k, slots, dim
         self.gates = _real_gates(stack)
         # |+><+|_c (x) prep has all blocks equal, so it is in both layouts.
         self.initial = np.empty((slots, dim, dim), dtype=np.complex128)
-        self.initial[...] = (prep / branches).T
+        self.initial[...] = (prep / _shared_blocks(k, slots)).T
         self.channel = _channel_step(position_sop, slots)
         if np.array_equal(final_sop, position_sop):
             # Most often the final channel is the gate channel: its step
@@ -618,35 +613,40 @@ class _Kernel:
         else:
             self.final = _channel_step(final_sop, slots)
         self.signs = _signs(dim)
-        self.identity = np.broadcast_to(np.eye(2 * dim),
-                                        (batch, branches, 2 * dim, 2 * dim)).copy()
+        self.identity = np.broadcast_to(np.eye(2 * dim), (k, 2 * dim, 2 * dim)).copy()
         self.control_q = control_q
+
+    @functools.cached_property
+    def repack(self) -> tuple[np.ndarray, np.ndarray]:
+        """The run's `_repack_indices`, built by each process at its first
+        task and freed with the kernel."""
+        return _repack_indices(self.k, self.slots, self.dim)
 
 
 def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
-    """Final half-stored states, in the forward layout, of b independent
-    coherent runs, each over k branches, from a (b, k, m) sequence-index
-    array into the kernel's gate set (see `_Kernel` for the protocol)."""
-    b, k, m = sequences.shape
-    dim = kernel.gates.shape[-1] // 2
+    """Final half-stored state, in the forward layout, of one run over k
+    branches, from a (k, m) sequence-index array into the kernel's gate set
+    (see `_Kernel` for the protocol)."""
+    k, m = sequences.shape
+    dim = kernel.dim
 
-    # The task's whole footprint: three state-sized arrays and the gather
-    # indices (see _check_budget), and a few (b, k, 2D, 2D) arrays.
-    state = np.empty((b, k) + kernel.initial.shape, dtype=np.complex128)
+    # The task's whole footprint: three state-sized arrays, the run's gather
+    # indices (see _check_budget), and a few (k, 2D, 2D) arrays.
+    state = np.empty((k,) + kernel.initial.shape, dtype=np.complex128)
     state[...] = kernel.initial
     free = np.empty_like(state)
     aux = np.empty_like(state)
-    into_forward, into_backward = _repack_indices(k, dim)
+    into_forward, into_backward = kernel.repack
     channel = kernel.channel(aux)
-    # gates[:, x, i] are the two forms of branch i's gate of run x.
-    # products[x, i] is R(P^T) of the branch's running product P, so that
-    # the closing gate P^dag has the plain form R(P^T)^T.
-    gates = np.empty((2, b, k, 2 * dim, 2 * dim))
+    # gates[:, i] are the two forms of branch i's gate. products[i] is
+    # R(P^T) of the branch's running product P, so that the closing gate
+    # P^dag has the plain form R(P^T)^T.
+    gates = np.empty((2, k, 2 * dim, 2 * dim))
     products = kernel.identity.copy()
     spare = np.empty_like(products)
 
     for position in range(m):
-        np.take(kernel.gates, sequences[..., position], axis=1, out=gates)
+        np.take(kernel.gates, sequences[:, position], axis=1, out=gates)
         # The layout flips at each of the m + 1 conjugations. The initial
         # state is in both, so choosing by the parity left ends in forward.
         repack = into_forward if (m - position) % 2 == 0 else into_backward
@@ -657,7 +657,7 @@ def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
         if kernel.control_q < 1.0:
             _apply_control_depolarize(state, kernel.control_q)
 
-    np.copyto(gates[0], products.transpose(0, 1, 3, 2))
+    np.copyto(gates[0], products.transpose(0, 2, 1))
     np.multiply(gates[0], kernel.signs, out=gates[1])
     state, free = _conjugate_branches(state, free, gates, into_forward)
     final = channel if kernel.final is kernel.channel else kernel.final(aux)
@@ -670,53 +670,51 @@ def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
 # offset.
 
 def _overlap_fidelity(state: np.ndarray, meas_error: float) -> float:
-    """Coherent fidelity of a one-run state: the return effect
-    (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>.
+    """Coherent fidelity of a state of k branches and w = k // 2 + 1 slots:
+    the return effect (1 - eps_m)|psi><psi| with psi = |+>_c (x) |0>.
 
     The overlap sums <0|block|0> over all k^2 blocks. It is real, and each
     stored off-diagonal block stands for itself and its adjoint, so slot 0
     counts once and every other slot twice, except slot k/2 for even k,
     which is stored twice.
     """
-    k, w = state.shape[1], state.shape[2]
+    k, w = state.shape[:2]
     weights = np.full(w, 2.0)
     weights[0] = 1.0
     if k % 2 == 0:
         weights[-1] = 1.0
-    overlap = float(state[0, :, :, 0, 0].real.sum(axis=0) @ weights) / k
+    overlap = float(state[:, :, 0, 0].real.sum(axis=0) @ weights) / k
     return float(_clamped((1.0 - meas_error) * overlap))
 
 
 def _branch_survivals(state: np.ndarray, meas_error: float) -> np.ndarray:
-    """Standard-RB survivals k (1 - eps_m) <0|rho_xi|0> of every branch i of
-    every run x, flat, held to the range rule (`_clamped`).
+    """Standard-RB survivals (1 - eps_m) <0|rho_i|0> / weight of every
+    branch i, held to the range rule (`_clamped`).
 
-    Block (i, i) of a coherent run, slot 0 of row i, evolves exactly as a
-    standard-RB run of sequence i, with weight 1/k, so with k = 1 these are
-    the survivals of standard RB and with k > 1 those of the k sequences in
-    superposition (unless control depolarization has mixed the blocks).
+    Block (i, i), slot 0 of row i, evolves exactly as a standard-RB run of
+    sequence i, with the weight its preparation gave it (`_shared_blocks`):
+    1 when only the diagonal is stored, which is standard RB, and 1/k in a
+    coherent state, whose k sequences are in superposition (unless control
+    depolarization has mixed the blocks).
     """
-    k = state.shape[1]
-    diagonal = state[:, :, 0, 0, 0].real
-    return _clamped(k * ((1.0 - meas_error) * diagonal).ravel())
+    diagonal = state[:, 0, 0, 0].real
+    return _clamped(_shared_blocks(*state.shape[:2]) * ((1.0 - meas_error) * diagonal))
 
 
 # ---------------------------------------------------------------------------
 # Engines
 # ---------------------------------------------------------------------------
 
-def _check_budget(k: int, dim: int, batch: int = 1) -> None:
-    """Refuse, before allocating, a task of `batch` states of k branches on
-    a D-dimensional target whose footprint would exceed STATE_BUDGET_BYTES:
-    three (batch, k, w, D, D) complex128 arrays and the two (k, w, D, D)
-    gather indices of `_repack_indices`."""
-    blocks = k * (k // 2 + 1) * dim * dim
-    shape = "x".join(map(str, (k, k // 2 + 1, dim, dim)))
-    what = f"joint dimension k * D = {k * dim}"
-    if batch > 1:
-        what = f"a batch of {batch} states of {what}"
-    _check_bytes(3 * 16 * batch * blocks + 2 * np.dtype(np.intp).itemsize * blocks, what,
-                 f"per task (three {batch}x{shape} complex128 arrays and two {shape} "
+def _check_budget(k: int, dim: int, slots: int) -> None:
+    """Refuse, before allocating, a task on a state of k branches of a
+    D-dimensional target, stored in `slots` slots per row, whose footprint
+    would exceed STATE_BUDGET_BYTES: three (k, w, D, D) complex128 arrays
+    and the two gather indices of `_repack_indices` of the same shape."""
+    blocks = k * slots * dim * dim
+    shape = "x".join(map(str, (k, slots, dim, dim)))
+    _check_bytes((3 * 16 + 2 * np.dtype(np.intp).itemsize) * blocks,
+                 f"joint dimension k * D = {k * dim}",
+                 f"per task (three {shape} complex128 arrays and two {shape} "
                  f"gather indices)")
 
 
@@ -745,33 +743,34 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None, *,
     """The (length, repetition) task loop of every sampled mode, with the
     records of each mode in `modes` (default: cfg.mode alone), by mode.
 
-    Every task evolves one kernel state of one (k, m) draw of sequence
-    indices: k one-branch runs when cfg.mode is "standard", one k-branch
-    run otherwise, whose control depolarizes (cfg.noise.control_q) only in
-    mode "coherent-control-noise". Each mode in `modes` reads that state
-    its own way: "standard" as the mean survival of the diagonal blocks
-    (`_branch_survivals`), every other mode as the overlap with the return
-    effect (`_overlap_fidelity`). Each mode draws its shots from a fresh
-    tag-1 stream, so its records equal those of a run of that mode alone.
+    Every task evolves one kernel state over one (k, m) draw of sequence
+    indices, stored in one slot (the diagonal) when cfg.mode is "standard"
+    and k // 2 + 1 otherwise; its control depolarizes (cfg.noise.control_q)
+    only in mode "coherent-control-noise". Each mode in `modes` reads that
+    state its own way: "standard" as the mean survival of the diagonal
+    blocks (`_branch_survivals`), every other mode as the overlap with the
+    return effect (`_overlap_fidelity`). Each mode draws its shots from a
+    fresh tag-1 stream, so its records equal those of a run of that mode
+    alone.
 
-    The interleaved gate and its channel are checked (`_protocol`), then
-    the size of the task and that of the gate stack are checked against
-    the budget, before any task starts; the `_Kernel` is built once, before
-    the workers fork."""
+    CORB_THREADS (`_worker_count`), the interleaved gate and its channel
+    (`_protocol`), then the task and the gate stack against the budget are
+    checked before any task starts; the `_Kernel` is built once, before the
+    workers fork."""
+    workers = _worker_count()
     modes = (cfg.mode,) if modes is None else modes
     protocol = _protocol(cfg.gate_set, cfg.noise, cfg.lengths[-1], interleaved_gate,
                          interleaved_noise)
-    batch, branches = (cfg.k, 1) if cfg.mode == "standard" else (1, cfg.k)
-    _check_budget(branches, cfg.gate_set.dim, batch)
+    slots = 1 if cfg.mode == "standard" else cfg.k // 2 + 1
+    _check_budget(cfg.k, cfg.gate_set.dim, slots)
     control_q = cfg.noise.control_q if cfg.mode == "coherent-control-noise" else 1.0
-    kernel = _Kernel(protocol, cfg.noise.prep, batch, branches, control_q=control_q)
+    kernel = _Kernel(protocol, cfg.noise.prep, cfg.k, slots, control_q=control_q)
     meas_error = cfg.noise.meas_error
 
     def one(task):
         m, rep = task
         rng = child_rng(cfg.seed, m, rep, 0)
-        sequences = rng.integers(0, len(cfg.gate_set), size=(cfg.k, m))
-        state = _evolve(kernel, sequences.reshape(batch, branches, m))
+        state = _evolve(kernel, rng.integers(0, len(cfg.gate_set), size=(cfg.k, m)))
         records = []
         for mode in modes:
             if mode == "standard":
@@ -786,7 +785,7 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None, *,
 
     tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
     size = cfg.k * cfg.repetitions * sum(cfg.lengths)
-    return dict(zip(modes, map(list, zip(*_map_tasks(one, tasks, size)))))
+    return dict(zip(modes, map(list, zip(*_map_tasks(one, tasks, size, workers)))))
 
 
 def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
@@ -933,8 +932,8 @@ def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
 
 def run_standard_rb(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Standard RB: each record averages k independent sequence survivals,
-    evolved as k one-branch coherent runs: with a one-level control
-    register, coherent RB is standard RB."""
+    evolved as the k diagonal blocks of a coherent state, the only ones
+    stored: no gate couples them, so each is a standard run."""
     _expect_mode(cfg, "standard")
     return _sampled_run(cfg)["standard"]
 
@@ -953,7 +952,7 @@ def run_coherent_and_standard(cfg: RbRunConfig) -> dict[str, list[FidelityRecord
     The coherent records equal `run_coherent_rb(cfg)`; the standard ones
     equal `run_standard_rb` in mode "standard" up to rounding, since that
     run draws the same sequences from the same child streams. Standard RB
-    alone evolves k one-branch states, which costs k, not k^2, per
+    alone stores only the k diagonal blocks, which costs k, not k^2, per
     position.
     """
     _expect_mode(cfg, "coherent")

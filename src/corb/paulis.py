@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 
 import numpy as np
 
 DEFAULT_LABEL_CAP = 4096
+
+# The built bases by (d, n), each kept only while something else holds it.
+_BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,16 +46,19 @@ def _weyl_digits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return places, digits
 
 
-@functools.lru_cache(maxsize=None)
 def pauli_basis(d: int, n: int) -> np.ndarray:
     """Stacked (d^{2n}, d^n, d^n) array of all Pauli words in Weyl-index
     order (see the module docstring), identity first.
 
-    Orthogonal basis: tr(P_i† P_j) = d^n delta_ij. Read-only and cached.
-    Each site's factor multiplies in by one broadcast product, left to
-    right as `np.kron` chains them, so every entry is the same rounded
-    product of site entries.
+    Orthogonal basis: tr(P_i† P_j) = d^n delta_ij. Read-only, and cached
+    while anything else holds it (a Pauli set does, as its elements), so a
+    basis dies with its last user. Each site's factor multiplies in by one
+    broadcast product, left to right as `np.kron` chains them, so every
+    entry is the same rounded product of site entries.
     """
+    cached = _BASES.get((d, n))
+    if cached is not None:
+        return cached
     count = d ** (2 * n)
     if count > DEFAULT_LABEL_CAP:
         raise ValueError(f"{count} labels exceed the cap of {DEFAULT_LABEL_CAP}")
@@ -67,6 +74,7 @@ def pauli_basis(d: int, n: int) -> np.ndarray:
                      xs * d, zs * d, rows * d, cols * d)
     stack = stack.reshape(count, d ** n, d ** n)
     stack.flags.writeable = False
+    _BASES[d, n] = stack
     return stack
 
 

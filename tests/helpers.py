@@ -392,15 +392,16 @@ def write_matrices(path: str, mats: Sequence[np.ndarray]) -> None:
 
 def evolve_coherent(gate_set, noise, sequences, *, control_q=1.0,
                     interleaved_gate=None, interleaved_noise=None) -> np.ndarray:
-    """The final half-stored state, shape (1, k, w, D, D), of one coherent
+    """The final half-stored state, shape (k, w, D, D), of one coherent
     run of `corb.engine._evolve` over an explicit (k, m) sequence-index
     array, with control depolarization `control_q` and, if given, an
     interleaved gate and its channel."""
     sequences = np.asarray(sequences)
     protocol = _protocol(gate_set, noise, sequences.shape[-1], interleaved_gate,
                          interleaved_noise)
-    kernel = _Kernel(protocol, noise.prep, 1, len(sequences), control_q=control_q)
-    return _evolve(kernel, sequences[None])
+    k = len(sequences)
+    kernel = _Kernel(protocol, noise.prep, k, k // 2 + 1, control_q=control_q)
+    return _evolve(kernel, sequences)
 
 
 def simulate_coherent(gate_set, noise, sequences, **kwargs) -> float:
@@ -412,11 +413,11 @@ def simulate_coherent(gate_set, noise, sequences, **kwargs) -> float:
 
 def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
-    evolved as k one-branch coherent runs, as standard RB runs them."""
+    evolved as the k diagonal blocks of one state, as standard RB runs them."""
     sequences = np.asarray(sequences)
     kernel = _Kernel(_protocol(gate_set, noise, sequences.shape[-1]), noise.prep,
                      len(sequences), 1)
-    state = _evolve(kernel, sequences[:, None, :])
+    state = _evolve(kernel, sequences)
     return _branch_survivals(state, noise.meas_error)
 
 

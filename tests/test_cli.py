@@ -722,14 +722,13 @@ class TestRunCommand:
 
     def test_standard_byte_budget_exit_two(self, tmp_path, capsys, monkeypatch):
         """Standard RB is refused past the budget like the coherent modes."""
-        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES",
-                            48 * 3 * 2 ** 2 + 16 * 2 ** 2 - 1)
+        monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", 64 * 3 * 2 ** 2 - 1)
         out = str(tmp_path / "x.csv")
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
                      "--mode", "standard", "--k", "3", "--out", out])
         err = capsys.readouterr().err
         assert code == 2
-        assert "needs 640 bytes" in err and "the budget is 639 bytes" in err
+        assert "needs 768 bytes" in err and "the budget is 767 bytes" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("value", ["two", "0", "-3"])
@@ -744,6 +743,24 @@ class TestRunCommand:
         assert code == 1
         assert "CORB_THREADS" in err and f"'{value}'" in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--set", "pauli:d=2,n=1", "--channel", "identity", "--mode",
+         "coherent-full", "--lengths", "1,2", "--out", "{out}"],
+        ["experiment", "irb-demo", "--out", "{out}"],
+        ["check-set", "pauli:d=2,n=1"],
+    ], ids=["coherent-full", "irb-demo", "check-set"])
+    def test_bad_worker_count_exit_one_in_every_command(self, command, tmp_path, capsys,
+                                                        monkeypatch):
+        """Every command refuses a bad CORB_THREADS with one error line and
+        exit 1 before it runs, also those that start no sampled run."""
+        monkeypatch.setenv("CORB_THREADS", "abc")
+        out = tmp_path / "out"
+        code = main([arg.format(out=out) for arg in command])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: CORB_THREADS must be an integer >= 1, got 'abc'\n"
+        assert not out.exists()
 
     def test_worker_count_above_the_cpu_count_exit_one(self, tmp_path, capsys,
                                                        monkeypatch, pool_starts):

@@ -1,6 +1,7 @@
 """Protocol engines: decay laws, mode cross-checks, exact and statistical
 oracles, the dense oracle of the kernel, determinism, caps."""
 
+import gc
 import math
 import os
 import signal
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -514,7 +516,7 @@ class TestDenseOracle:
             kwargs.update(interleaved_gate=gate,
                           interleaved_noise=self._channel(kind, dim, rng))
         sequences = rng.integers(0, len(gate_set), size=(k, m))
-        state = evolve_coherent(gate_set, noise, sequences, **kwargs)[0]
+        state = evolve_coherent(gate_set, noise, sequences, **kwargs)
         flat = dense_coherent_state(gate_set, noise, sequences, **kwargs)
         assert np.max(np.abs(unpack(state) - flat)) <= 1e-12
         if k % 2 == 0:
@@ -525,7 +527,7 @@ class TestDenseOracle:
         want = dense_coherent(gate_set, noise, sequences, **kwargs)
         assert abs(got - want) <= 1e-12
         if not kwargs:
-            # Standard RB: each row is a one-branch coherent run.
+            # Standard RB: each diagonal block is a one-branch coherent run.
             survivals = simulate_standard(gate_set, noise, sequences)
             assert survivals.shape == (k,)
             for i, survival in enumerate(survivals):
@@ -544,16 +546,16 @@ class TestDenseOracle:
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         rho = np.outer(vec, vec.conj())
         kraus = random_channel(d, 3, rng)
-        out, _ = _superop_step(superop(kraus))(pack(rho, k)[None],
-                                               np.empty((1, k, k // 2 + 1, d, d), complex))
+        out, _ = _superop_step(superop(kraus))(pack(rho, k),
+                                               np.empty((k, k // 2 + 1, d, d), complex))
         want = dense_apply_channel(rho, [np.kron(np.eye(k), op) for op in kraus])
-        np.testing.assert_allclose(unpack(out[0]), want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(unpack(out), want, rtol=0, atol=1e-13)
 
     def test_mask_and_superop_paths_agree_on_a_phase_channel(self):
         rng = np.random.default_rng(66)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
-        state = pack(np.outer(vec, vec.conj()), k)[None]
+        state = pack(np.outer(vec, vec.conj()), k)
         sop = superop(random_phase_channel(d, 3, rng))
         assert not np.any(sop - np.diag(np.diagonal(sop)))
         row = np.broadcast_to(np.diagonal(sop).reshape(d, d).T, (k // 2 + 1, d, d))
@@ -729,7 +731,7 @@ class TestCoherentAndStandard:
             flat = np.zeros((k * 2, k * 2), dtype=complex)
             for i in range(k):
                 flat[2 * i, 2 * i] = (1.0 + (excess if i == 2 else 0.0)) / k
-            rho = pack(flat, k)[None]
+            rho = pack(flat, k)
             if outcome is None:
                 with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
                     _branch_survivals(rho, 0.0)
@@ -900,6 +902,21 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=f"CORB_THREADS.*'{value}'"):
             run(cfg)
 
+    def test_worker_count_is_read_before_the_run_is_built(self, monkeypatch):
+        """A bad CORB_THREADS is refused before the run builds its kernel:
+        the real gate stack, which it builds first, is never asked for."""
+        def built(stack):
+            raise AssertionError("the real gate stack was built")
+
+        monkeypatch.setattr("corb.engine._real_gates", built)
+        monkeypatch.setenv("CORB_THREADS", "abc")
+        for mode in ("coherent", "standard"):
+            cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
+                              k=2, mode=mode)
+            with pytest.raises(ValueError,
+                               match=r"^CORB_THREADS must be an integer >= 1, got 'abc'$"):
+                run(cfg)
+
     @pytest.mark.parametrize("value", ["3", "100000"])
     def test_worker_count_above_the_cpu_count_rejected(self, monkeypatch, pool_starts,
                                                        value):
@@ -1003,14 +1020,14 @@ class TestOperatorTraffic:
             calls.append(where[0])
             return real_superop(kraus)
 
-        def mapped(fn, tasks, size):
+        def mapped(fn, tasks, size, workers):
             def task(t):
                 where[0] = "task"
                 try:
                     return fn(t)
                 finally:
                     where[0] = "run"
-            return real_map(task, tasks, size)
+            return real_map(task, tasks, size, workers)
 
         monkeypatch.setattr("corb.noise.superop", counted)
         monkeypatch.setattr("corb.engine.superop", counted)
@@ -1212,10 +1229,10 @@ class TestConfigValidation:
         that is refused before anything is allocated, the exact need is
         admitted. The budget admits the old cap k * D = 4096 and, at D = 2,
         every k up to 2507."""
-        _check_budget(2048, 2)
-        _check_budget(2507, 2)
+        _check_budget(2048, 2, 1025)
+        _check_budget(2507, 2, 1254)
         with pytest.raises(DimensionError, match=r"k \* D = 5016 needs"):
-            _check_budget(2508, 2)
+            _check_budget(2508, 2, 1255)
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=5,
                           mode="coherent")
         needed = (3 * 16 + 2 * 8) * 5 * 2 * 3 * 2
@@ -1227,16 +1244,16 @@ class TestConfigValidation:
             assert abs(record.fidelity - 1.0) <= 1e-12
 
     def test_standard_rb_is_held_to_the_byte_budget(self, monkeypatch):
-        """Standard RB evolves k one-branch states: three (k, 1, 1, D, D)
-        complex128 arrays and two (1, 1, D, D) int64 gather indices,
-        48 k D^2 + 16 D^2 bytes per task, checked like the coherent modes'
-        before anything is allocated."""
+        """Standard RB stores the k diagonal blocks alone: three (k, 1, D, D)
+        complex128 arrays and two (k, 1, D, D) int64 gather indices,
+        64 k D^2 bytes per task, checked like the coherent modes' before
+        anything is allocated."""
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=5,
                           mode="standard")
-        needed = 48 * 5 * 2 ** 2 + 16 * 2 ** 2
+        needed = 64 * 5 * 2 ** 2
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
         with pytest.raises(DimensionError,
-                           match=rf"batch of 5 states.* needs {needed} bytes"):
+                           match=rf"k \* D = 10 needs {needed} bytes per task \(three 5x1x2x2 "):
             run_standard_rb(cfg)
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
         for record in run_standard_rb(cfg):
@@ -1566,9 +1583,60 @@ class TestBlockedPrimitives:
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         vec /= np.linalg.norm(vec)
         rho = np.outer(vec, vec.conj())
-        blocked = _apply_control_depolarize(pack(rho, k)[None], 0.7)
+        blocked = _apply_control_depolarize(pack(rho, k), 0.7)
         flat = control_depolarize(rho, 0.7, k)
-        np.testing.assert_allclose(unpack(blocked[0]), flat, atol=1e-13)
+        np.testing.assert_allclose(unpack(blocked), flat, atol=1e-13)
+
+
+class TestGatherIndices:
+    """The two gather indices of `_repack_indices` belong to one run: each
+    process builds them at its first task and frees them with the run."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Weak references to the indices of every `_repack_indices` call
+        made in this process, one list per call."""
+        calls, real = [], corb.engine._repack_indices
+
+        def recorded(*args):
+            indices = real(*args)
+            calls.append([weakref.ref(index) for index in indices])
+            return indices
+
+        monkeypatch.setattr("corb.engine._repack_indices", recorded)
+        return calls
+
+    @staticmethod
+    def _config(mode):
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
+        return RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(1, 2, 4), k=5,
+                           repetitions=3, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["coherent", "standard"])
+    def test_freed_with_the_run(self, built, mode, monkeypatch):
+        """After a serial run no index it built is alive."""
+        monkeypatch.setenv("CORB_THREADS", "1")
+        run(self._config(mode))
+        gc.collect()
+        assert built and all(ref() is None for call in built for ref in call)
+
+    @pytest.mark.parametrize("mode", ["coherent", "standard"])
+    def test_built_once_per_run(self, built, mode, monkeypatch):
+        """A serial run of nine tasks builds its indices once, and the next
+        run builds its own."""
+        monkeypatch.setenv("CORB_THREADS", "1")
+        for runs in (1, 2):
+            run(self._config(mode))
+            assert len(built) == runs
+
+    def test_pooled_runs_build_them_in_the_workers(self, built, monkeypatch, pool_starts):
+        """A pooled run's parent builds no index: each worker builds its own
+        after the fork, and the records are those of a serial run."""
+        monkeypatch.setenv("CORB_THREADS", "2")
+        pooled = run(self._config("coherent"))
+        assert len(pool_starts) == 1 and built == []
+        monkeypatch.setenv("CORB_THREADS", "1")
+        assert run(self._config("coherent")) == pooled
 
 
 class TestAmplitude:

@@ -1,8 +1,12 @@
 """Generalized Pauli words, the Weyl index, symplectic products, character sums."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from corb.gatesets import build_pauli_set
 from corb.paulis import format_label, pauli_basis
 from corb.linalg import unitarity_defect
 from helpers import (
@@ -160,6 +164,23 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError, match="16777216 labels exceed the cap of 4096"):
             pauli_basis(2, 12)
+
+
+class TestCache:
+    def test_a_basis_lives_only_while_it_is_held(self):
+        """A basis stays cached while something holds it, as a Pauli set
+        holds its elements, and dies with its last reference. The weak
+        reference is taken on Pauli(3, 2), which no test module holds at
+        import, unlike Pauli(2, 3)."""
+        gate_set = build_pauli_set(2, 3)
+        assert pauli_basis(2, 3) is gate_set.elements
+        basis = pauli_basis(3, 2)
+        assert pauli_basis(3, 2) is basis
+        dead = weakref.ref(basis)
+        del basis
+        gc.collect()
+        assert dead() is None
+        np.testing.assert_array_equal(pauli_basis(3, 2)[0], np.eye(9))
 
 
 class TestCharacterSum:
