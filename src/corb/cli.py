@@ -3,7 +3,8 @@
 Runs are reproducible: the full configuration is embedded in every output
 artifact and a fixed seed yields byte-identical files. `corb run` and the
 canned experiments state each run as an `ExperimentConfig`, which one
-builder (`_run_inputs`) turns into its gate set, noise and engine config.
+builder (`_run_inputs`) turns into one engine config: its gate set, noise
+and, in interleaved mode, the gate and its channel.
 CSV carries the per-run fidelity records and plot series; JSON carries fits
 and verdicts. `corb fit` takes one records file, or a reference and an
 interleaved file after `--irb`, never both.
@@ -105,9 +106,9 @@ _MODE_OPTIONS = (
 )
 
 
-def _run_inputs(config: ExperimentConfig) -> tuple[RbRunConfig, dict]:
-    """The run a config describes, and its interleaved gate and channel as
-    keyword arguments of `run` (none unless the mode is interleaved). An
+def _run_inputs(config: ExperimentConfig) -> RbRunConfig:
+    """The engine config of the run a config describes, the interleaved
+    gate and its channel included (read in interleaved mode only). An
     option that the config's mode would ignore, set to other than its
     default, is refused. Every run the command line makes is built here."""
     for name, flag, modes in _MODE_OPTIONS:
@@ -126,7 +127,14 @@ def _run_inputs(config: ExperimentConfig) -> tuple[RbRunConfig, dict]:
         prep_error=config.eps_prep,
         meas_error=config.eps_meas,
     )
-    cfg = RbRunConfig(
+    gate = gate_noise = None
+    if config.mode == "interleaved":
+        if config.gate_file is None:
+            raise ValueError("interleaved mode needs --gate <matrix file>")
+        gate = cio.read_matrix(config.gate_file)
+        if config.gate_channel_spec is not None:
+            gate_noise = parse_channel_spec(config.gate_channel_spec, gate_set.dim)
+    return RbRunConfig(
         gate_set=gate_set,
         noise=noise,
         lengths=config.lengths,
@@ -135,23 +143,9 @@ def _run_inputs(config: ExperimentConfig) -> tuple[RbRunConfig, dict]:
         seed=config.seed,
         shots=config.shots,
         mode=config.mode,
+        interleaved_gate=gate,
+        interleaved_noise=gate_noise,
     )
-    if config.mode != "interleaved":
-        return cfg, {}
-    if config.gate_file is None:
-        raise ValueError("interleaved mode needs --gate <matrix file>")
-    interleaved = dict(interleaved_gate=cio.read_matrix(config.gate_file),
-                       interleaved_noise=None)
-    if config.gate_channel_spec is not None:
-        interleaved["interleaved_noise"] = parse_channel_spec(config.gate_channel_spec,
-                                                              gate_set.dim)
-    return cfg, interleaved
-
-
-def run_from_config(config: ExperimentConfig) -> list[FidelityRecord]:
-    """Build the gate set and noise a config describes, and run it."""
-    cfg, interleaved = _run_inputs(config)
-    return run(cfg, **interleaved)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +194,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    records = run_from_config(config)
+    records = run(_run_inputs(config))
     if config.format == "json":
         cio.write_records_json(config.out, records, config.to_dict())
     else:
@@ -297,7 +291,7 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
     """Run one deviation study and return its verdict. With
     `reference_curve`, also compare the coherent means with the pure decay
     law and with the law mixed with the exact standard-RB mean."""
-    cfg, _ = _run_inputs(ExperimentConfig(
+    cfg = _run_inputs(ExperimentConfig(
         set_spec, f"infidelity-dephasing:r={infidelity}", k=k,
         lengths=FIG5_LENGTHS, repetitions=75, seed=seed))
     summary = deviation_experiment(cfg)
@@ -323,8 +317,7 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
         return verdict
     # Reference-curve comparison: does mixing in the exact standard-RB mean
     # track the finite-k coherent data better than the pure decay law?
-    standard = dict(zip(cfg.lengths, exact_fidelities(
-        cfg.gate_set, cfg.noise, cfg.lengths, same_sequence=True)))
+    standard = dict(zip(cfg.lengths, exact_fidelities(cfg, same_sequence=True)))
     chi00 = summary.chi00
     amplitude = summary.amplitude
     per_m = summary.fidelities["coherent"]
@@ -351,7 +344,7 @@ def _fig5_scenario(name: str, set_spec: str, infidelity: float, k: int,
 
 def _experiment_control_noise(outdir: str, seed: int) -> dict:
     # Single-step check at strong control noise and tiny superposition.
-    cfg1, _ = _run_inputs(ExperimentConfig(
+    cfg1 = _run_inputs(ExperimentConfig(
         "pauli:d=2,n=1", "identity", control_q=0.9, mode="coherent-control-noise",
         k=4, lengths=(1,), repetitions=300, seed=seed))
     f_set = 1.0 / cfg1.gate_set.dim
@@ -360,7 +353,7 @@ def _experiment_control_noise(outdir: str, seed: int) -> dict:
 
     # Decay-rate check at weak control noise over a length grid.
     q = 0.99
-    cfg2, _ = _run_inputs(ExperimentConfig(
+    cfg2 = _run_inputs(ExperimentConfig(
         "pauli:d=2,n=1", "infidelity-dephasing:r=1e-4", control_q=q,
         mode="coherent-control-noise", k=25, lengths=tuple(range(1, 21)),
         repetitions=40, seed=seed + 1))
@@ -394,7 +387,7 @@ def _experiment_control_noise(outdir: str, seed: int) -> dict:
 
 
 def _experiment_irb_demo(outdir: str, seed: int) -> dict:
-    base, _ = _run_inputs(ExperimentConfig(
+    base = _run_inputs(ExperimentConfig(
         "pauli:d=2,n=1", "dephasing:p=0.001", mode="coherent-full",
         lengths=(1, 2, 3), seed=seed))
     gate = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)

@@ -5,9 +5,9 @@ return probability) and differs only in how one draw is evaluated:
 standard RB (k independent sequences, no control register), coherent RB
 (k sequences in superposition, entangled with a k-level control that may
 depolarize), interleaved coherent RB (a fixed gate after every random
-gate in all branches), and the full |G|^m superposition. `run` dispatches
-through one mode table and refuses an interleaved gate or channel in every
-mode but `interleaved`.
+gate in all branches), and the full |G|^m superposition. A run is one
+RbRunConfig, which holds the interleaved gate and its channel too (in
+interleaved mode only), and `run` dispatches it through one mode table.
 
 Every engine runs on one triple, built by `_protocol`: the stack each
 position draws its gate from, the position channel that follows every
@@ -102,18 +102,19 @@ Conventions:
     sample of the expectation (sampled modes only; the full superposition
     refuses shots),
   * every run's inputs are checked once, by its RbRunConfig, before
-    anything runs (`exact_fidelities` builds one): a channel that does not
-    act on the set's dimension is refused, and so are channels with trace
-    gains delta (`noise.trace_gain`, derived once by the NoiseModel) when
-    the trace they can add together exceeds FIDELITY_TOL at the longest
-    length m, (1 + delta_gate)^m (1 + delta_final) - 1, since the final
-    channel acts once; `_protocol` checks only the interleaved gate and
-    channel, which no config holds, with
+    anything runs, and no engine checks them again: a channel or an
+    interleaved gate that does not act on the set's dimension is refused,
+    and so are an interleaved gate that is not unitary, an interleaved
+    channel that is not trace preserving, and channels with trace gains
+    delta (`noise.trace_gain`, derived once by the NoiseModel and once for
+    the interleaved channel) when the trace they can add together exceeds
+    FIDELITY_TOL at the longest length m: (1 + delta_gate)^m
+    (1 + delta_final) - 1, since the final channel acts once, and
     (1 + delta_gate)^m (1 + delta_interleaved)^m - 1,
   * sequence lengths are strictly increasing integers >= 1, and k,
     repetitions, shots and the seed integers: ints, numpy integers or
-    integral floats, stored as ints; any other value is refused, never
-    truncated,
+    integral floats, stored as ints; any other value, a bool included, is
+    refused, never truncated,
   * a fidelity within FIDELITY_TOL of [0, 1] is clamped into it; one
     farther out raises FidelityRangeError (`_clamped`).
 """
@@ -125,7 +126,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -151,9 +152,14 @@ FIDELITY_TOL = 1e-9
 @dataclass(frozen=True, eq=False)
 class RbRunConfig:
     """One benchmarking run: set, noise, lengths, superposition size, seed,
+    mode and, in interleaved mode, the interleaved gate and its channel,
     checked here, once for every engine (see the module docstring); a
-    refusal names the first length that is not an integer >= 1. Configs
-    hash and compare by identity."""
+    refusal names the first length that is not an integer >= 1. The gate
+    is stored as a unitary complex128 matrix and its channel as a tuple of
+    checked Kraus operators. Interleaved mode without a gate is admitted
+    here, so that a gate can be given later (`run_interleaved_coherent`),
+    and refused when the run starts (`_protocol`). Configs hash and
+    compare by identity."""
 
     gate_set: GateSet
     noise: NoiseModel
@@ -163,6 +169,8 @@ class RbRunConfig:
     seed: int = 0
     shots: int = 0
     mode: str = "coherent"
+    interleaved_gate: np.ndarray | None = None
+    interleaved_noise: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         lengths = tuple(self.lengths)
@@ -192,9 +200,29 @@ class RbRunConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         # `NoiseModel` keeps both channels on one dimension.
-        _check_shape("gate channel", self.noise.gate_channel[0], self.gate_set.dim)
-        _check_gains(self.lengths[-1], self.noise.gate_gain, "final channel",
+        dim, longest = self.gate_set.dim, self.lengths[-1]
+        _check_shape("gate channel", self.noise.gate_channel[0], dim)
+        _check_gains(longest, self.noise.gate_gain, "final channel",
                      self.noise.final_gain, per_position=False)
+        gate, gate_noise = self.interleaved_gate, self.interleaved_noise
+        if gate is None and gate_noise is None:
+            return
+        if self.mode != "interleaved":
+            raise ValueError(f"mode {self.mode} takes no interleaved gate or channel")
+        if gate is None:
+            raise ValueError("an interleaved gate channel needs an interleaved gate")
+        _check_shape("interleaved gate", gate, dim)
+        for op in () if gate_noise is None else gate_noise:
+            _check_shape("interleaved gate channel", op, dim)
+        object.__setattr__(self, "interleaved_gate",
+                           assert_unitary(gate, what="interleaved gate"))
+        gain = 0.0
+        if gate_noise is not None:
+            gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
+            object.__setattr__(self, "interleaved_noise", tuple(gate_noise))
+            gain = trace_gain(gram)
+        _check_gains(longest, self.noise.gate_gain, "interleaved gate channel", gain,
+                     per_position=True)
 
 
 class DimensionError(ValueError):
@@ -214,7 +242,10 @@ def _check_bytes(needed: int, what: str, arrays: str) -> None:
 
 
 def _is_integral(value) -> bool:
-    """An int, a numpy integer or an integral float such as 3.0."""
+    """An int, a numpy integer or an integral float such as 3.0, but no
+    bool: Python's and numpy's are refused alike."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     return (isinstance(value, (int, np.integer))
             or isinstance(value, (float, np.floating)) and float(value).is_integer())
 
@@ -541,39 +572,25 @@ class _Protocol(NamedTuple):
         return self.elements if self.gate is None else self.gate @ self.elements
 
 
-def _protocol(gate_set: GateSet, noise: NoiseModel, longest: int,
-              interleaved_gate: np.ndarray | None = None,
-              interleaved_noise: Sequence[np.ndarray] | None = None) -> _Protocol:
-    """The protocol every engine runs on, for sequences of up to `longest`
-    positions (see the module docstring), of a set and a noise model that
-    an RbRunConfig has checked. Without interleaving, the set's elements
-    and the noise model's gate and final superoperators. An interleaved
-    gate and its channel, which no config holds, are checked here: the
-    shape of each, the gate as unitary and the channel as trace preserving,
-    with one sum sum_s K_s^dag K_s for its check and its trace gain. They
-    derive the stack and both superoperators, since u, N, g, N_g is g u
-    followed by S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag,
-    so at most two superoperators are built. The trace gains of the gate
-    channel and the interleaved one are checked together (`_check_gains`)
-    over `longest` positions."""
-    if interleaved_gate is None:
-        return _Protocol(gate_set.elements, None, noise.gate_sop, noise.final_sop)
-    dim, gate_noise, gain = gate_set.dim, interleaved_noise, 0.0
-    _check_shape("interleaved gate", interleaved_gate, dim)
-    for op in () if gate_noise is None else gate_noise:
-        _check_shape("interleaved gate channel", op, dim)
-    gate = assert_unitary(interleaved_gate, what="interleaved gate")
-    if gate_noise is not None:
-        gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
-        gain = trace_gain(gram)
-    _check_gains(longest, noise.gate_gain, "interleaved gate channel", gain,
-                 per_position=True)
+def _protocol(cfg: RbRunConfig) -> _Protocol:
+    """The protocol every engine runs on (see the module docstring), of a
+    checked config. Without interleaving, the set's elements and the noise
+    model's gate and final superoperators; interleaved mode without a gate
+    is refused here. The interleaved gate g and its channel N_g derive the
+    stack and both superoperators, since u, N, g, N_g is g u followed by
+    S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag, so at most
+    two superoperators are built."""
+    noise, gate, gate_noise = cfg.noise, cfg.interleaved_gate, cfg.interleaved_noise
+    if gate is None:
+        if cfg.mode == "interleaved":
+            raise ValueError("interleaved mode needs an interleaved gate")
+        return _Protocol(cfg.gate_set.elements, None, noise.gate_sop, noise.final_sop)
     gate_sop = superop([gate])
     position_sop = gate_sop @ noise.gate_sop
     if gate_noise is not None:
         position_sop = superop(gate_noise) @ position_sop
-    return _Protocol(gate_set.elements, gate, position_sop @ gate_sop.conj().T,
-                     np.eye(dim * dim, dtype=np.complex128))
+    return _Protocol(cfg.gate_set.elements, gate, position_sop @ gate_sop.conj().T,
+                     np.eye(cfg.gate_set.dim ** 2, dtype=np.complex128))
 
 
 def _shared_blocks(k: int, slots: int) -> int:
@@ -736,9 +753,7 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
 
 
-def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None, *,
-                 interleaved_gate: np.ndarray | None = None,
-                 interleaved_noise: Sequence[np.ndarray] | None = None
+def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None
                  ) -> dict[str, list[FidelityRecord]]:
     """The (length, repetition) task loop of every sampled mode, with the
     records of each mode in `modes` (default: cfg.mode alone), by mode.
@@ -753,14 +768,12 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None, *,
     fresh tag-1 stream, so its records equal those of a run of that mode
     alone.
 
-    CORB_THREADS (`_worker_count`), the interleaved gate and its channel
-    (`_protocol`), then the task and the gate stack against the budget are
-    checked before any task starts; the `_Kernel` is built once, before the
-    workers fork."""
+    CORB_THREADS (`_worker_count`), then the task and the gate stack
+    against the budget are checked before any task starts; the `_Kernel` is
+    built once, before the workers fork."""
     workers = _worker_count()
     modes = (cfg.mode,) if modes is None else modes
-    protocol = _protocol(cfg.gate_set, cfg.noise, cfg.lengths[-1], interleaved_gate,
-                         interleaved_noise)
+    protocol = _protocol(cfg)
     slots = 1 if cfg.mode == "standard" else cfg.k // 2 + 1
     _check_budget(cfg.k, cfg.gate_set.dim, slots)
     control_q = cfg.noise.control_q if cfg.mode == "coherent-control-noise" else 1.0
@@ -850,36 +863,23 @@ def _pauli_transfer(gate_set: GateSet, left: np.ndarray, right: np.ndarray,
     return transfer, weights
 
 
-def exact_fidelities(gate_set: GateSet, noise: NoiseModel, lengths: Sequence[int],
-                     same_sequence: bool = False, *,
-                     interleaved_gate: np.ndarray | None = None,
-                     interleaved_noise: Sequence[np.ndarray] | None = None
-                     ) -> list[float]:
-    """Exact mean fidelity at each length, over uniformly random sequences
-    (see the module docstring): of a pair of independent sequences, which is
-    the full-superposition fidelity, or, with `same_sequence`, of one
-    sequence with itself, which is the mean standard-RB survival over all
-    sequences. Every length up to the longest is one step of the recursion,
-    whose state and step the dressing of the set decides: a scalar or a
-    D^2-vector for a dressed set, a (D^2, D^2) transfer otherwise.
+def exact_fidelities(cfg: RbRunConfig, same_sequence: bool = False) -> list[float]:
+    """Exact mean fidelity at each length of a config, over uniformly
+    random sequences (see the module docstring): of a pair of independent
+    sequences, which is the full-superposition fidelity, or, with
+    `same_sequence`, of one sequence with itself, which is the mean
+    standard-RB survival over all sequences. Every length up to the longest
+    is one step of the recursion, whose state and step the dressing of the
+    set decides: a scalar or a D^2-vector for a dressed set, a (D^2, D^2)
+    transfer otherwise. Every fidelity is held to the range rule
+    (`_clamped`); k, repetitions, shots and the seed are not read.
 
     An interleaved gate and its channel change only the stack, its left
     dressing factor and the two superoperators the recursion runs on
-    (`_protocol`). The set, the noise model and the lengths are checked by
-    one RbRunConfig, as a run's are.
+    (`_protocol`).
     """
-    return _exact(RbRunConfig(gate_set, noise, lengths), same_sequence,
-                  interleaved_gate=interleaved_gate, interleaved_noise=interleaved_noise)
-
-
-def _exact(cfg: RbRunConfig, same_sequence: bool = False, *,
-           interleaved_gate: np.ndarray | None = None,
-           interleaved_noise: Sequence[np.ndarray] | None = None) -> list[float]:
-    """The recursion of `exact_fidelities` at the lengths of a checked
-    config, with every fidelity held to the range rule (`_clamped`)."""
     gate_set, noise = cfg.gate_set, cfg.noise
-    protocol = _protocol(gate_set, noise, cfg.lengths[-1], interleaved_gate,
-                         interleaved_noise)
+    protocol = _protocol(cfg)
     step_sop, readout = protocol.position_sop, protocol.final_sop[0]
     prep = noise.prep.reshape(-1)
     if gate_set.dressing is None:
@@ -916,14 +916,14 @@ def _exact(cfg: RbRunConfig, same_sequence: bool = False, *,
     return _clamped((1.0 - noise.meas_error) * np.array(values)).tolist()
 
 
-def _full_run(cfg: RbRunConfig, **interleaved) -> list[FidelityRecord]:
+def _full_run(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Every length once, exactly, over the superposition of all |G|^m
     sequences (`exact_fidelities`); repetitions repeat it. Exact values take
     no shots, so shots > 0 is refused before anything runs."""
     if cfg.shots > 0:
         raise ValueError(f"mode {cfg.mode} over all |G|^m sequences is exact "
                          f"and takes no shots, got shots = {cfg.shots}")
-    fidelities = _exact(cfg, **interleaved)
+    fidelities = exact_fidelities(cfg)
     size = len(cfg.gate_set)
     return [FidelityRecord(cfg.mode, m, rep, fidelity, size ** m, f"{m}/full")
             for m, fidelity in zip(cfg.lengths, fidelities)
@@ -985,36 +985,31 @@ def run_interleaved_coherent(cfg: RbRunConfig, gate: np.ndarray,
                              ) -> list[FidelityRecord]:
     """Interleaved coherent RB: `gate` (with its own channel) after every
     random gate in all branches; the closing inverse, which includes the
-    interleaved gate, is noiseless."""
+    interleaved gate, is noiseless. The gate and the channel replace those
+    of cfg, and are checked as a config's, unless they are the ones it
+    holds (as when `run` calls)."""
     _expect_mode(cfg, "interleaved")
-    interleaved = dict(interleaved_gate=gate, interleaved_noise=gate_noise)
+    if gate is not cfg.interleaved_gate or gate_noise is not cfg.interleaved_noise:
+        cfg = replace(cfg, interleaved_gate=gate, interleaved_noise=gate_noise)
     if full_superposition:
-        return _full_run(cfg, **interleaved)
-    return _sampled_run(cfg, **interleaved)["interleaved"]
+        return _full_run(cfg)
+    return _sampled_run(cfg)["interleaved"]
 
 
-# The mode table, called as runner(cfg, gate, gate_noise). Each entry looks
-# its runner up at call time, so a wrapped module attribute also sees the
-# calls made through `run`.
+# The mode table, called as runner(cfg). Each entry looks its runner up at
+# call time, so a wrapped module attribute also sees the calls made through
+# `run`.
 _RUNNERS = {
-    "standard": lambda cfg, *_: run_standard_rb(cfg),
-    "coherent": lambda cfg, *_: run_coherent_rb(cfg),
-    "coherent-full": lambda cfg, *_: run_coherent_full(cfg),
-    "interleaved": lambda cfg, *gate: run_interleaved_coherent(cfg, *gate),
-    "coherent-control-noise": lambda cfg, *_: run_coherent_with_control_noise(cfg),
+    "standard": lambda cfg: run_standard_rb(cfg),
+    "coherent": lambda cfg: run_coherent_rb(cfg),
+    "coherent-full": lambda cfg: run_coherent_full(cfg),
+    "interleaved": lambda cfg: run_interleaved_coherent(cfg, cfg.interleaved_gate,
+                                                        cfg.interleaved_noise),
+    "coherent-control-noise": lambda cfg: run_coherent_with_control_noise(cfg),
 }
 MODES = tuple(_RUNNERS)
 
 
-def run(cfg: RbRunConfig, *, interleaved_gate: np.ndarray | None = None,
-        interleaved_noise: Sequence[np.ndarray] | None = None
-        ) -> list[FidelityRecord]:
-    """Run cfg.mode through the mode table. Interleaved mode needs the gate;
-    every other mode refuses an interleaved gate or channel, which it would
-    not apply."""
-    if cfg.mode == "interleaved" and interleaved_gate is None:
-        raise ValueError("interleaved mode needs an interleaved gate")
-    if cfg.mode != "interleaved" and (interleaved_gate is not None
-                                      or interleaved_noise is not None):
-        raise ValueError(f"mode {cfg.mode} takes no interleaved gate or channel")
-    return _RUNNERS[cfg.mode](cfg, interleaved_gate, interleaved_noise)
+def run(cfg: RbRunConfig) -> list[FidelityRecord]:
+    """Run cfg.mode through the mode table."""
+    return _RUNNERS[cfg.mode](cfg)

@@ -60,7 +60,8 @@ def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
     refinements fall back to the stage-1 estimate with converged=False; a
     refinement that reaches GN_MAX_ITER iterations keeps its last estimate,
     also with converged=False. Both stages and the covariance solve 2x2
-    normal equations in closed form.
+    normal equations in closed form. A length or a fidelity that is not
+    finite is refused, naming it.
     """
     ms = np.asarray([p[0] for p in points], dtype=float)
     fs = np.asarray([p[1] for p in points], dtype=float)
@@ -73,10 +74,17 @@ def fit_decay(points: Sequence[tuple[float, float]]) -> DecayFit:
         raise ValueError("fidelities above 1.05 are not a decay curve")
     if all(f <= 0.0 for f in fidelities):
         raise ValueError("all fidelities nonpositive")
-    # After the checks above, so every input they refuse keeps its message.
-    for m in ms.tolist():
+    # After the checks above, so every input they refuse keeps its message;
+    # the first non-finite fidelity (NaN or -inf) is refused after all the
+    # lengths are checked.
+    nonfinite = None
+    for m, f in zip(ms.tolist(), fidelities):
         if not math.isfinite(m):
             raise ValueError(f"sequence length {m!r} is not finite")
+        if nonfinite is None and not math.isfinite(f):
+            nonfinite = f
+    if nonfinite is not None:
+        raise ValueError(f"fidelity {nonfinite!r} is not finite")
 
     positive = fs > 0.0
     a, chi = a0, chi0 = _log_linear(ms[positive], np.log(fs[positive]))

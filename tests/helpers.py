@@ -13,7 +13,14 @@ from typing import Sequence
 import numpy as np
 
 from corb import fitting
-from corb.engine import _Kernel, _branch_survivals, _evolve, _overlap_fidelity, _protocol
+from corb.engine import (
+    RbRunConfig,
+    _Kernel,
+    _branch_survivals,
+    _evolve,
+    _overlap_fidelity,
+    _protocol,
+)
 from corb.gatesets import FINGERPRINT_DECIMALS, ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
@@ -397,8 +404,10 @@ def evolve_coherent(gate_set, noise, sequences, *, control_q=1.0,
     array, with control depolarization `control_q` and, if given, an
     interleaved gate and its channel."""
     sequences = np.asarray(sequences)
-    protocol = _protocol(gate_set, noise, sequences.shape[-1], interleaved_gate,
-                         interleaved_noise)
+    mode = "coherent" if interleaved_gate is None else "interleaved"
+    protocol = _protocol(RbRunConfig(gate_set, noise, (sequences.shape[-1],), mode=mode,
+                                     interleaved_gate=interleaved_gate,
+                                     interleaved_noise=interleaved_noise))
     k = len(sequences)
     kernel = _Kernel(protocol, noise.prep, k, k // 2 + 1, control_q=control_q)
     return _evolve(kernel, sequences)
@@ -415,8 +424,8 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
     evolved as the k diagonal blocks of one state, as standard RB runs them."""
     sequences = np.asarray(sequences)
-    kernel = _Kernel(_protocol(gate_set, noise, sequences.shape[-1]), noise.prep,
-                     len(sequences), 1)
+    kernel = _Kernel(_protocol(RbRunConfig(gate_set, noise, (sequences.shape[-1],))),
+                     noise.prep, len(sequences), 1)
     state = _evolve(kernel, sequences)
     return _branch_survivals(state, noise.meas_error)
 

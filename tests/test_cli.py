@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import corb
 from corb import cli, fitting
-from corb.cli import ExperimentConfig, main, run_from_config
+from corb.cli import ExperimentConfig, _run_inputs, main
 from corb.engine import MODES, FidelityRangeError, FidelityRecord, RbRunConfig, run
 from corb.fitting import DecayFit
 from corb.gatesets import _FAMILIES, build_pauli_set, parse_set_spec, set_spec_dims
@@ -147,7 +147,7 @@ class TestRecordFiles:
         config = ExperimentConfig(set_spec="pauli:d=2,n=1",
                                   channel_spec="dephasing:p=0.01",
                                   lengths=(1, 2, 3), k=4, seed=5)
-        return run_from_config(config), config
+        return run(_run_inputs(config)), config
 
     def test_csv_round_trip(self, tmp_path):
         records, config = self.sample_records()
@@ -323,7 +323,7 @@ class TestExperimentConfig:
         path = str(tmp_path / "r.csv")
         write_records_csv(path, records, config.to_dict())
         _, loaded_config = read_records(path)
-        replayed = run_from_config(config_from_dict(loaded_config))
+        replayed = run(_run_inputs(config_from_dict(loaded_config)))
         assert replayed == records
 
     def test_spec_dims(self, tmp_path):
@@ -652,11 +652,11 @@ class TestRunCommand:
         assert code == 0
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
                            control_q=q)
+        gate = H if mode == "interleaved" else None
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1), noise=noise,
                           lengths=(1, 2, 3), k=3, repetitions=2, seed=5,
-                          mode=mode)
-        gate = H if mode == "interleaved" else None
-        records = run(cfg, interleaved_gate=gate)
+                          mode=mode, interleaved_gate=gate)
+        records = run(cfg)
         assert len(records) == 6 and {r.mode for r in records} == {mode}
         rows, _ = read_records(out)
         assert [FidelityRecord(**r) for r in rows] == records

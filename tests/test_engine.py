@@ -316,15 +316,17 @@ class TestDressedMoments:
         noise = NoiseModel(gate_channel=tuple(random_channel(dim, 2, rng)),
                            final_gate_channel=tuple(random_channel(dim, 2, rng)),
                            prep_error=0.01, meas_error=0.02)
-        interleaved = dict(interleaved_gate=haar_unitary(dim, rng),
+        interleaved = dict(mode="interleaved", interleaved_gate=haar_unitary(dim, rng),
                            interleaved_noise=random_channel(dim, 2, rng))
         assert gate_set.dressing is not None
         dense = undressed(gate_set)
         lengths = (1, 2, 3, 6)
         for kwargs in ({}, interleaved):
             for same_sequence in (False, True):
-                got = exact_fidelities(gate_set, noise, lengths, same_sequence, **kwargs)
-                want = exact_fidelities(dense, noise, lengths, same_sequence, **kwargs)
+                got = exact_fidelities(RbRunConfig(gate_set, noise, lengths, **kwargs),
+                                       same_sequence)
+                want = exact_fidelities(RbRunConfig(dense, noise, lengths, **kwargs),
+                                        same_sequence)
                 assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12
                 # A random channel decays fast, but m = 1 stays 1e8 times the
                 # tolerance above zero.
@@ -344,7 +346,7 @@ class TestDressedMoments:
         transfer, weights = _pauli_transfer(qutrit, left, right, noise.gate_sop,
                                             noise.final_sop[0], noise.prep.reshape(-1))
         lengths = (1, 2, 3, 6)
-        want = exact_fidelities(dense, noise, lengths, same_sequence=True)
+        want = exact_fidelities(RbRunConfig(dense, noise, lengths), same_sequence=True)
         state = np.ones(9)
         for m in range(1, 7):
             state = transfer @ state
@@ -362,7 +364,7 @@ class TestDressedMoments:
                            final_gate_channel=tuple(random_channel(gate_set.dim, 2, rng)),
                            prep_error=0.01, meas_error=0.02)
         survivals = simulate_standard(gate_set, noise, all_sequences(len(gate_set), m))
-        got = exact_fidelities(gate_set, noise, (m,), same_sequence=True)[0]
+        got = exact_fidelities(RbRunConfig(gate_set, noise, (m,)), same_sequence=True)[0]
         assert abs(got - np.mean(survivals)) <= 1e-12
 
     def test_standard_rb_on_four_qubit_paulis_is_the_closed_form(self):
@@ -386,7 +388,7 @@ class TestDressedMoments:
         right = np.einsum("jba,ab->j", paulis.conj(), noise.prep) / dim
         left = apply(final, paulis)[:, 0, 0]
         lengths = (1, 2, 5, 20, 100)
-        got = exact_fidelities(gate_set, noise, lengths, same_sequence=True)
+        got = exact_fidelities(RbRunConfig(gate_set, noise, lengths), same_sequence=True)
         for m, fidelity in zip(lengths, got):
             want = 0.98 * np.sum(left * right * q ** m).real
             assert abs(fidelity - want) <= 1e-12
@@ -402,11 +404,11 @@ class TestDressedMoments:
             monkeypatch.setattr(f"corb.engine.{name}", refuse)
         monkeypatch.setattr("corb.engine._Protocol.stack", refuse)
         gate_set = DRESSED["ms(2)"]
-        for kwargs in ({}, dict(interleaved_gate=np.kron(H, H))):
-            assert len(exact_fidelities(gate_set, ideal_noise(4), (1, 5), same_sequence,
-                                        **kwargs)) == 2
+        for kwargs in ({}, dict(mode="interleaved", interleaved_gate=np.kron(H, H))):
+            cfg = RbRunConfig(gate_set, ideal_noise(4), (1, 5), **kwargs)
+            assert len(exact_fidelities(cfg, same_sequence)) == 2
         with pytest.raises(AssertionError, match="built for a dressed set"):
-            exact_fidelities(CLIFFORD_2, ideal_noise(), (1,), same_sequence)
+            exact_fidelities(RbRunConfig(CLIFFORD_2, ideal_noise(), (1,)), same_sequence)
 
 
 def small_rotation(dim, angle, rng):
@@ -459,9 +461,9 @@ class TestInterleavingIsDerived:
              run_coherent_rb(replace(derived, mode="coherent"))),
             (run_interleaved_coherent(cfg, gate, gate_noise, full_superposition=True),
              run_coherent_full(replace(derived, mode="coherent-full"))),
-            (exact_fidelities(gate_set, noise, cfg.lengths, same_sequence=True,
-                              interleaved_gate=gate, interleaved_noise=gate_noise),
-             exact_fidelities(derived_set, derived_noise, cfg.lengths,
+            (exact_fidelities(replace(cfg, interleaved_gate=gate,
+                                      interleaved_noise=gate_noise), same_sequence=True),
+             exact_fidelities(RbRunConfig(derived_set, derived_noise, cfg.lengths),
                               same_sequence=True)),
         ]
         for got, want in pairs:
@@ -584,8 +586,9 @@ class TestSampledMeans:
 
     def test_oracle_matches_enumeration(self):
         """The recursion reproduces both exact means it predicts."""
-        f_std = exact_fidelities(CLIFFORD_2, self.NOISE, (2,), same_sequence=True)
-        f_full = exact_fidelities(CLIFFORD_2, self.NOISE, (1, 2))
+        f_std = exact_fidelities(RbRunConfig(CLIFFORD_2, self.NOISE, (2,)),
+                                 same_sequence=True)
+        f_full = exact_fidelities(RbRunConfig(CLIFFORD_2, self.NOISE, (1, 2)))
         survivals = simulate_standard(CLIFFORD_2, self.NOISE,
                                       all_sequences(len(CLIFFORD_2), 2))
         assert abs(f_std[0] - np.mean(survivals)) <= 1e-12
@@ -601,9 +604,9 @@ class TestSampledMeans:
         test with probability below 3e-4 at an arbitrary seed.
         """
         k, reps = 4, 1000
-        f_std = np.array(exact_fidelities(CLIFFORD_2, self.NOISE, self.LENGTHS,
-                                          same_sequence=True))
-        f_full = np.array(exact_fidelities(CLIFFORD_2, self.NOISE, self.LENGTHS))
+        exact = RbRunConfig(CLIFFORD_2, self.NOISE, self.LENGTHS)
+        f_std = np.array(exact_fidelities(exact, same_sequence=True))
+        f_full = np.array(exact_fidelities(exact))
         expected = {"standard": f_std,
                     "coherent": (1 - 1 / k) * f_full + f_std / k}
         for mode, want in expected.items():
@@ -623,9 +626,9 @@ class TestSampledMeans:
     GATE_NOISE = tuple(depolarizing_kraus(0.03, 2))
 
     def _interleaved_exact(self, same_sequence, lengths):
-        return np.array(exact_fidelities(CLIFFORD_2, self.NOISE, lengths, same_sequence,
-                                         interleaved_gate=H,
-                                         interleaved_noise=self.GATE_NOISE))
+        cfg = RbRunConfig(CLIFFORD_2, self.NOISE, lengths, mode="interleaved",
+                          interleaved_gate=H, interleaved_noise=self.GATE_NOISE)
+        return np.array(exact_fidelities(cfg, same_sequence))
 
     def test_interleaved_oracle_matches_enumeration(self):
         """With the interleaved gate, the recursion reproduces the
@@ -788,25 +791,53 @@ class TestInterleaved:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                           k=2, mode="interleaved")
         with pytest.raises(ValueError, match="^interleaved mode needs an interleaved gate$"):
-            run(cfg, interleaved_noise=dephasing_kraus(0.01, 2))
+            run(cfg)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["sampled", "full"])
+    def test_a_run_without_the_gate_is_refused(self, full):
+        """Given no gate, with or without a channel, the interleaved run
+        refuses to start; it once ran the plain protocol and labelled its
+        records `interleaved`."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2, 3), k=2,
+                          mode="interleaved")
+        with pytest.raises(ValueError,
+                           match="^an interleaved gate channel needs an interleaved gate$"):
+            run_interleaved_coherent(cfg, None, dephasing_kraus(0.3, 2),
+                                     full_superposition=full)
+        with pytest.raises(ValueError, match="^interleaved mode needs an interleaved gate$"):
+            run_interleaved_coherent(cfg, None, full_superposition=full)
+
+    def test_a_channel_without_the_gate_is_refused(self):
+        """A config refuses an interleaved channel without its gate. The
+        exact recursion, which once took them as arguments, dropped such a
+        channel and returned the plain curve [0.99, 0.9801, 0.970299]; it
+        takes them only in its config now."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
+        with pytest.raises(ValueError,
+                           match="^an interleaved gate channel needs an interleaved gate$"):
+            RbRunConfig(PAULI_2, noise, (1, 2, 3), mode="interleaved",
+                        interleaved_noise=dephasing_kraus(0.3, 2))
+        with pytest.raises(TypeError):
+            exact_fidelities(PAULI_2, noise, (1, 2, 3),
+                             interleaved_noise=dephasing_kraus(0.3, 2))
 
     @pytest.mark.parametrize("given", ["gate", "channel"])
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "interleaved"])
     def test_other_modes_refuse_an_interleaved_gate_or_channel(self, mode, given):
-        """Every other mode would run without them, so `run` refuses them
-        rather than drop them."""
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
-                          k=2, mode=mode)
+        """Every other mode would run without them, so the config refuses
+        them rather than drop them."""
         kwargs = {"gate": dict(interleaved_gate=H),
                   "channel": dict(interleaved_noise=dephasing_kraus(0.01, 2))}[given]
         with pytest.raises(ValueError,
                            match=f"^mode {mode} takes no interleaved gate or channel$"):
-            run(cfg, **kwargs)
+            RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
+                        k=2, mode=mode, **kwargs)
 
 
 def _interleaving(mode: str, gate: np.ndarray, gate_noise=None) -> dict:
-    """The interleaved gate and channel as `run` takes them: in interleaved
-    mode only."""
+    """The interleaved gate and channel as RbRunConfig takes them: in
+    interleaved mode only."""
     if mode != "interleaved":
         return {}
     return dict(interleaved_gate=gate, interleaved_noise=gate_noise)
@@ -855,11 +886,11 @@ class TestDeterminism:
             run,
             lambda c: run(replace(c, mode="standard")),
             run_coherent_and_standard,
-            lambda c: run(replace(c, mode="interleaved"), interleaved_gate=H),
+            lambda c: run(replace(c, mode="interleaved", interleaved_gate=H)),
             lambda c: run(replace(c, mode="coherent-control-noise")),
             lambda c: run(replace(c, noise=depolarizing)),
-            lambda c: run(replace(c, noise=depolarizing, mode="interleaved"),
-                          interleaved_gate=H),
+            lambda c: run(replace(c, noise=depolarizing, mode="interleaved",
+                                  interleaved_gate=H)),
         )
         for runner in runners:
             monkeypatch.delenv("CORB_THREADS", raising=False)
@@ -1039,7 +1070,7 @@ class TestOperatorTraffic:
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 5),
                           mode="coherent-full")
         run_coherent_full(cfg)
-        exact_fidelities(CLIFFORD_2, self.NOISE, (1, 2, 5), same_sequence=True)
+        exact_fidelities(cfg, same_sequence=True)
         assert calls == []
         # The interleaved superoperators depend on the call's arguments:
         # S(g) and S(N_g), with S(g^dag) taken as S(g)^dag.
@@ -1052,8 +1083,9 @@ class TestOperatorTraffic:
         """Six tasks; with interleaving the run builds the position
         superoperator once, from the gate and its channel."""
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
-                          k=3, repetitions=2, mode=mode)
-        records = run(cfg, **_interleaving(mode, H, dephasing_kraus(0.01, 2)))
+                          k=3, repetitions=2, mode=mode,
+                          **_interleaving(mode, H, dephasing_kraus(0.01, 2)))
+        records = run(cfg)
         assert len(records) == 6
         assert calls == (["run"] * 2 if mode == "interleaved" else [])
 
@@ -1105,39 +1137,50 @@ class TestConfigValidation:
         assert len({a, b, a}) == 2
 
     def test_lengths_must_increase(self):
-        """By RbRunConfig and by a direct exact call alike, which checks its
-        inputs through one config."""
+        """By RbRunConfig and by a replaced config alike, which is checked
+        as a new one."""
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,))
         for lengths in ((4, 2), (2, 2)):
             with pytest.raises(ValueError, match="^lengths must be strictly increasing$"):
                 RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
             with pytest.raises(ValueError, match="^lengths must be strictly increasing$"):
-                exact_fidelities(PAULI_2, ideal_noise(), lengths)
+                replace(cfg, lengths=lengths)
 
-    def test_inputs_are_checked_once(self, monkeypatch):
-        """RbRunConfig is the only check of a run's noise model: running a
-        config in any mode checks the trace gains only of an interleaved
-        channel, which no config holds, and a direct exact call checks the
-        final channel once, through its config."""
+    def test_inputs_are_checked_once(self, monkeypatch, pool_starts):
+        """RbRunConfig is the only check of a run's inputs: building a
+        config checks its final channel once and, in interleaved mode, its
+        gate and channel once; running it in any mode, serial or pooled, or
+        in an exact call, checks nothing again."""
         checked = []
-        real_check = corb.engine._check_gains
 
-        def check(*args, **kwargs):
-            checked.append(args[2])
-            return real_check(*args, **kwargs)
+        def count(name):
+            real = getattr(corb.engine, name)
 
-        monkeypatch.setattr("corb.engine._check_gains", check)
+            def check(*args, **kwargs):
+                checked.append(args[2] if name == "_check_gains" else name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(f"corb.engine.{name}", check)
+
+        for name in ("_check_gains", "assert_unitary", "check_kraus_gram", "trace_gain"):
+            count(name)
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
         for mode in MODES:
-            cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2), k=2,
-                              mode=mode)
-            assert checked == ["final channel"]
-            interleaved = mode == "interleaved"
-            run(cfg, interleaved_gate=H if interleaved else None)
-            assert checked == ["final channel"] + ["interleaved gate channel"] * interleaved
+            interleaved = _interleaving(mode, H, dephasing_kraus(0.02, 2))
+            cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 2), k=2,
+                              repetitions=2, mode=mode, **interleaved)
+            want = ["final channel"]
+            if interleaved:
+                want += ["assert_unitary", "check_kraus_gram", "trace_gain",
+                         "interleaved gate channel"]
+            assert checked == want
+            for workers in ("1", "2"):
+                monkeypatch.setenv("CORB_THREADS", workers)
+                run(cfg)
+            for same_sequence in (False, True):
+                exact_fidelities(cfg, same_sequence)
+            assert checked == want
             checked.clear()
-        for kwargs in ({}, dict(interleaved_gate=H)):
-            exact_fidelities(PAULI_2, ideal_noise(), (1, 2), **kwargs)
-            assert checked == ["final channel"] + ["interleaved gate channel"] * bool(kwargs)
-            checked.clear()
+        assert len(pool_starts) == len(MODES) - 1  # every sampled mode pooled once
 
     @pytest.mark.parametrize("lengths, message", [
         ((2.5, 4), "sequence length 2.5 is not an integer"),
@@ -1146,15 +1189,17 @@ class TestConfigValidation:
         ((1, math.inf), "sequence length inf is not an integer"),
         ((), "lengths must be positive integers, got none"),
         ((0, 1), "lengths must be positive integers, got 0"),
-    ], ids=["half", "truncated", "string", "infinite", "empty", "zero"])
+        ((True, 2), "sequence length True is not an integer"),
+    ], ids=["half", "truncated", "string", "infinite", "empty", "zero", "bool"])
     def test_non_integral_lengths_are_refused(self, lengths, message):
         """A length that is not an integer is refused, naming it, by
-        RbRunConfig and by a direct exact call alike; none is truncated."""
+        RbRunConfig and by a replaced config alike; none is truncated."""
         with pytest.raises(ValueError) as info:
             RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
         assert str(info.value) == message
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,))
         with pytest.raises(ValueError) as info:
-            exact_fidelities(PAULI_2, ideal_noise(), lengths)
+            replace(cfg, lengths=lengths)
         assert str(info.value) == message
 
     def test_integral_lengths_are_accepted(self):
@@ -1163,16 +1208,19 @@ class TestConfigValidation:
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=lengths)
         assert cfg.lengths == (1, 2, 3, 4)
         assert all(type(m) is int for m in cfg.lengths)
-        assert exact_fidelities(PAULI_2, ideal_noise(), lengths) == [1.0] * 4
+        assert exact_fidelities(cfg) == [1.0] * 4
 
     @pytest.mark.parametrize("field, value", [
         ("k", 2.5), ("repetitions", 1.5), ("shots", 2.5), ("seed", 1.5),
         ("k", "3"), ("shots", math.nan),
-    ], ids=["k", "repetitions", "shots", "seed", "k-string", "shots-nan"])
+        ("k", True), ("seed", False), ("repetitions", np.True_), ("shots", np.False_),
+    ], ids=["k", "repetitions", "shots", "seed", "k-string", "shots-nan",
+            "k-bool", "seed-bool", "repetitions-numpy-bool", "shots-numpy-bool"])
     def test_non_integral_counts_are_refused(self, field, value):
         """k, repetitions, shots and seed take the rule of the lengths. A
         binomial draw would truncate shots = 2.5 to 2 and divide by 2.5;
-        numpy refuses the others mid-run with a TypeError."""
+        numpy refuses the others mid-run with a TypeError. A bool, Python's
+        or numpy's, is no count: k = True once ran with k = 1."""
         with pytest.raises(ValueError) as info:
             RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
                         **{field: value})
@@ -1287,12 +1335,13 @@ class TestConfigValidation:
         the byte count; the exact need runs."""
         needed = 16 * len(CLIFFORD_2) * 2 ** 4 + 32 * 2 ** 8
         assert needed == 14336
+        cfg = RbRunConfig(CLIFFORD_2, ideal_noise(), (1, 2))
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed - 1)
         with pytest.raises(DimensionError,
                            match=rf"moment of 24 elements .* needs {needed} bytes"):
-            exact_fidelities(CLIFFORD_2, ideal_noise(), (1, 2), same_sequence=True)
+            exact_fidelities(cfg, same_sequence=True)
         monkeypatch.setattr("corb.engine.STATE_BUDGET_BYTES", needed)
-        for fidelity in exact_fidelities(CLIFFORD_2, ideal_noise(), (1, 2), same_sequence=True):
+        for fidelity in exact_fidelities(cfg, same_sequence=True):
             assert abs(fidelity - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("same_sequence", [False, True])
@@ -1304,12 +1353,13 @@ class TestConfigValidation:
     ], ids=["gate-shape", "channel-shape", "not-unitary", "not-trace-preserving"])
     def test_exact_fidelities_checks_the_interleaved_gate(
             self, same_sequence, gate, gate_noise, message):
-        """Called directly, the exact recursion refuses an interleaved gate
-        or channel that does not fit the set, and a gate that is not
-        unitary, as the interleaved runs do."""
+        """The config of an exact call refuses an interleaved gate or
+        channel that does not fit the set, and a gate that is not unitary,
+        as the interleaved runs do."""
         with pytest.raises(ValueError, match=message):
-            exact_fidelities(PAULI_2, ideal_noise(), (1, 2), same_sequence,
-                             interleaved_gate=gate, interleaved_noise=gate_noise)
+            cfg = RbRunConfig(PAULI_2, ideal_noise(), (1, 2), mode="interleaved",
+                              interleaved_gate=gate, interleaved_noise=gate_noise)
+            exact_fidelities(cfg, same_sequence)
 
     @pytest.mark.parametrize("full", [False, True], ids=["sampled", "full"])
     def test_interleaved_run_refuses_a_lossy_channel(self, full):
@@ -1346,7 +1396,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("same_sequence", [False, True], ids=["pair", "same"])
     @pytest.mark.parametrize("gate_set", [PAULI_2, CLIFFORD_2], ids=["dressed", "dense"])
     def test_exact_fidelities_checks_the_noise_dimension(self, gate_set, same_sequence):
-        """Called directly, each of the four recursions, with or without an
+        """The config of each of the four recursions, with or without an
         interleaved gate, refuses a noise model on another dimension than
         the set's with RbRunConfig's message, before anything runs. The
         dressed pair once returned the qutrit channel's decay, and the
@@ -1356,9 +1406,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             RbRunConfig(gate_set=gate_set, noise=noise, lengths=(1, 2, 3))
         with pytest.raises(ValueError, match=message):
-            exact_fidelities(gate_set, noise, (1, 2, 3), same_sequence)
+            exact_fidelities(RbRunConfig(gate_set, noise, (1, 2, 3)), same_sequence)
         with pytest.raises(ValueError, match=message):
-            exact_fidelities(gate_set, noise, (1, 2, 3), same_sequence, interleaved_gate=H)
+            exact_fidelities(RbRunConfig(gate_set, noise, (1, 2, 3), mode="interleaved",
+                                         interleaved_gate=H), same_sequence)
 
     def test_dispatcher_requires_gate_for_interleaved(self):
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1,),
@@ -1411,8 +1462,8 @@ class TestTraceGainTraffic:
         run_coherent_full(cfg)
         for mode in MODES:
             replace(cfg, mode=mode)
-        exact_fidelities(PAULI_2, noise, cfg.lengths, same_sequence=True)
-        exact_fidelities(CLIFFORD_2, noise, cfg.lengths, same_sequence=True)
+        exact_fidelities(cfg, same_sequence=True)
+        exact_fidelities(replace(cfg, gate_set=CLIFFORD_2), same_sequence=True)
         assert eigvalsh_calls == []
 
     def test_an_interleaved_run_derives_one(self, eigvalsh_calls):
@@ -1443,9 +1494,9 @@ class TestFidelityRange:
         gain, so the boundary check lets the run start."""
         noise = self._gaining(9e-10)
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1,), k=2,
-                          mode=mode)
+                          mode=mode, **_interleaving(mode, H, noise.gate_channel))
         with pytest.raises(FidelityRangeError, match=r"fidelity 1\.0000"):
-            run(cfg, **_interleaving(mode, H, noise.gate_channel))
+            run(cfg)
 
     @pytest.mark.parametrize("channel", ["gate", "final"])
     def test_trace_gaining_channel_is_refused(self, channel):
@@ -1473,29 +1524,31 @@ class TestFidelityRange:
         (1 + 1e-12)^2000 - 1 = 2e-9: admitted."""
         gaining = (np.sqrt(1.0 + 1e-12) * np.eye(2),)
         noise = NoiseModel(gate_channel=tuple(identity_kraus(2)), final_gate_channel=gaining)
-        RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2000,))
-        exact_fidelities(PAULI_2, noise, (2000,))
+        exact_fidelities(RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(2000,)))
 
     @pytest.mark.parametrize("interleaved", [False, True])
     def test_the_product_of_the_gains_decides(self, interleaved):
         """A gate channel gaining 6e-10 passes alone at length 1; with a
         final channel gaining 6e-10, or an interleaved one, the product
-        1.2e-9 is refused, by RbRunConfig and by a direct exact call alike."""
+        1.2e-9 is refused, by RbRunConfig and by a replaced config alike."""
         gaining = (np.sqrt(1.0 + 6e-10) * np.eye(2),)
         alone = NoiseModel(gate_channel=gaining, final_gate_channel=tuple(identity_kraus(2)))
-        RbRunConfig(gate_set=PAULI_2, noise=alone, lengths=(1,))
-        exact_fidelities(PAULI_2, alone, (1,))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=alone, lengths=(1,))
+        exact_fidelities(cfg)
         message = r"gate channel gains trace: .* = 1\.200e-09 exceeds 1e-09 at length m = 1"
         if interleaved:
             with pytest.raises(ValueError, match=message):
-                exact_fidelities(PAULI_2, alone, (1,), interleaved_gate=H,
-                                 interleaved_noise=gaining)
+                RbRunConfig(gate_set=PAULI_2, noise=alone, lengths=(1,), mode="interleaved",
+                            interleaved_gate=H, interleaved_noise=gaining)
+            with pytest.raises(ValueError, match=message):
+                replace(cfg, mode="interleaved", interleaved_gate=H,
+                        interleaved_noise=gaining)
             return
         both = NoiseModel(gate_channel=gaining)
         with pytest.raises(ValueError, match=message):
             RbRunConfig(gate_set=PAULI_2, noise=both, lengths=(1,))
         with pytest.raises(ValueError, match=message):
-            exact_fidelities(PAULI_2, both, (1,))
+            replace(cfg, noise=both)
 
     def test_the_exact_gain_decides(self):
         """One Kraus operator K = G^(1/2) with G = [[1, b], [b, 1 - c]],
@@ -1514,31 +1567,33 @@ class TestFidelityRange:
 
     @pytest.mark.parametrize("same_sequence", [False, True])
     def test_interleaved_exact_call_checks_the_final_channel(self, same_sequence):
-        """A direct exact call checks its noise model through one
-        RbRunConfig, as an interleaved run does, so a final channel gaining
-        9e-9 is refused beside an interleaved gate too, although the
-        interleaved protocol replaces it by the identity."""
+        """An exact call checks its noise model through its RbRunConfig, as
+        an interleaved run does, so a final channel gaining 9e-9 is refused
+        beside an interleaved gate too, although the interleaved protocol
+        replaces it by the identity."""
         noise = NoiseModel(gate_channel=tuple(identity_kraus(2)),
                            final_gate_channel=(np.sqrt(1.0 + 9e-9) * np.eye(2),))
         with pytest.raises(ValueError, match="^final channel gains trace: "):
-            exact_fidelities(PAULI_2, noise, (1,), same_sequence, interleaved_gate=H)
+            exact_fidelities(RbRunConfig(PAULI_2, noise, (1,), mode="interleaved",
+                                         interleaved_gate=H), same_sequence)
 
     @pytest.mark.parametrize("same_sequence", [False, True])
     def test_trace_gaining_interleaved_channel_is_refused(self, same_sequence):
-        """The exact recursion holds the interleaved channel, which no
-        RbRunConfig sees, to the same bound at its longest length."""
+        """The config of an exact call holds the interleaved channel to the
+        same bound at its longest length."""
         gaining = [np.sqrt(1.0 + 9e-9) * np.eye(2)]
         with pytest.raises(ValueError, match=r"interleaved gate channel gains trace: "
                                              r".* at length m = 2000"):
-            exact_fidelities(PAULI_2, ideal_noise(), (1, 2000), same_sequence,
-                             interleaved_gate=H, interleaved_noise=gaining)
+            cfg = RbRunConfig(PAULI_2, ideal_noise(), (1, 2000), mode="interleaved",
+                              interleaved_gate=H, interleaved_noise=gaining)
+            exact_fidelities(cfg, same_sequence)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_rounding_excess_is_clamped(self, mode):
         noise = self._gaining(1e-13)
         cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(10,), k=2,
-                          mode=mode)
-        records = run(cfg, **_interleaving(mode, H))
+                          mode=mode, **_interleaving(mode, H))
+        records = run(cfg)
         assert [r.fidelity for r in records] == [1.0]
 
 

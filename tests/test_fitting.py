@@ -115,20 +115,6 @@ NOISY = [(1, 0.9), (2, 0.83), (4, 0.64), (8, 0.45)]
 class TestFitDecayPinned:
     """`fit_decay`'s result or refusal for each kind of awkward input."""
 
-    @pytest.mark.parametrize("points, want", [
-        ([(1, 0.9), (2, math.nan), (4, 0.6), (8, 0.4)],
-         DecayFit(0.9878611515710791, 0.8913087216575926, math.nan, 4, False,
-                  math.nan, math.nan)),
-        ([(1, 0.9), (2, -math.inf), (4, 0.6), (8, 0.4)],
-         DecayFit(0.9878611515710791, 0.8913087216575926, math.inf, 4, False,
-                  math.inf, math.inf)),
-    ], ids=["nan", "minus-inf"])
-    def test_nonfinite_fidelity_reports_the_log_fit(self, points, want):
-        """A NaN or -inf point is left out of the log-linear start (it is
-        not positive) and makes the refinement diverge, so the start is
-        reported, unconverged, with the residuals it leaves."""
-        assert_fit_equals(fit_decay(points), want)
-
     @pytest.mark.parametrize("points, message", [
         ([(1, 0.9), (2, math.inf), (4, 0.6), (8, 0.4)],
          "fidelities above 1.05 are not a decay curve"),
@@ -148,8 +134,15 @@ class TestFitDecayPinned:
          "sequence length nan is not finite"),
         ([(1, 0.9), (2, 0.8), (3, 0.7), (math.inf, 0.6)],
          "sequence length inf is not finite"),
+        # A NaN or -inf fidelity, once fitted as a point left out of the
+        # log-linear start, after every length.
+        ([(1, 0.9), (2, math.nan), (4, 0.6), (8, 0.4)], "fidelity nan is not finite"),
+        ([(1, 0.9), (2, -math.inf), (4, 0.6), (8, 0.4)], "fidelity -inf is not finite"),
+        ([(1, math.nan), (2, 0.8), (3, 0.7), (math.inf, 0.6)],
+         "sequence length inf is not finite"),
     ], ids=["plus-inf", "two-lengths", "nan-lengths-are-one", "at-1.05", "nonpositive",
-            "lengths-first", "high-before-nonpositive", "nan-length", "inf-length"])
+            "lengths-first", "high-before-nonpositive", "nan-length", "inf-length",
+            "nan", "minus-inf", "lengths-before-fidelities"])
     def test_refusals(self, points, message):
         with pytest.raises(ValueError) as info:
             fit_decay(points)
@@ -295,8 +288,8 @@ class TestStandardCurve:
     same-sequence moment."""
 
     def test_perfect_channel_is_flat(self):
-        exact = exact_fidelities(build_clifford_set(2, 1), ideal_noise(2), (50,),
-                                 same_sequence=True)
+        cfg = RbRunConfig(build_clifford_set(2, 1), ideal_noise(2), (50,))
+        exact = exact_fidelities(cfg, same_sequence=True)
         assert exact == [pytest.approx(1.0)]
 
     def test_matches_group_twirl_closed_form(self):
@@ -304,7 +297,7 @@ class TestStandardCurve:
         SPAM the mean survival is 1/D + (1 - 1/D) p^m exactly."""
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)))
         lengths = (1, 2, 5, 16, 64)
-        exact = exact_fidelities(build_clifford_set(2, 1), noise, lengths,
+        exact = exact_fidelities(RbRunConfig(build_clifford_set(2, 1), noise, lengths),
                                  same_sequence=True)
         chi00 = chi00_of(noise.gate_channel)
         for m, value in zip(lengths, exact):
@@ -317,7 +310,8 @@ class TestStandardCurve:
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.05, 2)))
         sequences = rng.integers(0, 24, size=(3000, 4))
         survivals = simulate_standard(clifford, noise, sequences)
-        prediction = exact_fidelities(clifford, noise, (4,), same_sequence=True)[0]
+        prediction = exact_fidelities(RbRunConfig(clifford, noise, (4,)),
+                                      same_sequence=True)[0]
         se = survivals.std(ddof=1) / np.sqrt(len(survivals))
         assert abs(survivals.mean() - prediction) <= 3 * se
 
@@ -330,8 +324,7 @@ class TestStandardSelfConsistency:
         cfg = RbRunConfig(gate_set=build_clifford_set(2, 1), noise=noise,
                           lengths=(2, 4, 8, 16, 32, 64), k=80, repetitions=75,
                           seed=912, mode="standard")
-        exact = dict(zip(cfg.lengths, exact_fidelities(cfg.gate_set, noise, cfg.lengths,
-                                                       same_sequence=True)))
+        exact = dict(zip(cfg.lengths, exact_fidelities(cfg, same_sequence=True)))
         records = run_standard_rb(cfg)
         fit = fit_records(records)
         per_m = {}

@@ -10,6 +10,9 @@ re-exports do not count as references. Dunder methods, which Python calls
 Every import of a `corb` module (other than the re-exports of
 `__init__.py`) and of a test module is used by that module.
 
+Only `RbRunConfig.__post_init__` checks a run's channels and interleaved
+gate in `corb/engine.py`.
+
 The README's "Spec strings" section documents every name and key of the
 spec tables, with the key's type; every int key has a least value. The
 python block of its "Library example" section runs.
@@ -120,6 +123,24 @@ def test_each_engine_error_is_raised_by_one_function():
                     raisers[node.exc.func.id].add(f"{name}:{function.name}")
     assert raisers == {"DimensionError": {"engine.py:_check_bytes"},
                        "FidelityRangeError": {"engine.py:_clamped"}}
+
+
+def test_only_the_run_config_checks_channels_and_gates():
+    """RbRunConfig.__post_init__ is the one place of the engine that checks
+    a unitary, a Kraus list or a trace gain: no engine checks its config's
+    gate or channels again."""
+    checks = {"assert_unitary", "check_kraus_gram", "trace_gain", "_check_gains"}
+    scopes = []
+    for node in _library()[0]["engine.py"].body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{getattr(item, 'name', '<body>')}", item)
+                       for item in node.body]
+        else:
+            scopes.append((getattr(node, "name", "<module>"), node))
+    callers = {name for name, scope in scopes for node in ast.walk(scope)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) in checks}
+    assert callers == {"RbRunConfig.__post_init__"}
 
 
 def _readme_section(heading: str) -> str:
