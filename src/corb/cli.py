@@ -8,14 +8,9 @@ and, in interleaved mode, the gate and its channel.
 CSV carries the per-run fidelity records and plot series; JSON carries fits
 and verdicts. `corb fit` takes one records file, or a reference and an
 interleaved file after `--irb`, never both.
-The sampled engine modes run their (length, repetition) tasks in forked
-worker processes, one per usable CPU unless the CORB_THREADS environment
-variable (an integer from 1 to the CPU count) sets their number; each busy
-worker holds 64 k w D^2 bytes (three half-stored (k, w, D, D) complex128
-arrays, each block transposed, and two int64 gather indices of that shape;
-w = k // 2 + 1 for the coherent modes, 1 for standard RB), and the records
-do not depend on the worker count. Any other CORB_THREADS value is a usage
-error of every command.
+The sampled modes run on one forked worker per CPU the process may run on
+(`corb.engine`; `taskset -c 0` runs them serially), and the records do not
+depend on the worker count.
 
 Exit codes: 0 success, 1 usage or parse failure (an operating-system
 error on a path, such as a missing file or a directory where a file is
@@ -41,7 +36,6 @@ from .engine import (
     DimensionError,
     FidelityRecord,
     RbRunConfig,
-    _worker_count,
     exact_fidelities,
     run,
     run_interleaved_coherent,
@@ -94,15 +88,17 @@ class ExperimentConfig:
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 
 # Options that only some modes read: (config field, flag, the modes that
-# read it). The interleaved closing gate is noiseless, and coherent-full
-# writes exact values, so neither takes a final channel or shots.
+# read it). The interleaved closing gate is noiseless, so it takes no final
+# channel; coherent-full writes exact values over all |G|^m, so no shots or k.
+_SAMPLED_MODES = tuple(m for m in MODES if m != "coherent-full")
 _MODE_OPTIONS = (
     ("control_q", "--q", ("coherent-control-noise",)),
     ("gate_file", "--gate", ("interleaved",)),
     ("gate_channel_spec", "--gate-channel", ("interleaved",)),
     ("final_channel_spec", "--final-channel",
      tuple(m for m in MODES if m != "interleaved")),
-    ("shots", "--shots", tuple(m for m in MODES if m != "coherent-full")),
+    ("shots", "--shots", _SAMPLED_MODES),
+    ("k", "--k", _SAMPLED_MODES),
 )
 
 
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(--mode coherent-control-noise only)")
     p.add_argument("--eps-prep", type=float)
     p.add_argument("--eps-meas", type=float)
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="sequences in superposition (not with coherent-full)")
     p.add_argument("--lengths")
     p.add_argument("--reps", dest="repetitions", metavar="REPS", type=int)
     p.add_argument("--shots", type=int,
@@ -513,7 +509,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        _worker_count()  # every command refuses a bad CORB_THREADS, not only sampled runs
         return args.fn(args)
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

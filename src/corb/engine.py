@@ -49,9 +49,8 @@ nothing state-sized per position; a task needing more than
 STATE_BUDGET_BYTES is refused before allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
-processes, by default one per CPU this process may run on; CORB_THREADS (an
-integer from 1 to the CPU count) sets their number, and is read before
-anything of the run is built. Each busy worker holds one task's arrays and
+processes, one per CPU this process may run on (`_worker_count`; a cpuset
+or `taskset` lowers it). Each busy worker holds one task's arrays and
 the run's indices; all share the run's gate stack. Small runs
 (POOL_MIN_SIZE), single workers, platforms without fork and processes
 running other threads stay serial. Records do not depend on the worker
@@ -125,6 +124,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -291,25 +291,12 @@ def child_rng(seed: int, m: int, repetition: int, tag: int = 0) -> np.random.Gen
 
 
 def _worker_count() -> int:
-    """Worker processes for the (length, repetition) tasks: CORB_THREADS, an
-    integer from 1 to the CPU count, default the number of CPUs this
-    process may run on."""
-    raw = os.environ.get("CORB_THREADS")
-    if raw is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            return os.cpu_count() or 1
+    """Worker processes for the (length, repetition) tasks: the number of
+    CPUs this process may run on."""
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"CORB_THREADS must be an integer >= 1, got {raw!r}")
-    cpus = os.cpu_count() or 1
-    if workers > cpus:
-        raise ValueError(f"CORB_THREADS must be at most the CPU count {cpus}, got {raw!r}")
-    return workers
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 # Runs smaller than this, in branch-positions (k times the summed lengths of
@@ -347,18 +334,18 @@ def _run_chunk(chunk):
     return [_worker_task(task) for task in chunk]
 
 
-def _map_tasks(fn, tasks, size: int, workers: int):
+def _map_tasks(fn, tasks, size: int):
     """[fn(t) for t in tasks], in order, spread over forked worker processes.
 
     Under fork the workers inherit `fn` (and the gate set and closures it
     holds) instead of unpickling it; only the task tuples and the results
     cross the pipe. Worker w runs the strided chunk tasks[w::W], so every
-    worker gets the same mix of lengths. A run stays serial when `workers`
-    (`_worker_count`) or the task count is below 2, `size` is below
+    worker gets the same mix of lengths. A run stays serial when the worker
+    count (`_worker_count`) or the task count is below 2, `size` is below
     POOL_MIN_SIZE, fork is missing, or other Python threads run. An
     exception raised in a worker is re-raised here.
     """
-    workers = min(workers, len(tasks))
+    workers = min(_worker_count(), len(tasks))
     if workers <= 1 or size < POOL_MIN_SIZE:
         return [fn(t) for t in tasks]
     # Imported here: the pool machinery would add about 20 ms to `import corb`.
@@ -768,10 +755,8 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None
     fresh tag-1 stream, so its records equal those of a run of that mode
     alone.
 
-    CORB_THREADS (`_worker_count`), then the task and the gate stack
-    against the budget are checked before any task starts; the `_Kernel` is
-    built once, before the workers fork."""
-    workers = _worker_count()
+    The task and the gate stack are checked against the budget before any
+    task starts; the `_Kernel` is built once, before the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
     protocol = _protocol(cfg)
     slots = 1 if cfg.mode == "standard" else cfg.k // 2 + 1
@@ -798,7 +783,7 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None
 
     tasks = [(m, rep) for m in cfg.lengths for rep in range(cfg.repetitions)]
     size = cfg.k * cfg.repetitions * sum(cfg.lengths)
-    return dict(zip(modes, map(list, zip(*_map_tasks(one, tasks, size, workers)))))
+    return dict(zip(modes, map(list, zip(*_map_tasks(one, tasks, size)))))
 
 
 def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
@@ -919,12 +904,18 @@ def exact_fidelities(cfg: RbRunConfig, same_sequence: bool = False) -> list[floa
 def _full_run(cfg: RbRunConfig) -> list[FidelityRecord]:
     """Every length once, exactly, over the superposition of all |G|^m
     sequences (`exact_fidelities`); repetitions repeat it. Exact values take
-    no shots, so shots > 0 is refused before anything runs."""
+    no shots, so shots > 0 is refused before anything runs, as is a length
+    whose k, |G|^m, has more digits than `sys.get_int_max_str_digits()`."""
     if cfg.shots > 0:
         raise ValueError(f"mode {cfg.mode} over all |G|^m sequences is exact "
                          f"and takes no shots, got shots = {cfg.shots}")
+    size, limit = len(cfg.gate_set), getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for m in cfg.lengths if limit else ():  # 0: no limit; size ** m is built only near it
+        digits = m * math.log10(size)
+        if digits > limit + 1 or (digits > limit - 1 and size ** m >= 10 ** limit):
+            raise ValueError(f"length {m}: k = |G|^m = {size}^{m} has {int(digits) + 1} digits, "
+                             f"over Python's limit of {limit} for an integer's string")
     fidelities = exact_fidelities(cfg)
-    size = len(cfg.gate_set)
     return [FidelityRecord(cfg.mode, m, rep, fidelity, size ** m, f"{m}/full")
             for m, fidelity in zip(cfg.lengths, fidelities)
             for rep in range(cfg.repetitions)]

@@ -72,6 +72,8 @@ class GateSet:
     def __post_init__(self):
         if len(self.elements) < 1:
             raise ValueError("gate set must contain at least one element")
+        if self.d < 2:
+            raise ValueError(f"a gate set's qudit dimension must be >= 2, got d = {self.d}")
         dim = self.d ** self.n
         checked = []
         for i, u in enumerate(self.elements):
@@ -364,6 +366,15 @@ def build_custom_set(mats: Sequence[np.ndarray]) -> GateSet:
     return whole
 
 
+def _custom_set_from_file(path: str) -> GateSet:
+    """`build_custom_set` of a matrix file; every refusal names the file."""
+    mats = read_matrices(path)  # as its own refusals do
+    try:
+        return build_custom_set(mats)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Spec strings (CLI / config surface)
 # ---------------------------------------------------------------------------
@@ -383,7 +394,7 @@ _FAMILIES = {
     "dressed": SpecEntry({"d": int, "n": int, "u": str},
                          lambda d, n, u: build_dressed_set(read_matrix(u), d, n),
                          lambda d, n, u: (d, n), _DN_MIN),
-    "custom": SpecEntry(None, lambda path: build_custom_set(read_matrices(path)),
+    "custom": SpecEntry(None, _custom_set_from_file,
                         lambda path: (read_matrices(path)[0].shape[0], 1)),
 }
 

@@ -9,12 +9,23 @@ from corb import engine, noise
 
 
 @pytest.fixture
-def pool_starts(monkeypatch):
-    """Send every sampled run with two or more workers through the process
-    pool, whatever its size, on a machine of two CPUs (`os.cpu_count`), so
-    that CORB_THREADS=2 is admitted whatever the machine has; the returned
-    list gets one entry per pool started, so a test can show that the pool
-    path really ran, or that none did."""
+def cpus(monkeypatch):
+    """A setter of the number of CPUs this process may run on, as
+    `engine._worker_count` reads it (`os.sched_getaffinity`, patched in
+    where the platform lacks it); 1 keeps every run serial."""
+    def set_cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return set_cpus
+
+
+@pytest.fixture
+def pool_starts(monkeypatch, cpus):
+    """Send every sampled run through a process pool of two workers,
+    whatever its size and whatever CPUs the machine has (`cpus(1)` in the
+    test keeps a run serial); the returned list gets one entry per pool
+    started, so a test can show that the pool path really ran, or that
+    none did."""
     starts = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
@@ -24,7 +35,7 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(engine, "POOL_MIN_SIZE", 0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cpus(2)
     return starts
 
 

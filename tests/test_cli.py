@@ -389,6 +389,21 @@ class TestCheckSetCommand:
             report = strict_json(out.splitlines()[-1])
             assert report["set"] == spec and report["passed"] is (code == 0)
 
+    def test_one_dimensional_set_exit_one(self, tmp_path):
+        """A 1 x 1 custom set is refused with one error line naming the
+        file, by `check-set` and by `run`, not with a traceback."""
+        path = tmp_path / "one.mat"
+        path.write_text("dim 1 1\n1\n")
+        out = tmp_path / "x.csv"
+        for argv in (["check-set", f"custom:{path}"],
+                     ["run", "--set", f"custom:{path}", "--channel", "identity",
+                      "--out", str(out)]):
+            status, stdout, err = run_main(argv)
+            assert status == 1 and stdout == ""
+            assert err == (f"error: {path}: a gate set's qudit dimension must be >= 2, "
+                           f"got d = 1\n")
+        assert not out.exists()
+
     def test_non_finite_matrix_file_exit_one(self, tmp_path):
         """A NaN entry used to pass the unitarity check and print NaN JSON."""
         path = tmp_path / "nan.mat"
@@ -613,6 +628,7 @@ class TestRunCommand:
         ("coherent-control-noise", ["--gate-channel", "dephasing:p=0.01"]),
         ("interleaved", ["--final-channel", "identity"]),
         ("coherent-full", ["--shots", "100"]),
+        ("coherent-full", ["--k", "80"]),
     ], ids=lambda v: v if isinstance(v, str) else v[0])
     def test_option_the_mode_ignores_exit_one(self, mode, option, tmp_path, capsys):
         """An option that the mode would drop silently is refused, with
@@ -636,6 +652,11 @@ class TestRunCommand:
         return {"interleaved": ["--gate", gate_path],
                 "coherent-control-noise": ["--q", "0.95"]}.get(mode, [])
 
+    @staticmethod
+    def k_option(mode, k):
+        """`--k k`, as argv, in the sampled modes, which read it."""
+        return [] if mode == "coherent-full" else ["--k", str(k)]
+
     @pytest.mark.parametrize("mode", MODES)
     def test_every_mode_through_run_and_cli(self, mode, tmp_path, capsys):
         """Each mode of the table gives the same records from `run` and
@@ -645,9 +666,9 @@ class TestRunCommand:
         out = str(tmp_path / "r.csv")
         q = 0.95 if mode == "coherent-control-noise" else 1.0
         code = main(["run", "--set", "pauli:d=2,n=1", "--channel",
-                     "dephasing:p=0.01", "--mode", mode, "--k", "3",
+                     "dephasing:p=0.01", "--mode", mode,
                      "--lengths", "1,2,3", "--reps", "2", "--seed", "5", "--out", out]
-                    + self.own_options(mode, gate_path))
+                    + self.k_option(mode, 3) + self.own_options(mode, gate_path))
         capsys.readouterr()
         assert code == 0
         noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)),
@@ -731,59 +752,39 @@ class TestRunCommand:
         assert "needs 768 bytes" in err and "the budget is 767 bytes" in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
-    def test_bad_worker_count_exit_one(self, value, tmp_path, capsys, monkeypatch):
-        """A CORB_THREADS that is not an integer >= 1 is a usage error
-        naming the value; nothing is written."""
-        monkeypatch.setenv("CORB_THREADS", value)
-        out = str(tmp_path / "x.csv")
-        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
-                     "--k", "2", "--lengths", "1,2", "--out", out])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "CORB_THREADS" in err and f"'{value}'" in err
-        assert not os.path.exists(out)
+    @pytest.fixture
+    def default_int_digits(self):
+        """Python's default limit of 4300 digits on an integer's string."""
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python converts an integer of any length to a string")
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
 
-    @pytest.mark.parametrize("command", [
-        ["run", "--set", "pauli:d=2,n=1", "--channel", "identity", "--mode",
-         "coherent-full", "--lengths", "1,2", "--out", "{out}"],
-        ["experiment", "irb-demo", "--out", "{out}"],
-        ["check-set", "pauli:d=2,n=1"],
-    ], ids=["coherent-full", "irb-demo", "check-set"])
-    def test_bad_worker_count_exit_one_in_every_command(self, command, tmp_path, capsys,
-                                                        monkeypatch):
-        """Every command refuses a bad CORB_THREADS with one error line and
-        exit 1 before it runs, also those that start no sampled run."""
-        monkeypatch.setenv("CORB_THREADS", "abc")
-        out = tmp_path / "out"
-        code = main([arg.format(out=out) for arg in command])
-        captured = capsys.readouterr()
-        assert code == 1 and captured.out == ""
-        assert captured.err == "error: CORB_THREADS must be an integer >= 1, got 'abc'\n"
-        assert not out.exists()
+    def test_unwritable_k_exit_one(self, tmp_path, default_int_digits):
+        """A coherent-full length whose k column, 4^m, has more digits than
+        Python writes (4300 by default) is refused before anything runs,
+        naming the length; nothing is written. One length less is
+        written."""
+        out = tmp_path / "c.csv"
+        argv = ["run", "--set", "pauli:d=2,n=1", "--channel", "depolarizing:p=0.001",
+                "--mode", "coherent-full", "--out", str(out), "--lengths"]
+        status, _, err = run_main(argv + ["1,2,7143"])
+        assert status == 1 and not out.exists()
+        assert err == ("error: length 7143: k = |G|^m = 4^7143 has 4301 digits, over "
+                       "Python's limit of 4300 for an integer's string\n")
+        assert run_main(argv + ["1,2,7142"])[0] == 0
+        rows, _ = read_records(str(out))
+        assert rows[-1]["k"] == 4 ** 7142
 
-    def test_worker_count_above_the_cpu_count_exit_one(self, tmp_path, capsys,
-                                                       monkeypatch, pool_starts):
-        """A CORB_THREADS above the CPU count (two, patched) is a usage
-        error naming the value and the count; no worker starts and
-        nothing is written."""
-        monkeypatch.setenv("CORB_THREADS", "100000")
-        out = str(tmp_path / "x.csv")
-        code = main(["run", "--set", "pauli:d=2,n=1", "--channel", "identity",
-                     "--k", "2", "--lengths", "1,2", "--out", out])
-        err = capsys.readouterr().err
-        assert code == 1 and pool_starts == []
-        assert err == "error: CORB_THREADS must be at most the CPU count 2, got '100000'\n"
-        assert not os.path.exists(out)
-
-    def test_worker_error_reaches_caller(self, tmp_path, capsys, monkeypatch,
-                                         pool_starts, gainless_noise_models):
+    def test_worker_error_reaches_caller(self, tmp_path, capsys, pool_starts,
+                                         gainless_noise_models):
         """A FidelityRangeError raised inside a worker process comes back to
         the caller with its type and message, and `corb run` exits 2. The
         gate channel gains 9e-10 of trace, and the same channel after the
         closing inverse carries the fidelity to 1 + 1.8e-9; the noise
         model reports no gain, so the boundary check lets the run start."""
-        monkeypatch.setenv("CORB_THREADS", "2")
         gain = [np.sqrt(1.0 + 9e-10) * np.eye(2)]
         cfg = RbRunConfig(gate_set=build_pauli_set(2, 1),
                           noise=NoiseModel(gate_channel=tuple(gain)),
@@ -811,8 +812,9 @@ class TestRunCommand:
         write_matrices(gate_path, [H])
         interleaved = ["--gate", gate_path, "--gate-channel", f"kraus:{path}"]
         return (["run", "--set", "pauli:d=2,n=1", "--channel", f"kraus:{path}",
-                 "--mode", mode, "--k", "2", "--lengths", str(length),
+                 "--mode", mode, "--lengths", str(length),
                  "--out", str(tmp_path / "x.csv")]
+                + TestRunCommand.k_option(mode, 2)
                 + (interleaved if mode == "interleaved" else []))
 
     @pytest.mark.parametrize("mode", MODES)

@@ -32,6 +32,7 @@ from corb.engine import (
     _real_form,
     _real_gates,
     _superop_step,
+    _worker_count,
     child_rng,
     exact_fidelities,
     run,
@@ -873,10 +874,10 @@ class TestDeterminism:
                           k=8, repetitions=4, seed=99, mode="coherent")
         assert run_coherent_rb(cfg) == run_coherent_rb(cfg)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch, pool_starts):
+    def test_worker_count_does_not_change_results(self, cpus, pool_starts):
         """Every sampled mode, with a phase channel (the mask step) and a
         depolarizing one (the superoperator step), gives the same records
-        with CORB_THREADS unset, 1 and 2; 2 goes through the process pool."""
+        serially, on one CPU, and through the process pool, on two."""
         dephasing = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)),
                                control_q=0.9)
         depolarizing = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2)))
@@ -893,20 +894,18 @@ class TestDeterminism:
                                   interleaved_gate=H)),
         )
         for runner in runners:
-            monkeypatch.delenv("CORB_THREADS", raising=False)
-            default = runner(cfg)
-            monkeypatch.setenv("CORB_THREADS", "1")
-            serial = runner(cfg)
             started = len(pool_starts)
-            monkeypatch.setenv("CORB_THREADS", "2")
+            cpus(1)
+            serial = runner(cfg)
+            assert len(pool_starts) == started
+            cpus(2)
             pooled = runner(cfg)
             assert len(pool_starts) == started + 1
-            assert default == serial == pooled
+            assert serial == pooled
 
-    def test_no_fork_while_other_threads_run(self, monkeypatch, pool_starts):
+    def test_no_fork_while_other_threads_run(self, pool_starts):
         """Fork would copy a lock another thread holds, held forever in the
         workers: with a second thread alive the run stays serial."""
-        monkeypatch.setenv("CORB_THREADS", "2")
         cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
                           k=2, repetitions=2)
         release = threading.Event()
@@ -923,47 +922,16 @@ class TestDeterminism:
         run(cfg)
         assert len(pool_starts) == 1
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
-    def test_bad_worker_count_rejected(self, monkeypatch, value):
-        """CORB_THREADS must be an integer >= 1; anything else is named in
-        the error, never replaced by one worker."""
-        monkeypatch.setenv("CORB_THREADS", value)
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
-                          k=2, repetitions=2, mode="standard")
-        with pytest.raises(ValueError, match=f"CORB_THREADS.*'{value}'"):
-            run(cfg)
-
-    def test_worker_count_is_read_before_the_run_is_built(self, monkeypatch):
-        """A bad CORB_THREADS is refused before the run builds its kernel:
-        the real gate stack, which it builds first, is never asked for."""
-        def built(stack):
-            raise AssertionError("the real gate stack was built")
-
-        monkeypatch.setattr("corb.engine._real_gates", built)
-        monkeypatch.setenv("CORB_THREADS", "abc")
-        for mode in ("coherent", "standard"):
-            cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
-                              k=2, mode=mode)
-            with pytest.raises(ValueError,
-                               match=r"^CORB_THREADS must be an integer >= 1, got 'abc'$"):
-                run(cfg)
-
-    @pytest.mark.parametrize("value", ["3", "100000"])
-    def test_worker_count_above_the_cpu_count_rejected(self, monkeypatch, pool_starts,
-                                                       value):
-        """A CORB_THREADS above the CPU count (two, patched) is refused,
-        naming the value and the count, before any worker is forked."""
-        def refuse():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        monkeypatch.setenv("CORB_THREADS", value)
-        cfg = RbRunConfig(gate_set=PAULI_2, noise=ideal_noise(), lengths=(1, 2),
-                          k=2, repetitions=2)
-        with pytest.raises(ValueError, match=rf"^CORB_THREADS must be at most the CPU "
-                                             rf"count 2, got '{value}'$"):
-            run(cfg)
-        assert pool_starts == []
+    def test_worker_count_is_the_usable_cpus(self, monkeypatch, cpus):
+        """The worker count is the number of CPUs this process may run on,
+        or, where the platform has no affinity call, the CPU count."""
+        cpus(3)
+        assert _worker_count() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _worker_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count() == 1
 
     def test_child_streams_are_order_free(self):
         a = child_rng(42, 8, 3).integers(0, 1000, 5)
@@ -999,14 +967,14 @@ def init(*args):
     open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
 
 real, engine._init_worker = engine._init_worker, init
-os.cpu_count = lambda: 2  # CORB_THREADS=2 is admitted on any machine
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers on any machine
 engine.POOL_MIN_SIZE = 0
 run(RbRunConfig(gate_set=build_pauli_set(2, 1),
                 noise=NoiseModel(gate_channel=tuple(identity_kraus(2))),
                 lengths=(10 ** 7,), k=2, repetitions=2))
 """
         src = os.path.dirname(os.path.dirname(corb.__file__))
-        env = dict(os.environ, CORB_THREADS="2",
+        env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         parent = subprocess.Popen([sys.executable, "-c", script], env=env)
         workers = []
@@ -1041,7 +1009,7 @@ class TestOperatorTraffic:
                        control_q=0.9, prep_error=0.02, meas_error=0.01)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, monkeypatch, cpus):
         """Every `noise.superop` call made, as "run" or "task": a task is a
         call of the function that `_map_tasks` maps over the tasks."""
         calls, where = [], ["run"]
@@ -1051,19 +1019,19 @@ class TestOperatorTraffic:
             calls.append(where[0])
             return real_superop(kraus)
 
-        def mapped(fn, tasks, size, workers):
+        def mapped(fn, tasks, size):
             def task(t):
                 where[0] = "task"
                 try:
                     return fn(t)
                 finally:
                     where[0] = "run"
-            return real_map(task, tasks, size, workers)
+            return real_map(task, tasks, size)
 
         monkeypatch.setattr("corb.noise.superop", counted)
         monkeypatch.setattr("corb.engine.superop", counted)
         monkeypatch.setattr("corb.engine._map_tasks", mapped)
-        monkeypatch.setenv("CORB_THREADS", "1")
+        cpus(1)
         return calls
 
     def test_full_runs_build_no_superoperator(self, calls):
@@ -1146,7 +1114,7 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="^lengths must be strictly increasing$"):
                 replace(cfg, lengths=lengths)
 
-    def test_inputs_are_checked_once(self, monkeypatch, pool_starts):
+    def test_inputs_are_checked_once(self, monkeypatch, cpus, pool_starts):
         """RbRunConfig is the only check of a run's inputs: building a
         config checks its final channel once and, in interleaved mode, its
         gate and channel once; running it in any mode, serial or pooled, or
@@ -1173,8 +1141,8 @@ class TestConfigValidation:
                 want += ["assert_unitary", "check_kraus_gram", "trace_gain",
                          "interleaved gate channel"]
             assert checked == want
-            for workers in ("1", "2"):
-                monkeypatch.setenv("CORB_THREADS", workers)
+            for count in (1, 2):
+                cpus(count)
                 run(cfg)
             for same_sequence in (False, True):
                 exact_fidelities(cfg, same_sequence)
@@ -1254,6 +1222,33 @@ class TestConfigValidation:
                 run_interleaved_coherent(cfg, H, full_superposition=True)
         assert str(info.value) == (f"mode {call} over all |G|^m sequences is exact "
                                    f"and takes no shots, got shots = 10")
+
+    @pytest.mark.parametrize("call", ["coherent-full", "interleaved"])
+    def test_the_full_superposition_refuses_an_unwritable_k(self, call, monkeypatch):
+        """Both exact paths refuse, before anything runs, the first length
+        whose k column |G|^m has more digits than Python converts to a
+        string: 4^7143 has 4301. Without that limit nothing is refused."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.01, 2)))
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=noise, lengths=(1, 7142, 7143, 8000),
+                          mode=call)
+
+        def full(cfg):
+            if call == "coherent-full":
+                return run(cfg)
+            return run_interleaved_coherent(cfg, H, full_superposition=True)
+
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+        with monkeypatch.context() as patched:
+            patched.setattr("corb.engine.exact_fidelities", None)
+            with pytest.raises(ValueError) as info:
+                full(cfg)
+        assert str(info.value) == ("length 7143: k = |G|^m = 4^7143 has 4301 digits, "
+                                   "over Python's limit of 4300 for an integer's string")
+        assert [r.k for r in full(replace(cfg, lengths=(1, 7142)))] == [4, 4 ** 7142]
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert [r.k for r in full(replace(cfg, lengths=(7143,)))] == [4 ** 7143]
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert [r.k for r in full(replace(cfg, lengths=(7143,)))] == [4 ** 7143]
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -1668,29 +1663,28 @@ class TestGatherIndices:
                            repetitions=3, mode=mode)
 
     @pytest.mark.parametrize("mode", ["coherent", "standard"])
-    def test_freed_with_the_run(self, built, mode, monkeypatch):
+    def test_freed_with_the_run(self, built, mode, cpus):
         """After a serial run no index it built is alive."""
-        monkeypatch.setenv("CORB_THREADS", "1")
+        cpus(1)
         run(self._config(mode))
         gc.collect()
         assert built and all(ref() is None for call in built for ref in call)
 
     @pytest.mark.parametrize("mode", ["coherent", "standard"])
-    def test_built_once_per_run(self, built, mode, monkeypatch):
+    def test_built_once_per_run(self, built, mode, cpus):
         """A serial run of nine tasks builds its indices once, and the next
         run builds its own."""
-        monkeypatch.setenv("CORB_THREADS", "1")
+        cpus(1)
         for runs in (1, 2):
             run(self._config(mode))
             assert len(built) == runs
 
-    def test_pooled_runs_build_them_in_the_workers(self, built, monkeypatch, pool_starts):
+    def test_pooled_runs_build_them_in_the_workers(self, built, cpus, pool_starts):
         """A pooled run's parent builds no index: each worker builds its own
         after the fork, and the records are those of a serial run."""
-        monkeypatch.setenv("CORB_THREADS", "2")
         pooled = run(self._config("coherent"))
         assert len(pool_starts) == 1 and built == []
-        monkeypatch.setenv("CORB_THREADS", "1")
+        cpus(1)
         assert run(self._config("coherent")) == pooled
 
 

@@ -500,6 +500,14 @@ class TestGateSetInvariants:
         with pytest.raises(ValueError, match="^gate set must contain at least one element$"):
             build_custom_set([])
 
+    @pytest.mark.parametrize("build", [lambda: build_pauli_set(1, 1),
+                                       lambda: build_custom_set([np.eye(1)])],
+                             ids=["pauli", "custom"])
+    def test_rejects_a_one_dimensional_set(self, build):
+        with pytest.raises(ValueError,
+                           match=r"^a gate set's qudit dimension must be >= 2, got d = 1$"):
+            build()
+
     def test_rejects_non_unitary_element(self):
         with pytest.raises(ValueError):
             build_custom_set([np.ones((2, 2))])

@@ -13,6 +13,9 @@ Every import of a `corb` module (other than the re-exports of
 Only `RbRunConfig.__post_init__` checks a run's channels and interleaved
 gate in `corb/engine.py`.
 
+No `corb` module reads the environment: a run is stated by its arguments
+and the CPUs it may run on.
+
 The README's "Spec strings" section documents every name and key of the
 spec tables, with the key's type; every int key has a least value. The
 python block of its "Library example" section runs.
@@ -141,6 +144,22 @@ def test_only_the_run_config_checks_channels_and_gates():
                if isinstance(node, ast.Call)
                and getattr(node.func, "id", getattr(node.func, "attr", None)) in checks}
     assert callers == {"RbRunConfig.__post_init__"}
+
+
+def test_no_module_reads_the_environment():
+    """No `corb` module names os.environ, os.getenv or os.putenv, as an
+    attribute of `os` or imported from it."""
+    names = {"environ", "getenv", "putenv"}
+    readers = []
+    for name, tree in _library()[0].items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and getattr(node.value, "id", None) == "os"):
+                readers.append(f"{name}:{node.lineno}: os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                readers += [f"{name}:{node.lineno}: from os import {alias.name}"
+                            for alias in node.names if alias.name in names]
+    assert not readers, "modules that read the environment: " + ", ".join(readers)
 
 
 def _readme_section(heading: str) -> str:
