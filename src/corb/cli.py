@@ -33,7 +33,6 @@ import numpy as np
 from . import io as cio
 from .engine import (
     MODES,
-    DimensionError,
     FidelityRecord,
     RbRunConfig,
     exact_fidelities,
@@ -48,6 +47,7 @@ from .fitting import (
     irb_extract,
 )
 from .gatesets import check_condition, parse_set_spec, set_spec_dims
+from .linalg import DimensionError
 from .noise import NoiseModel, avg_gate_fidelity, chi00_of, parse_channel_spec
 
 USAGE_ERROR, SEMANTIC_ERROR = 1, 2
@@ -116,13 +116,6 @@ def _run_inputs(config: ExperimentConfig) -> RbRunConfig:
     final = None
     if config.final_channel_spec is not None:
         final = tuple(parse_channel_spec(config.final_channel_spec, gate_set.dim))
-    noise = NoiseModel(
-        gate_channel=tuple(gate_channel),
-        final_gate_channel=final,
-        control_q=config.control_q,
-        prep_error=config.eps_prep,
-        meas_error=config.eps_meas,
-    )
     gate = gate_noise = None
     if config.mode == "interleaved":
         if config.gate_file is None:
@@ -130,6 +123,14 @@ def _run_inputs(config: ExperimentConfig) -> RbRunConfig:
         gate = cio.read_matrix(config.gate_file)
         if config.gate_channel_spec is not None:
             gate_noise = parse_channel_spec(config.gate_channel_spec, gate_set.dim)
+    # Every input is read before the NoiseModel builds its superoperators.
+    noise = NoiseModel(
+        gate_channel=tuple(gate_channel),
+        final_gate_channel=final,
+        control_q=config.control_q,
+        prep_error=config.eps_prep,
+        meas_error=config.eps_meas,
+    )
     return RbRunConfig(
         gate_set=gate_set,
         noise=noise,

@@ -133,16 +133,17 @@ import numpy as np
 
 from .gatesets import GateSet, _first_moment, _realign
 from .io import FidelityRecord
-from .linalg import assert_unitary, check_kraus_gram
+from .linalg import ARRAY_BUDGET_BYTES, assert_unitary, check_bytes, check_kraus_gram
 from .noise import NoiseModel, superop, trace_gain
 from .paulis import pauli_basis
 
 # Bytes one sampled task may hold (see _check_budget): 64 k w D^2, so with
 # w = k // 2 + 1, k * D up to about 5000 for a coherent state (k = 2507 at
 # D = 2). The full superposition never builds its state and is
-# not capped; the dense moment that `exact_fidelities` builds for
-# `same_sequence` is held to it (see _same_sequence_moment).
-STATE_BUDGET_BYTES = 3 * 16 * 4096 ** 2
+# not capped; the run's real gate stack (_real_gates) and the dense moment
+# that `exact_fidelities` builds for `same_sequence` (_same_sequence_moment)
+# are held to it too. Every check reads it when it runs (`check_bytes`).
+STATE_BUDGET_BYTES = 3 * ARRAY_BUDGET_BYTES
 
 # Rounding leaves an exact fidelity within this distance outside [0, 1];
 # anything farther is a fault to report, never a value to clamp.
@@ -225,20 +226,8 @@ class RbRunConfig:
                      per_position=True)
 
 
-class DimensionError(ValueError):
-    """A run would need more than STATE_BUDGET_BYTES (`_check_bytes`)."""
-
-
 class FidelityRangeError(RuntimeError):
     """An engine fidelity lies outside [0, 1] by more than FIDELITY_TOL."""
-
-
-def _check_bytes(needed: int, what: str, arrays: str) -> None:
-    """Refuse `what`, before it is allocated, when it needs more than
-    STATE_BUDGET_BYTES; `arrays` says what the bytes hold."""
-    if needed > STATE_BUDGET_BYTES:
-        raise DimensionError(f"{what} needs {needed} bytes {arrays}; the budget is "
-                             f"{STATE_BUDGET_BYTES} bytes")
 
 
 def _is_integral(value) -> bool:
@@ -415,9 +404,9 @@ def _real_gates(stack: np.ndarray) -> np.ndarray:
     step. Refused, before allocating, when its 64 |G| D^2 bytes exceed
     STATE_BUDGET_BYTES."""
     size, dim = stack.shape[:2]
-    _check_bytes(2 * 8 * size * (2 * dim) ** 2,
-                 f"the real gate stack of {size} elements of dimension {dim}",
-                 f"(a 2x{size}x{2 * dim}x{2 * dim} float64 array)")
+    check_bytes(2 * 8 * size * (2 * dim) ** 2, STATE_BUDGET_BYTES,
+                f"the real gate stack of {size} elements of dimension {dim}",
+                f"(a 2x{size}x{2 * dim}x{2 * dim} float64 array)")
     gates = np.empty((2, size, 2 * dim, 2 * dim))
     gates[0] = _real_form(stack.transpose(0, 2, 1))
     np.multiply(gates[0], _signs(dim), out=gates[1])
@@ -716,10 +705,10 @@ def _check_budget(k: int, dim: int, slots: int) -> None:
     and the two gather indices of `_repack_indices` of the same shape."""
     blocks = k * slots * dim * dim
     shape = "x".join(map(str, (k, slots, dim, dim)))
-    _check_bytes((3 * 16 + 2 * np.dtype(np.intp).itemsize) * blocks,
-                 f"joint dimension k * D = {k * dim}",
-                 f"per task (three {shape} complex128 arrays and two {shape} "
-                 f"gather indices)")
+    check_bytes((3 * 16 + 2 * np.dtype(np.intp).itemsize) * blocks, STATE_BUDGET_BYTES,
+                f"joint dimension k * D = {k * dim}",
+                f"per task (three {shape} complex128 arrays and two {shape} "
+                f"gather indices)")
 
 
 def _clamped(fidelities) -> np.ndarray:
@@ -795,10 +784,10 @@ def _same_sequence_moment(stack: np.ndarray) -> np.ndarray:
     every entry, at [(c a e g), (f h d b)]; reordering it into M takes a
     second D^4 x D^4 array."""
     n, d, _ = stack.shape
-    _check_bytes(16 * n * d ** 4 + 2 * 16 * d ** 8,
-                 f"the same-sequence moment of {n} elements of dimension {d}",
-                 f"(a {n}x{d ** 4} complex128 element table and two {d ** 4}x{d ** 4} "
-                 f"complex128 products)")
+    check_bytes(16 * n * d ** 4 + 2 * 16 * d ** 8, STATE_BUDGET_BYTES,
+                f"the same-sequence moment of {n} elements of dimension {d}",
+                f"(a {n}x{d ** 4} complex128 element table and two {d ** 4}x{d ** 4} "
+                f"complex128 products)")
     flat = stack.reshape(n, d * d)
     table = (flat.conj()[:, :, None] * flat[:, None, :]).reshape(n, d ** 4)
     products = table.T @ table

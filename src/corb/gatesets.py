@@ -31,13 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices, read_matrix
-from .linalg import TOL, as_matrix, assert_unitary, tensor
-from .paulis import DEFAULT_LABEL_CAP, _weyl_digits, format_label, omega, pauli_basis
+from .linalg import ARRAY_BUDGET_BYTES, TOL, as_matrix, assert_unitary, check_bytes, tensor
+from .paulis import _weyl_digits, check_qudits, format_label, omega, pauli_basis
 
 CLOSURE_PRODUCT_CAP = 200_000
 FINGERPRINT_DECIMALS = 8
-# Bytes of Pauli(2, 6), the largest stack that the label cap admits (268 MB).
-_STACK_BYTES_CAP = 16 * DEFAULT_LABEL_CAP ** 2
 # Bytes of the products U_i U_0^dag that `_derived_dressing` decodes at once.
 _DRESSING_CHUNK_BYTES = 4 * 2 ** 20
 
@@ -72,8 +70,7 @@ class GateSet:
     def __post_init__(self):
         if len(self.elements) < 1:
             raise ValueError("gate set must contain at least one element")
-        if self.d < 2:
-            raise ValueError(f"a gate set's qudit dimension must be >= 2, got d = {self.d}")
+        check_qudits(self.d, self.n)
         dim = self.d ** self.n
         checked = []
         for i, u in enumerate(self.elements):
@@ -168,8 +165,9 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
     the twirl of P is |G| vec(P) A, so one (L, D^2) x (D^2, D^2) product
     gives the twirls of all L = D^2 labels as rows. A label's residual is
     the max-norm of its twirl minus the target. A and the twirl rows take
-    16 D^4 bytes each. The label cap DEFAULT_LABEL_CAP = 4096 refuses
-    D > 64 before either is allocated, so each stays within 268 MB. A
+    16 D^4 bytes each, as many as the basis: its byte check
+    (`pauli_basis`) refuses D > 64 before either is allocated, so each
+    stays within ARRAY_BUDGET_BYTES. A
     passing set's residuals are all rounding noise, so its reported worst
     label, the `format_label` text of its row, carries no meaning. The
     tolerance is TOL.channel * |G|.
@@ -277,13 +275,13 @@ def _controlled_paulis(controls: int, d: int) -> np.ndarray:
     control qubits (outermost) and every choice of one dimension-d target
     Pauli P_b per control basis state b, in `itertools.product` order.
     Sequence draws index into the stack, so this order is fixed. A stack
-    over _STACK_BYTES_CAP bytes (d > 10 for one control) is refused first."""
+    over ARRAY_BUDGET_BYTES (d > 10 for one control) is refused first."""
     branches = 2 ** controls
     dim = branches * d
-    size = 16 * 4 ** controls * d ** (2 * branches) * dim * dim
-    if size > _STACK_BYTES_CAP:
-        raise ValueError(f"the controlled set at d={d} would take {size} bytes, "
-                         f"over the bound of {_STACK_BYTES_CAP} bytes")
+    check_bytes(16 * 4 ** controls * d ** (2 * branches) * dim * dim, ARRAY_BUDGET_BYTES,
+                f"the controlled set at d={d}",
+                f"({4 ** controls} d^{2 * branches} complex128 matrices of dimension "
+                f"{branches}d)")
     targets = pauli_basis(d, 1)
     table = np.array(list(itertools.product(range(d * d), repeat=branches)))
     blocks = np.zeros((len(table), branches, d, branches, d), dtype=np.complex128)
@@ -338,15 +336,20 @@ def ms_gate(n: int, theta: float) -> np.ndarray:
 
 def build_ms_dressed_set(n: int, theta: float) -> GateSet:
     """Pauli-dressed entangling gates M_i = P_i U_n(theta), any angle."""
-    paulis = pauli_basis(2, n)  # refuses 4^n > DEFAULT_LABEL_CAP first
+    paulis = pauli_basis(2, n)  # refuses n > 6 (its byte check) first
     return GateSet(2, n, "ms", _frozen(paulis @ ms_gate(n, theta)))
 
 
 def build_dressed_set(u: np.ndarray, d: int, n: int) -> GateSet:
-    """Pauli-dressed set M_i = P_i U for an arbitrary unitary U on d^n."""
+    """Pauli-dressed set M_i = P_i U for an arbitrary unitary U on d^n.
+    U's size D is compared with d^n before its unitarity is checked, and
+    d^n is formed only for n within D's bit length (for d >= 2, a larger n
+    makes d^n > D)."""
+    u = as_matrix(u)
+    size = u.shape[0]
+    if n > size.bit_length() or d ** n != size:
+        raise ValueError(f"unitary dimension {size} != {d}^{n}")
     u = assert_unitary(u, what="dressing unitary")
-    if u.shape[0] != d ** n:
-        raise ValueError(f"unitary dimension {u.shape[0]} != {d ** n}")
     return GateSet(d, n, "dressed", _frozen(pauli_basis(d, n) @ u))
 
 

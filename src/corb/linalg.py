@@ -6,11 +6,15 @@ centralized tolerances and build basis states and projectors.
 
 Matrices stay dense throughout: the largest space the engines touch is a
 few thousand dimensions, where dense exact arithmetic is both simplest
-and fastest.
+and fastest. Every memory limit is one byte check, `check_bytes`, made
+before the array it guards is allocated: a builder's array (a Pauli
+basis, a controlled stack, a channel superoperator) against
+ARRAY_BUDGET_BYTES, an engine's task against its own multiple of it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +30,26 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+# Bytes of Pauli(2, 6), the (4096, 64, 64) complex128 stack (268 MB): the
+# most that any one array a builder forms may take.
+ARRAY_BUDGET_BYTES = 16 * 4096 ** 2
+
+
+class DimensionError(ValueError):
+    """A request needs more bytes than its budget (`check_bytes`)."""
+
+
+def check_bytes(needed: int | float, budget: int, what: str, arrays: str) -> None:
+    """Refuse `what`, before it is allocated, when it needs more than
+    `budget` bytes; `arrays` says what the bytes hold. `needed` is the
+    exact count, or math.inf for a count past 2^1024 that the caller does
+    not form. A count of 2^64 bytes or more is written as a power of two."""
+    if needed > budget:
+        count = (str(needed) if needed < 2 ** 64 else "more than 2^1024"
+                 if needed == math.inf else f"about 2^{round(math.log2(needed))}")
+        raise DimensionError(f"{what} needs {count} bytes {arrays}; the budget is "
+                             f"{budget} bytes")
 
 
 def as_matrix(a) -> np.ndarray:

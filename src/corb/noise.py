@@ -18,7 +18,8 @@ import numpy as np
 
 from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
-from .linalg import basis_state, check_kraus, check_kraus_gram, projector
+from .linalg import (ARRAY_BUDGET_BYTES, basis_state, check_bytes, check_kraus,
+                     check_kraus_gram, projector)
 from .paulis import pauli_basis
 
 
@@ -96,7 +97,13 @@ def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """(D^2, D^2) superoperator of a Kraus list: entry [(a c), (b d)] is
     sum_s K_s[a, b] conj(K_s[c, d]), so it maps the row-major vec of rho to
     that of sum_s K_s rho K_s^dag. One (D^2, s) x (s, D^2) product gives
-    the entries at [(a b), (c d)], and `_realign` moves them into place."""
+    the entries at [(a b), (c d)], and `_realign` moves them into place.
+    Its 16 D^4 bytes are held to ARRAY_BUDGET_BYTES (`check_bytes`) before
+    it is formed, which admits D <= 64."""
+    dim = len(kraus[0])
+    check_bytes(16 * dim ** 4, ARRAY_BUDGET_BYTES,
+                f"the superoperator of a channel on dimension {dim}",
+                f"(a {dim * dim}x{dim * dim} complex128 array)")
     flat = np.concatenate(kraus).reshape(len(kraus), -1)
     return _realign(flat.T @ flat.conj())
 
@@ -185,8 +192,20 @@ _CHANNELS = {
     "depolarizing": SpecEntry({"p": float}, lambda dim, p: depolarizing_kraus(p, dim)),
     "infidelity-dephasing": SpecEntry({"r": float},
                                       lambda dim, r: infidelity_to_dephasing(r, dim)),
-    "kraus": SpecEntry(None, lambda dim, path: check_kraus(read_matrices(path))),
+    "kraus": SpecEntry(None, lambda dim, path: _kraus_from_file(path, dim)),
 }
+
+
+def _kraus_from_file(path: str, dim: int) -> list[np.ndarray]:
+    """The checked Kraus list of a matrix file whose every operator acts on
+    dimension `dim`; an operator of another shape is refused naming the
+    file and both sizes."""
+    kraus = read_matrices(path)
+    for i, op in enumerate(kraus):
+        if op.shape != (dim, dim):
+            raise ValueError(f"{path}: Kraus operator {i} has shape {op.shape}; "
+                             f"the gate set needs ({dim}, {dim})")
+    return check_kraus(kraus)
 
 
 def parse_channel_spec(spec: str, dim: int) -> list[np.ndarray]:

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import weakref
 
 import numpy as np
 
-DEFAULT_LABEL_CAP = 4096
+from .linalg import ARRAY_BUDGET_BYTES, check_bytes
 
 # The built bases by (d, n), each kept only while something else holds it.
 _BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -46,6 +47,15 @@ def _weyl_digits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return places, digits
 
 
+def check_qudits(d: int, n: int) -> None:
+    """Refuse, naming the value, a qudit dimension d < 2 or a qudit count
+    n < 1: every gate set and every Pauli basis acts on D >= 2."""
+    if d < 2:
+        raise ValueError(f"a gate set's qudit dimension must be >= 2, got d = {d}")
+    if n < 1:
+        raise ValueError(f"a gate set's qudit count must be >= 1, got n = {n}")
+
+
 def pauli_basis(d: int, n: int) -> np.ndarray:
     """Stacked (d^{2n}, d^n, d^n) array of all Pauli words in Weyl-index
     order (see the module docstring), identity first.
@@ -55,13 +65,21 @@ def pauli_basis(d: int, n: int) -> np.ndarray:
     basis dies with its last user. Each site's factor multiplies in by one
     broadcast product, left to right as `np.kron` chains them, so every
     entry is the same rounded product of site entries.
+
+    A qudit dimension d < 2 or a count n < 1 is refused (`check_qudits`),
+    and so, before anything is built, is a stack of more than ARRAY_BUDGET_BYTES
+    (`check_bytes`): its 16 d^(4n) bytes admit exactly the (d, n) with
+    d^(2n) <= 4096, up to Pauli(2, 6). The byte count is formed only while
+    it has at most 1028 bits, so a key such as n = 10^7 is refused at once.
     """
     cached = _BASES.get((d, n))
     if cached is not None:
         return cached
-    count = d ** (2 * n)
-    if count > DEFAULT_LABEL_CAP:
-        raise ValueError(f"{count} labels exceed the cap of {DEFAULT_LABEL_CAP}")
+    check_qudits(d, n)
+    # n <= 256 first: n * log2(d) of a larger n may not convert to a float.
+    check_bytes(16 * d ** (4 * n) if n <= 256 and n * math.log2(d) <= 256 else math.inf,
+                ARRAY_BUDGET_BYTES, f"the Pauli basis of d={d}, n={n}",
+                "(a d^(2n) x d^n x d^n complex128 stack)")
     # sites[x, z] is X^x Z^z on one qudit; axes (x digits, z digits, rows, cols).
     sites = np.zeros((d, d, d, d), dtype=np.complex128)
     for x, z, s in itertools.product(range(d), repeat=3):
@@ -72,7 +90,7 @@ def pauli_basis(d: int, n: int) -> np.ndarray:
         stack = (stack[:, None, :, None, :, None, :, None]
                  * sites[:, None, :, None, :, None, :]).reshape(
                      xs * d, zs * d, rows * d, cols * d)
-    stack = stack.reshape(count, d ** n, d ** n)
+    stack = stack.reshape(d ** (2 * n), d ** n, d ** n)
     stack.flags.writeable = False
     _BASES[d, n] = stack
     return stack

@@ -25,7 +25,7 @@ from corb.gatesets import FINGERPRINT_DECIMALS, ConditionReport, GateSet
 from corb.io import atomic_write
 from corb.linalg import TOL, as_matrix, check_kraus, dagger
 from corb.noise import NoiseModel, identity_kraus
-from corb.paulis import DEFAULT_LABEL_CAP, format_label, omega, pauli_basis
+from corb.paulis import format_label, omega, pauli_basis
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,13 @@ def check_condition_per_label(gate_set: GateSet) -> ConditionReport:
                            tolerance)
 
 
-def normalizer_residual(gate_set: GateSet, cap: int = DEFAULT_LABEL_CAP) -> float:
+def normalizer_residual(gate_set: GateSet) -> float:
     """Worst deviation of C P C† from the nearest phase-scaled Pauli word.
 
     Zero (to rounding) exactly when every element normalizes the Pauli
-    group, i.e. is a Clifford operation.
+    group, i.e. is a Clifford operation. The basis refuses D > 64 itself.
     """
     basis = pauli_basis(gate_set.d, gate_set.n)
-    if basis.shape[0] > cap:
-        raise ValueError(f"{basis.shape[0]} labels exceed the cap of {cap}")
     stack = gate_set.elements
     dim = gate_set.dim
     rows = np.arange(len(stack))

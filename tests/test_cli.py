@@ -404,6 +404,38 @@ class TestCheckSetCommand:
                            f"got d = 1\n")
         assert not out.exists()
 
+    def test_custom_set_past_the_budget_exit_two(self, tmp_path):
+        """The basis of a 65 x 65 custom set is past the array budget: a
+        DimensionError, exit 2, as every memory refusal outside a spec."""
+        path = tmp_path / "big.mat"
+        write_matrices(str(path), [np.eye(65)])
+        status, out, err = run_main(["check-set", f"custom:{path}"])
+        assert status == 2 and out == ""
+        assert err == ("error: the Pauli basis of d=65, n=1 needs 285610000 bytes (a d^(2n) "
+                       "x d^n x d^n complex128 stack); the budget is 268435456 bytes\n")
+
+    @pytest.mark.parametrize("spec", [
+        "pauli:d=2,n=7142", "pauli:d=2,n=7143", "pauli:d=3,n=10000000",
+        "ms:n=10000000,theta=0.1", f"controlled:d={10 ** 800}",
+    ], ids=["pauli-7142", "pauli-7143", "pauli-3-10^7", "ms-10^7", "controlled-10^800"])
+    def test_absurd_keys_exit_one_with_a_readable_line(self, spec):
+        """Keys whose sets would have thousands of digits of bytes are
+        refused at once with the byte budget; their needs were once printed
+        with 4300 digits, or not at all (Python's limit for an integer's
+        string), after seconds of arithmetic for d = 3."""
+        status, out, err = run_main(["check-set", spec])
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and "the budget is 268435456 bytes" in err
+        assert len(err) < 2 * len(spec) + 200
+
+    def test_dressed_set_of_an_absurd_size_exit_one(self, tmp_path):
+        path = tmp_path / "u.mat"
+        write_matrices(str(path), [np.eye(2)])
+        spec = f"dressed:d=3,n=10000000,u={path}"
+        status, out, err = run_main(["check-set", spec])
+        assert status == 1 and out == ""
+        assert err == f"error: set spec {spec!r}: unitary dimension 2 != 3^10000000\n"
+
     def test_non_finite_matrix_file_exit_one(self, tmp_path):
         """A NaN entry used to pass the unitarity check and print NaN JSON."""
         path = tmp_path / "nan.mat"
@@ -431,8 +463,10 @@ SET_PROBES = [
     ("controlled:d=0", "key 'd' must be >= 2, got '0'"),
     ("ms:n=-3,theta=0.5", "key 'n' must be >= 2, got '-3'"),
     ("ms:n=1,theta=0.3", "key 'n' must be >= 2, got '1'"),
-    ("controlled:d=11", "d=11 would take 453519616 bytes, over the bound of 268435456"),
-    ("pauli:d=2,n=7", "16384 labels exceed the cap of 4096"),
+    ("controlled:d=11", "d=11 needs 453519616 bytes (4 d^4 complex128 matrices of "
+                        "dimension 2d); the budget is 268435456 bytes"),
+    ("pauli:d=2,n=7", "d=2, n=7 needs 4294967296 bytes (a d^(2n) x d^n x d^n complex128 "
+                      "stack); the budget is 268435456 bytes"),
     ("dressed:d=-2,n=1,u=u.mat", "key 'd' must be >= 2, got '-2'"),
 ]
 CHANNEL_PROBES = [
@@ -683,10 +717,10 @@ class TestRunCommand:
         assert [FidelityRecord(**r) for r in rows] == records
 
     @pytest.mark.parametrize("flag,matrices,message", [
-        ("--channel", [np.eye(3)], "gate channel has shape (3, 3)"),
+        ("--channel", [np.eye(3)], "m.mat: Kraus operator 0 has shape (3, 3)"),
         ("--gate", [np.eye(4)], "interleaved gate has shape (4, 4)"),
         ("--gate-channel", dephasing_kraus(0.1, 3),
-         "interleaved gate channel has shape (3, 3)"),
+         "m.mat: Kraus operator 0 has shape (3, 3)"),
     ], ids=["channel", "gate", "gate-channel"])
     def test_dimension_mismatch_exit_one(self, flag, matrices, message,
                                          tmp_path, capsys):
@@ -705,6 +739,36 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert message in err and "(2, 2)" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--channel", "--final-channel", "--gate-channel"])
+    def test_kraus_file_of_another_dimension_is_refused_where_it_is_read(
+            self, flag, tmp_path, monkeypatch):
+        """A `kraus:` file of 3 x 3 operators for a qubit set is refused
+        naming the file and both sizes, before any superoperator is
+        built (once the file's 3 x 3 one was, before a message that did not
+        name the file)."""
+        class Built(Exception):
+            pass
+
+        def built(kraus):
+            raise Built
+
+        monkeypatch.setattr("corb.noise.superop", built)
+        path = str(tmp_path / "k3.mat")
+        write_matrices(path, [np.eye(3)])
+        h_path = str(tmp_path / "h.mat")
+        write_matrices(h_path, [H])
+        args = {"--channel": "identity", flag: f"kraus:{path}"}
+        if flag == "--gate-channel":
+            args.update({"--mode": "interleaved", "--gate": h_path})
+        out = str(tmp_path / "x.csv")
+        status, _, err = run_main(["run", "--set", "pauli:d=2,n=1", "--k", "2",
+                                   "--out", out]
+                                  + [x for item in args.items() for x in item])
+        assert status == 1
+        assert err == (f"error: {path}: Kraus operator 0 has shape (3, 3); "
+                       f"the gate set needs (2, 2)\n")
         assert not os.path.exists(out)
 
     def test_interleaved_with_gate_file(self, tmp_path, capsys):

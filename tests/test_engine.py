@@ -17,10 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corb
+from corb.linalg import DimensionError
 from corb.engine import (
     MODES,
     STATE_BUDGET_BYTES,
-    DimensionError,
     FidelityRangeError,
     RbRunConfig,
     _apply_control_depolarize,

@@ -21,7 +21,7 @@ from corb.gatesets import (
     parse_set_spec,
     set_spec_dims,
 )
-from corb.linalg import unitarity_defect
+from corb.linalg import DimensionError, unitarity_defect
 from corb.paulis import pauli_basis
 from helpers import (
     check_condition_per_label,
@@ -182,9 +182,10 @@ class TestBatchedBuilders:
         monkeypatch.setattr(gatesets, "pauli_basis", built)
         with pytest.raises(Built):
             build_controlled_set(10)
-        with pytest.raises(ValueError, match="^the controlled set at d=11 would take "
-                                             "453519616 bytes, over the bound of "
-                                             "268435456 bytes$"):
+        with pytest.raises(DimensionError, match=r"^the controlled set at d=11 needs "
+                                                  r"453519616 bytes \(4 d\^4 complex128 "
+                                                  r"matrices of dimension 2d\); the budget "
+                                                  r"is 268435456 bytes$"):
             build_controlled_set(11)
 
 
@@ -225,6 +226,15 @@ class TestDressedFamily:
         for a, b in zip(ds.elements, expected):
             np.testing.assert_allclose(a, b, atol=1e-14)
         assert check_condition(ds).passed
+
+    def test_size_is_compared_before_unitarity_and_without_the_power(self):
+        """U's size is compared with d^n first: a non-unitary U of the wrong
+        size is refused for its size, and n = 10^7 (which took seconds to
+        form 3^n) is refused at once, with d^n written as a power."""
+        with pytest.raises(ValueError, match=r"^unitary dimension 2 != 3\^1$"):
+            build_dressed_set(2 * np.eye(2), 3, 1)
+        with pytest.raises(ValueError, match=r"^unitary dimension 2 != 3\^10000000$"):
+            build_dressed_set(np.eye(2), 3, 10 ** 7)
 
     def test_random_haar_dressings_pass(self):
         rng = np.random.default_rng(31)
@@ -348,9 +358,10 @@ class TestConditionChecker:
         assert report.tolerance == pytest.approx(4e-8)
 
     def test_label_cap_refuses_large_targets(self):
-        """D = 128 has 16384 Pauli labels, past the fixed cap of 4096."""
+        """D = 128 has 16384 Pauli labels, a 4 GiB basis, past the array
+        budget of Pauli(2, 6)."""
         gate_set = GateSet(2, 7, "custom", (np.eye(128),))
-        with pytest.raises(ValueError, match="16384 labels exceed the cap of 4096"):
+        with pytest.raises(DimensionError, match="d=2, n=7 needs 4294967296 bytes"):
             check_condition(gate_set)
 
     def test_random_singletons_fail(self):
@@ -507,6 +518,12 @@ class TestGateSetInvariants:
         with pytest.raises(ValueError,
                            match=r"^a gate set's qudit dimension must be >= 2, got d = 1$"):
             build()
+
+    def test_rejects_a_zero_qudit_count(self):
+        """A set of no qudits, on dimension d^0 = 1, was once accepted."""
+        with pytest.raises(ValueError, match=r"^a gate set's qudit count must be >= 1, "
+                                             r"got n = 0$"):
+            GateSet(2, 0, "custom", (np.eye(1),))
 
     def test_rejects_non_unitary_element(self):
         with pytest.raises(ValueError):

@@ -124,7 +124,7 @@ def test_each_engine_error_is_raised_by_one_function():
                 if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                         and getattr(node.exc.func, "id", None) in raisers):
                     raisers[node.exc.func.id].add(f"{name}:{function.name}")
-    assert raisers == {"DimensionError": {"engine.py:_check_bytes"},
+    assert raisers == {"DimensionError": {"linalg.py:check_bytes"},
                        "FidelityRangeError": {"engine.py:_clamped"}}
 
 

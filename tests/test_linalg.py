@@ -2,10 +2,21 @@
 of the tests: controlled operations, channels, POVM expectations, state
 checks."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
-from corb.linalg import assert_unitary, check_kraus, projector, tensor
+from corb.linalg import (
+    ARRAY_BUDGET_BYTES,
+    DimensionError,
+    assert_unitary,
+    check_bytes,
+    check_kraus,
+    projector,
+    tensor,
+)
 from helpers import haar_state, haar_unitary
 from dense_oracle import (
     apply_channel,
@@ -158,6 +169,31 @@ class TestStateChecks:
         joint = tensor(np.eye(4) / 4, sigma)
         np.testing.assert_allclose(partial_trace_control(joint, 4), sigma,
                                    atol=1e-12)
+
+
+class TestCheckBytes:
+    def test_admits_the_budget_and_refuses_one_byte_more(self):
+        """The budget is Pauli(2, 6)'s stack, 16 * 64^4 bytes; a refusal is
+        a ValueError that names the need, what holds it and the budget."""
+        assert ARRAY_BUDGET_BYTES == 16 * 64 ** 4 == 268435456
+        check_bytes(ARRAY_BUDGET_BYTES, ARRAY_BUDGET_BYTES, "x", "(y)")
+        with pytest.raises(DimensionError, match=r"^the thing needs 268435457 bytes \(its "
+                                                  r"array\); the budget is 268435456 "
+                                                  r"bytes$"):
+            check_bytes(ARRAY_BUDGET_BYTES + 1, ARRAY_BUDGET_BYTES, "the thing",
+                        "(its array)")
+        assert issubclass(DimensionError, ValueError)
+
+    @pytest.mark.parametrize("needed,text", [
+        (2 ** 64 - 1, "18446744073709551615"),
+        (2 ** 64, "about 2^64"),
+        (16 * 3 ** 200, f"about 2^{round(4 + 200 * math.log2(3))}"),
+        (16 * 10 ** 3200, "about 2^10634"),
+        (math.inf, "more than 2^1024"),
+    ], ids=["2^64-1", "2^64", "16*3^200", "16*10^3200", "inf"])
+    def test_a_need_too_long_to_print_is_a_power_of_two(self, needed, text):
+        with pytest.raises(DimensionError, match=rf"^x needs {re.escape(text)} bytes \(y\)"):
+            check_bytes(needed, 1, "x", "(y)")
 
 
 class TestStructuralChecks:

@@ -1,12 +1,15 @@
 """Channel representations, fidelity formulas, control depolarization."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corb.gatesets import build_clifford_set, build_custom_set, build_pauli_set
-from corb.linalg import projector, tensor
+from corb import noise
+from corb.linalg import ARRAY_BUDGET_BYTES, DimensionError, projector, tensor
 from corb.noise import (
     NoiseModel,
     avg_gate_fidelity,
@@ -259,6 +262,27 @@ class TestNoiseModel:
             NoiseModel(gate_channel=dephasing_kraus(0.01, 2),
                        final_gate_channel=dephasing_kraus(0.01, 4))
 
+    def test_superoperator_is_held_to_the_array_budget(self, monkeypatch):
+        """A channel's (D^2, D^2) superoperator takes 16 D^4 bytes, asked of
+        `check_bytes` before it is formed: D = 65 is refused with nothing
+        near its 285 MB allocated (the identity's Kraus check is small)."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError,
+                               match=r"^the superoperator of a channel on dimension 65 "
+                                     r"needs 285610000 bytes \(a 4225x4225 complex128 "
+                                     r"array\); the budget is 268435456 bytes$"):
+                NoiseModel(gate_channel=tuple(identity_kraus(65)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        asked = []
+        monkeypatch.setattr(noise, "check_bytes",
+                            lambda needed, budget, *_: asked.append((needed, budget)))
+        superop(identity_kraus(3))
+        assert asked == [(16 * 3 ** 4, ARRAY_BUDGET_BYTES)]
+
     def test_models_hash_and_compare_by_identity(self):
         a, b = (NoiseModel(gate_channel=tuple(dephasing_kraus(0.1, 2))) for _ in range(2))
         assert a == a and a != b
@@ -325,6 +349,13 @@ class TestChannelSpecs:
         write_matrices(str(path), dephasing_kraus(0.25, 2))
         kraus = parse_channel_spec(f"kraus:{path}", 2)
         assert chi00_of(kraus) == pytest.approx(0.75, abs=1e-12)
+
+    def test_kraus_file_of_another_dimension_names_the_file(self, tmp_path):
+        path = tmp_path / "k3.mat"
+        write_matrices(str(path), [np.eye(3)])
+        fault = r": Kraus operator 0 has shape \(3, 3\); the gate set needs \(2, 2\)$"
+        with pytest.raises(ValueError, match="^" + re.escape(str(path)) + fault):
+            parse_channel_spec(f"kraus:{path}", 2)
 
     def test_unknown(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 """Generalized Pauli words, the Weyl index, symplectic products, character sums."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
+from corb import paulis
 from corb.gatesets import build_pauli_set
 from corb.paulis import format_label, pauli_basis
-from corb.linalg import unitarity_defect
+from corb.linalg import ARRAY_BUDGET_BYTES, DimensionError, unitarity_defect
 from helpers import (
     character_sum,
     is_identity,
@@ -162,8 +164,59 @@ class TestEnumeration:
             np.testing.assert_array_equal(pauli_basis(d, n)[0], np.eye(d ** n))
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="16777216 labels exceed the cap of 4096"):
+        with pytest.raises(DimensionError, match=r"^the Pauli basis of d=2, n=12 needs "
+                                                  r"4503599627370496 bytes .*; the budget "
+                                                  r"is 268435456 bytes$"):
             pauli_basis(2, 12)
+
+    @pytest.mark.parametrize("d,n,fault", [
+        (0, 1, "qudit dimension must be >= 2, got d = 0"),
+        (1, 1, "qudit dimension must be >= 2, got d = 1"),
+        (2, 0, "qudit count must be >= 1, got n = 0"),
+        (2, -1, "qudit count must be >= 1, got n = -1"),
+    ])
+    def test_refuses_a_dimension_below_two_or_a_count_below_one(self, d, n, fault):
+        """These once gave an empty or a 1 x 1 stack, or failed inside
+        numpy's reshape, or with a TypeError."""
+        with pytest.raises(ValueError, match=f"^a gate set's {fault}$"):
+            pauli_basis(d, n)
+
+    def test_byte_rule_admits_what_the_label_cap_admitted(self, monkeypatch):
+        """16 d^(4n) bytes within the budget is d^(2n) <= 4096: the (d, n)
+        of d <= 70, n <= 8 are each admitted or refused as the old cap of
+        4096 labels did, read from the need each asks `check_bytes` about,
+        with no basis built."""
+        class Asked(Exception):
+            pass
+
+        def ask(needed, budget, what, arrays):
+            assert budget == ARRAY_BUDGET_BYTES
+            raise Asked(needed)
+
+        monkeypatch.setattr(paulis, "_BASES", {})
+        monkeypatch.setattr(paulis, "check_bytes", ask)
+        for d in range(2, 71):
+            for n in range(1, 9):
+                with pytest.raises(Asked) as asked:
+                    pauli_basis(d, n)
+                assert asked.value.args[0] == 16 * d ** (4 * n)
+                assert (asked.value.args[0] <= ARRAY_BUDGET_BYTES) == (d ** (2 * n) <= 4096)
+
+    @pytest.mark.parametrize("d,n,count", [
+        (2, 7, "4294967296"),
+        (2, 7142, "more than 2^1024"),
+        (2, 7143, "more than 2^1024"),
+        (3, 10 ** 7, "more than 2^1024"),
+        (2, 10 ** 6, "more than 2^1024"),
+        (10 ** 800, 1, "more than 2^1024"),
+        (2, 64, "about 2^260"),
+    ], ids=["2,7", "2,7142", "2,7143", "3,10^7", "2,10^6", "10^800,1", "2,64"])
+    def test_absurd_keys_are_refused_at_once(self, d, n, count):
+        """Keys whose d^(2n) has thousands of digits are refused without
+        forming it (d = 3, n = 10^7 took seconds), and the need is written
+        so that it prints."""
+        with pytest.raises(DimensionError, match=rf" needs {re.escape(count)} bytes "):
+            pauli_basis(d, n)
 
 
 class TestCache:
