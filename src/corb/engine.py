@@ -66,9 +66,10 @@ channel and M the joint moment of the pair's gates (u, v) from the stack:
   * independent pair (v drawn apart from u): the full superposition, whose
     blocks are all such pairs, and the off-diagonal blocks of a sampled
     state. M factorizes into the first moment A = E_u[conj u (x) u] of the
-    set (`gatesets._first_moment`, the matrix the twirl check of
-    `gatesets.check_condition` is computed from), so each step is two
-    D^2 x D^2 products, at cost O(|G| D^4 + m D^6) for every length up to m;
+    set, the conjugate of the stack's superoperator (`noise.superop`) over
+    |G|, which the twirl check of `gatesets.check_condition` is computed
+    from too, so each step is two D^2 x D^2 products, at cost
+    O(|G| D^4 + m D^6) for every length up to m;
   * same sequence (v = u): a diagonal block, the standard-RB survival,
     averaged over all sequences. M = E_u[conj u (x) u (x) u (x) conj u] is a
     dense D^4 x D^4 matrix, one (D^4, |G|) x (|G|, D^4) product, refused
@@ -131,9 +132,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .gatesets import GateSet, _first_moment, _realign
+from .gatesets import GateSet
 from .io import FidelityRecord
-from .linalg import ARRAY_BUDGET_BYTES, assert_unitary, check_bytes, check_kraus_gram
+from .linalg import ARRAY_BUDGET_BYTES, _realign, assert_unitary, check_bytes, check_kraus_gram
 from .noise import NoiseModel, superop, trace_gain
 from .paulis import pauli_basis
 
@@ -808,7 +809,7 @@ def _dense_recursion(stack: np.ndarray, step_sop: np.ndarray, same_sequence: boo
         def advance(x):
             return (dense @ (x @ step_sop).reshape(-1)).reshape(x.shape)
     else:
-        moment = _first_moment(stack)
+        moment = superop(stack).conj() / len(stack)
         left, right = moment.T, moment.conj()
 
         def advance(x):

@@ -8,7 +8,9 @@ A set G = {U_i} can be driven by the coherent benchmarking engines when
 holds over the full Pauli basis of the target space. This module builds
 the families that satisfy it (Pauli words, Clifford closures, controlled
 Pauli sets, dressed sets P_i @ U) and checks the condition numerically,
-from the set's first moment E[conj(u) (x) u]. Every builder forms its
+from the set's first moment E[conj(u) (x) u]: the conjugate of the
+superoperator (`noise.superop`) of the channel rho -> E_u[u rho u^dag]
+over the set, the unitary 1-design twirl. Every builder forms its
 (|G|, D, D) stack at once: a Clifford group is closed breadth-first by
 rounds, one batched product of the frontier by the generators and one
 phase-fingerprint pass over the products per round, and the controlled
@@ -31,7 +33,9 @@ from typing import Sequence
 import numpy as np
 
 from .io import SpecEntry, parse_spec, read_matrices, read_matrix
-from .linalg import ARRAY_BUDGET_BYTES, TOL, as_matrix, assert_unitary, check_bytes, tensor
+from .linalg import (ARRAY_BUDGET_BYTES, TOL, as_matrix, assert_unitary, check_bytes,
+                     power_bytes, tensor)
+from .noise import superop
 from .paulis import _weyl_digits, check_qudits, format_label, omega, pauli_basis
 
 CLOSURE_PRODUCT_CAP = 200_000
@@ -145,24 +149,13 @@ class ConditionReport:
     tolerance: float
 
 
-def _realign(x: np.ndarray) -> np.ndarray:
-    """Swap the middle two indices of a (D^2, D^2) matrix: [(ab),(cd)] -> [(ac),(bd)]."""
-    d = math.isqrt(x.shape[0])
-    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
-def _first_moment(stack: np.ndarray) -> np.ndarray:
-    """A = E_u[conj(u) (x) u] over a (|G|, D, D) stack, row-major (D^2, D^2)."""
-    n, d, _ = stack.shape
-    flat = stack.reshape(n, d * d)
-    return _realign(flat.conj().T @ flat / n)
-
-
 def check_condition(gate_set: GateSet) -> ConditionReport:
     """Verify sum_i U_i† P_j U_i = |G| I (j = o) / 0 (j != o) over all labels.
 
-    With A = E_u[conj(u) (x) u] the first moment of the set, row-major,
-    the twirl of P is |G| vec(P) A, so one (L, D^2) x (D^2, D^2) product
+    The set is read as the channel rho -> E_u[u rho u^dag]: its first
+    moment A = E_u[conj(u) (x) u], row-major, is the conjugate of that
+    channel's superoperator (`noise.superop` of the stack) over |G|. The
+    twirl of P is |G| vec(P) A, so one (L, D^2) x (D^2, D^2) product
     gives the twirls of all L = D^2 labels as rows. A label's residual is
     the max-norm of its twirl minus the target. A and the twirl rows take
     16 D^4 bytes each, as many as the basis: its byte check
@@ -175,7 +168,7 @@ def check_condition(gate_set: GateSet) -> ConditionReport:
     tolerance = TOL.channel * len(gate_set)
     dim = gate_set.dim
     basis = pauli_basis(gate_set.d, gate_set.n).reshape(dim * dim, dim * dim)
-    twirls = basis @ _first_moment(gate_set.elements)
+    twirls = basis @ (superop(gate_set.elements).conj() / len(gate_set))
     twirls *= len(gate_set)
     twirls[0] -= len(gate_set) * np.eye(dim).ravel()
     residuals = np.max(np.abs(twirls), axis=1)
@@ -419,6 +412,15 @@ def parse_set_spec(spec: str) -> GateSet:
 def set_spec_dims(spec: str) -> tuple[int, int]:
     """(d, n) of a set spec without constructing the whole family; a
     `custom` file gives (D, 1) whatever split its set takes, with the
-    same D = d^n."""
+    same D = d^n. Like a builder, it refuses, naming the spec, a d < 2, an
+    n < 1 (`check_qudits`) and a D x D complex128 element over
+    ARRAY_BUDGET_BYTES (`check_bytes`) before d^n is formed."""
     family, kwargs = parse_spec(spec, _FAMILIES, "set")
-    return _FAMILIES[family].dims(**kwargs)
+    d, n = _FAMILIES[family].dims(**kwargs)
+    try:
+        check_qudits(d, n)
+        check_bytes(power_bytes(d, 2 * n), ARRAY_BUDGET_BYTES,
+                    f"an element of a set of d={d}, n={n}", "(a d^n x d^n complex128 matrix)")
+    except ValueError as exc:
+        raise ValueError(f"set spec {spec!r}: {exc}") from exc
+    return d, n

@@ -2,14 +2,17 @@
 
 Everything is a plain ``numpy`` ``complex128`` array; the helpers here
 validate structural invariants (unitarity, Kraus completeness) at
-centralized tolerances and build basis states and projectors.
+centralized tolerances, build basis states and projectors, and realign
+the index pairs of a (D^2, D^2) superoperator (`_realign`).
 
 Matrices stay dense throughout: the largest space the engines touch is a
 few thousand dimensions, where dense exact arithmetic is both simplest
 and fastest. Every memory limit is one byte check, `check_bytes`, made
 before the array it guards is allocated: a builder's array (a Pauli
-basis, a controlled stack, a channel superoperator) against
-ARRAY_BUDGET_BYTES, an engine's task against its own multiple of it.
+basis, a controlled stack, a channel superoperator, the element a set
+spec names) against ARRAY_BUDGET_BYTES, an engine's task against its own
+multiple of it. `power_bytes` gives such a check the bytes of a power
+that may be too large to form.
 """
 
 from __future__ import annotations
@@ -52,6 +55,18 @@ def check_bytes(needed: int | float, budget: int, what: str, arrays: str) -> Non
                              f"{budget} bytes")
 
 
+def power_bytes(base: int, exponent: int) -> int | float:
+    """16 base^exponent, the bytes of base^exponent complex128 numbers
+    (base >= 2), for `check_bytes`: formed only while it has at most 1028
+    bits, else math.inf, so that a key such as n = 10^7 is refused at
+    once."""
+    # exponent <= 1024 first: exponent * log2(base) of a larger one may not
+    # convert to a float.
+    if exponent <= 1024 and exponent * math.log2(base) <= 1024:
+        return 16 * base ** exponent
+    return math.inf
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
@@ -83,6 +98,12 @@ def assert_unitary(u: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not defect <= TOL.structural:  # a NaN defect fails too
         raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
     return u
+
+
+def _realign(x: np.ndarray) -> np.ndarray:
+    """Swap the middle two indices of a (D^2, D^2) matrix: [(ab),(cd)] -> [(ac),(bd)]."""
+    d = math.isqrt(x.shape[0])
+    return x.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def check_kraus_gram(kraus: Sequence[np.ndarray], what: str = "Kraus list"

@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gatesets import _realign
 from .io import SpecEntry, parse_spec, read_matrices
-from .linalg import (ARRAY_BUDGET_BYTES, basis_state, check_bytes, check_kraus,
+from .linalg import (ARRAY_BUDGET_BYTES, _realign, basis_state, check_bytes, check_kraus,
                      check_kraus_gram, projector)
 from .paulis import pauli_basis
 
@@ -98,13 +97,18 @@ def superop(kraus: Sequence[np.ndarray]) -> np.ndarray:
     sum_s K_s[a, b] conj(K_s[c, d]), so it maps the row-major vec of rho to
     that of sum_s K_s rho K_s^dag. One (D^2, s) x (s, D^2) product gives
     the entries at [(a b), (c d)], and `_realign` moves them into place.
-    Its 16 D^4 bytes are held to ARRAY_BUDGET_BYTES (`check_bytes`) before
-    it is formed, which admits D <= 64."""
+    A (s, D, D) array is read in place, a list or tuple as one array of
+    its operators. Its 16 D^4 bytes are held to ARRAY_BUDGET_BYTES
+    (`check_bytes`) before it is formed, which admits D <= 64.
+
+    Of a (|G|, D, D) stack of unitaries, conjugated and over |G|, it is the
+    set's first moment E_u[conj(u) (x) u], row-major: the superoperator of
+    the channel rho -> E_u[u rho u^dag] is E_u[u (x) conj(u)]."""
     dim = len(kraus[0])
     check_bytes(16 * dim ** 4, ARRAY_BUDGET_BYTES,
                 f"the superoperator of a channel on dimension {dim}",
                 f"(a {dim * dim}x{dim * dim} complex128 array)")
-    flat = np.concatenate(kraus).reshape(len(kraus), -1)
+    flat = np.asarray(kraus).reshape(len(kraus), -1)
     return _realign(flat.T @ flat.conj())
 
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import weakref
 
 import numpy as np
 
-from .linalg import ARRAY_BUDGET_BYTES, check_bytes
+from .linalg import ARRAY_BUDGET_BYTES, check_bytes, power_bytes
 
 # The built bases by (d, n), each kept only while something else holds it.
 _BASES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -70,15 +69,14 @@ def pauli_basis(d: int, n: int) -> np.ndarray:
     and so, before anything is built, is a stack of more than ARRAY_BUDGET_BYTES
     (`check_bytes`): its 16 d^(4n) bytes admit exactly the (d, n) with
     d^(2n) <= 4096, up to Pauli(2, 6). The byte count is formed only while
-    it has at most 1028 bits, so a key such as n = 10^7 is refused at once.
+    it has at most 1028 bits (`power_bytes`), so a key such as n = 10^7 is
+    refused at once.
     """
     cached = _BASES.get((d, n))
     if cached is not None:
         return cached
     check_qudits(d, n)
-    # n <= 256 first: n * log2(d) of a larger n may not convert to a float.
-    check_bytes(16 * d ** (4 * n) if n <= 256 and n * math.log2(d) <= 256 else math.inf,
-                ARRAY_BUDGET_BYTES, f"the Pauli basis of d={d}, n={n}",
+    check_bytes(power_bytes(d, 4 * n), ARRAY_BUDGET_BYTES, f"the Pauli basis of d={d}, n={n}",
                 "(a d^(2n) x d^n x d^n complex128 stack)")
     # sites[x, z] is X^x Z^z on one qudit; axes (x digits, z digits, rows, cols).
     sites = np.zeros((d, d, d, d), dtype=np.complex128)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1011,6 +1012,21 @@ class TestFitCommand:
         assert main(["fit", path]) == 1
         err = capsys.readouterr().err
         assert "set spec 'pauli:d=2' is missing key 'n'" in err
+
+    def test_absurd_set_spec_exit_one_at_once(self, tmp_path):
+        """An embedded set spec whose d^n is past any builder's bound is
+        refused as a spec before the power is formed; it used to take
+        seconds and end in an OverflowError traceback."""
+        path = str(tmp_path / "r.csv")
+        records = [FidelityRecord("coherent-full", m, 0, 0.99 ** m, 4, f"{m}/full")
+                   for m in (1, 2, 3)]
+        write_records_csv(path, records, {"set_spec": "pauli:d=3,n=10000000"})
+        start = time.perf_counter()
+        status, out, err = run_main(["fit", path])
+        assert time.perf_counter() - start < 1.0
+        assert status == 1 and out == ""
+        assert err.startswith("error: set spec 'pauli:d=3,n=10000000': ")
+        assert err.count("\n") == 1
 
     def test_set_spec_not_a_string_exit_one(self, tmp_path):
         """An embedded set spec that is not a string is refused with the

@@ -495,6 +495,21 @@ class TestSetSpecs:
                            match=rf"set spec '{spec}' is missing key '{key}'"):
             set_spec_dims(spec)
 
+    def test_dims_are_bounded_like_the_builders(self):
+        """(d, n) past one D x D complex128 element of ARRAY_BUDGET_BYTES is
+        refused as a spec, before d^n is formed; D = 4096 is the largest
+        admitted."""
+        assert set_spec_dims("pauli:d=2,n=12") == (2, 12)
+        with pytest.raises(ValueError, match=r"^set spec 'pauli:d=2,n=13': an element of a "
+                                             r"set of d=2, n=13 needs 1073741824 bytes "
+                                             r"\(a d\^n x d\^n complex128 matrix\); the "
+                                             r"budget is 268435456 bytes$"):
+            set_spec_dims("pauli:d=2,n=13")
+        for spec in ("pauli:d=3,n=10000000", f"controlled:d={10 ** 800}",
+                     f"ms:n={10 ** 400},theta=0.1"):
+            with pytest.raises(ValueError, match=r"needs more than 2\^1024 bytes"):
+                set_spec_dims(spec)
+
 
 class TestGateSetInvariants:
     def test_elements_read_only(self):

@@ -8,7 +8,8 @@ re-exports do not count as references. Dunder methods, which Python calls
 (`__post_init__`, the dataclass hook, among them), need no reference.
 
 Every import of a `corb` module (other than the re-exports of
-`__init__.py`) and of a test module is used by that module.
+`__init__.py`) and of a test module is used by that module. Each `corb`
+module imports only the `corb` modules below it (`LAYERS`).
 
 Only `RbRunConfig.__post_init__` checks a run's channels and interleaved
 gate in `corb/engine.py`.
@@ -109,6 +110,41 @@ def test_every_import_is_used():
         unused += [where + name for name in _imported(tree)
                    if name not in used and where + name not in TRACED_IMPORTS]
     assert not unused, "imports no code uses: " + ", ".join(unused)
+
+
+# The corb modules that each module may import; None: any (the command line
+# and the re-exporting package).
+LAYERS = {
+    "linalg.py": set(),
+    "io.py": set(),
+    "paulis.py": {"linalg"},
+    "noise.py": {"io", "linalg", "paulis"},
+    "gatesets.py": {"io", "linalg", "paulis", "noise"},
+    "engine.py": {"io", "linalg", "paulis", "noise", "gatesets"},
+    "fitting.py": {"engine", "noise"},
+    "cli.py": None,
+    "__init__.py": None,
+    "__main__.py": {"cli"},
+}
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """The sibling modules named by the relative imports of a module."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= ({node.module.split(".")[0]} if node.module
+                        else {alias.name for alias in node.names})
+    return modules
+
+
+def test_modules_import_only_their_layers():
+    trees = _library()[0]
+    assert sorted(trees) == sorted(LAYERS)
+    breaches = [f"{name} imports .{module}" for name, tree in trees.items()
+                if LAYERS[name] is not None
+                for module in sorted(_relative_imports(tree) - LAYERS[name])]
+    assert not breaches, "imports across the layering: " + ", ".join(breaches)
 
 
 def test_each_engine_error_is_raised_by_one_function():

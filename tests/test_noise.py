@@ -283,6 +283,21 @@ class TestNoiseModel:
         superop(identity_kraus(3))
         assert asked == [(16 * 3 ** 4, ARRAY_BUDGET_BYTES)]
 
+    def test_superoperator_of_a_stack_reads_it_in_place(self):
+        """`superop` of a (|G|, D, D) stack, as the twirl check and the dense
+        pair step take it, holds no copy of the stack: for Pauli(2, 5) its
+        peak is the conjugated rows and the product, or the product and its
+        realigned copy, two (D^2, D^2) complex128 arrays."""
+        stack = pauli_basis(2, 5)
+        tracemalloc.start()
+        try:
+            sop = superop(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sop.shape == (1024, 1024)
+        assert peak <= 2 * 16 * 1024 ** 2 + 2 ** 20
+
     def test_models_hash_and_compare_by_identity(self):
         a, b = (NoiseModel(gate_channel=tuple(dephasing_kraus(0.1, 2))) for _ in range(2))
         assert a == a and a != b
