@@ -35,18 +35,20 @@ What a task needs that does not depend on its draw is held by the run's
 `_Kernel`, built once per run before the workers fork: the plain and the
 conjugating real form of every gate of the stack, a (2, |G|, 2D, 2D)
 float64 array of 64 |G| D^2 bytes, refused like a task when it exceeds
-STATE_BUDGET_BYTES; one (w, D, D) slot row of the initial state; the step
-of each channel, classified from its superoperator: the identity is
-skipped, a diagonal one (every Kraus operator diagonal, as for all phase
-channels) is one elementwise multiply by a state-sized mask filled per
-task from a slot row, and any other is one real (blocks, 2D^2) x
-(2D^2, 2D^2) product over all stored blocks. Only the two (k, w, D, D)
-intp gather indices are built later, by each process at its first task,
-and die with the kernel. Each (length, repetition) task owns three
-state-sized complex128 arrays (the state, a work buffer, the mask) and
-uses the indices, 64 k w D^2 bytes on a 64-bit platform, and allocates
-nothing state-sized per position; a task needing more than
-STATE_BUDGET_BYTES is refused before allocating.
+STATE_BUDGET_BYTES, and one (w, D, D) slot row of the initial state.
+What is state-sized is built later, by each process at its first task,
+and dies with the kernel: the two (k, w, D, D) intp gather indices and
+the step of each channel, classified from its superoperator. The
+identity is skipped, a diagonal one (every Kraus operator diagonal, as
+for all phase channels) is one elementwise multiply by a read-only mask,
+state-sized for the position channel and a (w, D, D) slot row for a
+final channel that differs from it, and any other is one real
+(blocks, 2D^2) x (2D^2, 2D^2) product over all stored blocks. Each
+(length, repetition) task owns two state-sized complex128 arrays (the
+state and a work buffer) and uses the indices and the mask, 64 k w D^2
+bytes on a 64-bit platform in all, and allocates nothing state-sized per
+position; a task needing more than STATE_BUDGET_BYTES is refused before
+allocating.
 
 The (length, repetition) tasks of a sampled run go to forked worker
 processes, one per CPU this process may run on (`_worker_count`; a cpuset
@@ -157,8 +159,10 @@ class RbRunConfig:
     mode and, in interleaved mode, the interleaved gate and its channel,
     checked here, once for every engine (see the module docstring); a
     refusal names the first length that is not an integer >= 1. The gate
-    is stored as a unitary complex128 matrix and its channel as a tuple of
-    checked Kraus operators. Interleaved mode without a gate is admitted
+    is stored as a read-only unitary complex128 matrix (a copy, unless it
+    is one already) and its channel as a tuple of checked, read-only Kraus
+    operators (`check_kraus_gram`), so that no later write to the caller's
+    arrays reaches the run. Interleaved mode without a gate is admitted
     here, so that a gate can be given later (`run_interleaved_coherent`),
     and refused when the run starts (`_protocol`). Configs hash and
     compare by identity."""
@@ -216,8 +220,11 @@ class RbRunConfig:
         _check_shape("interleaved gate", gate, dim)
         for op in () if gate_noise is None else gate_noise:
             _check_shape("interleaved gate channel", op, dim)
-        object.__setattr__(self, "interleaved_gate",
-                           assert_unitary(gate, what="interleaved gate"))
+        gate = assert_unitary(gate, what="interleaved gate")
+        if gate.flags.writeable:
+            gate = gate.copy()
+            gate.flags.writeable = False
+        object.__setattr__(self, "interleaved_gate", gate)
         gain = 0.0
         if gate_noise is not None:
             gate_noise, gram = check_kraus_gram(gate_noise, what="interleaved gate channel")
@@ -452,42 +459,31 @@ def _conjugate_branches(state: np.ndarray, free: np.ndarray,
     return free, state
 
 
-def _channel_step(sop: np.ndarray, slots: int):
-    """A uniform (branch-independent) channel on the target factor,
-    classified once per run: returns a function that takes a task's `aux`
-    buffer and returns the channel's step between two state buffers. The
-    identity is a no-op; a diagonal superoperator (all Kraus operators
-    diagonal, as for every phase channel) is an elementwise mask filled in
-    `aux` from a (slots, D, D) row built here; any other is a real product
-    over the stored blocks."""
+def _channel_step(sop: np.ndarray, shape: tuple[int, ...]):
+    """The step between two state buffers of a uniform
+    (branch-independent) channel on the target factor, classified from its
+    superoperator: the identity is skipped; a diagonal one (all Kraus
+    operators diagonal, as for every phase channel) multiplies every entry
+    [i, s, c, a] by diagonal[a*D + c], held in a read-only mask of `shape`,
+    a state or a (w, D, D) slot row that the multiply broadcasts over the
+    k rows; any other is a real product over the stored blocks
+    (`_superop_step`)."""
     if np.array_equal(sop, np.eye(sop.shape[0])):
-        return lambda aux: _skip
-    if not np.any(sop - np.diag(np.diagonal(sop))):
-        d = math.isqrt(sop.shape[0])
-        row = np.empty((slots, d, d), dtype=np.complex128)
-        row[...] = np.diagonal(sop).reshape(d, d).T
-        return functools.partial(_mask_step, row)
-    step = _superop_step(sop)
-    return lambda aux: step
-
-
-def _skip(state, free):
-    return state, free
-
-
-def _mask_step(row: np.ndarray, mask: np.ndarray):
-    """Multiply entry [i,s,c,a] by diagonal[a*D + c], held in a
-    (w, D, D) slot row. The mask is filled once per task at full state
-    size: a broadcast (1,1,D,D) operand makes the inner loop D long,
-    about five times slower at k = 80, D = 2, and filling it by
-    broadcasting the whole row, not one D x D block, keeps the fill's
-    inner loop w D^2 long."""
-    np.copyto(mask, row)
+        return _skip
+    if np.any(sop - np.diag(np.diagonal(sop))):
+        return _superop_step(sop)
+    d = math.isqrt(sop.shape[0])
+    mask = np.broadcast_to(np.diagonal(sop).reshape(d, d).T, shape).copy()
+    mask.setflags(write=False)
 
     def step(state, free):
         np.multiply(state, mask, out=free)
         return free, state
     return step
+
+
+def _skip(state, free):
+    return state, free
 
 
 # OpenBLAS threads a product of m x n x k flops above this size, which
@@ -580,7 +576,9 @@ class _Kernel:
     """What every task of a sampled run shares, for states of k branches
     stored in `slots` slots per row (see the module docstring), built from a
     `_protocol` and the prepared target once per run, before the workers
-    fork; only the gather indices (`repack`) wait for a task.
+    fork. What is state-sized waits for a task: each process builds the
+    gather indices (`repack`) and the channel steps (`channel`, `final`)
+    at its first task, so the parent of a pooled run builds none.
 
     Protocol of each state: prepare |+>_c (x) prep, of which only the
     diagonal blocks are kept when slots = 1; apply m controlled gates from
@@ -592,20 +590,13 @@ class _Kernel:
     def __init__(self, protocol, prep: np.ndarray, k: int, slots: int,
                  *, control_q: float = 1.0):
         stack = protocol.stack()
-        position_sop, final_sop = protocol.position_sop, protocol.final_sop
         dim = stack.shape[-1]
         self.k, self.slots, self.dim = k, slots, dim
+        self.position_sop, self.final_sop = protocol.position_sop, protocol.final_sop
         self.gates = _real_gates(stack)
         # |+><+|_c (x) prep has all blocks equal, so it is in both layouts.
         self.initial = np.empty((slots, dim, dim), dtype=np.complex128)
         self.initial[...] = (prep / _shared_blocks(k, slots)).T
-        self.channel = _channel_step(position_sop, slots)
-        if np.array_equal(final_sop, position_sop):
-            # Most often the final channel is the gate channel: its step
-            # (and mask) serves both, with no second fill of `aux`.
-            self.final = self.channel
-        else:
-            self.final = _channel_step(final_sop, slots)
         self.signs = _signs(dim)
         self.identity = np.broadcast_to(np.eye(2 * dim), (k, 2 * dim, 2 * dim)).copy()
         self.control_q = control_q
@@ -616,6 +607,26 @@ class _Kernel:
         task and freed with the kernel."""
         return _repack_indices(self.k, self.slots, self.dim)
 
+    @functools.cached_property
+    def channel(self):
+        """The position channel's `_channel_step`, built by each process at
+        its first task and freed with the kernel. A phase channel's mask is
+        state-sized, since it runs at every position: broadcasting a
+        (1, 1, D, D) block over the state makes the multiply's inner loop D
+        long, about five times slower at k = 80, D = 2, and a (w, D, D) slot
+        row about twice as slow."""
+        return _channel_step(self.position_sop, (self.k, self.slots, self.dim, self.dim))
+
+    @functools.cached_property
+    def final(self):
+        """The final channel's step: the position channel's when the two
+        are equal, as they most often are, else its own, whose mask, for a
+        phase channel, is a (w, D, D) slot row broadcast over the k rows:
+        it runs once per task, not once per position."""
+        if np.array_equal(self.final_sop, self.position_sop):
+            return self.channel
+        return _channel_step(self.final_sop, (self.slots, self.dim, self.dim))
+
 
 def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
     """Final half-stored state, in the forward layout, of one run over k
@@ -624,14 +635,13 @@ def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
     k, m = sequences.shape
     dim = kernel.dim
 
-    # The task's whole footprint: three state-sized arrays, the run's gather
-    # indices (see _check_budget), and a few (k, 2D, 2D) arrays.
+    # The task's own footprint: two state-sized arrays and a few (k, 2D, 2D)
+    # ones; the process's gather indices and mask (see _check_budget).
     state = np.empty((k,) + kernel.initial.shape, dtype=np.complex128)
     state[...] = kernel.initial
     free = np.empty_like(state)
-    aux = np.empty_like(state)
     into_forward, into_backward = kernel.repack
-    channel = kernel.channel(aux)
+    channel = kernel.channel
     # gates[:, i] are the two forms of branch i's gate. products[i] is
     # R(P^T) of the branch's running product P, so that the closing gate
     # P^dag has the plain form R(P^T)^T.
@@ -654,8 +664,7 @@ def _evolve(kernel: _Kernel, sequences: np.ndarray) -> np.ndarray:
     np.copyto(gates[0], products.transpose(0, 2, 1))
     np.multiply(gates[0], kernel.signs, out=gates[1])
     state, free = _conjugate_branches(state, free, gates, into_forward)
-    final = channel if kernel.final is kernel.channel else kernel.final(aux)
-    state, free = final(state, free)
+    state, free = kernel.final(state, free)
     return state
 
 
@@ -703,7 +712,9 @@ def _check_budget(k: int, dim: int, slots: int) -> None:
     """Refuse, before allocating, a task on a state of k branches of a
     D-dimensional target, stored in `slots` slots per row, whose footprint
     would exceed STATE_BUDGET_BYTES: three (k, w, D, D) complex128 arrays
-    and the two gather indices of `_repack_indices` of the same shape."""
+    (the task's state and work buffer, and its process's phase mask,
+    counted for every channel) and the two gather indices of
+    `_repack_indices` of the same shape."""
     blocks = k * slots * dim * dim
     shape = "x".join(map(str, (k, slots, dim, dim)))
     check_bytes((3 * 16 + 2 * np.dtype(np.intp).itemsize) * blocks, STATE_BUDGET_BYTES,

@@ -228,9 +228,11 @@ def decay_amplitude(noise: NoiseModel) -> float:
 
     It is the same for every superposition size k, so it comes from the
     D x D preparation (`NoiseModel.prep`) alone: the control state |+>
-    returns unchanged.
+    returns unchanged. <0|E_final(rho)|0> is row 0 of the final channel's
+    superoperator (`NoiseModel.final_sop`) times vec(rho), as
+    `engine.exact_fidelities` reads it.
     """
-    returned = sum(op[0] @ noise.prep @ op[0].conj() for op in noise.final_channel)
+    returned = noise.final_sop[0] @ noise.prep.reshape(-1)
     return (1.0 - noise.meas_error) * float(returned.real)
 
 

@@ -107,10 +107,13 @@ def _realign(x: np.ndarray) -> np.ndarray:
 
 
 def check_kraus_gram(kraus: Sequence[np.ndarray], what: str = "Kraus list"
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Validate sum_s K_s^dag K_s = I within TOL.channel and return the list
-    and that sum, one product over the stacked rows (s, a); a refusal names
-    the list as `what`."""
+                     ) -> tuple[Sequence[np.ndarray], np.ndarray]:
+    """Validate sum_s K_s^dag K_s = I within TOL.channel and return the
+    operators and that sum, one product over the stacked rows (s, a); a
+    refusal names the list as `what`. The operators are read-only, so that
+    no write can change a checked channel: the given list when all are
+    read-only complex128 matrices, else the stacked rows, the one copy
+    made, as a (s, D, D) array, which `superop` reads in place."""
     if len(kraus) == 0:
         raise ValueError("empty Kraus list")
     mats = [as_matrix(k) for k in kraus]
@@ -123,12 +126,15 @@ def check_kraus_gram(kraus: Sequence[np.ndarray], what: str = "Kraus list"
     defect = float(np.max(np.abs(total - np.eye(dim))))
     if not defect <= TOL.channel:  # a NaN defect fails too
         raise ValueError(f"{what} is not trace preserving (defect {defect:.3e})")
+    if any(m.flags.writeable for m in mats):
+        rows.flags.writeable = False
+        return rows.reshape(len(mats), dim, dim), total
     return mats, total
 
 
 def check_kraus(kraus: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The validated list of `check_kraus_gram`, without the sum."""
-    return check_kraus_gram(kraus)[0]
+    return list(check_kraus_gram(kraus)[0])
 
 
 def basis_state(dim: int) -> np.ndarray:

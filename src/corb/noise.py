@@ -11,6 +11,7 @@ keys and their types.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,12 +131,15 @@ class NoiseModel:
 
     `gate_channel` follows every controlled sequence gate; the final
     inverse gate gets `final_gate_channel` (defaults to the same channel,
-    configurable separately, on the same dimension). `control_q` is the
-    control-register depolarizing parameter (1 = ideal control, only used
-    by the control-noise mode). Preparation mixes the target with the maximally
-    mixed state by eps_p; measurement scales the return effect by
-    1 - eps_m (a lossy detector), so SPAM rescales the decay amplitude
-    without adding a constant offset.
+    configurable separately, on the same dimension). Both are stored as
+    tuples of checked, read-only Kraus operators (`check_kraus_gram`), so
+    that no later write to the caller's arrays reaches the model.
+    `control_q` is the control-register depolarizing parameter (1 = ideal
+    control, only used by the control-noise mode). Preparation mixes the
+    target with the maximally mixed state by eps_p; measurement scales the
+    return effect by 1 - eps_m (a lossy detector), so SPAM rescales the
+    decay amplitude without adding a constant offset. The three are real
+    numbers in [0, 1]; a bool, a string or a complex number is refused.
 
     The operators that depend on the model alone are built once, here, and
     are read-only attributes, not fields (so `dataclasses.replace` builds
@@ -168,11 +172,15 @@ class NoiseModel:
             final_gain = trace_gain(gram)
         for name in ("control_q", "prep_error", "meas_error"):
             v = getattr(self, name)
+            # A bool is a numbers.Real, and numpy's bool is not.
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
-        gate_sop = superop(self.gate_channel)
-        final_sop = (gate_sop if self.final_gate_channel is None
-                     else superop(self.final_gate_channel))
+        # From the checked operators, not the stored tuples: `superop`
+        # reads a stacked copy in place.
+        gate_sop = superop(gate_channel)
+        final_sop = gate_sop if self.final_gate_channel is None else superop(final_channel)
         dim = self.gate_channel[0].shape[0]
         prep = (1.0 - self.prep_error) * projector(basis_state(dim))
         prep += self.prep_error * np.eye(dim) / dim

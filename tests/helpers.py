@@ -145,6 +145,13 @@ def conjugate_channel(kraus: Sequence[np.ndarray], u: np.ndarray) -> list[np.nda
     return [dagger(u) @ as_matrix(k) @ u for k in kraus]
 
 
+def kraus_amplitude(noise: NoiseModel) -> float:
+    """Reference for `corb.fitting.decay_amplitude`: the SPAM constant
+    (1 - eps_m) sum_s <0|K_s rho_prep K_s^dag|0> over the final Kraus list."""
+    returned = sum(op[0] @ noise.prep @ op[0].conj() for op in noise.final_channel)
+    return (1.0 - noise.meas_error) * float(returned.real)
+
+
 def standard_closed_form(chi00: float, dim: int, m: int) -> float:
     """Standard-RB mean survival for a unitary 2-design with ideal SPAM and
     a final channel that fixes |0><0| (as dephasing does): the twirl makes the gate channel depolarizing with parameter

@@ -2,6 +2,7 @@
 oracles, the dense oracle of the kernel, determinism, caps."""
 
 import gc
+import inspect
 import math
 import os
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -23,12 +25,15 @@ from corb.engine import (
     STATE_BUDGET_BYTES,
     FidelityRangeError,
     RbRunConfig,
+    _Kernel,
     _apply_control_depolarize,
     _branch_survivals,
+    _channel_step,
     _check_budget,
-    _mask_step,
+    _evolve,
     _overlap_fidelity,
     _pauli_transfer,
+    _protocol,
     _real_form,
     _real_gates,
     _superop_step,
@@ -72,6 +77,7 @@ from helpers import (
     evolve_coherent,
     haar_unitary,
     ideal_noise,
+    kraus_amplitude,
     kraus_to_chi,
     random_channel,
     random_phase_channel,
@@ -556,19 +562,25 @@ class TestDenseOracle:
         np.testing.assert_allclose(unpack(out), want, rtol=0, atol=1e-13)
 
     def test_mask_and_superop_paths_agree_on_a_phase_channel(self):
+        """A phase channel's step multiplies by a read-only mask, of the
+        state's shape (the position channel) or a (w, D, D) slot row that
+        the multiply broadcasts over the k rows (a final channel that
+        differs from it), and both agree with the general product."""
         rng = np.random.default_rng(66)
         k, d = 5, 3
         vec = rng.normal(size=k * d) + 1j * rng.normal(size=k * d)
         state = pack(np.outer(vec, vec.conj()), k)
         sop = superop(random_phase_channel(d, 3, rng))
         assert not np.any(sop - np.diag(np.diagonal(sop)))
-        row = np.broadcast_to(np.diagonal(sop).reshape(d, d).T, (k // 2 + 1, d, d))
-        masked, _ = _mask_step(row, np.empty_like(state))(
-            state.copy(), np.empty_like(state))
         general, _ = _superop_step(sop)(
             state.copy(), np.empty_like(state))
-        assert not np.allclose(masked, state)
-        np.testing.assert_allclose(masked, general, rtol=0, atol=1e-15)
+        assert not np.allclose(general, state)
+        for shape in (state.shape, state.shape[1:]):
+            step = _channel_step(sop, shape)
+            mask = inspect.getclosurevars(step).nonlocals["mask"]
+            assert mask.shape == shape and not mask.flags.writeable
+            masked, _ = step(state.copy(), np.empty_like(state))
+            np.testing.assert_allclose(masked, general, rtol=0, atol=1e-15)
 
 
 class TestSampledMeans:
@@ -1108,6 +1120,28 @@ class TestConfigValidation:
                 for _ in range(2))
         assert a == a and a != b
         assert len({a, b, a}) == 2
+
+    def test_interleaved_gate_and_channel_are_read_only(self):
+        """A config stores read-only copies of the caller's interleaved gate
+        and channel: later writes to the caller's arrays change neither the
+        stored arrays nor `exact_fidelities`. A gate that is a read-only
+        complex128 matrix already is kept as given."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)))
+        gate, channel = H.copy(), dephasing_kraus(0.05, 2)
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(1, 2, 4),
+                          mode="interleaved", interleaved_gate=gate,
+                          interleaved_noise=channel)
+        before = exact_fidelities(cfg)
+        copies = [op.copy() for op in (cfg.interleaved_gate,) + cfg.interleaved_noise]
+        gate[0, 0] = 5.0
+        for op in channel:
+            op[0, 0] = 0.5
+        assert exact_fidelities(cfg) == before
+        for op, copy in zip((cfg.interleaved_gate,) + cfg.interleaved_noise, copies):
+            assert np.array_equal(op, copy) and not op.flags.writeable
+        again = replace(cfg)
+        assert again.interleaved_gate is cfg.interleaved_gate
+        assert all(a is b for a, b in zip(again.interleaved_noise, cfg.interleaved_noise))
 
     def test_lengths_must_increase(self):
         """By RbRunConfig and by a replaced config alike, which is checked
@@ -1693,6 +1727,72 @@ class TestGatherIndices:
         assert run(self._config("coherent")) == pooled
 
 
+class TestChannelSteps:
+    """A kernel's channel steps are built like its gather indices, by each
+    process at its first task: one phase mask per process and run, none in
+    the parent of a pooled run, and none per task."""
+
+    K = 80
+    STATE_BYTES = 16 * K * (K // 2 + 1) * 2 * 2
+    SEQUENCES = np.random.default_rng(70).integers(0, len(CLIFFORD_2), size=(K, 8))
+
+    def _kernel(self, noise):
+        protocol = _protocol(RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(8,),
+                                         k=self.K))
+        return _Kernel(protocol, noise.prep, self.K, self.K // 2 + 1)
+
+    def test_a_later_task_holds_two_state_arrays(self):
+        """After a process's first task, a task at k = 80 allocates its
+        state and its work buffer, and no third state-sized array."""
+        kernel = self._kernel(NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2))))
+        first = _evolve(kernel, self.SEQUENCES)
+        tracemalloc.start()
+        try:
+            second = _evolve(kernel, self.SEQUENCES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * self.STATE_BYTES
+        np.testing.assert_array_equal(second, first)
+
+    def test_built_at_the_first_task_and_kept(self):
+        """Building a kernel at k = 80 allocates nothing state-sized. Its
+        first task builds the steps: the position channel's mask is
+        state-sized, a differing final channel's is one (w, D, D) slot
+        row, and both are read-only. Later tasks reuse both steps."""
+        noise = NoiseModel(gate_channel=tuple(dephasing_kraus(0.02, 2)),
+                           final_gate_channel=tuple(dephasing_kraus(0.05, 2)))
+        tracemalloc.start()
+        try:
+            kernel = self._kernel(noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.STATE_BYTES
+        assert "channel" not in vars(kernel) and "final" not in vars(kernel)
+        _evolve(kernel, self.SEQUENCES)
+        steps = kernel.channel, kernel.final
+        for step, shape in zip(steps, [(self.K, self.K // 2 + 1, 2, 2),
+                                       (self.K // 2 + 1, 2, 2)]):
+            mask = inspect.getclosurevars(step).nonlocals["mask"]
+            assert mask.shape == shape and not mask.flags.writeable
+        _evolve(kernel, self.SEQUENCES)
+        assert (kernel.channel, kernel.final) == steps
+
+    def test_pooled_runs_build_them_in_the_workers(self, monkeypatch, cpus, pool_starts):
+        """A pooled run's parent builds no channel step, so it allocates no
+        mask; a serial run builds the position channel's step once."""
+        built, real = [], corb.engine._channel_step
+        monkeypatch.setattr("corb.engine._channel_step",
+                            lambda *args: built.append(args[1]) or real(*args))
+        cfg = TestGatherIndices._config("coherent")
+        pooled = run(cfg)
+        assert len(pool_starts) == 1 and built == []
+        cpus(1)
+        assert run(cfg) == pooled
+        assert built == [(5, 3, 2, 2)]
+
+
 class TestAmplitude:
     def test_spam_amplitude_arithmetic(self):
         """A = (1-em)(1-ep/2) for a qubit with an ideal closing channel."""
@@ -1716,3 +1816,17 @@ class TestAmplitude:
 
     def test_ideal_amplitude_is_one(self):
         assert decay_amplitude(ideal_noise()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_amplitude_is_the_kraus_sum(self):
+        """Row 0 of the final superoperator times vec(rho_prep) is the sum
+        over the final Kraus list (`kraus_amplitude`), on random channels
+        with SPAM, with and without a separate final channel."""
+        rng = np.random.default_rng(67)
+        for dim in (2, 3, 4):
+            for _ in range(10):
+                gate, final = random_channel(dim, 2, rng), random_channel(dim, 3, rng)
+                for final_channel in (None, tuple(final)):
+                    noise = NoiseModel(gate_channel=tuple(gate),
+                                       final_gate_channel=final_channel,
+                                       prep_error=rng.uniform(), meas_error=rng.uniform())
+                    assert abs(decay_amplitude(noise) - kraus_amplitude(noise)) <= 1e-14

@@ -253,6 +253,57 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(gate_channel=tuple(identity_kraus(2)), control_q=1.5)
 
+    @pytest.mark.parametrize("name", ["control_q", "prep_error", "meas_error"])
+    @pytest.mark.parametrize("value", [True, np.True_, "0.1", 0.1 + 0j],
+                             ids=["bool", "numpy-bool", "str", "complex"])
+    def test_rates_are_real_numbers(self, name, value):
+        """A bool is not taken as 1, and a string or a complex number gets a
+        message naming the field, not a TypeError from the comparison."""
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            NoiseModel(gate_channel=tuple(identity_kraus(2)), **{name: value})
+
+    @pytest.mark.parametrize("value", [1, 0, 0.5, np.float32(0.25), np.float64(1.0)])
+    def test_int_and_float_rates_are_accepted(self, value):
+        nm = NoiseModel(gate_channel=tuple(identity_kraus(2)), control_q=value,
+                        prep_error=value, meas_error=value)
+        assert (nm.control_q, nm.prep_error, nm.meas_error) == (value,) * 3
+
+    def test_channels_are_read_only(self):
+        """The model stores read-only Kraus operators: a later write to the
+        caller's arrays reaches neither them nor what is built from them,
+        so chi00 of the stored channel stays tr(gate_sop) / D^2. Operators
+        that are read-only complex128 matrices already are kept as given."""
+        rng = np.random.default_rng(43)
+        gate, final = random_channel(2, 2, rng), random_channel(2, 3, rng)
+        nm = NoiseModel(gate_channel=tuple(gate), final_gate_channel=tuple(final))
+        stored = nm.gate_channel + nm.final_gate_channel
+        copies = [op.copy() for op in stored]
+        for op in gate + final:
+            op[0, 0] = 5.0
+        for op, copy in zip(stored, copies):
+            assert np.array_equal(op, copy) and not op.flags.writeable
+        assert chi00_of(nm.gate_channel) == pytest.approx(np.trace(nm.gate_sop).real / 4,
+                                                          abs=1e-15)
+        again = NoiseModel(gate_channel=nm.gate_channel)
+        assert all(a is b for a, b in zip(again.gate_channel, nm.gate_channel))
+
+    def test_a_writable_list_is_copied_once(self):
+        """A writable Kraus list is held as the one stacked copy that its
+        check forms, and `superop` reads that copy in place: at D = 16 the
+        depolarizing list and the superoperator take 1 MiB each, and the
+        model's peak is three such arrays (the copy, its conjugate and the
+        product, or the copy, the product and its realigned copy)."""
+        kraus = depolarizing_kraus(0.1, 16)
+        size = 16 * 16 ** 4
+        tracemalloc.start()
+        try:
+            nm = NoiseModel(gate_channel=kraus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * size + 2 ** 17
+        assert np.array_equal(nm.gate_sop, superop(kraus))
+
     def test_final_channel_on_another_dimension_is_refused(self):
         """The final channel must act where the gate channel does; a
         ququart final channel after a qubit gate channel used to pass here
