@@ -246,6 +246,8 @@ def cmd_fit(args) -> int:
             "chi00_combined": estimate.chi00_combined,
             "chi00_gate": estimate.chi00_gate,
             "bound_E": estimate.bound_E,
+            "ref_converged": fit_ref.converged,
+            "interleaved_converged": fit_int.converged,
         }
         dim = _dim_for_records(args.irb[0], ref_cfg, args)
         if dim is not None:
@@ -253,7 +255,7 @@ def cmd_fit(args) -> int:
         print(f"gate chi00 = {estimate.chi00_gate:.6f} +- {estimate.bound_E:.3e} "
               f"(reference {estimate.chi00_ref:.6f})")
         _emit_json(payload, args.json)
-        return 0
+        return 0 if fit_ref.converged and fit_int.converged else SEMANTIC_ERROR
 
     fit, config = _fit_file(args.records)
     payload = _fit_payload(fit, _dim_for_records(args.records, config, args))

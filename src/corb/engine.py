@@ -9,13 +9,15 @@ gate in all branches), and the full |G|^m superposition. A run is one
 RbRunConfig, which holds the interleaved gate and its channel too (in
 interleaved mode only), and `run` dispatches it through one mode table.
 
-Every engine runs on one triple, built by `_protocol`: the stack each
-position draws its gate from, the position channel that follows every
-drawn gate, and the final channel that follows the closing inverse.
-Interleaving is not a variant of any engine: it only derives that triple.
-With a fixed gate g and its channel N_g, the stack becomes {g u}, the
-position channel S(N_g) S(g) S(N) S(g^dag), and the final channel, since
-the closing gate is noiseless, the identity.
+Every engine runs on one triple, which its RbRunConfig holds: the stack
+each position draws its gate from (`RbRunConfig.stack`, built on demand),
+the position channel that follows every drawn gate and the final channel
+that follows the closing inverse (`position_sop` and `final_sop`, derived
+once, when the config is made). Interleaving is not a variant of any
+engine: it only derives that triple. With a fixed gate g and its channel
+N_g, the stack becomes {g u}, the position channel S(N_g) S(g) S(N)
+S(g^dag), and the final channel, since the closing gate is noiseless, the
+identity.
 
 Every sampled mode runs on one kernel, `_evolve`, which evolves one
 k-branch state in blocked form, so a controlled gate is a per-branch-pair
@@ -130,7 +132,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -164,8 +166,14 @@ class RbRunConfig:
     operators (`check_kraus_gram`), so that no later write to the caller's
     arrays reaches the run. Interleaved mode without a gate is admitted
     here, so that a gate can be given later (`run_interleaved_coherent`),
-    and refused when the run starts (`_protocol`). Configs hash and
-    compare by identity."""
+    and refused when the run starts (`_check_gate`). Configs hash and
+    compare by identity.
+
+    It derives, once, the superoperators every engine runs on, as
+    read-only attributes that are not fields: `position_sop` and
+    `final_sop`, the noise model's own `gate_sop` and `final_sop` without
+    an interleaved gate g, else S(N_g) S(g) S(N) S(g)^dag and the
+    identity. The stack is built on demand (`stack`)."""
 
     gate_set: GateSet
     noise: NoiseModel
@@ -210,6 +218,8 @@ class RbRunConfig:
         _check_shape("gate channel", self.noise.gate_channel[0], dim)
         _check_gains(longest, self.noise.gate_gain, "final channel",
                      self.noise.final_gain, per_position=False)
+        object.__setattr__(self, "position_sop", self.noise.gate_sop)
+        object.__setattr__(self, "final_sop", self.noise.final_sop)
         gate, gate_noise = self.interleaved_gate, self.interleaved_noise
         if gate is None and gate_noise is None:
             return
@@ -232,6 +242,26 @@ class RbRunConfig:
             gain = trace_gain(gram)
         _check_gains(longest, self.noise.gate_gain, "interleaved gate channel", gain,
                      per_position=True)
+        # S(N_g) from the checked operators, not the stored tuple: `superop`
+        # reads a stacked copy in place.
+        gate_sop = superop(gate[None])
+        position_sop = gate_sop @ self.noise.gate_sop
+        if gate_noise is not None:
+            position_sop = superop(gate_noise) @ position_sop
+        position_sop = position_sop @ gate_sop.conj().T
+        final_sop = np.eye(dim * dim, dtype=np.complex128)
+        for name, value in (("position_sop", position_sop), ("final_sop", final_sop)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def stack(self) -> np.ndarray:
+        """The (|G|, D, D) stack each position draws from: the set's
+        elements, or g u for each element u when interleaving g. It is
+        built on each call and not kept: a g u stack is as large as the
+        set's own (268 MB at Pauli(2,6)), and the closed forms of a dressed
+        set never read it."""
+        gate, elements = self.interleaved_gate, self.gate_set.elements
+        return elements if gate is None else gate @ elements
 
 
 class FidelityRangeError(RuntimeError):
@@ -528,44 +558,6 @@ def _apply_control_depolarize(rho: np.ndarray, q: float) -> np.ndarray:
     return rho
 
 
-class _Protocol(NamedTuple):
-    """What every engine runs on (see the module docstring): the set's
-    elements, the interleaved gate or None, and the position and the final
-    superoperator. The stack itself is built only on demand (`stack`),
-    since the closed forms of a dressed set never read it."""
-
-    elements: np.ndarray
-    gate: np.ndarray | None
-    position_sop: np.ndarray
-    final_sop: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        """The (|G|, D, D) stack each position draws from: the set's
-        elements, or g u for each element u when interleaving g."""
-        return self.elements if self.gate is None else self.gate @ self.elements
-
-
-def _protocol(cfg: RbRunConfig) -> _Protocol:
-    """The protocol every engine runs on (see the module docstring), of a
-    checked config. Without interleaving, the set's elements and the noise
-    model's gate and final superoperators; interleaved mode without a gate
-    is refused here. The interleaved gate g and its channel N_g derive the
-    stack and both superoperators, since u, N, g, N_g is g u followed by
-    S(N_g) S(g) S(N) S(g^dag). S(g^dag) is taken as S(g)^dag, so at most
-    two superoperators are built."""
-    noise, gate, gate_noise = cfg.noise, cfg.interleaved_gate, cfg.interleaved_noise
-    if gate is None:
-        if cfg.mode == "interleaved":
-            raise ValueError("interleaved mode needs an interleaved gate")
-        return _Protocol(cfg.gate_set.elements, None, noise.gate_sop, noise.final_sop)
-    gate_sop = superop([gate])
-    position_sop = gate_sop @ noise.gate_sop
-    if gate_noise is not None:
-        position_sop = superop(gate_noise) @ position_sop
-    return _Protocol(cfg.gate_set.elements, gate, position_sop @ gate_sop.conj().T,
-                     np.eye(cfg.gate_set.dim ** 2, dtype=np.complex128))
-
-
 def _shared_blocks(k: int, slots: int) -> int:
     """How many diagonal blocks share the prepared target: k when the state
     stores off-diagonal slots, 1 when only the diagonal (exact at k = 1)."""
@@ -574,11 +566,12 @@ def _shared_blocks(k: int, slots: int) -> int:
 
 class _Kernel:
     """What every task of a sampled run shares, for states of k branches
-    stored in `slots` slots per row (see the module docstring), built from a
-    `_protocol` and the prepared target once per run, before the workers
-    fork. What is state-sized waits for a task: each process builds the
-    gather indices (`repack`) and the channel steps (`channel`, `final`)
-    at its first task, so the parent of a pooled run builds none.
+    stored in `slots` slots per row (see the module docstring), built from
+    a config's stack, superoperators and prepared target once per run,
+    before the workers fork. What is state-sized waits for a task: each
+    process builds the gather indices (`repack`) and the channel steps
+    (`channel`, `final`) at its first task, so the parent of a pooled run
+    builds none.
 
     Protocol of each state: prepare |+>_c (x) prep, of which only the
     diagonal blocks are kept when slots = 1; apply m controlled gates from
@@ -587,16 +580,15 @@ class _Kernel:
     inverse of each branch, followed by the final channel.
     """
 
-    def __init__(self, protocol, prep: np.ndarray, k: int, slots: int,
-                 *, control_q: float = 1.0):
-        stack = protocol.stack()
+    def __init__(self, cfg: RbRunConfig, k: int, slots: int, *, control_q: float = 1.0):
+        stack = cfg.stack()
         dim = stack.shape[-1]
         self.k, self.slots, self.dim = k, slots, dim
-        self.position_sop, self.final_sop = protocol.position_sop, protocol.final_sop
+        self.position_sop, self.final_sop = cfg.position_sop, cfg.final_sop
         self.gates = _real_gates(stack)
         # |+><+|_c (x) prep has all blocks equal, so it is in both layouts.
         self.initial = np.empty((slots, dim, dim), dtype=np.complex128)
-        self.initial[...] = (prep / _shared_blocks(k, slots)).T
+        self.initial[...] = (cfg.noise.prep / _shared_blocks(k, slots)).T
         self.signs = _signs(dim)
         self.identity = np.broadcast_to(np.eye(2 * dim), (k, 2 * dim, 2 * dim)).copy()
         self.control_q = control_q
@@ -741,6 +733,13 @@ def _expect_mode(cfg: RbRunConfig, mode: str) -> None:
         raise ValueError(f"expected mode {mode!r}, got {cfg.mode!r}")
 
 
+def _check_gate(cfg: RbRunConfig) -> None:
+    """Refuse to run interleaved mode without its gate, which a config
+    admits (see RbRunConfig)."""
+    if cfg.mode == "interleaved" and cfg.interleaved_gate is None:
+        raise ValueError("interleaved mode needs an interleaved gate")
+
+
 def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None
                  ) -> dict[str, list[FidelityRecord]]:
     """The (length, repetition) task loop of every sampled mode, with the
@@ -759,11 +758,11 @@ def _sampled_run(cfg: RbRunConfig, modes: tuple[str, ...] | None = None
     The task and the gate stack are checked against the budget before any
     task starts; the `_Kernel` is built once, before the workers fork."""
     modes = (cfg.mode,) if modes is None else modes
-    protocol = _protocol(cfg)
+    _check_gate(cfg)
     slots = 1 if cfg.mode == "standard" else cfg.k // 2 + 1
     _check_budget(cfg.k, cfg.gate_set.dim, slots)
     control_q = cfg.noise.control_q if cfg.mode == "coherent-control-noise" else 1.0
-    kernel = _Kernel(protocol, cfg.noise.prep, cfg.k, slots, control_q=control_q)
+    kernel = _Kernel(cfg, cfg.k, slots, control_q=control_q)
     meas_error = cfg.noise.meas_error
 
     def one(task):
@@ -861,21 +860,21 @@ def exact_fidelities(cfg: RbRunConfig, same_sequence: bool = False) -> list[floa
     (`_clamped`); k, repetitions, shots and the seed are not read.
 
     An interleaved gate and its channel change only the stack, its left
-    dressing factor and the two superoperators the recursion runs on
-    (`_protocol`).
+    dressing factor and the two superoperators the recursion runs on, all
+    read from the config.
     """
     gate_set, noise = cfg.gate_set, cfg.noise
-    protocol = _protocol(cfg)
-    step_sop, readout = protocol.position_sop, protocol.final_sop[0]
+    _check_gate(cfg)
+    step_sop, readout = cfg.position_sop, cfg.final_sop[0]
     prep = noise.prep.reshape(-1)
     if gate_set.dressing is None:
-        state, advance = _dense_recursion(protocol.stack(), step_sop, same_sequence)
+        state, advance = _dense_recursion(cfg.stack(), step_sop, same_sequence)
 
         def read(x):
             return readout @ x @ prep
     elif same_sequence:
         # The stack is {g P_i R} when interleaving g, else {P_i R}.
-        left = np.eye(gate_set.dim) if protocol.gate is None else protocol.gate
+        left = np.eye(gate_set.dim) if cfg.interleaved_gate is None else cfg.interleaved_gate
         transfer, weights = _pauli_transfer(gate_set, left, gate_set.dressing,
                                             step_sop, readout, prep)
         state = np.ones(len(weights), dtype=np.complex128)

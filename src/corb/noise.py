@@ -191,12 +191,6 @@ class NoiseModel:
         object.__setattr__(self, "gate_gain", gate_gain)
         object.__setattr__(self, "final_gain", final_gain)
 
-    @property
-    def final_channel(self) -> tuple[np.ndarray, ...]:
-        if self.final_gate_channel is None:
-            return self.gate_channel
-        return self.final_gate_channel
-
 
 _CHANNELS = {
     "identity": SpecEntry({}, identity_kraus),

@@ -17,6 +17,7 @@ from corb.linalg import (
     dagger,
     projector,
 )
+from helpers import final_channel
 
 
 def plus_state(dim: int) -> np.ndarray:
@@ -141,7 +142,7 @@ def dense_coherent_state(gate_set, noise, sequences, *, control_q=1.0,
         check_density_matrix(rho)
     rho = apply_channel(rho, [materialize_controlled([dagger(p) for p in products])])
     if interleaved_gate is None:
-        rho = apply_channel(rho, on_target(noise.final_channel))
+        rho = apply_channel(rho, on_target(final_channel(noise)))
     return check_density_matrix(rho)
 
 

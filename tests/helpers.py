@@ -19,7 +19,6 @@ from corb.engine import (
     _branch_survivals,
     _evolve,
     _overlap_fidelity,
-    _protocol,
 )
 from corb.gatesets import FINGERPRINT_DECIMALS, ConditionReport, GateSet
 from corb.io import atomic_write
@@ -145,10 +144,18 @@ def conjugate_channel(kraus: Sequence[np.ndarray], u: np.ndarray) -> list[np.nda
     return [dagger(u) @ as_matrix(k) @ u for k in kraus]
 
 
+def final_channel(noise: NoiseModel) -> tuple[np.ndarray, ...]:
+    """The Kraus tuple after the closing inverse: the model's final channel,
+    or its gate channel when it has none."""
+    if noise.final_gate_channel is None:
+        return noise.gate_channel
+    return noise.final_gate_channel
+
+
 def kraus_amplitude(noise: NoiseModel) -> float:
     """Reference for `corb.fitting.decay_amplitude`: the SPAM constant
     (1 - eps_m) sum_s <0|K_s rho_prep K_s^dag|0> over the final Kraus list."""
-    returned = sum(op[0] @ noise.prep @ op[0].conj() for op in noise.final_channel)
+    returned = sum(op[0] @ noise.prep @ op[0].conj() for op in final_channel(noise))
     return (1.0 - noise.meas_error) * float(returned.real)
 
 
@@ -410,11 +417,10 @@ def evolve_coherent(gate_set, noise, sequences, *, control_q=1.0,
     interleaved gate and its channel."""
     sequences = np.asarray(sequences)
     mode = "coherent" if interleaved_gate is None else "interleaved"
-    protocol = _protocol(RbRunConfig(gate_set, noise, (sequences.shape[-1],), mode=mode,
-                                     interleaved_gate=interleaved_gate,
-                                     interleaved_noise=interleaved_noise))
+    cfg = RbRunConfig(gate_set, noise, (sequences.shape[-1],), mode=mode,
+                      interleaved_gate=interleaved_gate, interleaved_noise=interleaved_noise)
     k = len(sequences)
-    kernel = _Kernel(protocol, noise.prep, k, k // 2 + 1, control_q=control_q)
+    kernel = _Kernel(cfg, k, k // 2 + 1, control_q=control_q)
     return _evolve(kernel, sequences)
 
 
@@ -429,8 +435,7 @@ def simulate_standard(gate_set, noise, sequences) -> np.ndarray:
     """Per-sequence survival fidelities of a (k, m) sequence-index array,
     evolved as the k diagonal blocks of one state, as standard RB runs them."""
     sequences = np.asarray(sequences)
-    kernel = _Kernel(_protocol(RbRunConfig(gate_set, noise, (sequences.shape[-1],))),
-                     noise.prep, len(sequences), 1)
+    kernel = _Kernel(RbRunConfig(gate_set, noise, (sequences.shape[-1],)), len(sequences), 1)
     state = _evolve(kernel, sequences)
     return _branch_survivals(state, noise.meas_error)
 

@@ -964,6 +964,22 @@ class TestFitCommand:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["converged"] is False
 
+    def test_irb_iteration_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        """An IRB fit reports whether each of its two fits converged, and
+        exits 2 when either did not, as a single fit does."""
+        out = str(tmp_path / "r.csv")
+        main(["run", "--set", "pauli:d=2,n=1", "--channel", "dephasing:p=0.05",
+              "--k", "2", "--lengths", "1,2,4,8", "--reps", "3", "--shots", "50",
+              "--out", out])
+        capsys.readouterr()
+        assert main(["fit", "--irb", out, out]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["ref_converged"] is True and payload["interleaved_converged"] is True
+        monkeypatch.setattr(fitting, "GN_MAX_ITER", 1)
+        assert main(["fit", "--irb", out, out]) == 2
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["ref_converged"] is False and payload["interleaved_converged"] is False
+
     def test_singular_covariance_writes_null_stderr(self, tmp_path, monkeypatch):
         """A NaN standard error is written as JSON null, not as NaN."""
         path = str(tmp_path / "r.csv")

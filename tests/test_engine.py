@@ -12,7 +12,7 @@ import threading
 import time
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -33,7 +33,6 @@ from corb.engine import (
     _evolve,
     _overlap_fidelity,
     _pauli_transfer,
-    _protocol,
     _real_form,
     _real_gates,
     _superop_step,
@@ -410,7 +409,7 @@ class TestDressedMoments:
 
         for name in ("_dense_recursion", "_same_sequence_moment"):
             monkeypatch.setattr(f"corb.engine.{name}", refuse)
-        monkeypatch.setattr("corb.engine._Protocol.stack", refuse)
+        monkeypatch.setattr(RbRunConfig, "stack", refuse)
         gate_set = DRESSED["ms(2)"]
         for kwargs in ({}, dict(mode="interleaved", interleaved_gate=np.kron(H, H))):
             cfg = RbRunConfig(gate_set, ideal_noise(4), (1, 5), **kwargs)
@@ -481,6 +480,49 @@ class TestInterleavingIsDerived:
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-13
             # Far from the noiseless value, so the channels are exercised.
             assert min(got) < 0.97
+
+
+class TestDerivedOperators:
+    """An RbRunConfig derives the position and the final superoperator
+    that every engine runs on once, when it is made, as read-only
+    attributes that are not fields."""
+
+    NOISE = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2)),
+                       final_gate_channel=tuple(dephasing_kraus(0.03, 2)))
+
+    @staticmethod
+    def _assert_read_only(cfg):
+        assert {"position_sop", "final_sop"}.isdisjoint(f.name for f in fields(cfg))
+        for name in ("position_sop", "final_sop"):
+            sop = getattr(cfg, name)
+            assert not sop.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                sop[0, 0] = 0.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, sop.copy())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_without_a_gate_they_are_the_noise_models(self, mode):
+        """In every mode, interleaved mode without its gate included."""
+        cfg = RbRunConfig(CLIFFORD_2, self.NOISE, (1, 2), mode=mode)
+        assert cfg.position_sop is self.NOISE.gate_sop
+        assert cfg.final_sop is self.NOISE.final_sop
+        self._assert_read_only(cfg)
+
+    @pytest.mark.parametrize("with_channel", [False, True])
+    def test_with_a_gate_they_compose_the_superoperators(self, with_channel):
+        """S(N_g) S(g) S(N) S(g^dag) and the identity, for the phase gate,
+        which tells g from g^dag, with and without a gate channel."""
+        gate = np.diag([1, 1j])
+        gate_noise = random_channel(2, 2, np.random.default_rng(73)) if with_channel else None
+        cfg = RbRunConfig(CLIFFORD_2, self.NOISE, (1, 2), mode="interleaved",
+                          interleaved_gate=gate, interleaved_noise=gate_noise)
+        want = superop([gate]) @ self.NOISE.gate_sop @ superop([gate.conj().T])
+        if with_channel:
+            want = superop(gate_noise) @ want
+        np.testing.assert_allclose(cfg.position_sop, want, rtol=0, atol=1e-15)
+        assert np.array_equal(cfg.final_sop, np.eye(4))
+        self._assert_read_only(cfg)
 
 
 class TestDenseOracle:
@@ -1014,10 +1056,11 @@ run(RbRunConfig(gate_set=build_pauli_set(2, 1),
 
 class TestOperatorTraffic:
     """The engines read the superoperators and the prepared state that the
-    NoiseModel built once: no call of `noise.superop` on a channel in a full
-    run, and none inside the tasks of a sampled run. The dense pair step's
-    one call on the gate stack (its first moment) is not a channel's and is
-    not counted."""
+    NoiseModel and the RbRunConfig built once: no call of `noise.superop` on
+    a Kraus list or tuple in a run, interleaved or not. An interleaved
+    config forms S(g) and S(N_g) from arrays: the gate and the stacked copy
+    that the channel's check returns. The dense pair step's one call on the
+    gate stack (its first moment) is on an array too."""
 
     NOISE = NoiseModel(gate_channel=tuple(depolarizing_kraus(0.02, 2)),
                        final_gate_channel=tuple(dephasing_kraus(0.03, 2)),
@@ -1057,22 +1100,40 @@ class TestOperatorTraffic:
         run_coherent_full(cfg)
         exact_fidelities(cfg, same_sequence=True)
         assert calls == []
-        # The interleaved superoperators depend on the call's arguments:
-        # S(g) and S(N_g), with S(g^dag) taken as S(g)^dag.
         run_interleaved_coherent(replace(cfg, mode="interleaved"), H,
                                  dephasing_kraus(0.01, 2), full_superposition=True)
-        assert calls == ["run"] * 2
+        assert calls == []
 
     @pytest.mark.parametrize("mode", [m for m in MODES if m != "coherent-full"])
     def test_sampled_tasks_build_no_superoperator(self, mode, calls):
-        """Six tasks; with interleaving the run builds the position
-        superoperator once, from the gate and its channel."""
+        """Six tasks; with interleaving the config's operators come from
+        arrays."""
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
                           k=3, repetitions=2, mode=mode,
                           **_interleaving(mode, H, dephasing_kraus(0.01, 2)))
         records = run(cfg)
         assert len(records) == 6
-        assert calls == (["run"] * 2 if mode == "interleaved" else [])
+        assert calls == []
+
+    def test_an_interleaved_config_runs_without_superoperator_calls(self, monkeypatch):
+        """Its operators are derived when it is made: two exact calls of
+        each kind, two sampled runs and two full runs of one interleaved
+        config call `noise.superop` on nothing, not even on an array. The
+        set is Pauli-dressed, so the exact calls need no first moment."""
+        cfg = RbRunConfig(gate_set=PAULI_2, noise=self.NOISE, lengths=(1, 2, 3), k=3,
+                          repetitions=2, mode="interleaved", interleaved_gate=H,
+                          interleaved_noise=dephasing_kraus(0.01, 2))
+        calls, real = [], corb.noise.superop
+        for module in ("corb.engine", "corb.noise"):
+            monkeypatch.setattr(f"{module}.superop",
+                                lambda kraus: calls.append(kraus) or real(kraus))
+        for _ in range(2):
+            for same_sequence in (False, True):
+                assert len(exact_fidelities(cfg, same_sequence)) == 3
+            assert len(run(cfg)) == 6
+            assert len(run_interleaved_coherent(cfg, cfg.interleaved_gate, cfg.interleaved_noise,
+                                                full_superposition=True)) == 6
+        assert calls == []
 
     def test_one_pass_of_both_readings_builds_no_superoperator(self, calls):
         cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=self.NOISE, lengths=(1, 2, 3),
@@ -1737,9 +1798,8 @@ class TestChannelSteps:
     SEQUENCES = np.random.default_rng(70).integers(0, len(CLIFFORD_2), size=(K, 8))
 
     def _kernel(self, noise):
-        protocol = _protocol(RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(8,),
-                                         k=self.K))
-        return _Kernel(protocol, noise.prep, self.K, self.K // 2 + 1)
+        cfg = RbRunConfig(gate_set=CLIFFORD_2, noise=noise, lengths=(8,), k=self.K)
+        return _Kernel(cfg, self.K, self.K // 2 + 1)
 
     def test_a_later_task_holds_two_state_arrays(self):
         """After a process's first task, a task at k = 80 allocates its

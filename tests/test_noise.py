@@ -28,6 +28,7 @@ from helpers import (
     composed_chi00,
     conjugate_channel,
     control_depolarize,
+    final_channel,
     haar_state,
     kraus_to_chi,
     random_channel,
@@ -243,7 +244,7 @@ class TestChannelComposition:
 class TestNoiseModel:
     def test_final_channel_defaults_to_gate_channel(self):
         nm = NoiseModel(gate_channel=tuple(dephasing_kraus(0.1, 2)))
-        assert nm.final_channel is nm.gate_channel
+        assert final_channel(nm) is nm.gate_channel
 
     def test_validates_channels(self):
         with pytest.raises(ValueError):
